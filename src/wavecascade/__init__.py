@@ -41,7 +41,6 @@ from .dynamics import (
 )
 from .observability import (
     AuditRow,
-    GramianReport,
     ObservabilityConstants,
     admissibility_constant,
     apply_gramian,
@@ -51,7 +50,6 @@ from .observability import (
     gcc_min_time,
     gramian_form,
     gramian_matrix,
-    gramian_report,
     inequality_chain_audit,
     min_eigenvalue,
     ray_hit_time,

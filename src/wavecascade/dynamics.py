@@ -43,6 +43,7 @@ __all__ = [
     "TimeGrid",
     "CascadeTrajectory",
     "cascade_step_matrix",
+    "free_flow",
     "free_evolve",
     "evolve_cascade",
     "evolve_cascade_backward",
@@ -51,6 +52,7 @@ __all__ = [
     "invert_generator",
     "iterate_inverse",
     "energy",
+    "state_weights",
     "observe",
     "duality_pairing",
     "reflect_velocities",
@@ -134,6 +136,15 @@ class CascadeState:
 def energy(component: ComponentState, k: int) -> float:
     """Level-k energy 0.5 (|u|_k^2 + |u'|_{k-1}^2) of one component."""
     return 0.5 * (sobolev_norm(component.position, k) ** 2 + sobolev_norm(component.velocity, k - 1) ** 2)
+
+
+def state_weights(space: SpectralSpace, orders: tuple[int, int, int, int]) -> np.ndarray:
+    """Diagonal lambda^k weights of a stacked 4N state, one order k per block.
+
+    The weighted squared norm sum(w * x**2) measures each block in H^k.
+    """
+    lam = space.eigenvalues
+    return np.concatenate([lam**k if k >= 0 else 1.0 / lam**-k for k in orders])
 
 
 def reflect_velocities(vec: np.ndarray, n_modes: int) -> np.ndarray:
@@ -294,8 +305,8 @@ class TimeGrid:
     allow_coarse: bool = False
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValidationError("horizon must be positive")
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise ValidationError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n_steps < 2 or self.n_steps % 2 != 0:
             raise ValidationError("n_steps must be an even integer >= 2 (composite Simpson in time)")
 
@@ -333,7 +344,10 @@ class TimeGrid:
     @staticmethod
     def for_space(space: SpectralSpace, horizon: float, step_phase: float = 0.4) -> "TimeGrid":
         """Smallest even step count keeping dt * sqrt(lambda_N) <= step_phase."""
-        n = int(np.ceil(horizon * space.frequencies[-1] / step_phase))
+        steps = horizon * space.frequencies[-1] / step_phase
+        if not np.isfinite(steps):
+            raise ValidationError(f"horizon {horizon} and step_phase {step_phase} give no finite step count")
+        n = int(np.ceil(steps))
         n += n % 2
         return TimeGrid(horizon, max(n, 2))
 
@@ -342,9 +356,16 @@ class TimeGrid:
 # one-step propagators
 
 
-def _free_blocks(space: SpectralSpace, t: float):
+def free_flow(space: SpectralSpace, t):
+    """Exact free rotation blocks (cos wt, sin wt / w, -w sin wt) at time(s) t.
+
+    Each block has shape ``np.shape(t) + (N,)``.  With blocks (c, s, m), a
+    free component moves from (p, v) to (c p + s v, m p + c v).
+    """
     om = space.frequencies
-    return np.cos(om * t), np.sin(om * t) / om, -om * np.sin(om * t)
+    phase = np.multiply.outer(t, om)
+    sin = np.sin(phase)
+    return np.cos(phase), sin / om, -om * sin
 
 
 def cascade_step_matrix(
@@ -365,8 +386,7 @@ def cascade_step_matrix(
     evaluated in closed form at the sub-nodes {0, dt/2, dt}.
     """
     n = space.n_modes
-    om = space.frequencies
-    c, s_over, ms = _free_blocks(space, dt)
+    c, s_over, ms = free_flow(space, dt)
     P = np.zeros((4 * n, 4 * n))
     for pos, vel in ((0, 2 * n), (n, 3 * n)):
         idx = np.arange(n)
@@ -382,15 +402,12 @@ def cascade_step_matrix(
             src_pos, src_vel, drv_pos, drv_vel = n, 3 * n, 0, 2 * n
         else:
             raise ValidationError("driven must be 'first' or 'second'")
-        taus = (0.0, 0.5 * dt, dt)
+        taus = np.array([0.0, 0.5 * dt, dt])
         wq = (dt / 6.0, 4.0 * dt / 6.0, dt / 6.0)
+        kernel_vel, kernel_pos = free_flow(space, dt - taus)[:2]
+        source_c, source_s = free_flow(space, taus)[:2]
         inc = np.zeros((2 * n, 2 * n))
-        for tau, w in zip(taus, wq):
-            r = dt - tau
-            k_pos = np.sin(om * r) / om
-            k_vel = np.cos(om * r)
-            src_c = np.cos(om * tau)
-            src_s = np.sin(om * tau) / om
+        for w, k_pos, k_vel, src_c, src_s in zip(wq, kernel_pos, kernel_vel, source_c, source_s):
             core = coupling_matrix  # source position nudged through the coupling
             top = k_pos[:, None] * core
             bot = k_vel[:, None] * core
@@ -443,11 +460,10 @@ class CascadeTrajectory:
 
     def first_component_fine_positions(self) -> np.ndarray:
         """Closed-form u1 positions on the half-step grid (u1 is free)."""
-        om = self.space.frequencies
-        t = self.grid.fine_times
+        c, s = free_flow(self.space, self.grid.fine_times)[:2]
         u0 = self.states[0, : self.space.n_modes]
         w0 = self.states[0, 2 * self.space.n_modes : 3 * self.space.n_modes]
-        return np.cos(np.outer(t, om)) * u0 + np.sin(np.outer(t, om)) / om * w0
+        return c * u0 + s * w0
 
 
 def evolve_cascade(
@@ -498,13 +514,11 @@ def evolve_forced_scalar(
     """
     space = initial.space
     grid.validate_for(space)
-    om = space.frequencies
     dt = grid.dt
-    c, s_over, ms = _free_blocks(space, dt)
-    kern = []
-    for tau, w in zip((0.0, 0.5 * dt, dt), (dt / 6.0, 4.0 * dt / 6.0, dt / 6.0)):
-        r = dt - tau
-        kern.append((tau, w, np.sin(om * r) / om, np.cos(om * r)))
+    c, s_over, ms = free_flow(space, dt)
+    taus = np.array([0.0, 0.5 * dt, dt])
+    kernel_vel, kernel_pos = free_flow(space, dt - taus)[:2]
+    kern = list(zip(taus, (dt / 6.0, 4.0 * dt / 6.0, dt / 6.0), kernel_pos, kernel_vel))
     n = space.n_modes
     states = np.empty((grid.n_steps + 1, 2 * n))
     states[0, :n] = initial.position.coeffs
@@ -526,14 +540,12 @@ def evolve_forced_scalar(
 def free_evolve(component: ComponentState, t: float) -> ComponentState:
     """Exact free wave evolution of one component by time t (any sign)."""
     space = component.space
-    om = space.frequencies
-    c = np.cos(om * t)
-    s = np.sin(om * t)
+    c, s_over, ms = free_flow(space, t)
     p = component.position.coeffs
     v = component.velocity.coeffs
     return ComponentState(
-        ModalCoefficients(c * p + s / om * v, space),
-        ModalCoefficients(-om * s * p + c * v, space),
+        ModalCoefficients(c * p + s_over * v, space),
+        ModalCoefficients(ms * p + c * v, space),
     )
 
 

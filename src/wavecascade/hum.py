@@ -23,7 +23,7 @@ limited only by the conjugate-gradient tolerance, not by the time step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,9 @@ from .dynamics import (
     TimeGrid,
     cascade_step_matrix,
     duality_pairing,
-    reflect_velocities,
+    state_weights,
 )
-from .observability import norm_weights as _observability_norm_weights
+from .observability import adjoint_sweep, weighted_gram
 
 __all__ = [
     "HUMProblem",
@@ -148,13 +148,7 @@ def adjoint_observation_rows(observer: Observer, space: SpectralSpace) -> np.nda
 
 def adjoint_space_weights(space: SpectralSpace, case: str) -> np.ndarray:
     """Diagonal weights of the adjoint solution space norm."""
-    lam = space.eigenvalues
-    one = np.ones_like(lam)
-    if case == "interior":
-        blocks = (1.0 / lam, one, 1.0 / lam**2, 1.0 / lam)
-    else:
-        blocks = (one, lam, 1.0 / lam, one)
-    return np.concatenate(blocks)
+    return state_weights(space, (-1, 0, -2, -1) if case == "interior" else (0, 1, -1, 0))
 
 
 def control_space_norms(vector: np.ndarray, space: SpectralSpace, case: str) -> dict:
@@ -164,13 +158,10 @@ def control_space_norms(vector: np.ndarray, space: SpectralSpace, case: str) -> 
     boundary case: H1 x H0 x H0 x H-1.
     """
     n = space.n_modes
-    lam = space.eigenvalues
-    orders = (2, 1, 1, 0) if case == "interior" else (1, 0, 0, -1)
-    names = ("y1", "y2", "dy1", "dy2")
+    weighted = state_weights(space, (2, 1, 1, 0) if case == "interior" else (1, 0, 0, -1)) * vector**2
     out = {}
-    for i, (name, k) in enumerate(zip(names, orders)):
-        block = vector[i * n : (i + 1) * n]
-        out[name] = float(np.sqrt(np.sum(lam**k * block**2)))
+    for i, name in enumerate(("y1", "y2", "dy1", "dy2")):
+        out[name] = float(np.sqrt(np.sum(weighted[i * n : (i + 1) * n])))
     out["total"] = float(np.sqrt(sum(v**2 for k, v in out.items() if k != "total")))
     return out
 
@@ -249,10 +240,8 @@ def apply_hum_gramian(final_data, problem: HUMProblem, _ws: _Workspace | None = 
     vec = final_data.as_vector() if as_state else np.asarray(final_data, dtype=float)
     states = _backward_states(vec, ws, grid)
     contributions = (states @ ws.obs_rows.T) * grid.node_weights[:, None]
-    step_t = ws.step_back.T
-    acc = ws.obs_rows.T @ contributions[0]
-    for m in range(1, grid.n_steps + 1):
-        acc = step_t @ acc + ws.obs_rows.T @ contributions[m]
+    # node n_steps - j lies j backward steps from the final data
+    acc = adjoint_sweep(contributions[::-1], ws.obs_rows, ws.step_back)
     return CascadeState.from_vector(acc, problem.space) if as_state else acc
 
 
@@ -290,15 +279,8 @@ def dense_hum_matrix(problem: HUMProblem, _ws: _Workspace | None = None) -> np.n
     if problem.space.n_modes > 64:
         raise ValidationError("dense control Gramian limited to N <= 64")
     ws = _ws or _workspace(problem)
-    grid = problem.grid
-    rows = ws.obs_rows
-    weights = grid.node_weights
-    current = rows.copy()
-    gram = weights[grid.n_steps] * (current.T @ current)
-    for m in range(grid.n_steps - 1, -1, -1):
-        current = current @ ws.step_back
-        gram += weights[m] * (current.T @ current)
-    return 0.5 * (gram + gram.T)
+    # node n_steps - j lies j backward steps from the final data
+    return weighted_gram(ws.obs_rows, ws.step_back, problem.grid.node_weights[::-1])
 
 
 # ---------------------------------------------------------------------------

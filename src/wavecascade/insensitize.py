@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import RefusalError, ValidationError
 from .spectral import CoefficientFunction, ModalCoefficients, SpectralSpace, assemble_multiplication_matrix
-from .dynamics import CascadeState, CouplingOperator, Observer, TimeGrid
+from .dynamics import CascadeState, CouplingOperator, Observer, TimeGrid, free_flow
 from .observability import gcc_min_time
 from .hum import (
     HUMProblem,
@@ -238,9 +238,7 @@ def fine_second_positions(states: np.ndarray, space: SpectralSpace, grid: TimeGr
     exact half-step rotation of the node states.
     """
     n = space.n_modes
-    om = space.frequencies
-    half = 0.5 * grid.dt
-    c, s = np.cos(om * half), np.sin(om * half) / om
+    c, s = free_flow(space, 0.5 * grid.dt)[:2]
     pos = states[:, n : 2 * n]
     vel = states[:, 3 * n : 4 * n]
     fine = np.empty((2 * grid.n_steps + 1, n))
@@ -258,12 +256,6 @@ def trajectory_phi(problem: InsensitizeProblem, states: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # sensitivities
-
-
-def _free_fine_positions(z_pos, z_vel, space: SpectralSpace, grid: TimeGrid) -> np.ndarray:
-    om = space.frequencies
-    t = grid.fine_times
-    return np.cos(np.outer(t, om)) * z_pos + np.sin(np.outer(t, om)) / om * z_vel
 
 
 def sensitivity_derivatives(
@@ -287,12 +279,10 @@ def sensitivity_derivatives(
     weight_matrix = assemble_multiplication_matrix(problem.observation_weight, space)
     fine = fine_second_positions(states, space, grid)
     weighted = (problem.grid.fine_weights[:, None] * fine) @ weight_matrix
-    zeros = np.zeros(space.n_modes)
-    wave0 = _free_fine_positions(np.asarray(z0, dtype=float), zeros, space, grid)
-    wave1 = _free_fine_positions(zeros, np.asarray(z1, dtype=float), space, grid)
+    cos_t, sin_t = free_flow(space, grid.fine_times)[:2]
     return (
-        float(np.sum(weighted * wave0)),
-        float(np.sum(weighted * wave1)),
+        float(np.sum(weighted * (cos_t * np.asarray(z0, dtype=float)))),
+        float(np.sum(weighted * (sin_t * np.asarray(z1, dtype=float)))),
     )
 
 
@@ -310,7 +300,8 @@ def _unit_perturbations(problem: InsensitizeProblem, count: int, rng) -> list[tu
     return out
 
 
-def _perturbed_phi(problem, hum, control, z0, z1, tau0, tau1) -> float:
+def _perturbed_phi(problem, hum, control, ws, z0, z1, tau0, tau1) -> float:
+    """Phi re-simulated with perturbed known data; ``ws`` is the workspace of ``hum``."""
     space = problem.space
     perturbed = CascadeState(
         space.zero(),
@@ -318,30 +309,20 @@ def _perturbed_phi(problem, hum, control, z0, z1, tau0, tau1) -> float:
         space.zero(),
         ModalCoefficients(problem.known_velocity.coeffs + tau1 * z1, space),
     )
-    shifted = HUMProblem(
-        hum.case,
-        perturbed,
-        hum.coupling,
-        hum.observer,
-        hum.grid,
-        source=hum.source,
-        cg_tolerance=hum.cg_tolerance,
-        max_iterations=hum.max_iterations,
-        observability_floor=hum.observability_floor,
-    )
-    return trajectory_phi(problem, controlled_forward(shifted, control))
+    return trajectory_phi(problem, controlled_forward(replace(hum, initial_data=perturbed), control, ws))
 
 
 def _fd_derivatives(problem, hum, control, z0, z1) -> tuple[float, float]:
     """Central differences of Phi, Richardson-extrapolated over two steps."""
     h1, h2 = problem.fd_steps
+    ws = _workspace(hum)
 
     def central(tau_index, h):
         taus = [0.0, 0.0]
         taus[tau_index] = h
-        up = _perturbed_phi(problem, hum, control, z0, z1, *taus)
+        up = _perturbed_phi(problem, hum, control, ws, z0, z1, *taus)
         taus[tau_index] = -h
-        down = _perturbed_phi(problem, hum, control, z0, z1, *taus)
+        down = _perturbed_phi(problem, hum, control, ws, z0, z1, *taus)
         return (up - down) / (2.0 * h)
 
     out = []
@@ -389,21 +370,13 @@ def insensitize(problem: InsensitizeProblem):
     rng = np.random.default_rng(problem.seed)
     weight_matrix = assemble_multiplication_matrix(problem.observation_weight, problem.space)
     records = []
-    zeros = np.zeros(problem.space.n_modes)
+    cos_t, sin_t = free_flow(problem.space, problem.grid.fine_times)[:2]
     for i, (z0, z1) in enumerate(_unit_perturbations(problem, problem.perturbation_count, rng)):
         a0, a1 = sensitivity_derivatives(problem, control, z0, z1, _hum=hum, _states=states)
         f0, f1 = _fd_derivatives(problem, hum, control, z0, z1)
         wave_phi = max(
-            phi_functional(
-                _free_fine_positions(z0, zeros, problem.space, problem.grid),
-                weight_matrix,
-                problem.grid.fine_weights,
-            ),
-            phi_functional(
-                _free_fine_positions(zeros, z1, problem.space, problem.grid),
-                weight_matrix,
-                problem.grid.fine_weights,
-            ),
+            phi_functional(cos_t * z0, weight_matrix, problem.grid.fine_weights),
+            phi_functional(sin_t * z1, weight_matrix, problem.grid.fine_weights),
         )
         scale = 2.0 * np.sqrt(max(phi0, 0.0) * max(wave_phi, 0.0))
         records.append(PerturbationRecord(i, a0, f0, a1, f1, derivative_scale=scale))
@@ -411,8 +384,9 @@ def insensitize(problem: InsensitizeProblem):
     z0, z1 = _unit_perturbations(problem, 1, rng)[0]
     taus = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     deltas = []
+    ws = _workspace(hum)
     for tau in taus:
-        deltas.append(abs(_perturbed_phi(problem, hum, control, z0, z1, tau, tau) - phi0))
+        deltas.append(abs(_perturbed_phi(problem, hum, control, ws, z0, z1, tau, tau) - phi0))
     deltas = np.array(deltas)
     if np.all(deltas > 0):
         exponent = float(np.polyfit(np.log(taus), np.log(deltas), 1)[0])

@@ -1,7 +1,7 @@
 """Observability laboratory for the cascade pair.
 
 Provides the time-integrated observation quadratic form (the Gramian), its
-dense matrix oracle, extreme eigenvalues in energy-scaled metrics, empirical
+dense matrix oracle, extreme eigenvalues in the observation metric, empirical
 observability constants, the closed-form theoretical constant chain, the 1D
 billiard control time, and an inequality-by-inequality audit of the
 two-level energy argument that links the weak energy of the unobserved
@@ -10,14 +10,14 @@ component to the observation of the driven one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError, RefusalError, ValidationError
-from .spectral import CoefficientFunction, ModalCoefficients, SpectralSpace
+from .spectral import ModalCoefficients, SpectralSpace
 from .dynamics import (
     CascadeState,
     CascadeTrajectory,
@@ -28,17 +28,20 @@ from .dynamics import (
     cascade_step_matrix,
     evolve_cascade,
     evolve_forced_scalar,
+    free_flow,
+    state_weights,
 )
 
 __all__ = [
     "ObservabilityConstants",
-    "GramianReport",
     "AuditRow",
     "observation_block_rows",
     "observation_history",
     "gramian_form",
     "gramian_matrix",
+    "weighted_gram",
     "apply_gramian",
+    "adjoint_sweep",
     "norm_weights",
     "min_eigenvalue",
     "theoretical_constants",
@@ -49,7 +52,6 @@ __all__ = [
     "empirical_ratios",
     "inequality_chain_audit",
     "admissibility_constant",
-    "gramian_report",
     "random_cascade_states",
 ]
 
@@ -108,6 +110,44 @@ def _dense_generator(space: SpectralSpace, coupling: CouplingOperator | None) ->
     return np.block([[z, z, eye, z], [z, z, z, eye], [-lam, z, z, z], [-cmat, -lam, z, z]])
 
 
+def _propagated(rows: np.ndarray, step: np.ndarray):
+    """Yield rows @ step^m for m = 0, 1, 2, ...
+
+    Each power is formed only when asked for; callers zip their weights
+    first, so no product past the last weight is computed.
+    """
+    while True:
+        yield rows
+        rows = rows @ step
+
+
+def weighted_gram(rows: np.ndarray, step: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Symmetrized sum over m of weights[m] (rows step^m)^T (rows step^m).
+
+    With observation rows and the one-step propagator this is the
+    observability Gramian; by duality, with the adjoint rows and propagator
+    it is the control Gramian.
+    """
+    gram = np.zeros((step.shape[0], step.shape[0]))
+    for w, block in zip(weights, _propagated(rows, step)):
+        gram += w * (block.T @ block)
+    return 0.5 * (gram + gram.T)
+
+
+def adjoint_sweep(weighted_obs: np.ndarray, rows: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Horner back-sweep: the sum over m of (step^T)^m rows^T weighted_obs[m].
+
+    When weighted_obs[m] = w_m rows step^m x, the weighted samples of the
+    trajectory from x, this is weighted_gram(rows, step, w) applied to x
+    without assembling it.
+    """
+    step_t = step.T
+    acc = rows.T @ weighted_obs[-1]
+    for sample in weighted_obs[-2::-1]:
+        acc = step_t @ acc + rows.T @ sample
+    return acc
+
+
 def gramian_matrix(
     coupling: CouplingOperator | None,
     observer: Observer,
@@ -131,14 +171,7 @@ def gramian_matrix(
         step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
     else:
         raise ValidationError("propagator must be 'exponential' or 'solver'")
-    rows = observation_block_rows(observer, space)
-    weights = grid.node_weights
-    obs = rows.copy()
-    gram = weights[0] * (obs.T @ obs)
-    for k in range(1, grid.n_steps + 1):
-        obs = obs @ step
-        gram += weights[k] * (obs.T @ obs)
-    return 0.5 * (gram + gram.T)
+    return weighted_gram(observation_block_rows(observer, space), step, grid.node_weights)
 
 
 def apply_gramian(
@@ -151,31 +184,18 @@ def apply_gramian(
     """Matrix-free Gramian application: evolve, observe, accumulate the adjoint."""
     traj = evolve_cascade(CascadeState.from_vector(state_vector, space), coupling, grid)
     rows = observation_block_rows(observer, space)
-    weights = grid.node_weights
-    contributions = (traj.states @ rows.T) * weights[:, None]  # sigma_m g_m
-    step_t = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt).T
-    acc = rows.T @ contributions[grid.n_steps]
-    for m in range(grid.n_steps - 1, -1, -1):
-        acc = step_t @ acc + rows.T @ contributions[m]
-    return acc
+    contributions = (traj.states @ rows.T) * grid.node_weights[:, None]  # sigma_m g_m
+    step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
+    return adjoint_sweep(contributions, rows, step)
 
 
-def norm_weights(space: SpectralSpace, norm_level: str = "observation") -> np.ndarray:
+def norm_weights(space: SpectralSpace) -> np.ndarray:
     """Diagonal weights of the state metric used for eigenvalue scaling.
 
-    ``observation``: weak energy of the first component plus natural energy
-    of the second (the metric of the two-level observability statement).
-    ``energy``: natural energy of both components.
+    Weak energy of the first component plus natural energy of the second
+    (the metric of the two-level observability statement).
     """
-    lam = space.eigenvalues
-    one = np.ones_like(lam)
-    if norm_level == "observation":
-        blocks = (one, lam, 1.0 / lam, one)
-    elif norm_level == "energy":
-        blocks = (lam, lam, one, one)
-    else:
-        raise ValidationError("norm_level must be 'observation' or 'energy'")
-    return 0.5 * np.concatenate(blocks)
+    return 0.5 * state_weights(space, (0, 1, -1, 0))
 
 
 def _min_singular(matrix: np.ndarray):
@@ -220,14 +240,7 @@ def _observation_factor(
     """
     rows = observation_block_rows(observer, space)
     step = expm(grid.dt * _dense_generator(space, coupling))
-    w = grid.node_weights
-    blocks = []
-    obs = rows.copy()
-    for k in range(grid.n_steps + 1):
-        blocks.append(np.sqrt(w[k]) * obs)
-        if k < grid.n_steps:
-            obs = obs @ step
-    return np.vstack(blocks)
+    return np.vstack([np.sqrt(w) * block for w, block in zip(grid.node_weights, _propagated(rows, step))])
 
 
 def min_eigenvalue(
@@ -235,7 +248,6 @@ def min_eigenvalue(
     observer: Observer,
     grid: TimeGrid,
     space: SpectralSpace,
-    norm_level: str = "observation",
     method: str = "dense",
     lanczos_maxiter: int = 5000,
 ) -> EigenReport:
@@ -249,7 +261,7 @@ def min_eigenvalue(
     to an eigen-decomposition of the assembled matrix otherwise; 'lanczos'
     applies the Gramian matrix-free through the production solver.
     """
-    d = norm_weights(space, norm_level)
+    d = norm_weights(space)
     d_isqrt = 1.0 / np.sqrt(d)
     n = space.n_modes
     if method == "dense":
@@ -341,7 +353,6 @@ class ObservabilityConstants:
     t1: float = field(init=False)
     t2: float = field(init=False)
     t3: float = field(init=False)
-    k_trend: float | None = None
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma0", "eta0", "alpha0", "t0", "c1", "c2", "c3", "c4"):
@@ -395,9 +406,6 @@ class ObservabilityConstants:
     def _require_beyond_t2(self, horizon: float) -> None:
         if horizon <= self.t2:
             raise ValidationError(f"horizon {horizon} does not exceed the threshold t2 = {self.t2:.4g}")
-
-    def with_trend(self, k_trend: float) -> "ObservabilityConstants":
-        return replace(self, k_trend=k_trend)
 
 
 def theoretical_constants(
@@ -548,6 +556,17 @@ def _trajectory_functionals(
     }
 
 
+def _integrated_form(metric: np.ndarray, step: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Quadratic form of the weighted node sum of x_m^T diag(metric) x_m, x_m = step^m x.
+
+    diag(metric) = R^T R, where R has one row per nonzero (positive) metric
+    entry, so only those rows are propagated.
+    """
+    support = np.flatnonzero(metric)
+    rows = np.sqrt(metric[support])[:, None] * np.eye(metric.size)[support]
+    return weighted_gram(rows, step, weights)
+
+
 def empirical_ratios(
     coupling: CouplingOperator | None,
     observer: Observer,
@@ -575,7 +594,7 @@ def empirical_ratios(
     lam = space.eigenvalues
 
     # regularity guard: ratios are meaningless for a singular Gramian
-    metric = norm_weights(space, "observation")
+    metric = norm_weights(space)
     scaled = gram / np.sqrt(np.outer(metric, metric))
     spectrum = np.linalg.eigvalsh(scaled)
     if spectrum[0] <= 1e-12 * spectrum[-1]:
@@ -597,18 +616,10 @@ def empirical_ratios(
 
     # integrated driven energy as a quadratic form of the initial data
     step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
-    kform = np.zeros((4 * n, 4 * n))
-    prop = np.eye(4 * n)
-    for k, w in enumerate(grid.node_weights):
-        kform += w * (prop.T @ (natural_second[:, None] * prop))
-        if k < grid.n_steps:
-            prop = step @ prop
-    kform = 0.5 * (kform + kform.T)
-
     out = {
         "d1_emp": sup_ratio(np.diag(weak_first)),
         "d2_emp": sup_ratio(np.diag(natural_second)),
-        "k2_emp": sup_ratio(kform),
+        "k2_emp": sup_ratio(_integrated_form(natural_second, step, grid.node_weights)),
     }
 
     if coupling is None:
@@ -616,11 +627,8 @@ def empirical_ratios(
     else:
         # integrated coupling form: the free component is known in closed
         # form, so the time moments reduce to weighted trig Gram matrices
-        t = grid.fine_times
         fw = grid.fine_weights
-        om = space.frequencies
-        cos_t = np.cos(np.outer(t, om))
-        sin_t = np.sin(np.outer(t, om)) / om
+        cos_t, sin_t = free_flow(space, grid.fine_times)[:2]
         w_cc = cos_t.T @ (fw[:, None] * cos_t)
         w_cs = cos_t.T @ (fw[:, None] * sin_t)
         w_ss = sin_t.T @ (fw[:, None] * sin_t)
@@ -650,15 +658,12 @@ def admissibility_constant(
     seed: int = 0,
 ) -> float:
     """Empirical constant of the direct (hidden regularity) inequality."""
+    metric = norm_weights(space)
     best = 0.0
     for state in random_cascade_states(space, ensemble, seed):
         value = gramian_form(state, coupling, observer, grid)
-        denom = (
-            0.5 * float(state.u1.coeffs @ state.u1.coeffs)
-            + 0.5 * float(state.v1.coeffs**2 @ (1.0 / space.eigenvalues))
-            + 0.5 * float(state.u2.coeffs**2 @ space.eigenvalues)
-            + 0.5 * float(state.v2.coeffs @ state.v2.coeffs)
-        )
+        vec = state.as_vector()
+        denom = float(vec @ (metric * vec))
         if denom > 0:
             best = max(best, value / denom)
     return best
@@ -709,18 +714,16 @@ def estimate_uniform_constants(
         )
 
     rng = np.random.default_rng(seed)
-    om = space.frequencies
     times = grid.times
-    cos_t = np.cos(np.outer(times, om))
-    sin_t = np.sin(np.outer(times, om))
+    cos_t, sin_over, minus_sin = free_flow(space, times)
     w = grid.node_weights
 
     first_ratio = 0.0
     for _ in range(ensemble):
         p0 = rng.standard_normal(space.n_modes)
         v0 = rng.standard_normal(space.n_modes)
-        positions = cos_t * p0 + sin_t / om * v0
-        velocities = -om * sin_t * p0 + cos_t * v0
+        positions = cos_t * p0 + sin_over * v0
+        velocities = minus_sin * p0 + cos_t * v0
         e1 = 0.5 * float(p0**2 @ space.eigenvalues + v0 @ v0)
         denom = float(w @ observation_sq(positions, velocities))
         if denom <= 0.0:
@@ -937,64 +940,3 @@ def inequality_chain_audit(
             )
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# consolidated report
-
-
-@dataclass
-class GramianReport:
-    """Eigenvalue and ratio summary of one observation geometry."""
-
-    horizon: float
-    min_eig: float
-    max_eig: float
-    block_min: dict
-    d1_emp: float
-    d2_emp: float
-    k2_emp: float
-    r2_emp: float
-    admissibility: float
-    refinement: dict  # N -> min_eig
-
-
-def gramian_report(
-    coupling_function: CoefficientFunction | None,
-    observer: Observer,
-    horizon: float,
-    levels: tuple[int, ...] = (16, 32),
-    ensemble: int = 24,
-    seed: int = 0,
-    step_phase: float = 0.4,
-    norm_level: str = "observation",
-) -> GramianReport:
-    """Assemble the report across modal refinement levels.
-
-    The ratios are computed at the first level; the refinement table holds
-    the metric-scaled minimal eigenvalue at every level.
-    """
-    refinement = {}
-    first = None
-    for n_modes in levels:
-        space = SpectralSpace(n_modes)
-        coupling = None if coupling_function is None else CouplingOperator(coupling_function, space)
-        grid = TimeGrid.for_space(space, horizon, step_phase)
-        report = min_eigenvalue(coupling, observer, grid, space, norm_level=norm_level)
-        refinement[n_modes] = report.min_eig
-        if first is None:
-            first = (space, coupling, grid, report)
-    space, coupling, grid, eig0 = first
-    ratios = empirical_ratios(coupling, observer, grid, space, ensemble=ensemble, seed=seed)
-    return GramianReport(
-        horizon=horizon,
-        min_eig=eig0.min_eig,
-        max_eig=eig0.max_eig,
-        block_min=eig0.block_min,
-        d1_emp=ratios["d1_emp"],
-        d2_emp=ratios["d2_emp"],
-        k2_emp=ratios["k2_emp"],
-        r2_emp=ratios["r2_emp"],
-        admissibility=ratios["admissibility"],
-        refinement=refinement,
-    )

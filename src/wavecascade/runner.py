@@ -31,14 +31,13 @@ from .observability import (
     empirical_horizon,
     empirical_ratios,
     estimate_uniform_constants,
-    gcc_min_time,
     inequality_chain_audit,
     min_eigenvalue,
     observation_history,
     random_cascade_states,
     theoretical_constants,
 )
-from .hum import HUMProblem, control_space_norms, solve_hum, verify_transposition
+from .hum import HUMProblem, solve_hum
 from .insensitize import InsensitizeProblem, insensitize, verify_converse
 
 __all__ = ["ExperimentConfig", "ConfigError", "run", "main", "SCHEMA_VERSION"]
@@ -49,6 +48,32 @@ KINDS = ("simulate", "gramian", "sweep", "hum", "insensitize", "audit")
 
 class ConfigError(ValidationError):
     """Configuration file failed to parse or validate."""
+
+
+def _number(cast, text: str, what: str):
+    """cast(text), reporting a malformed value as a ConfigError about ``what``."""
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {what}: {text!r}") from exc
+
+
+def _floats(text: str, what: str) -> list[float]:
+    return [_number(float, p, what) for p in text.split(",")]
+
+
+def _pieces(text: str, section: str) -> list[list[float]]:
+    """Plateau entries 'lo, hi, margin, height; ...' of one section."""
+    out = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        parts = _floats(chunk, f"[{section}] pieces")
+        if len(parts) != 4:
+            raise ConfigError(f"[{section}] pieces entries need four numbers, got {chunk!r}")
+        out.append(parts)
+    return out
 
 
 def _fmt(x) -> str:
@@ -84,12 +109,9 @@ class ExperimentConfig:
             if default is None and cast is not bool:
                 raise ConfigError(f"missing required key [{section}] {key}")
             return default
-        try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+        if cast is bool:
+            return raw.strip().lower() in ("1", "true", "yes", "on")
+        return _number(cast, raw, f"[{section}] {key}")
 
     def has(self, section: str, key: str | None = None) -> bool:
         if key is None:
@@ -107,20 +129,13 @@ class ExperimentConfig:
         if not self.has(section, "pieces"):
             return None
         pieces = []
-        for chunk in self.sections[section]["pieces"].split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = [float(p) for p in chunk.split(",")]
-            if len(parts) != 4:
-                raise ConfigError(f"[{section}] pieces entries need four numbers, got {chunk!r}")
-            lo, hi, margin, height = parts
+        for lo, hi, margin, height in _pieces(self.sections[section]["pieces"], section):
             if not (0.0 <= lo < hi <= 1.0):
                 raise ConfigError(f"[{section}] plateau ({lo}, {hi}) not inside (0, 1)")
             pieces.append(PlateauBump(lo, hi, margin, height))
         core = None
         if self.has(section, "core"):
-            core = tuple(float(p) for p in self.sections[section]["core"].split(","))
+            core = tuple(_floats(self.sections[section]["core"], f"[{section}] core"))
             if len(core) != 2 or not (0.0 <= core[0] < core[1] <= 1.0):
                 raise ConfigError(f"[{section}] core must be 'lo,hi' inside (0, 1)")
         if not pieces and core is None:
@@ -202,13 +217,13 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     if "experiment" not in sections:
         raise ConfigError("missing [experiment] section")
-    schema = int(sections["experiment"].get("schema", "0"))
+    schema = _number(int, sections["experiment"].get("schema", "0"), "[experiment] schema")
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {schema} (expected {SCHEMA_VERSION})")
     kind = sections["experiment"].get("kind")
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    seed = int(sections["experiment"].get("seed", "0"))
+    seed = _number(int, sections["experiment"].get("seed", "0"), "[experiment] seed")
     expect = sections["experiment"].get("expect", "pass")
     if expect not in ("pass", "fail"):
         raise ConfigError("expect must be 'pass' or 'fail'")
@@ -311,17 +326,14 @@ def _shift_observer(config: ExperimentConfig, offset: float) -> ExperimentConfig
     if config.get("observer", "kind", default="interior") != "interior":
         raise ConfigError("region_offset sweeps need an interior observer")
     sections = {name: dict(vals) for name, vals in config.sections.items()}
-    pieces = []
-    for chunk in sections["observer"]["pieces"].split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        lo, hi, margin, height = (float(p) for p in chunk.split(","))
-        pieces.append(f"{lo + offset},{hi + offset},{margin},{height}")
+    pieces = [
+        f"{lo + offset},{hi + offset},{margin},{height}"
+        for lo, hi, margin, height in _pieces(sections["observer"]["pieces"], "observer")
+    ]
     sections["observer"]["pieces"] = "; ".join(pieces)
     if "core" in sections["observer"]:
-        lo, hi = (float(p) for p in sections["observer"]["core"].split(","))
-        sections["observer"]["core"] = f"{lo + offset},{hi + offset}"
+        core = _floats(sections["observer"]["core"], "[observer] core")
+        sections["observer"]["core"] = ",".join(f"{v + offset}" for v in core)
     return ExperimentConfig(kind=config.kind, seed=config.seed, expect=config.expect, sections=sections)
 
 
@@ -340,12 +352,12 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
     for value in values:
         shifted = config
         if axis == "horizon":
-            horizon, n_modes = float(value), base_n
+            horizon, n_modes = _number(float, value, "[sweep] values"), base_n
         elif axis == "n_modes":
-            horizon, n_modes = base_t, int(value)
+            horizon, n_modes = base_t, _number(int, value, "[sweep] values")
         elif axis == "region_offset":
             horizon, n_modes = base_t, base_n
-            shifted = _shift_observer(config, float(value))
+            shifted = _shift_observer(config, _number(float, value, "[sweep] values"))
         else:
             raise ConfigError(f"unknown sweep axis {axis!r}")
         report, ratios = _gramian_row(shifted, horizon, n_modes, ensemble, config.seed)

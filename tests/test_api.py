@@ -1,0 +1,28 @@
+"""Public-surface hygiene: every exported name resolves."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import wavecascade
+
+MODULES = ("errors", "spectral", "dynamics", "observability", "hum", "insensitize", "runner")
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_module_all_resolves(module_name):
+    module = importlib.import_module(f"wavecascade.{module_name}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_package_reexports_resolve():
+    tree = ast.parse(Path(wavecascade.__file__).read_text())
+    for node in tree.body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = importlib.import_module(f"wavecascade.{node.module}")
+        for alias in node.names:
+            assert getattr(wavecascade, alias.name) is getattr(module, alias.name)

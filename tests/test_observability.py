@@ -10,8 +10,11 @@ from wavecascade.dynamics import (
     CouplingOperator,
     Observer,
     TimeGrid,
+    cascade_step_matrix,
+    evolve_cascade,
 )
 from wavecascade.observability import (
+    _integrated_form,
     admissibility_constant,
     apply_gramian,
     empirical_horizon,
@@ -20,7 +23,6 @@ from wavecascade.observability import (
     gcc_min_time,
     gramian_form,
     gramian_matrix,
-    gramian_report,
     inequality_chain_audit,
     min_eigenvalue,
     ray_hit_time,
@@ -242,6 +244,20 @@ class TestEmpiricalRatiosAndAudit:
         k2 = [r["k2_emp"] for _, r in rows]
         assert max(k2) <= 2.0 * min(k2)
 
+    def test_integrated_energy_form_matches_trajectory_energies(self):
+        # the k2_emp numerator: x^T K x = sum_m w_m E1(u2)(t_m) along the solver trajectory
+        space, coupling, grid = standard_setup(8)
+        n = space.n_modes
+        natural_second = np.zeros(4 * n)
+        natural_second[n : 2 * n] = 0.5 * space.eigenvalues
+        natural_second[3 * n :] = 0.5
+        step = cascade_step_matrix(space, coupling.matrix, grid.dt)
+        kform = _integrated_form(natural_second, step, grid.node_weights)
+        for x in np.random.default_rng(5).standard_normal((4, 4 * n)):
+            traj = evolve_cascade(CascadeState.from_vector(x, space), coupling, grid)
+            expected = float(grid.node_weights @ traj.energy_series(2, 1))
+            assert float(x @ kform @ x) == pytest.approx(expected, rel=1e-10)
+
     def test_ratios_refuse_non_coercive_horizon(self):
         space = SpectralSpace(8)
         coupling = CouplingOperator(COUPLING_FN, space)
@@ -299,16 +315,3 @@ class TestEmpiricalRatiosAndAudit:
             for row in rows:
                 if row.must_hold:
                     assert row.satisfied, row
-
-
-class TestGramianReport:
-    def test_report_assembles_refinement_table(self):
-        report = gramian_report(COUPLING_FN, interior_observer(), 4.0, levels=(8, 16), ensemble=8, seed=2)
-        assert set(report.refinement) == {8, 16}
-        assert report.min_eig > 0
-        assert report.max_eig > report.min_eig
-        assert report.admissibility > 0
-
-    def test_boundary_variant(self):
-        report = gramian_report(COUPLING_FN, Observer("boundary", b_left=1.0), 4.0, levels=(8,), ensemble=8, seed=2)
-        assert report.min_eig > 1e-6 * report.max_eig

@@ -76,6 +76,27 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(path, overrides=["justakey"])
 
+    @pytest.mark.parametrize(
+        "override",
+        ["experiment.schema=x", "experiment.seed=x", "coupling.pieces=a,b,c,d", "coupling.core=a,b"],
+    )
+    def test_non_numeric_value_exits_2(self, tmp_path, override):
+        path = write_config(tmp_path, MINIMAL_SIMULATE)
+        assert main([str(path), "-o", str(tmp_path / "out"), "--set", override]) == 2
+
+    def test_non_numeric_region_offset_piece_exits_2(self, tmp_path):
+        text = MINIMAL_SIMULATE.replace("kind = simulate", "kind = sweep") + (
+            "\n[sweep]\naxis = region_offset\nvalues = 0.1\n"
+        )
+        path = write_config(tmp_path, text)
+        assert main([str(path), "-o", str(tmp_path / "out"), "--set", "observer.pieces=0.6,0.7,x,1"]) == 2
+
+    @pytest.mark.parametrize("config", ["criterion02_conservation", "criterion04_gramian_interior"])
+    def test_non_finite_horizon_exits_2(self, tmp_path, config):
+        out = tmp_path / "out"
+        assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", "grid.horizon=nan"]) == 2
+        assert not list(out.glob("*.csv"))
+
 
 class TestRunKinds:
     def test_simulate_zero_data_writes_zero_energies(self, tmp_path):
