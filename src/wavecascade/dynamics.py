@@ -48,6 +48,8 @@ __all__ = [
     "evolve_cascade",
     "evolve_cascade_backward",
     "evolve_forced_scalar",
+    "march",
+    "reversed_step",
     "apply_generator",
     "invert_generator",
     "iterate_inverse",
@@ -55,7 +57,6 @@ __all__ = [
     "state_weights",
     "observe",
     "duality_pairing",
-    "reflect_velocities",
     "inverse_shift_energy_report",
 ]
 
@@ -145,13 +146,6 @@ def state_weights(space: SpectralSpace, orders: tuple[int, int, int, int]) -> np
     """
     lam = space.eigenvalues
     return np.concatenate([lam**k if k >= 0 else 1.0 / lam**-k for k in orders])
-
-
-def reflect_velocities(vec: np.ndarray, n_modes: int) -> np.ndarray:
-    """Negate the velocity half of a stacked state vector."""
-    out = vec.copy()
-    out[..., 2 * n_modes :] *= -1.0
-    return out
 
 
 def duality_pairing(y: np.ndarray, w: np.ndarray, n_modes: int) -> float:
@@ -466,6 +460,26 @@ class CascadeTrajectory:
         return c * u0 + s * w0
 
 
+def march(step: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """March x_{k+1} = step x_k + b_{k+1} in place over the rows of ``states``.
+
+    On entry row 0 holds the initial state x_0 and row k >= 1 the increment
+    b_k injected at node k; on return row k holds x_k.  A reversed view
+    (``states[::-1]``) marches from the last row back to the first.
+    """
+    for current, following in zip(states[:-1], states[1:]):
+        following += step @ current
+    return states
+
+
+def reversed_step(step: np.ndarray, n_modes: int) -> np.ndarray:
+    """R step R with R negating velocities: the exact inverse of a reversible step."""
+    out = step.copy()
+    out[2 * n_modes :, :] *= -1.0
+    out[:, 2 * n_modes :] *= -1.0
+    return out
+
+
 def evolve_cascade(
     initial: CascadeState,
     coupling: CouplingOperator | None,
@@ -475,11 +489,9 @@ def evolve_cascade(
     space = initial.space
     grid.validate_for(space)
     P = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
-    states = np.empty((grid.n_steps + 1, 4 * space.n_modes))
+    states = np.zeros((grid.n_steps + 1, 4 * space.n_modes))
     states[0] = initial.as_vector()
-    for k in range(grid.n_steps):
-        states[k + 1] = P @ states[k]
-    return CascadeTrajectory(space, grid, states)
+    return CascadeTrajectory(space, grid, march(P, states))
 
 
 def evolve_cascade_backward(
@@ -489,16 +501,17 @@ def evolve_cascade_backward(
 ) -> CascadeTrajectory:
     """Solve the cascade with data prescribed at t = T.
 
-    Realized by forward-evolving the velocity-negated final state and
-    reflecting the trajectory in time; the stepper is exactly reversible
-    under this conjugation, so forward/backward round trips are exact.
+    Marches the velocity-conjugated step back from the final node; the
+    stepper is exactly reversible under this conjugation, so
+    forward/backward round trips are exact.
     """
     space = final.space
-    n = space.n_modes
-    reversed_initial = CascadeState.from_vector(reflect_velocities(final.as_vector(), n), space)
-    forward = evolve_cascade(reversed_initial, coupling, grid)
-    states = reflect_velocities(forward.states[::-1], n)
-    return CascadeTrajectory(space, grid, np.ascontiguousarray(states))
+    grid.validate_for(space)
+    P = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
+    states = np.zeros((grid.n_steps + 1, 4 * space.n_modes))
+    states[-1] = final.as_vector()
+    march(reversed_step(P, space.n_modes), states[::-1])
+    return CascadeTrajectory(space, grid, states)
 
 
 def evolve_forced_scalar(
@@ -515,26 +528,21 @@ def evolve_forced_scalar(
     space = initial.space
     grid.validate_for(space)
     dt = grid.dt
-    c, s_over, ms = free_flow(space, dt)
-    taus = np.array([0.0, 0.5 * dt, dt])
-    kernel_vel, kernel_pos = free_flow(space, dt - taus)[:2]
-    kern = list(zip(taus, (dt / 6.0, 4.0 * dt / 6.0, dt / 6.0), kernel_pos, kernel_vel))
     n = space.n_modes
+    c, s_over, ms = free_flow(space, dt)
+    rotation = np.block([[np.diag(c), np.diag(s_over)], [np.diag(ms), np.diag(c)]])
+    taus = np.array([0.0, 0.5 * dt, dt])
+    quad = np.array([dt / 6.0, 4.0 * dt / 6.0, dt / 6.0])[:, None]
+    kernel_vel, kernel_pos = free_flow(space, dt - taus)[:2]
+    samples = np.empty((grid.n_steps, 3, n))
+    for row, t in zip(samples.reshape(-1, n), (grid.times[:-1, None] + taus).ravel()):
+        row[:] = forcing(t)
     states = np.empty((grid.n_steps + 1, 2 * n))
     states[0, :n] = initial.position.coeffs
     states[0, n:] = initial.velocity.coeffs
-    times = grid.times
-    for k in range(grid.n_steps):
-        p, v = states[k, :n], states[k, n:]
-        new_p = c * p + s_over * v
-        new_v = ms * p + c * v
-        for tau, w, k_pos, k_vel in kern:
-            f = np.asarray(forcing(times[k] + tau), dtype=float)
-            new_p = new_p + w * k_pos * f
-            new_v = new_v + w * k_vel * f
-        states[k + 1, :n] = new_p
-        states[k + 1, n:] = new_v
-    return states
+    states[1:, :n] = np.einsum("kjn,jn->kn", samples, quad * kernel_pos)
+    states[1:, n:] = np.einsum("kjn,jn->kn", samples, quad * kernel_vel)
+    return march(rotation, states)
 
 
 def free_evolve(component: ComponentState, t: float) -> ComponentState:

@@ -36,6 +36,8 @@ from .dynamics import (
     TimeGrid,
     cascade_step_matrix,
     duality_pairing,
+    march,
+    reversed_step,
     state_weights,
 )
 from .observability import adjoint_sweep, weighted_gram
@@ -170,8 +172,7 @@ def control_space_norms(vector: np.ndarray, space: SpectralSpace, case: str) -> 
 class _Workspace:
     """Cached operators for one problem."""
 
-    step: np.ndarray          # adjoint one-step propagator P
-    step_back: np.ndarray     # P^{-1} (exact, via velocity reflection)
+    step_back: np.ndarray     # P^{-1}, P the adjoint one-step propagator (exact, via velocity reflection)
     step_controlled: np.ndarray  # controlled stepper, exact dual of P
     obs_rows: np.ndarray
     xd: np.ndarray            # adjoint space diagonal weights
@@ -183,9 +184,6 @@ def _workspace(problem: HUMProblem) -> _Workspace:
     n = space.n_modes
     cmat = None if problem.coupling is None else problem.coupling.matrix
     step = cascade_step_matrix(space, cmat, problem.grid.dt, driven="second")
-    back = step.copy()
-    back[2 * n :, :] *= -1.0
-    back[:, 2 * n :] *= -1.0
     controlled = cascade_step_matrix(
         space, None if cmat is None else cmat.T, problem.grid.dt, driven="first"
     )
@@ -196,8 +194,7 @@ def _workspace(problem: HUMProblem) -> _Workspace:
         if source_nodes.shape != (problem.grid.n_steps + 1, n):
             raise ValidationError("source(t) must return a modal coefficient vector")
     return _Workspace(
-        step=step,
-        step_back=back,
+        step_back=reversed_step(step, n),
         step_controlled=controlled,
         obs_rows=adjoint_observation_rows(problem.observer, space),
         xd=adjoint_space_weights(space, problem.case),
@@ -206,20 +203,35 @@ def _workspace(problem: HUMProblem) -> _Workspace:
 
 
 def _pairing_matrix_apply(vec: np.ndarray, n: int) -> np.ndarray:
-    """Apply the duality pairing matrix (w1, w2, q1, q2) -> (-q1, -q2, w1, w2)."""
+    """Apply the duality pairing matrix (w1, w2, q1, q2) -> (-q1, -q2, w1, w2) along the last axis."""
     out = np.empty_like(vec)
-    out[: 2 * n] = -vec[2 * n :]
-    out[2 * n :] = vec[: 2 * n]
+    out[..., : 2 * n] = -vec[..., 2 * n :]
+    out[..., 2 * n :] = vec[..., : 2 * n]
     return out
 
 
 def _backward_states(final_vector: np.ndarray, ws: _Workspace, grid: TimeGrid) -> np.ndarray:
     """Adjoint node states from final data, shape (n_steps + 1, 4N)."""
-    states = np.empty((grid.n_steps + 1, final_vector.size))
-    states[grid.n_steps] = final_vector
-    for m in range(grid.n_steps, 0, -1):
-        states[m - 1] = ws.step_back @ states[m]
+    states = np.zeros((grid.n_steps + 1, final_vector.size))
+    states[-1] = final_vector
+    march(ws.step_back, states[::-1])
     return states
+
+
+def _node_forcing(problem: HUMProblem, control: TimeSampledControl | None, ws: _Workspace) -> np.ndarray:
+    """Control and source at every node as full adjoint-side states, shape (n_steps + 1, 4N).
+
+    The control enters through the transposed observation rows, the source
+    in the driven position block.
+    """
+    n = problem.space.n_modes
+    if control is None:
+        forcing = np.zeros((problem.grid.n_steps + 1, 4 * n))
+    else:
+        forcing = control.values @ ws.obs_rows
+    if ws.source_nodes is not None:
+        forcing[:, n : 2 * n] += ws.source_nodes
+    return forcing
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +268,11 @@ def assemble_rhs(problem: HUMProblem, _ws: _Workspace | None = None) -> np.ndarr
     adjoint accumulation sweep (no final data needed).
     """
     ws = _ws or _workspace(problem)
-    grid = problem.grid
     n = problem.space.n_modes
-    acc = _pairing_matrix_apply(problem.initial_data.as_vector(), n)
-    acc = -acc  # transpose of the pairing matrix is its negative
-    if ws.source_nodes is not None:
-        j0 = np.zeros(4 * n)
-        j0[n : 2 * n] = grid.node_weights[0] * ws.source_nodes[0]
-        acc = acc + j0
-    step_t = ws.step_back.T
-    for m in range(1, grid.n_steps + 1):
-        acc = step_t @ acc
-        if ws.source_nodes is not None:
-            jm = np.zeros(4 * n)
-            jm[n : 2 * n] = grid.node_weights[m] * ws.source_nodes[m]
-            acc = acc + jm
-    return acc
+    states = problem.grid.node_weights[:, None] * _node_forcing(problem, None, ws)
+    # transpose of the pairing matrix is its negative
+    states[0] -= _pairing_matrix_apply(problem.initial_data.as_vector(), n)
+    return march(ws.step_back.T, states)[-1]
 
 
 def dense_hum_matrix(problem: HUMProblem, _ws: _Workspace | None = None) -> np.ndarray:
@@ -301,25 +302,11 @@ def controlled_forward(
     injection), shape (n_steps + 1, 4N).
     """
     ws = _ws or _workspace(problem)
-    grid = problem.grid
     n = problem.space.n_modes
-    weights = grid.node_weights
-
-    def injection(m):
-        inj = np.zeros(4 * n)
-        if control is not None:
-            inj += ws.obs_rows.T @ control.values[m]
-        if ws.source_nodes is not None:
-            block = np.zeros(4 * n)
-            block[n : 2 * n] = ws.source_nodes[m]
-            inj += block
-        return weights[m] * _pairing_matrix_apply(inj, n)
-
-    states = np.empty((grid.n_steps + 1, 4 * n))
-    states[0] = problem.initial_data.as_vector() + injection(0)
-    for m in range(grid.n_steps):
-        states[m + 1] = ws.step_controlled @ states[m] + injection(m + 1)
-    return states
+    forcing = _node_forcing(problem, control, ws)
+    states = problem.grid.node_weights[:, None] * _pairing_matrix_apply(forcing, n)
+    states[0] += problem.initial_data.as_vector()
+    return march(ws.step_controlled, states)
 
 
 # ---------------------------------------------------------------------------

@@ -198,16 +198,11 @@ def norm_weights(space: SpectralSpace) -> np.ndarray:
     return 0.5 * state_weights(space, (0, 1, -1, 0))
 
 
-def _min_singular(matrix: np.ndarray):
-    """Singular values (descending, padded with zeros when the factor is
-    rank-deficient by shape) and right singular vectors as rows."""
-    rows, cols = matrix.shape
-    if rows < cols:
-        _, svals, vt = np.linalg.svd(matrix, full_matrices=True)
-        svals = np.concatenate([svals, np.zeros(cols - rows)])
-        return svals, vt
-    _, svals, vt = np.linalg.svd(matrix, full_matrices=False)
-    return svals, vt
+def _min_singular(matrix: np.ndarray) -> np.ndarray:
+    """Singular values, descending, padded with zeros when the factor is
+    rank-deficient by shape."""
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    return np.concatenate([svals, np.zeros(matrix.shape[1] - svals.size)])
 
 
 @dataclass
@@ -216,8 +211,7 @@ class EigenReport:
 
     min_eig: float
     max_eig: float
-    eigenvector: np.ndarray
-    block_min: dict
+    block_min: dict  # minimal eigenvalue of the "u1" block (dense routes only)
 
     @property
     def contrast(self) -> float:
@@ -270,32 +264,21 @@ def min_eigenvalue(
         rows = observation_block_rows(observer, space)
         factor_size = (grid.n_steps + 1) * rows.shape[0] * 4 * n
         first_idx = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
-        second_idx = np.concatenate([np.arange(n, 2 * n), np.arange(3 * n, 4 * n)])
         if factor_size <= FACTOR_LIMIT:
             factor = _observation_factor(coupling, observer, grid, space) * d_isqrt[None, :]
-            svals, vecs = _min_singular(factor)
-            block_min = {
-                "u1": _min_singular(factor[:, first_idx])[0][-1] ** 2,
-                "u2": _min_singular(factor[:, second_idx])[0][-1] ** 2,
-            }
+            svals = _min_singular(factor)
             return EigenReport(
                 min_eig=float(svals[-1] ** 2),
                 max_eig=float(svals[0] ** 2),
-                eigenvector=d_isqrt * vecs[-1],
-                block_min=block_min,
+                block_min={"u1": _min_singular(factor[:, first_idx])[-1] ** 2},
             )
         gram = gramian_matrix(coupling, observer, grid, space, propagator="exponential")
         scaled = gram * np.outer(d_isqrt, d_isqrt)
-        eigvals, eigvecs = np.linalg.eigh(scaled)
-        block_min = {
-            "u1": float(np.linalg.eigvalsh(scaled[np.ix_(first_idx, first_idx)])[0]),
-            "u2": float(np.linalg.eigvalsh(scaled[np.ix_(second_idx, second_idx)])[0]),
-        }
+        eigvals = np.linalg.eigvalsh(scaled)
         return EigenReport(
             min_eig=float(eigvals[0]),
             max_eig=float(eigvals[-1]),
-            eigenvector=d_isqrt * eigvecs[:, 0],
-            block_min=block_min,
+            block_min={"u1": float(np.linalg.eigvalsh(scaled[np.ix_(first_idx, first_idx)])[0])},
         )
     if method != "lanczos":
         raise ValidationError("method must be 'dense' or 'lanczos'")
@@ -305,18 +288,13 @@ def min_eigenvalue(
 
     op = LinearOperator((4 * n, 4 * n), matvec=matvec, dtype=float)
     try:
-        small, svec = eigsh(op, k=1, which="SA", maxiter=lanczos_maxiter)
-        large, _ = eigsh(op, k=1, which="LA", maxiter=lanczos_maxiter)
+        small = eigsh(op, k=1, which="SA", maxiter=lanczos_maxiter, return_eigenvectors=False)
+        large = eigsh(op, k=1, which="LA", maxiter=lanczos_maxiter, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"Lanczos did not converge within {lanczos_maxiter} iterations", trace=exc
         ) from exc
-    return EigenReport(
-        min_eig=float(small[0]),
-        max_eig=float(large[0]),
-        eigenvector=d_isqrt * svec[:, 0],
-        block_min={},
-    )
+    return EigenReport(min_eig=float(small[0]), max_eig=float(large[0]), block_min={})
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import RefusalError, ValidationError
+from .errors import ConvergenceError, RefusalError, ValidationError
 from .spectral import CoefficientFunction, ModalCoefficients, PlateauBump, SpectralSpace
 from .dynamics import (
     CascadeState,
@@ -281,7 +281,11 @@ def _run_simulate(config: ExperimentConfig, outdir: Path) -> RunResult:
     return RunResult(status, [path], checks)
 
 
+_GRAMIAN_HEADER = ["T", "N", "min_eig_full", "min_eig_u1block", "d1_emp", "d2_emp", "admissibility", "k2_emp", "r2_emp"]
+
+
 def _gramian_row(config, horizon, n_modes, ensemble, seed):
+    """Eigen report and CSV row (``_GRAMIAN_HEADER`` columns) of one Gramian case."""
     space = config.spectral_space(n_modes)
     coupling = config.coupling(space)
     observer = config.observer()
@@ -292,24 +296,20 @@ def _gramian_row(config, horizon, n_modes, ensemble, seed):
     except RefusalError:
         ratios = {"d1_emp": float("nan"), "d2_emp": float("nan"), "k2_emp": float("nan"),
                   "r2_emp": float("nan"), "admissibility": float("nan")}
-    return report, ratios
+    row = [
+        horizon, n_modes, report.min_eig, report.block_min.get("u1", float("nan")),
+        ratios["d1_emp"], ratios["d2_emp"], ratios["admissibility"], ratios["k2_emp"], ratios["r2_emp"],
+    ]
+    return report, row
 
 
 def _run_gramian(config: ExperimentConfig, outdir: Path) -> RunResult:
     space = config.spectral_space()
     horizon = config.get("grid", "horizon", cast=float)
     ensemble = config.get("checks", "ensemble", default=16, cast=int)
-    report, ratios = _gramian_row(config, horizon, space.n_modes, ensemble, config.seed)
-    rows = [[
-        horizon, space.n_modes, report.min_eig, report.block_min.get("u1", float("nan")),
-        ratios["d1_emp"], ratios["d2_emp"], ratios["admissibility"], ratios["k2_emp"], ratios["r2_emp"],
-    ]]
+    report, row = _gramian_row(config, horizon, space.n_modes, ensemble, config.seed)
     path = outdir / "gramian_report.csv"
-    write_csv(
-        path,
-        ["T", "N", "min_eig_full", "min_eig_u1block", "d1_emp", "d2_emp", "admissibility", "k2_emp", "r2_emp"],
-        rows,
-    )
+    write_csv(path, _GRAMIAN_HEADER, [row])
     floor = config.get("checks", "floor", default=1e-6, cast=float)
     observable = report.min_eig > floor * report.max_eig
     checks = [(
@@ -343,9 +343,8 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
     ensemble = config.get("checks", "ensemble", default=16, cast=int)
     rows = []
     path = outdir / "sweep.csv"
-    header = ["T", "N", "min_eig_full", "min_eig_u1block", "d1_emp", "d2_emp", "admissibility", "k2_emp", "r2_emp"]
     if not values:
-        write_csv(path, header, [])
+        write_csv(path, _GRAMIAN_HEADER, [])
         return RunResult(0, [path], [("sweep_nonempty", True, "empty axis, empty table")])
     base_n = config.spectral_space().n_modes
     base_t = config.get("grid", "horizon", cast=float)
@@ -360,12 +359,8 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
             shifted = _shift_observer(config, _number(float, value, "[sweep] values"))
         else:
             raise ConfigError(f"unknown sweep axis {axis!r}")
-        report, ratios = _gramian_row(shifted, horizon, n_modes, ensemble, config.seed)
-        rows.append([
-            horizon, n_modes, report.min_eig, report.block_min.get("u1", float("nan")),
-            ratios["d1_emp"], ratios["d2_emp"], ratios["admissibility"], ratios["k2_emp"], ratios["r2_emp"],
-        ])
-    write_csv(path, header, rows)
+        rows.append(_gramian_row(shifted, horizon, n_modes, ensemble, config.seed)[1])
+    write_csv(path, _GRAMIAN_HEADER, rows)
     checks = []
     if axis == "horizon" and config.get("checks", "trends", default=False, cast=bool):
         for key, idx, power in (("d1_emp", 4, 3.0), ("d2_emp", 5, 1.0), ("r2_emp", 8, 2.0)):
@@ -414,16 +409,10 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> RunResult:
         control_path = outdir / "control.csv"
         write_csv(control_path, ["t", "x", "v"], rows)
     else:
-        rows = []
-        left_active = problem.observer.b_left > 0
-        right_active = problem.observer.b_right > 0
-        for k, t in enumerate(grid.times):
-            vals = solution.control.values[k]
-            i = 0
-            v_left = vals[i] if left_active else 0.0
-            i += int(left_active)
-            v_right = vals[i] if right_active else 0.0
-            rows.append([t, v_left, v_right])
+        # control columns are the active endpoints in left, right order
+        sides = np.zeros((grid.n_steps + 1, 2))
+        sides[:, [problem.observer.b_left > 0, problem.observer.b_right > 0]] = solution.control.values
+        rows = [[t, v_left, v_right] for t, (v_left, v_right) in zip(grid.times, sides)]
         control_path = outdir / "control.csv"
         write_csv(control_path, ["t", "v_left", "v_right"], rows)
     artifacts.append(control_path)
@@ -485,6 +474,8 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
     else:
         kwargs["b_left"] = observer.b_left
         kwargs["b_right"] = observer.b_right
+    if kwargs["perturbation_count"] < 1:
+        raise ConfigError("[insensitize] perturbations must be at least 1")
     problem = InsensitizeProblem(**kwargs)
     control, certificate = insensitize(problem)
     converse = verify_converse(problem, control)
@@ -524,6 +515,9 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
 
 
 def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
+    samples = config.get("audit", "samples", default=50, cast=int)
+    if samples < 1:
+        raise ConfigError("[audit] samples must be at least 1")
     space = config.spectral_space()
     coupling = config.coupling(space)
     if coupling is None:
@@ -562,7 +556,6 @@ def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
         coupling, observer, grid, space, ensemble=ensemble, seed=config.seed + 2
     )
 
-    samples = config.get("audit", "samples", default=50, cast=int)
     worst = {}
     for state in random_cascade_states(space, samples, config.seed + 3):
         for row in inequality_chain_audit(state, coupling, observer, constants, grid, admissibility_bound=bound):
@@ -600,6 +593,8 @@ def run(config: ExperimentConfig, outdir: str | Path) -> RunResult:
     except RefusalError as exc:
         detail = "; ".join(f"{k}={v}" for k, v in exc.diagnostic.items())
         result = RunResult(1, [], [("refusal", False, f"{exc} ({detail})")])
+    except ConvergenceError as exc:
+        result = RunResult(1, [], [("convergence", False, str(exc))])
     if config.expect == "fail":
         flipped = 0 if result.status == 1 else 1
         result = RunResult(flipped, result.artifacts, result.checks)

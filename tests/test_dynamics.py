@@ -34,7 +34,9 @@ from wavecascade.dynamics import (
     invert_generator,
     inverse_shift_energy_report,
     iterate_inverse,
+    march,
     observe,
+    reversed_step,
 )
 
 RNG = np.random.default_rng(20240812)
@@ -165,6 +167,32 @@ class TestBackwardEvolution:
         ref = expm(-2.0 * dense_generator(space, coupling)) @ final.as_vector()
         rel = np.linalg.norm(traj.states[0] - ref) / np.linalg.norm(ref)
         assert rel < 1e-6
+
+
+class TestMarch:
+    def test_marches_in_place_and_matches_reference_loop(self):
+        step = RNG.standard_normal((6, 6)) / 3.0
+        states = RNG.standard_normal((9, 6))
+        expected = [states[0]]
+        for increment in states[1:]:
+            expected.append(step @ expected[-1] + increment)
+        out = march(step, states)
+        assert out is states
+        np.testing.assert_array_equal(states, np.array(expected))
+
+    def test_reversed_view_marches_backward(self):
+        step = RNG.standard_normal((6, 6)) / 3.0
+        states = np.zeros((9, 6))
+        states[-1] = RNG.standard_normal(6)
+        march(step, states[::-1])
+        for k in range(8, 0, -1):
+            np.testing.assert_array_equal(states[k - 1], step @ states[k])
+
+    def test_reversed_step_inverts_the_reversible_stepper(self):
+        space = SpectralSpace(8)
+        step = cascade_step_matrix(space, standard_coupling(space).matrix, 0.01)
+        product = reversed_step(step, 8) @ step
+        assert np.max(np.abs(product - np.eye(32))) < 1e-12
 
 
 class TestStepStructure:
@@ -374,6 +402,34 @@ class TestForcedScalar:
         t = grid.times[-1]
         expected = (np.cos(t) - np.cos(np.pi * t)) / (np.pi**2 - 1.0)
         assert states[-1, 0] == pytest.approx(expected, abs=1e-10)
+
+    def test_matches_per_step_reference_loop(self):
+        # rotation, then the three Simpson sub-node kicks, one step at a time
+        space = SpectralSpace(8)
+        grid = TimeGrid(1.5, 256)
+        g = RNG.standard_normal(8)
+        initial = ComponentState(
+            ModalCoefficients(RNG.standard_normal(8), space),
+            ModalCoefficients(RNG.standard_normal(8), space),
+        )
+
+        def forcing(t):
+            return np.cos(2.0 * t) * g
+
+        dt = grid.dt
+        om = space.frequencies
+        p, v = initial.position.coeffs, initial.velocity.coeffs
+        expected = [np.concatenate([p, v])]
+        for t in grid.times[:-1]:
+            p, v = np.cos(om * dt) * p + np.sin(om * dt) / om * v, -om * np.sin(om * dt) * p + np.cos(om * dt) * v
+            for tau, w in ((0.0, dt / 6.0), (0.5 * dt, 4.0 * dt / 6.0), (dt, dt / 6.0)):
+                f = forcing(t + tau)
+                p = p + w * np.sin(om * (dt - tau)) / om * f
+                v = v + w * np.cos(om * (dt - tau)) * f
+            expected.append(np.concatenate([p, v]))
+        expected = np.array(expected)
+        states = evolve_forced_scalar(initial, forcing, grid)
+        assert np.max(np.abs(states - expected)) <= 1e3 * np.finfo(float).eps * np.max(np.abs(expected))
 
 
 class TestCouplingOperator:

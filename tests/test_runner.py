@@ -98,6 +98,16 @@ class TestParsing:
         assert not list(out.glob("*.csv"))
 
 
+    @pytest.mark.parametrize(
+        "config, override",
+        [("criterion06_audit", "audit.samples=0"), ("criterion10_converse", "insensitize.perturbations=0")],
+    )
+    def test_empty_certificate_pool_exits_2(self, tmp_path, config, override):
+        out = tmp_path / "out"
+        assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", override]) == 2
+        assert not list(out.glob("*"))
+
+
 class TestRunKinds:
     def test_simulate_zero_data_writes_zero_energies(self, tmp_path):
         text = MINIMAL_SIMULATE + "\n[data]\nkind = zero\n"
@@ -120,6 +130,20 @@ class TestRunKinds:
         path = write_config(tmp_path, MINIMAL_SIMULATE)
         assert main([str(path), "-o", str(tmp_path / "a")]) == 0
         assert main([str(path), "-o", str(tmp_path / "b"), "--expect-fail"]) == 1
+
+    def test_cg_stall_exits_1_with_one_line(self, tmp_path, capsys):
+        code = main([
+            f"{CONFIG_DIR}/criterion08_hum_interior.ini",
+            "-o",
+            str(tmp_path / "hum"),
+            "--set",
+            "hum.max_iterations=3",
+        ])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "status 1"
+        assert lines[1].startswith("  [FAIL] convergence: conjugate gradient stalled")
+        assert len(lines) == 2
 
     def test_config_error_exit_code(self, tmp_path):
         assert main([str(tmp_path / "missing.ini")]) == 2
