@@ -241,6 +241,7 @@ def _node_forcing(problem: HUMProblem, control: TimeSampledControl | None, ws: _
 def apply_hum_gramian(final_data, problem: HUMProblem, _ws: _Workspace | None = None):
     """Apply the control Gramian to adjoint final data (matrix-free).
 
+    The independent oracle for dense_hum_matrix, which solve_hum uses.
     Backward-evolves the adjoint cascade, observes at the nodes, and carries
     the weighted observations back through the adjoint of the solve.  The
     operator is symmetric; its quadratic form is the time-integrated squared
@@ -269,16 +270,19 @@ def assemble_rhs(problem: HUMProblem, _ws: _Workspace | None = None) -> np.ndarr
     """
     ws = _ws or _workspace(problem)
     n = problem.space.n_modes
-    states = problem.grid.node_weights[:, None] * _node_forcing(problem, None, ws)
+    states = _node_forcing(problem, None, ws)
+    states *= problem.grid.node_weights[:, None]
     # transpose of the pairing matrix is its negative
     states[0] -= _pairing_matrix_apply(problem.initial_data.as_vector(), n)
     return march(ws.step_back.T, states)[-1]
 
 
 def dense_hum_matrix(problem: HUMProblem, _ws: _Workspace | None = None) -> np.ndarray:
-    """Dense assembly of the control Gramian (oracle scale)."""
-    if problem.space.n_modes > 64:
-        raise ValidationError("dense control Gramian limited to N <= 64")
+    """Dense 4N x 4N control Gramian, the matrix that apply_hum_gramian applies.
+
+    Assembled by the chunked weighted_gram on the adjoint observation rows
+    and the backward propagator.
+    """
     ws = _ws or _workspace(problem)
     # node n_steps - j lies j backward steps from the final data
     return weighted_gram(ws.obs_rows, ws.step_back, problem.grid.node_weights[::-1])
@@ -303,8 +307,8 @@ def controlled_forward(
     """
     ws = _ws or _workspace(problem)
     n = problem.space.n_modes
-    forcing = _node_forcing(problem, control, ws)
-    states = problem.grid.node_weights[:, None] * _pairing_matrix_apply(forcing, n)
+    states = _pairing_matrix_apply(_node_forcing(problem, control, ws), n)
+    states *= problem.grid.node_weights[:, None]
     states[0] += problem.initial_data.as_vector()
     return march(ws.step_controlled, states)
 
@@ -323,39 +327,40 @@ def _certificate_norm(residual: np.ndarray, problem: HUMProblem) -> float:
 def solve_hum(problem: HUMProblem) -> HUMSolution:
     """Synthesize the null control by conjugate gradients on adjoint data.
 
-    Refuses when the discrete Gramian fails the observability floor (its
-    metric-scaled eigenvalue contrast), since coercivity is exactly what the
-    variational problem needs.  On success the control is the observation of
-    the minimizing adjoint trajectory, the controlled system is re-simulated
-    with it, and the terminal norms are certified in the case's data space.
+    The control Gramian is assembled once (dense_hum_matrix) and serves both
+    the refusal check and every CG product.  Refuses when it fails the
+    observability floor (its metric-scaled eigenvalue contrast), since
+    coercivity is exactly what the variational problem needs.  On success
+    the control is the observation of the minimizing adjoint trajectory, the
+    controlled system is re-simulated with it, and the terminal norms are
+    certified in the case's data space.
     """
     ws = _workspace(problem)
     grid = problem.grid
     space = problem.space
     n = space.n_modes
 
-    if space.n_modes <= 64:
-        gram = dense_hum_matrix(problem, ws)
-        scale = 1.0 / np.sqrt(ws.xd)
-        scaled = gram * np.outer(scale, scale)
-        if problem.coupling is None:
-            # without coupling the first component is beyond reach; only the
-            # controlled component's sub-block must be coercive
-            idx = np.concatenate([np.arange(n, 2 * n), np.arange(3 * n, 4 * n)])
-            scaled = scaled[np.ix_(idx, idx)]
-        spectrum = np.linalg.eigvalsh(scaled)
-        contrast = spectrum[0] / spectrum[-1] if spectrum[-1] > 0 else 0.0
-        if contrast < problem.observability_floor:
-            raise RefusalError(
-                "control Gramian fails the observability floor; increase the horizon "
-                "or enlarge the control region",
-                {
-                    "min_eig": float(spectrum[0]),
-                    "max_eig": float(spectrum[-1]),
-                    "contrast": float(contrast),
-                    "floor": problem.observability_floor,
-                },
-            )
+    gram = dense_hum_matrix(problem, ws)
+    scale = 1.0 / np.sqrt(ws.xd)
+    scaled = gram * np.outer(scale, scale)
+    if problem.coupling is None:
+        # without coupling the first component is beyond reach; only the
+        # controlled component's sub-block must be coercive
+        idx = np.concatenate([np.arange(n, 2 * n), np.arange(3 * n, 4 * n)])
+        scaled = scaled[np.ix_(idx, idx)]
+    spectrum = np.linalg.eigvalsh(scaled)
+    contrast = spectrum[0] / spectrum[-1] if spectrum[-1] > 0 else 0.0
+    if contrast < problem.observability_floor:
+        raise RefusalError(
+            "control Gramian fails the observability floor; increase the horizon "
+            "or enlarge the control region",
+            {
+                "min_eig": float(spectrum[0]),
+                "max_eig": float(spectrum[-1]),
+                "contrast": float(contrast),
+                "floor": problem.observability_floor,
+            },
+        )
 
     rhs = -assemble_rhs(problem, ws)
     rhs_scale = _certificate_norm(rhs, problem)
@@ -373,7 +378,7 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
         final_residual = _certificate_norm(r, problem) / rhs_scale
         trace.append(final_residual)
         for iterations in range(1, problem.max_iterations + 1):
-            ap = apply_hum_gramian(p, problem, ws)
+            ap = gram @ p
             alpha = rz / float(p @ ap)
             x += alpha * p
             r -= alpha * ap
@@ -393,8 +398,7 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
                 partial=CascadeState.from_vector(x, space),
             )
 
-    adjoint_states = _backward_states(x, ws, grid)
-    control = TimeSampledControl(adjoint_states @ ws.obs_rows.T, problem.case, grid)
+    control = TimeSampledControl(_backward_states(x, ws, grid) @ ws.obs_rows.T, problem.case, grid)
     trajectory = controlled_forward(problem, control, ws)
     terminal_norms = control_space_norms(trajectory[-1], space, problem.case)
     duality = verify_transposition(problem, control, trajectory=trajectory, n_probes=5, seed=1, _ws=ws)

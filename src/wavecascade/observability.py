@@ -121,16 +121,45 @@ def _propagated(rows: np.ndarray, step: np.ndarray):
         rows = rows @ step
 
 
+def _row_chunk(rows: np.ndarray, step: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """[rows; rows step; ...; rows step^(k-1)] and step^k, by doubling.
+
+    Walks the bits of k from the top: each bit doubles the chunk (appending
+    the chunk times the current power), a set bit appends one more block.
+    """
+    block, power = rows, step
+    for bit in bin(k)[3:]:
+        block = np.vstack([block, block @ power])
+        power = power @ power
+        if bit == "1":
+            block = np.vstack([block, rows @ power])
+            power = power @ step
+    return block, power
+
+
 def weighted_gram(rows: np.ndarray, step: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Symmetrized sum over m of weights[m] (rows step^m)^T (rows step^m).
 
     With observation rows and the one-step propagator this is the
     observability Gramian; by duality, with the adjoint rows and propagator
     it is the control Gramian.
+
+    The nodes are taken k = max(1, d // r) at a time (d the state size, r
+    the number of rows), so a chunk of k r propagated rows is never larger
+    than the Gramian.  The first chunk is built by doubling, each later one
+    is the previous times step^k, and each enters the sum as one product
+    chunk^T (w * chunk) with the node weights repeated over the rows.
     """
-    gram = np.zeros((step.shape[0], step.shape[0]))
-    for w, block in zip(weights, _propagated(rows, step)):
-        gram += w * (block.T @ block)
+    r, d = rows.shape
+    k = max(1, d // r)
+    block, advance = _row_chunk(rows, step, k)
+    gram = np.zeros((d, d))
+    for start in range(0, len(weights), k):
+        w = np.repeat(weights[start : start + k], r)
+        chunk = block[: w.size]
+        gram += chunk.T @ (w[:, None] * chunk)
+        if start + k < len(weights):
+            block = block @ advance
     return 0.5 * (gram + gram.T)
 
 

@@ -179,6 +179,9 @@ class PlateauBump:
     def __post_init__(self):
         if not (0.0 <= self.plateau_lo < self.plateau_hi <= 1.0):
             raise ValidationError(f"plateau [{self.plateau_lo}, {self.plateau_hi}] not inside (0, 1)")
+        for name in ("margin", "height"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.margin < 0:
             raise ValidationError("margin must be nonnegative")
         if self.height < 0:
@@ -187,12 +190,16 @@ class PlateauBump:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         m = self.margin
+        inside = (x >= self.plateau_lo) & (x <= self.plateau_hi)
         if m == 0.0:
-            inside = (x >= self.plateau_lo) & (x <= self.plateau_hi)
             return self.height * inside.astype(float)
-        up = _smoothstep((x - (self.plateau_lo - m)) / m)
-        down = _smoothstep(((self.plateau_hi + m) - x) / m)
-        return self.height * np.minimum(up, down)
+        # a margin below the float spacing at the plateau ends rounds lo - m
+        # to lo and overflows the ramps (clipped to 1); the plateau is clamped
+        # so its endpoints keep the full height
+        with np.errstate(over="ignore"):
+            up = _smoothstep((x - (self.plateau_lo - m)) / m)
+            down = _smoothstep(((self.plateau_hi + m) - x) / m)
+        return self.height * np.where(inside, 1.0, np.minimum(up, down))
 
     @property
     def support(self) -> tuple[float, float]:

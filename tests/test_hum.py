@@ -195,6 +195,15 @@ class TestSolve:
         rel = np.linalg.norm(sol.minimizer.as_vector() - dense) / np.linalg.norm(dense)
         assert rel < 1e-6
 
+    def test_cg_matches_solve_on_matrix_free_gramian(self):
+        prob = interior_problem(8, cg_tolerance=1e-12)
+        ws = _workspace(prob)
+        sol = solve_hum(prob)
+        gram = np.column_stack([apply_hum_gramian(e, prob, ws) for e in np.eye(32)])
+        oracle = np.linalg.solve(gram, -assemble_rhs(prob, ws))
+        rel = np.linalg.norm(sol.minimizer.as_vector() - oracle) / np.linalg.norm(oracle)
+        assert rel < 1e-6
+
     def test_solution_map_is_linear(self):
         space = SpectralSpace(8)
         da = CascadeState.from_vector(RNG.standard_normal(32), space)
@@ -243,6 +252,12 @@ class TestSolve:
         with pytest.raises(RefusalError) as err:
             solve_hum(interior_problem(8, horizon=0.3))
         assert "floor" in err.value.diagnostic
+
+    def test_boundary_refusal_above_n64(self):
+        # T = 1.5 is below the geometric control time 2 of one boundary endpoint
+        with pytest.raises(RefusalError) as err:
+            solve_hum(boundary_problem(80, horizon=1.5))
+        assert "contrast" in err.value.diagnostic
 
     def test_stagnation_reports_trace(self):
         with pytest.raises(ConvergenceError) as err:

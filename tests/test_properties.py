@@ -17,11 +17,13 @@ from wavecascade.dynamics import (
     CouplingOperator,
     Observer,
     TimeGrid,
+    cascade_step_matrix,
     duality_pairing,
     evolve_cascade,
     evolve_cascade_backward,
 )
 from wavecascade.hum import HUMProblem, _backward_states, _workspace, controlled_forward
+from wavecascade.observability import weighted_gram
 
 PROPERTY_SETTINGS = settings(max_examples=15, derandomize=True, deadline=None)
 
@@ -73,3 +75,23 @@ def test_duality_pairing_is_constant_along_controlled_and_adjoint_trajectories(c
     pairings = np.array([duality_pairing(y, a, n) for y, a in zip(forward, adjoint)])
     scale = np.max(np.linalg.norm(forward, axis=1) * np.linalg.norm(adjoint, axis=1))
     assert np.max(np.abs(pairings - pairings[0])) <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(geometry(), st.booleans(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_chunked_weighted_gram_matches_per_node_loop(case, one_row, n_weights, seed):
+    # r = 1 takes chunks of k = 4N nodes, r = N chunks of 4; the weight
+    # counts fall short of one chunk or end inside one
+    space, coupling, _, grid, _, _ = case
+    n = space.n_modes
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((1 if one_row else n, 4 * n))
+    step = cascade_step_matrix(space, coupling.matrix, grid.dt)
+    weights = rng.random(n_weights)
+    reference = np.zeros((4 * n, 4 * n))
+    block = rows
+    for w in weights:
+        reference += w * (block.T @ block)
+        block = block @ step
+    gram = weighted_gram(rows, step, weights)
+    assert np.linalg.norm(gram - reference) <= 1e-12 * np.linalg.norm(reference)

@@ -185,6 +185,19 @@ class TestMultiplicationMatrix:
         assert residuals[-1] < residuals[0]
 
 
+class TestPlateauBump:
+    @pytest.mark.parametrize("margin, height, name", [(float("nan"), 1.0, "margin"), (0.05, float("inf"), "height")])
+    def test_rejects_non_finite_margin_or_height(self, margin, height, name):
+        with pytest.raises(ValidationError, match=name):
+            PlateauBump(0.2, 0.3, margin, height)
+
+    def test_margin_below_float_spacing_keeps_full_height_on_plateau(self):
+        bump = PlateauBump(0.2, 0.3, 5e-324, 2.0)
+        assert bump(np.array([0.2, 0.25, 0.3])).tolist() == [2.0, 2.0, 2.0]
+        assert bump(np.array([0.1, 0.4])).tolist() == [0.0, 0.0]
+        assert CoefficientFunction((bump,), core_region=(0.2, 0.3)).infimum_on_core == 2.0
+
+
 class TestCoefficientFunction:
     def test_core_region_positivity_enforced(self):
         bump = PlateauBump(0.2, 0.3, margin=0.05, height=1.0)
