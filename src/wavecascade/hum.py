@@ -193,6 +193,8 @@ def _workspace(problem: HUMProblem) -> _Workspace:
         source_nodes = np.vstack([np.asarray(problem.source(t), dtype=float) for t in problem.grid.times])
         if source_nodes.shape != (problem.grid.n_steps + 1, n):
             raise ValidationError("source(t) must return a modal coefficient vector")
+        if not np.all(np.isfinite(source_nodes)):
+            raise ValidationError("source(t) returned non-finite values")
     return _Workspace(
         step_back=reversed_step(step, n),
         step_controlled=controlled,

@@ -528,39 +528,17 @@ def random_cascade_states(space: SpectralSpace, count: int, seed: int) -> list[C
     return [CascadeState.from_vector(rng.standard_normal(4 * space.n_modes), space) for _ in range(count)]
 
 
-def _trajectory_functionals(
-    traj: CascadeTrajectory,
-    coupling: CouplingOperator | None,
-    observer: Observer,
-) -> dict:
-    """All per-trajectory integrals used by ratios and the audit."""
-    grid = traj.grid
-    space = traj.space
-    obs = observation_history(traj, observer)
-    obs_int = float(grid.node_weights @ (obs**2).sum(axis=1))
-    e1_u2 = traj.energy_series(2, 1)
-    e1_u1 = traj.energy_series(1, 1)
-    e0_u1 = traj.energy_series(1, 0)
-    u1_fine = traj.first_component_fine_positions()
-    fine_w = grid.fine_weights
-    if coupling is None:
-        coupling_int = 0.0
-        coupling_sq_int = 0.0
-    else:
-        cu1 = u1_fine @ coupling.matrix.T
-        coupling_int = float(fine_w @ np.einsum("ki,ki->k", cu1, u1_fine))
-        coupling_sq_int = float(fine_w @ np.einsum("ki,ki->k", cu1, cu1))
-    return {
-        "obs_int": obs_int,
-        "e1_u2_0": float(e1_u2[0]),
-        "e1_u2_T": float(e1_u2[-1]),
-        "e1_u2_int": float(grid.node_weights @ e1_u2),
-        "e0_u1_0": float(e0_u1[0]),
-        "e1_u1_0": float(e1_u1[0]),
-        "coupling_int": coupling_int,
-        "coupling_sq_int": coupling_sq_int,
-        "u1_fine": u1_fine,
-    }
+def _energy_metrics(space: SpectralSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal metrics of the weak energy of u1 and the natural energy of u2."""
+    n = space.n_modes
+    lam = space.eigenvalues
+    weak_first = np.zeros(4 * n)
+    weak_first[:n] = 0.5
+    weak_first[2 * n : 3 * n] = 0.5 / lam
+    natural_second = np.zeros(4 * n)
+    natural_second[n : 2 * n] = 0.5 * lam
+    natural_second[3 * n :] = 0.5
+    return weak_first, natural_second
 
 
 def _integrated_form(metric: np.ndarray, step: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -572,6 +550,29 @@ def _integrated_form(metric: np.ndarray, step: np.ndarray, weights: np.ndarray) 
     support = np.flatnonzero(metric)
     rows = np.sqrt(metric[support])[:, None] * np.eye(metric.size)[support]
     return weighted_gram(rows, step, weights)
+
+
+def _free_moment_form(quad: np.ndarray, space: SpectralSpace, grid: TimeGrid) -> np.ndarray:
+    """Quadratic form of the half-step Simpson integral of u1(t)^T quad u1(t).
+
+    The first component is free and known in closed form, u1(t) = cos(wt)
+    u1(0) + sin(wt)/w v1(0), so the time moments reduce to the weighted Gram
+    matrix of the stacked trig blocks.
+    """
+    n = space.n_modes
+    trig = np.hstack(free_flow(space, grid.fine_times)[:2])
+    first = np.r_[0:n, 2 * n : 3 * n]
+    form = np.zeros((4 * n, 4 * n))
+    form[np.ix_(first, first)] = np.tile(quad, (2, 2)) * (trig.T @ (grid.fine_weights[:, None] * trig))
+    return 0.5 * (form + form.T)
+
+
+def _ensemble_ratio(gram: np.ndarray, space: SpectralSpace, ensemble: int, seed: int) -> float:
+    """Largest x^T gram x per unit of norm_weights energy over a seeded random ensemble."""
+    x = np.array([s.as_vector() for s in random_cascade_states(space, ensemble, seed)])
+    x = x.reshape(ensemble, 4 * space.n_modes)
+    ratios = np.einsum("si,si->s", x @ gram, x) / ((x * x) @ norm_weights(space))
+    return float(np.max(ratios, initial=0.0))
 
 
 def empirical_ratios(
@@ -590,15 +591,14 @@ def empirical_ratios(
     component, d2_emp the natural initial energy of the driven one, k2_emp
     its integrated energy and r2_emp the integrated coupling form, each per
     unit of integrated squared observation.  The admissibility entry is the
-    ensemble maximum of the direct inequality's ratio (the worst-case value
-    is the top eigenvalue of the metric-scaled Gramian and is reported by
+    ensemble maximum of the direct inequality's ratio, evaluated on the same
+    Gramian as ``admissibility_constant`` (the worst-case value is the top
+    eigenvalue of the metric-scaled Gramian and is reported by
     min_eigenvalue instead).
     """
     from scipy.linalg import eigh as generalized_eigh
 
     gram = gramian_matrix(coupling, observer, grid, space, propagator="solver")
-    n = space.n_modes
-    lam = space.eigenvalues
 
     # regularity guard: ratios are meaningless for a singular Gramian
     metric = norm_weights(space)
@@ -614,46 +614,15 @@ def empirical_ratios(
         vals = generalized_eigh(form, gram, eigvals_only=True)
         return float(vals[-1])
 
-    weak_first = np.zeros(4 * n)
-    weak_first[:n] = 0.5
-    weak_first[2 * n : 3 * n] = 0.5 / lam
-    natural_second = np.zeros(4 * n)
-    natural_second[n : 2 * n] = 0.5 * lam
-    natural_second[3 * n :] = 0.5
-
-    # integrated driven energy as a quadratic form of the initial data
+    weak_first, natural_second = _energy_metrics(space)
     step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
-    out = {
+    return {
         "d1_emp": sup_ratio(np.diag(weak_first)),
         "d2_emp": sup_ratio(np.diag(natural_second)),
         "k2_emp": sup_ratio(_integrated_form(natural_second, step, grid.node_weights)),
+        "r2_emp": 0.0 if coupling is None else sup_ratio(_free_moment_form(coupling.matrix, space, grid)),
+        "admissibility": _ensemble_ratio(gram, space, ensemble, seed),
     }
-
-    if coupling is None:
-        out["r2_emp"] = 0.0
-    else:
-        # integrated coupling form: the free component is known in closed
-        # form, so the time moments reduce to weighted trig Gram matrices
-        fw = grid.fine_weights
-        cos_t, sin_t = free_flow(space, grid.fine_times)[:2]
-        w_cc = cos_t.T @ (fw[:, None] * cos_t)
-        w_cs = cos_t.T @ (fw[:, None] * sin_t)
-        w_ss = sin_t.T @ (fw[:, None] * sin_t)
-        rform = np.zeros((4 * n, 4 * n))
-        rform[np.ix_(np.arange(n), np.arange(n))] = coupling.matrix * w_cc
-        rform[np.ix_(np.arange(n), np.arange(2 * n, 3 * n))] = coupling.matrix * w_cs
-        rform[np.ix_(np.arange(2 * n, 3 * n), np.arange(n))] = (coupling.matrix * w_cs).T
-        rform[np.ix_(np.arange(2 * n, 3 * n), np.arange(2 * n, 3 * n))] = coupling.matrix * w_ss
-        rform = 0.5 * (rform + rform.T)
-        out["r2_emp"] = sup_ratio(rform)
-
-    best = 0.0
-    for state in random_cascade_states(space, ensemble, seed):
-        value = float(state.as_vector() @ gram @ state.as_vector())
-        denom = float(state.as_vector() @ (metric * state.as_vector()))
-        best = max(best, value / denom)
-    out["admissibility"] = best
-    return out
 
 
 def admissibility_constant(
@@ -664,16 +633,13 @@ def admissibility_constant(
     ensemble: int = 24,
     seed: int = 0,
 ) -> float:
-    """Empirical constant of the direct (hidden regularity) inequality."""
-    metric = norm_weights(space)
-    best = 0.0
-    for state in random_cascade_states(space, ensemble, seed):
-        value = gramian_form(state, coupling, observer, grid)
-        vec = state.as_vector()
-        denom = float(vec @ (metric * vec))
-        if denom > 0:
-            best = max(best, value / denom)
-    return best
+    """Empirical constant of the direct (hidden regularity) inequality.
+
+    The ensemble maximum of the observation form (the solver Gramian) per
+    unit of initial energy in the observation metric.
+    """
+    gram = gramian_matrix(coupling, observer, grid, space, propagator="solver")
+    return _ensemble_ratio(gram, space, ensemble, seed)
 
 
 def estimate_uniform_constants(
@@ -790,160 +756,141 @@ def _identity_row(name, lhs, rhs, scale, rtol=1e-6):
     return AuditRow(name, lhs, rhs, -residual, True, residual <= rtol * max(scale, 1e-300), kind="identity")
 
 
+def _audit_forms(
+    coupling: CouplingOperator,
+    observer: Observer,
+    grid: TimeGrid,
+    space: SpectralSpace,
+) -> dict[str, np.ndarray]:
+    """Every functional of the audited chain as a 4N x 4N form of the initial data.
+
+    The stepper's forms (observation, driven energies, endpoint pairing and
+    node-weighted coupling work) propagate with the one-step matrix and its
+    M-th power; the coupling, coupling-squared and projection moments use
+    the closed-form free flow of the first component.
+    """
+    n = space.n_modes
+    weights = grid.node_weights
+    step = cascade_step_matrix(space, coupling.matrix, grid.dt)
+    power = np.linalg.matrix_power(step, grid.n_steps)  # initial data to final state
+    weak_first, natural_second = _energy_metrics(space)
+    # first-component pairing v1.u2 - v2.u1 of the duality identity
+    eye = np.eye(n)
+    pairing = np.zeros((4 * n, 4 * n))
+    pairing[2 * n : 3 * n, n : 2 * n] = pairing[n : 2 * n, 2 * n : 3 * n] = 0.5 * eye
+    pairing[3 * n :, :n] = pairing[:n, 3 * n :] = -0.5 * eye
+    # rows of M u1 and of v2: their node-weighted product, by polarization
+    coupled = np.zeros((n, 4 * n))
+    coupled[:, :n] = coupling.matrix
+    driven_velocity = np.zeros((n, 4 * n))
+    driven_velocity[:, 3 * n :] = eye
+    plus, minus = coupled + driven_velocity, coupled - driven_velocity
+    work = 0.25 * (weighted_gram(plus, step, weights) - weighted_gram(minus, step, weights))
+    return {
+        "obs_int": gramian_matrix(coupling, observer, grid, space, propagator="solver"),
+        "e1_u2_0": np.diag(natural_second),
+        "e1_u2_T": power.T @ (natural_second[:, None] * power),
+        "e1_u2_int": _integrated_form(natural_second, step, weights),
+        "e0_u1_0": np.diag(weak_first),
+        "coupling_int": _free_moment_form(coupling.matrix, space, grid),
+        "coupling_sq_int": _free_moment_form(coupling.matrix.T @ coupling.matrix, space, grid),
+        "proj_int": _free_moment_form(coupling.projection_matrix, space, grid),
+        "boundary_term": power.T @ pairing @ power - pairing,
+        "balance_int": work,
+    }
+
+
 def inequality_chain_audit(
-    initial: CascadeState,
+    states: list[CascadeState],
     coupling: CouplingOperator,
     observer: Observer,
     constants: ObservabilityConstants,
     grid: TimeGrid,
     admissibility_bound: float | None = None,
-) -> list[AuditRow]:
+) -> list[list[AuditRow]]:
     """Evaluate both sides of every inequality in the two-level chain.
 
-    Identities (the coupling duality identity and the driven energy balance)
-    must hold at quadrature accuracy for any horizon; inequalities carry
-    must_hold flags derived from the horizon thresholds in ``constants``.
-    Rows beyond their threshold are reported with margins only.
+    Every functional of the chain is a quadratic form of the initial data:
+    each form is built once and evaluated on all ``states`` together, and
+    one row list is returned per state, in order.  Identities (the coupling
+    duality identity and the driven energy balance) must hold at quadrature
+    accuracy for any horizon; their two sides come from independently built
+    forms (the closed-form free moment against the stepper's endpoint
+    pairing, the stepper's endpoint energies against its node-weighted
+    coupling work).  Inequalities carry must_hold flags derived from the
+    horizon thresholds in ``constants``; rows beyond their threshold are
+    reported with margins only.
     """
-    space = initial.space
-    traj = evolve_cascade(initial, coupling, grid)
-    f = _trajectory_functionals(traj, coupling, observer)
+    x = np.array([s.as_vector() for s in states])
+    forms = _audit_forms(coupling, observer, grid, states[0].space)
+    f = {name: np.einsum("si,si->s", x @ form, x) for name, form in forms.items()}
+    obs_int, coupling_int, coupling_sq_int = f["obs_int"], f["coupling_int"], f["coupling_sq_int"]
+    e1_u2_0, e1_u2_T, e1_u2_int, e0_u1_0 = f["e1_u2_0"], f["e1_u2_T"], f["e1_u2_int"], f["e0_u1_0"]
+
     T = grid.horizon
     al, be, g0, e0c, a0 = constants.alpha, constants.beta, constants.gamma0, constants.eta0, constants.alpha0
     c1, c2, c3, c4 = constants.c1, constants.c2, constants.c3, constants.c4
     m = constants.m_factor
-
-    n = space.n_modes
-    first_pair = lambda s: float(s[2 * n : 3 * n] @ s[n : 2 * n] - s[3 * n : 4 * n] @ s[0:n])
-    boundary_term = first_pair(traj.states[-1]) - first_pair(traj.states[0])
-
-    pi_quad = coupling.projection_matrix
-    proj_int = float(grid.fine_weights @ np.einsum("ki,ij,kj->k", f["u1_fine"], pi_quad, f["u1_fine"]))
-
-    e1_u2_sum = f["e1_u2_T"] + f["e1_u2_0"]
-    scale = max(f["obs_int"], f["e1_u2_int"], f["e0_u1_0"], f["coupling_int"], 1e-300)
-
-    e1_series = traj.energy_series(2, 1)
-    balance_lhs = float(e1_series[-1] - e1_series[0])
-    cu1_nodes = traj.block("u1") @ coupling.matrix.T
-    balance_int = float(grid.node_weights @ np.einsum("ki,ki->k", cu1_nodes, traj.block("v2")))
-
+    e1_u2_sum = e1_u2_T + e1_u2_0
+    scale = np.maximum(np.max([obs_int, e1_u2_int, e0_u1_0, coupling_int], axis=0), 1e-300)
     beyond_t0 = T > constants.t0
     beyond_t3 = T > constants.t3
     eta = T * al / (4.0 * g0)
 
-    rows = [
-        _identity_row(
-            "coupling_duality_identity", f["coupling_int"], boundary_term, scale
-        ),
-        _identity_row(
-            "driven_energy_balance", balance_lhs, -balance_int, max(f["e1_u2_0"], f["e1_u2_T"], 1e-300)
-        ),
-        _row(
-            "coupling_young_bound",
-            f["coupling_int"],
-            2.0 * eta * f["e0_u1_0"] + e1_u2_sum / eta,
-            True,
-            scale,
-        ),
-        _row(
-            "source_quadratic_bound",
-            f["coupling_sq_int"],
-            be * f["coupling_int"],
-            True,
-            scale,
-        ),
-        _row(
-            "projected_free_observability",
-            T * f["e0_u1_0"],
-            g0 * proj_int,
-            beyond_t0,
-            scale * T,
-        ),
-        _row(
-            "source_observability_driven",
-            f["e1_u2_int"] - a0 * f["coupling_sq_int"],
-            e0c * f["obs_int"],
-            beyond_t0,
-            scale,
-        ),
-        _row(
-            "coupling_vs_driven_endpoints",
-            f["coupling_int"],
-            8.0 * g0 / (al * T) * e1_u2_sum,
-            beyond_t0,
-            scale,
-        ),
-        _row(
-            "endpoint_energy_bound",
-            e1_u2_sum,
-            c1 * f["e1_u2_0"] + c2 * be * g0 / (al * T) * f["e1_u2_int"],
-            beyond_t0,
-            scale,
-        ),
-        _row(
-            "coupling_refined_bound",
-            f["coupling_int"],
-            c3 * g0 / (al * T) * f["e1_u2_0"] + c4 * be * g0**2 / (al**2 * T**2) * f["e1_u2_int"],
-            beyond_t0,
-            scale,
-        ),
-        _row(
-            "mean_energy_lower_bound",
-            m * T * f["e1_u2_0"],
-            f["e1_u2_int"],
-            beyond_t0,
-            scale,
-        ),
-        _row(
-            "weak_energy_vs_coupling",
-            f["e0_u1_0"],
-            g0 / (al * T) * f["coupling_int"],
-            beyond_t0,
-            scale,
+    identities = [
+        ("coupling_duality_identity", coupling_int, f["boundary_term"], scale),
+        (
+            "driven_energy_balance",
+            e1_u2_T - e1_u2_0,
+            -f["balance_int"],
+            np.maximum(np.maximum(e1_u2_0, e1_u2_T), 1e-300),
         ),
     ]
+    inequalities = [
+        ("coupling_young_bound", coupling_int, 2.0 * eta * e0_u1_0 + e1_u2_sum / eta, True, scale),
+        ("source_quadratic_bound", coupling_sq_int, be * coupling_int, True, scale),
+        ("projected_free_observability", T * e0_u1_0, g0 * f["proj_int"], beyond_t0, scale * T),
+        ("source_observability_driven", e1_u2_int - a0 * coupling_sq_int, e0c * obs_int, beyond_t0, scale),
+        ("coupling_vs_driven_endpoints", coupling_int, 8.0 * g0 / (al * T) * e1_u2_sum, beyond_t0, scale),
+        (
+            "endpoint_energy_bound",
+            e1_u2_sum,
+            c1 * e1_u2_0 + c2 * be * g0 / (al * T) * e1_u2_int,
+            beyond_t0,
+            scale,
+        ),
+        (
+            "coupling_refined_bound",
+            coupling_int,
+            c3 * g0 / (al * T) * e1_u2_0 + c4 * be * g0**2 / (al**2 * T**2) * e1_u2_int,
+            beyond_t0,
+            scale,
+        ),
+        ("mean_energy_lower_bound", m * T * e1_u2_0, e1_u2_int, beyond_t0, scale),
+        ("weak_energy_vs_coupling", e0_u1_0, g0 / (al * T) * coupling_int, beyond_t0, scale),
+    ]
     if beyond_t3 or T > constants.t2:
-        rows.extend(
-            [
-                _row(
-                    "driven_energy_observability",
-                    m / (2.0 * T) * (T**2 - constants.t2**2) * f["e1_u2_0"],
-                    e0c * f["obs_int"],
-                    beyond_t3,
-                    scale,
-                ),
-                _row(
-                    "integrated_energy_vs_observation",
-                    f["e1_u2_int"],
-                    constants.k2(T) * f["obs_int"],
-                    beyond_t3,
-                    scale,
-                ),
-                _row(
-                    "weak_state_recovery",
-                    f["e0_u1_0"],
-                    constants.d1(T) * f["obs_int"],
-                    beyond_t3,
-                    scale,
-                ),
-                _row(
-                    "driven_state_recovery",
-                    f["e1_u2_0"],
-                    constants.d2(T) * f["obs_int"],
-                    beyond_t3,
-                    scale,
-                ),
-            ]
-        )
-    if admissibility_bound is not None:
-        rows.append(
-            _row(
-                "admissibility",
-                f["obs_int"],
-                admissibility_bound * (f["e0_u1_0"] + f["e1_u2_0"]),
-                True,
+        inequalities += [
+            (
+                "driven_energy_observability",
+                m / (2.0 * T) * (T**2 - constants.t2**2) * e1_u2_0,
+                e0c * obs_int,
+                beyond_t3,
                 scale,
-            )
+            ),
+            ("integrated_energy_vs_observation", e1_u2_int, constants.k2(T) * obs_int, beyond_t3, scale),
+            ("weak_state_recovery", e0_u1_0, constants.d1(T) * obs_int, beyond_t3, scale),
+            ("driven_state_recovery", e1_u2_0, constants.d2(T) * obs_int, beyond_t3, scale),
+        ]
+    if admissibility_bound is not None:
+        inequalities.append(
+            ("admissibility", obs_int, admissibility_bound * (e0_u1_0 + e1_u2_0), True, scale)
         )
-    return rows
+    return [
+        [_identity_row(name, float(lhs[i]), float(rhs[i]), float(s[i])) for name, lhs, rhs, s in identities]
+        + [
+            _row(name, float(lhs[i]), float(rhs[i]), hold, float(s[i]))
+            for name, lhs, rhs, hold, s in inequalities
+        ]
+        for i in range(len(states))
+    ]

@@ -246,9 +246,10 @@ class TestCriterion6ConstantChain:
         )
         bound = 2.0 * admissibility_constant(coupling, observer, grid, space, ensemble=16, seed=13)
         failures = []
-        for state in random_cascade_states(space, 100, seed=77):
-            for row in inequality_chain_audit(state, coupling, observer, constants, grid,
-                                              admissibility_bound=bound):
+        states = random_cascade_states(space, 100, seed=77)
+        for rows in inequality_chain_audit(states, coupling, observer, constants, grid,
+                                           admissibility_bound=bound):
+            for row in rows:
                 if row.must_hold and not row.satisfied:
                     failures.append(row.name)
         verdict(6, "audit_must_hold_on_ensemble", not failures,

@@ -325,6 +325,11 @@ class TestTransposition:
         report = verify_transposition(prob, control, n_probes=10, seed=8)
         assert report["max_residual"] < 1e-6
 
+    def test_non_finite_source_rejected(self):
+        prob = interior_problem(8, source=lambda t: np.full(8, np.nan))
+        with pytest.raises(ValidationError, match="non-finite"):
+            _workspace(prob)
+
 
 class TestSpaces:
     def test_adjoint_weights_orders(self):

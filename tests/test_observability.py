@@ -282,7 +282,8 @@ class TestEmpiricalRatiosAndAudit:
     def test_audit_zero_state_all_trivial(self):
         space, coupling, grid = standard_setup(8, horizon=2.0)
         constants = theoretical_constants(1.0, 1.0, 1.0, 1.0, 1.0, 1.4)
-        rows = inequality_chain_audit(CascadeState.zero(space), coupling, interior_observer(), constants, grid)
+        states = [CascadeState.zero(space)]
+        (rows,) = inequality_chain_audit(states, coupling, interior_observer(), constants, grid)
         assert all(r.satisfied for r in rows)
         assert all(r.lhs == 0.0 and r.rhs == 0.0 for r in rows)
 
@@ -292,8 +293,9 @@ class TestEmpiricalRatiosAndAudit:
         grid = TimeGrid.for_space(space, 4.0, 0.4)
         constants = theoretical_constants(coupling.alpha, coupling.beta, 1.0, 1.0, 1.0, 1.4)
         obs = interior_observer()
-        for state in random_cascade_states(space, 5, seed=21):
-            rows = {r.name: r for r in inequality_chain_audit(state, coupling, obs, constants, grid)}
+        states = random_cascade_states(space, 5, seed=21)
+        for sample_rows in inequality_chain_audit(states, coupling, obs, constants, grid):
+            rows = {r.name: r for r in sample_rows}
             identity = rows["coupling_duality_identity"]
             scale = max(abs(identity.lhs), abs(identity.rhs))
             assert abs(identity.lhs - identity.rhs) <= 1e-6 * scale
@@ -310,8 +312,8 @@ class TestEmpiricalRatiosAndAudit:
             coupling.alpha, coupling.beta, 2.0 * gamma0, 2.0 * eta0, 2.0 * alpha0, horizon, delta0=2.0 * delta0
         )
         bound = 2.0 * admissibility_constant(coupling, obs, grid, space, ensemble=16, seed=13)
-        for state in random_cascade_states(space, 25, seed=77):
-            rows = inequality_chain_audit(state, coupling, obs, constants, grid, admissibility_bound=bound)
+        states = random_cascade_states(space, 25, seed=77)
+        for rows in inequality_chain_audit(states, coupling, obs, constants, grid, admissibility_bound=bound):
             for row in rows:
                 if row.must_hold:
                     assert row.satisfied, row

@@ -23,7 +23,7 @@ from wavecascade.dynamics import (
     evolve_cascade_backward,
 )
 from wavecascade.hum import HUMProblem, _backward_states, _workspace, controlled_forward
-from wavecascade.observability import weighted_gram
+from wavecascade.observability import _audit_forms, gramian_matrix, observation_history, weighted_gram
 
 PROPERTY_SETTINGS = settings(max_examples=15, derandomize=True, deadline=None)
 
@@ -95,3 +95,44 @@ def test_chunked_weighted_gram_matches_per_node_loop(case, one_row, n_weights, s
         block = block @ step
     gram = weighted_gram(rows, step, weights)
     assert np.linalg.norm(gram - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@PROPERTY_SETTINGS
+@given(geometry())
+def test_audit_forms_match_simulated_functionals(case):
+    space, coupling, observer, grid, x, _ = case
+    n = space.n_modes
+    traj = evolve_cascade(CascadeState.from_vector(x, space), coupling, grid)
+    fw, nw = grid.fine_weights, grid.node_weights
+    phase = np.multiply.outer(grid.fine_times, space.frequencies)
+    u1_fine = np.cos(phase) * x[:n] + np.sin(phase) / space.frequencies * x[2 * n : 3 * n]
+    cu1 = u1_fine @ coupling.matrix.T
+    e1_u2 = traj.energy_series(2, 1)
+    first_pair = lambda s: s[2 * n : 3 * n] @ s[n : 2 * n] - s[3 * n :] @ s[:n]
+    simulated = {
+        "obs_int": nw @ (observation_history(traj, observer) ** 2).sum(axis=1),
+        "e1_u2_0": e1_u2[0],
+        "e1_u2_T": e1_u2[-1],
+        "e1_u2_int": nw @ e1_u2,
+        "e0_u1_0": traj.energy_series(1, 0)[0],
+        "coupling_int": fw @ np.einsum("ki,ki->k", cu1, u1_fine),
+        "coupling_sq_int": fw @ np.einsum("ki,ki->k", cu1, cu1),
+        "proj_int": fw @ np.einsum("ki,ij,kj->k", u1_fine, coupling.projection_matrix, u1_fine),
+        "boundary_term": first_pair(traj.states[-1]) - first_pair(traj.states[0]),
+        "balance_int": nw @ np.einsum("ki,ki->k", traj.block("u1") @ coupling.matrix.T, traj.block("v2")),
+    }
+    forms = _audit_forms(coupling, observer, grid, space)
+    assert forms.keys() == simulated.keys()
+    scale = max(abs(v) for v in simulated.values())
+    for name, form in forms.items():
+        assert abs(x @ form @ x - simulated[name]) <= 1e-10 * scale, name
+
+
+@PROPERTY_SETTINGS
+@given(geometry())
+def test_solver_gramian_is_symmetric_positive_semidefinite(case):
+    space, coupling, observer, grid, _, _ = case
+    gram = gramian_matrix(coupling, observer, grid, space, propagator="solver")
+    assert np.array_equal(gram, gram.T)
+    eigvals = np.linalg.eigvalsh(gram)
+    assert eigvals[0] >= -1e-12 * eigvals[-1]

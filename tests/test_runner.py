@@ -107,6 +107,21 @@ class TestParsing:
         assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", override]) == 2
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize(
+        "config, overrides, key",
+        [
+            ("criterion08_hum_interior", ["source.kind=separable", "source.amplitude=nan"], "amplitude"),
+            ("criterion09_insensitize_interior", ["source.frequency=inf"], "frequency"),
+        ],
+    )
+    def test_non_finite_source_exits_2_naming_the_key(self, tmp_path, capsys, config, overrides, key):
+        args = [f"{CONFIG_DIR}/{config}.ini", "-o", str(tmp_path / "out")]
+        for override in overrides:
+            args += ["--set", override]
+        assert main(args) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("configuration error: [source] ") and key in line
+
 
 class TestRunKinds:
     def test_simulate_zero_data_writes_zero_energies(self, tmp_path):
@@ -221,6 +236,37 @@ max_iterations = 500
         assert ledger[0] == "inequality_name,lhs,rhs,margin"
         names = {line.split(",")[0] for line in ledger[1:]}
         assert "coupling_duality_identity" in names
+
+    def test_audit_check_fails_when_any_sample_fails(self, tmp_path, monkeypatch, capsys):
+        # the worst-margin sample holds against its large scale, while a
+        # small-scale sample with a milder margin fails against its own
+        from wavecascade import runner
+        from wavecascade.observability import _row
+
+        def two_samples(*args, **kwargs):
+            return [
+                [_row("crafted_bound", 1.0, 1.0 - 1e-6, True, 1e4)],
+                [_row("crafted_bound", 1e-9, 0.0, True, 1e-9)],
+            ]
+
+        monkeypatch.setattr(runner, "inequality_chain_audit", two_samples)
+        code = main([
+            f"{CONFIG_DIR}/criterion06_audit.ini",
+            "-o",
+            str(tmp_path / "audit"),
+            "--set",
+            "spectral.n_modes=4",
+            "--set",
+            "audit.ensemble=2",
+            "--set",
+            "audit.samples=2",
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] crafted_bound: lhs 1.0000e+00" in out
+        assert "fails on 1 of 2 samples" in out
+        ledger = (tmp_path / "audit" / "audit_ledger.csv").read_text().splitlines()
+        assert ledger[1].startswith("crafted_bound,1,0.99999899999999997,")
 
 
 class TestDeterminism:
