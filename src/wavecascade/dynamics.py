@@ -16,6 +16,11 @@ with the driving component evaluated in closed form at the quadrature
 sub-nodes.  The step is therefore fourth-order accurate in dt, exactly
 time-reversible under velocity negation, and exactly symplectic for the
 duality pairing used by the control modules.
+
+Coupled trajectories march their one-step matrix (``march``).  A single
+forced wave w'' + A w = f steps by the same rotation and Simpson kick, but
+there the step is the exact rotation alone, so ``forced_flow`` sums the
+whole recursion in the rotating frame with one prefix sum instead.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ __all__ = [
     "evolve_cascade",
     "evolve_cascade_backward",
     "evolve_forced_scalar",
+    "forced_flow",
+    "simpson_kick_weights",
     "march",
     "reversed_step",
     "apply_generator",
@@ -514,6 +521,44 @@ def evolve_cascade_backward(
     return CascadeTrajectory(space, grid, states)
 
 
+def simpson_kick_weights(space: SpectralSpace, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sub-node times and kernels of the Simpson kicks of a forced wave.
+
+    Over the step from t_{k-1} to t_k, w'' + A w = f gains the kick
+    b_k = sum_j f(s_kj) * (pos_j, vel_j): the Simpson quadrature of the
+    Duhamel integral at the sub-nodes s_kj = t_{k-1} + {0, dt/2, dt}.
+    Returns the sub-node times (n_steps, 3) and the weighted kernels pos,
+    vel (3, N).
+    """
+    dt = grid.dt
+    taus = np.array([0.0, 0.5 * dt, dt])
+    quad = np.array([dt / 6.0, 4.0 * dt / 6.0, dt / 6.0])[:, None]
+    kernel_vel, kernel_pos = free_flow(space, dt - taus)[:2]
+    return grid.times[:-1, None] + taus, quad * kernel_pos, quad * kernel_vel
+
+
+def forced_flow(flow, states: np.ndarray) -> np.ndarray:
+    """Closed form of x_k = R x_{k-1} + b_k for the exact free rotation R, in place.
+
+    ``flow`` holds the ``free_flow`` blocks (c, s, m) at the nodes t_0..t_M
+    of a uniform grid, so that R^k is the rotation by t_k.  As for
+    ``march``, on entry row 0 of ``states`` (shape (M + 1, 2N)) holds the
+    initial state x_0 and row k >= 1 the kick b_k; on return row k holds
+    x_k.  In the rotating frame the recursion is a prefix sum,
+
+        x_k = R^k (x_0 + sum_{j <= k} R^{-j} b_j),
+
+    with R^{-j} the blocks at t_j with their sine terms negated.
+    """
+    c, s, m = flow
+    n = c.shape[1]
+    pos, vel = states[:, :n], states[:, n:]
+    pos[:], vel[:] = c * pos - s * vel, c * vel - m * pos
+    np.cumsum(states, axis=0, out=states)
+    pos[:], vel[:] = c * pos + s * vel, m * pos + c * vel
+    return states
+
+
 def evolve_forced_scalar(
     initial: ComponentState,
     forcing,
@@ -522,27 +567,23 @@ def evolve_forced_scalar(
     """Evolve one forced wave component w'' + A w = f(t).
 
     ``forcing(t)`` returns the modal coefficient vector of f at time t; it is
-    evaluated at the Simpson sub-nodes of every step.  Returns node states of
-    shape (n_steps + 1, 2N).
+    sampled once at the Simpson sub-nodes of every step
+    (``simpson_kick_weights``).  Each step rotates exactly and adds its
+    Simpson kick; ``forced_flow`` sums these steps in closed form.
+    Returns node states of shape (n_steps + 1, 2N).
     """
     space = initial.space
     grid.validate_for(space)
-    dt = grid.dt
     n = space.n_modes
-    c, s_over, ms = free_flow(space, dt)
-    rotation = np.block([[np.diag(c), np.diag(s_over)], [np.diag(ms), np.diag(c)]])
-    taus = np.array([0.0, 0.5 * dt, dt])
-    quad = np.array([dt / 6.0, 4.0 * dt / 6.0, dt / 6.0])[:, None]
-    kernel_vel, kernel_pos = free_flow(space, dt - taus)[:2]
+    substeps, kernel_pos, kernel_vel = simpson_kick_weights(space, grid)
     samples = np.empty((grid.n_steps, 3, n))
-    for row, t in zip(samples.reshape(-1, n), (grid.times[:-1, None] + taus).ravel()):
+    for row, t in zip(samples.reshape(-1, n), substeps.ravel()):
         row[:] = forcing(t)
     states = np.empty((grid.n_steps + 1, 2 * n))
-    states[0, :n] = initial.position.coeffs
-    states[0, n:] = initial.velocity.coeffs
-    states[1:, :n] = np.einsum("kjn,jn->kn", samples, quad * kernel_pos)
-    states[1:, n:] = np.einsum("kjn,jn->kn", samples, quad * kernel_vel)
-    return march(rotation, states)
+    states[0] = initial.as_vector()
+    states[1:, :n] = np.einsum("kjn,jn->kn", samples, kernel_pos)
+    states[1:, n:] = np.einsum("kjn,jn->kn", samples, kernel_vel)
+    return forced_flow(free_flow(space, grid.times), states)
 
 
 def free_evolve(component: ComponentState, t: float) -> ComponentState:

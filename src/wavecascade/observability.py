@@ -17,18 +17,18 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError, RefusalError, ValidationError
-from .spectral import ModalCoefficients, SpectralSpace
+from .spectral import SpectralSpace
 from .dynamics import (
     CascadeState,
     CascadeTrajectory,
-    ComponentState,
     CouplingOperator,
     Observer,
     TimeGrid,
     cascade_step_matrix,
     evolve_cascade,
-    evolve_forced_scalar,
+    forced_flow,
     free_flow,
+    simpson_kick_weights,
     state_weights,
 )
 
@@ -664,7 +664,7 @@ def estimate_uniform_constants(
         quad = target.projection_matrix
 
         def observation_sq(positions, velocities):
-            return np.einsum("ki,ij,kj->k", velocities, quad, velocities)
+            return np.einsum("ki,ki->k", velocities @ quad, velocities)
 
     elif isinstance(target, Observer):
         region = target.region
@@ -688,7 +688,8 @@ def estimate_uniform_constants(
 
     rng = np.random.default_rng(seed)
     times = grid.times
-    cos_t, sin_over, minus_sin = free_flow(space, times)
+    flow = free_flow(space, times)
+    cos_t, sin_over, minus_sin = flow
     w = grid.node_weights
 
     first_ratio = 0.0
@@ -703,6 +704,9 @@ def estimate_uniform_constants(
             raise RefusalError("degenerate ensemble: free solution invisible", {"ratio": np.inf})
         first_ratio = max(first_ratio, grid.horizon * e1 / denom)
 
+    # the forcing cos(freq t) g is separable: its kicks are the kicks of the
+    # time profile cos(freq t) times g
+    substeps, kernel_pos, kernel_vel = simpson_kick_weights(space, grid)
     second_ratio = 0.0
     n = space.n_modes
     for _ in range(ensemble):
@@ -711,15 +715,12 @@ def estimate_uniform_constants(
         g = rng.standard_normal(n)
         g /= np.linalg.norm(g)
         freq = rng.uniform(0.5, 3.0)
-
-        def forcing(t, g=g, freq=freq):
-            return np.cos(freq * t) * g
-
-        states = evolve_forced_scalar(
-            ComponentState(ModalCoefficients(p0, space), ModalCoefficients(v0, space)),
-            forcing,
-            grid,
-        )
+        profile = np.cos(freq * substeps)
+        states = np.empty((grid.n_steps + 1, 2 * n))
+        states[0, :n], states[0, n:] = p0, v0
+        states[1:, :n] = (profile @ kernel_pos) * g
+        states[1:, n:] = (profile @ kernel_vel) * g
+        forced_flow(flow, states)
         positions, velocities = states[:, :n], states[:, n:]
         e1_series = 0.5 * ((positions**2 * space.eigenvalues).sum(axis=1) + (velocities**2).sum(axis=1))
         e1_int = float(w @ e1_series)

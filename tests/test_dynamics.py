@@ -431,6 +431,36 @@ class TestForcedScalar:
         states = evolve_forced_scalar(initial, forcing, grid)
         assert np.max(np.abs(states - expected)) <= 1e3 * np.finfo(float).eps * np.max(np.abs(expected))
 
+    def test_long_run_matches_extended_precision_recursion(self):
+        # the audit's forced waves: N = 16 over 5866 steps, forcing cos(freq t) g
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("np.longdouble is no wider than float64 here")
+        space = SpectralSpace(16)
+        grid = TimeGrid(1.75, 5866)
+        rng = np.random.default_rng(3)
+        p, v, g = rng.standard_normal((3, 16))
+        g /= np.linalg.norm(g)
+        freq = 1.7
+        initial = ComponentState(ModalCoefficients(p, space), ModalCoefficients(v, space))
+        states = evolve_forced_scalar(initial, lambda t: np.cos(freq * t) * g, grid)
+
+        ld = np.longdouble
+        om = space.frequencies.astype(ld)
+        dt = ld(grid.horizon) / ld(grid.n_steps)
+        p, v, g = p.astype(ld), v.astype(ld), g.astype(ld)
+        subnodes = ((ld(0), dt / 6), (dt / 2, 4 * dt / 6), (dt, dt / 6))
+        kicks = [(w * np.sin(om * (dt - tau)) / om, w * np.cos(om * (dt - tau)), tau) for tau, w in subnodes]
+        c, s = np.cos(om * dt), np.sin(om * dt)
+        expected = [np.concatenate([p, v])]
+        for k in range(grid.n_steps):
+            p, v = c * p + s / om * v, -om * s * p + c * v
+            for k_pos, k_vel, tau in kicks:
+                f = np.cos(ld(freq) * (k * dt + tau)) * g
+                p, v = p + k_pos * f, v + k_vel * f
+            expected.append(np.concatenate([p, v]))
+        expected = np.array(expected)
+        assert np.max(np.abs(states - expected)) <= 5e-14 * float(np.max(np.abs(expected)))
+
 
 class TestCouplingOperator:
     def test_quadratic_bound_and_coercivity_hold(self):

@@ -1,8 +1,8 @@
 """Property tests of the time-marching invariants over random geometries.
 
-Plateau couplings and observation weights, mode counts N <= 12 and horizons
-are drawn by hypothesis; the draws are derandomized so the suite stays
-deterministic.
+Plateau couplings and observation weights, mode counts N <= 12, horizons and
+forcing frequencies are drawn by hypothesis; the draws are derandomized so
+the suite stays deterministic.
 """
 
 import numpy as np
@@ -11,9 +11,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from wavecascade.spectral import CoefficientFunction, PlateauBump, SpectralSpace
+from wavecascade.spectral import CoefficientFunction, ModalCoefficients, PlateauBump, SpectralSpace
 from wavecascade.dynamics import (
     CascadeState,
+    ComponentState,
     CouplingOperator,
     Observer,
     TimeGrid,
@@ -21,6 +22,7 @@ from wavecascade.dynamics import (
     duality_pairing,
     evolve_cascade,
     evolve_cascade_backward,
+    evolve_forced_scalar,
 )
 from wavecascade.hum import HUMProblem, _backward_states, _workspace, controlled_forward
 from wavecascade.observability import _audit_forms, gramian_matrix, observation_history, weighted_gram
@@ -75,6 +77,39 @@ def test_duality_pairing_is_constant_along_controlled_and_adjoint_trajectories(c
     pairings = np.array([duality_pairing(y, a, n) for y, a in zip(forward, adjoint)])
     scale = np.max(np.linalg.norm(forward, axis=1) * np.linalg.norm(adjoint, axis=1))
     assert np.max(np.abs(pairings - pairings[0])) <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(geometry())
+def test_first_component_energy_is_conserved_along_the_cascade(case):
+    # u1 is free, so every step rotates each of its modes exactly
+    space, coupling, _, grid, x, _ = case
+    traj = evolve_cascade(CascadeState.from_vector(x, space), coupling, grid)
+    for k in (0, 1):
+        series = traj.energy_series(1, k)
+        assert np.max(np.abs(series - series[0])) <= 1e-12 * series[0]
+
+
+@PROPERTY_SETTINGS
+@given(geometry(), st.floats(0.0, 20.0))
+def test_forced_scalar_matches_per_step_rotate_then_kick_loop(case, freq):
+    space, _, _, grid, x, g = case
+    n = space.n_modes
+    p, v, g = x[:n], x[n : 2 * n], g[:n]
+    forcing = lambda t: np.cos(freq * t) * g
+    states = evolve_forced_scalar(
+        ComponentState(ModalCoefficients(p, space), ModalCoefficients(v, space)), forcing, grid
+    )
+    dt, om = grid.dt, space.frequencies
+    expected = [np.concatenate([p, v])]
+    for t in grid.times[:-1]:
+        p, v = np.cos(om * dt) * p + np.sin(om * dt) / om * v, -om * np.sin(om * dt) * p + np.cos(om * dt) * v
+        for tau, w in ((0.0, dt / 6.0), (0.5 * dt, 4.0 * dt / 6.0), (dt, dt / 6.0)):
+            f = forcing(t + tau)
+            p, v = p + w * np.sin(om * (dt - tau)) / om * f, v + w * np.cos(om * (dt - tau)) * f
+        expected.append(np.concatenate([p, v]))
+    expected = np.array(expected)
+    assert np.max(np.abs(states - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @PROPERTY_SETTINGS
