@@ -20,7 +20,13 @@ duality pairing used by the control modules.
 Coupled trajectories march their one-step matrix (``march``).  A single
 forced wave w'' + A w = f steps by the same rotation and Simpson kick, but
 there the step is the exact rotation alone, so ``forced_flow`` sums the
-whole recursion in the rotating frame with one prefix sum instead.
+whole recursion in the rotating frame with one prefix sum instead.  Both
+take their Simpson kernel from ``simpson_kick_weights``.
+
+A forcing f is a callable t -> modal coefficients.  It is called once, on a
+column of all the times it is needed at (shape (..., 1)), and its result is
+broadcast to one modal vector per time (shape (..., N)); a result that does
+not broadcast is a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -379,47 +385,29 @@ def cascade_step_matrix(
 
     ``driven='second'`` evolves (u1 free, u2'' + A u2 + M u1 = 0); with
     ``driven='first'`` the roles are swapped (y2 free, y1'' + A y1 + M y2 = 0),
-    which is the shape of the controlled system.  ``coupling_matrix`` is the
-    matrix M multiplying the free component's position.
+    which is the shape of the controlled system (``hum`` derives its
+    controlled stepper from the ``'second'`` one by duality; this branch is
+    the independent reference).  ``coupling_matrix`` is the matrix M
+    multiplying the free component's position.
 
     The free motion is the exact rotation; the coupling contribution is the
-    Simpson-in-step quadrature of the forcing integral with the free source
-    evaluated in closed form at the sub-nodes {0, dt/2, dt}.
+    Simpson kick (``simpson_kick_weights``) of the free source, evaluated in
+    closed form at the sub-nodes {0, dt/2, dt}.
     """
     n = space.n_modes
-    c, s_over, ms = free_flow(space, dt)
-    P = np.zeros((4 * n, 4 * n))
-    for pos, vel in ((0, 2 * n), (n, 3 * n)):
-        idx = np.arange(n)
-        P[pos + idx, pos + idx] = c
-        P[pos + idx, vel + idx] = s_over
-        P[vel + idx, pos + idx] = ms
-        P[vel + idx, vel + idx] = c
-
+    c, s, m = (np.diag(np.tile(block, 2)) for block in free_flow(space, dt))
+    P = np.block([[c, s], [m, c]])
     if coupling_matrix is not None:
-        if driven == "second":
-            src_pos, src_vel, drv_pos, drv_vel = 0, 2 * n, n, 3 * n
-        elif driven == "first":
-            src_pos, src_vel, drv_pos, drv_vel = n, 3 * n, 0, 2 * n
-        else:
+        source, target = np.r_[0:n, 2 * n : 3 * n], np.r_[n : 2 * n, 3 * n : 4 * n]
+        if driven == "first":
+            source, target = target, source
+        elif driven != "second":
             raise ValidationError("driven must be 'first' or 'second'")
-        taus = np.array([0.0, 0.5 * dt, dt])
-        wq = (dt / 6.0, 4.0 * dt / 6.0, dt / 6.0)
-        kernel_vel, kernel_pos = free_flow(space, dt - taus)[:2]
-        source_c, source_s = free_flow(space, taus)[:2]
-        inc = np.zeros((2 * n, 2 * n))
-        for w, k_pos, k_vel, src_c, src_s in zip(wq, kernel_pos, kernel_vel, source_c, source_s):
-            core = coupling_matrix  # source position nudged through the coupling
-            top = k_pos[:, None] * core
-            bot = k_vel[:, None] * core
-            inc[:n, :n] -= w * (top * src_c[None, :])
-            inc[:n, n:] -= w * (top * src_s[None, :])
-            inc[n:, :n] -= w * (bot * src_c[None, :])
-            inc[n:, n:] -= w * (bot * src_s[None, :])
-        P[drv_pos : drv_pos + n, src_pos : src_pos + n] += inc[:n, :n]
-        P[drv_pos : drv_pos + n, src_vel : src_vel + n] += inc[:n, n:]
-        P[drv_vel : drv_vel + n, src_pos : src_pos + n] += inc[n:, :n]
-        P[drv_vel : drv_vel + n, src_vel : src_vel + n] += inc[n:, n:]
+        # the Simpson kick of the source's free flow, nudged through the coupling
+        taus, kernel_pos, kernel_vel = simpson_kick_weights(space, dt)
+        kernels = np.hstack([kernel_pos, kernel_vel])
+        sources = np.hstack(free_flow(space, taus)[:2])
+        P[np.ix_(target, source)] -= np.tile(coupling_matrix, (2, 2)) * (kernels.T @ sources)
     return P
 
 
@@ -521,20 +509,29 @@ def evolve_cascade_backward(
     return CascadeTrajectory(space, grid, states)
 
 
-def simpson_kick_weights(space: SpectralSpace, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sub-node times and kernels of the Simpson kicks of a forced wave.
+def simpson_kick_weights(space: SpectralSpace, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sub-node offsets and kernels of the Simpson kicks of a forced wave.
 
-    Over the step from t_{k-1} to t_k, w'' + A w = f gains the kick
-    b_k = sum_j f(s_kj) * (pos_j, vel_j): the Simpson quadrature of the
-    Duhamel integral at the sub-nodes s_kj = t_{k-1} + {0, dt/2, dt}.
-    Returns the sub-node times (n_steps, 3) and the weighted kernels pos,
-    vel (3, N).
+    Over the step from t to t + dt, w'' + A w = f gains the kick
+    b = sum_j f(t + tau_j) * (pos_j, vel_j): the Simpson quadrature of the
+    Duhamel integral at the sub-nodes tau_j = {0, dt/2, dt}.  Returns the
+    offsets tau (3,) and the weighted kernels pos, vel (3, N); callers add
+    the step start times (``grid.times[:-1, None] + tau``).
     """
-    dt = grid.dt
     taus = np.array([0.0, 0.5 * dt, dt])
     quad = np.array([dt / 6.0, 4.0 * dt / 6.0, dt / 6.0])[:, None]
     kernel_vel, kernel_pos = free_flow(space, dt - taus)[:2]
-    return grid.times[:-1, None] + taus, quad * kernel_pos, quad * kernel_vel
+    return taus, quad * kernel_pos, quad * kernel_vel
+
+
+def _sample_forcing(forcing, times: np.ndarray, n_modes: int, name: str = "forcing") -> np.ndarray:
+    """One call of ``forcing`` on the column ``times[..., None]``, broadcast to ``times.shape + (N,)``."""
+    values = np.asarray(forcing(times[..., None]), dtype=float)
+    try:
+        return np.broadcast_to(values, times.shape + (n_modes,))
+    except ValueError:
+        message = f"{name}(t) of shape {values.shape} does not broadcast to {n_modes} modes per time"
+        raise ValidationError(message) from None
 
 
 def forced_flow(flow, states: np.ndarray) -> np.ndarray:
@@ -566,19 +563,18 @@ def evolve_forced_scalar(
 ) -> np.ndarray:
     """Evolve one forced wave component w'' + A w = f(t).
 
-    ``forcing(t)`` returns the modal coefficient vector of f at time t; it is
-    sampled once at the Simpson sub-nodes of every step
-    (``simpson_kick_weights``).  Each step rotates exactly and adds its
-    Simpson kick; ``forced_flow`` sums these steps in closed form.
-    Returns node states of shape (n_steps + 1, 2N).
+    ``forcing(t)`` returns the modal coefficients of f; it is called once, on
+    the column of all Simpson sub-node times (shape (n_steps, 3, 1)), and its
+    result is broadcast to (n_steps, 3, N) (``_sample_forcing``).  Each step
+    rotates exactly and adds its Simpson kick (``simpson_kick_weights``);
+    ``forced_flow`` sums these steps in closed form.  Returns node states of
+    shape (n_steps + 1, 2N).
     """
     space = initial.space
     grid.validate_for(space)
     n = space.n_modes
-    substeps, kernel_pos, kernel_vel = simpson_kick_weights(space, grid)
-    samples = np.empty((grid.n_steps, 3, n))
-    for row, t in zip(samples.reshape(-1, n), substeps.ravel()):
-        row[:] = forcing(t)
+    taus, kernel_pos, kernel_vel = simpson_kick_weights(space, grid.dt)
+    samples = _sample_forcing(forcing, grid.times[:-1, None] + taus, n)
     states = np.empty((grid.n_steps + 1, 2 * n))
     states[0] = initial.as_vector()
     states[1:, :n] = np.einsum("kjn,jn->kn", samples, kernel_pos)

@@ -15,8 +15,9 @@ appropriate weak metric.
 The discretization is chosen so that the duality bookkeeping is exact: the
 adjoint trajectory is stepped with the reversible one-step propagator, the
 control acts on the controlled system through node injections carrying the
-time-quadrature weights, and the controlled stepper is the exact dual of
-the adjoint stepper under the wave duality pairing.  As a result the
+time-quadrature weights, and the controlled stepper is derived from the
+adjoint stepper as its dual under the wave duality pairing (the transpose
+with position and velocity halves swapped).  As a result the
 discrete transposition identity holds to roundoff and terminal nulling is
 limited only by the conjugate-gradient tolerance, not by the time step.
 """
@@ -34,6 +35,7 @@ from .dynamics import (
     CouplingOperator,
     Observer,
     TimeGrid,
+    _sample_forcing,
     cascade_step_matrix,
     duality_pairing,
     march,
@@ -70,8 +72,10 @@ class HUMProblem:
     strong product space) or 'boundary' (Dirichlet control, weak product
     space).  ``initial_data`` is the state (y1, y2, y1', y2') to drive to
     rest; ``source`` an optional forcing of the controlled equation given as
-    a callable t -> modal coefficient vector.  The observer doubles as the
-    control operator: its weight is the control profile.
+    a callable t -> modal coefficients, called once on the column of grid
+    times (shape (n_steps + 1, 1)) with its result broadcast to
+    (n_steps + 1, N).  The observer doubles as the control operator: its
+    weight is the control profile.
     """
 
     case: str
@@ -79,7 +83,7 @@ class HUMProblem:
     coupling: CouplingOperator | None
     observer: Observer
     grid: TimeGrid
-    source: object = None  # callable t -> modal vector, or None
+    source: object = None  # callable t -> modal coefficients (broadcast per time), or None
     cg_tolerance: float = 1e-10
     max_iterations: int = 2000
     observability_floor: float = 1e-8
@@ -173,7 +177,7 @@ class _Workspace:
     """Cached operators for one problem."""
 
     step_back: np.ndarray     # P^{-1}, P the adjoint one-step propagator (exact, via velocity reflection)
-    step_controlled: np.ndarray  # controlled stepper, exact dual of P
+    step_controlled: np.ndarray  # P^T with position and velocity halves swapped: the dual of P
     obs_rows: np.ndarray
     xd: np.ndarray            # adjoint space diagonal weights
     source_nodes: np.ndarray | None  # xi samples at nodes, (n+1, N)
@@ -183,21 +187,18 @@ def _workspace(problem: HUMProblem) -> _Workspace:
     space = problem.space
     n = space.n_modes
     cmat = None if problem.coupling is None else problem.coupling.matrix
-    step = cascade_step_matrix(space, cmat, problem.grid.dt, driven="second")
-    controlled = cascade_step_matrix(
-        space, None if cmat is None else cmat.T, problem.grid.dt, driven="first"
-    )
+    step = cascade_step_matrix(space, cmat, problem.grid.dt)
     if problem.source is None:
         source_nodes = None
     else:
-        source_nodes = np.vstack([np.asarray(problem.source(t), dtype=float) for t in problem.grid.times])
-        if source_nodes.shape != (problem.grid.n_steps + 1, n):
-            raise ValidationError("source(t) must return a modal coefficient vector")
+        source_nodes = _sample_forcing(problem.source, problem.grid.times, n, "source")
         if not np.all(np.isfinite(source_nodes)):
             raise ValidationError("source(t) returned non-finite values")
     return _Workspace(
         step_back=reversed_step(step, n),
-        step_controlled=controlled,
+        # the dual of P keeps the pairing matrix J: Pc^T J P = J, so Pc = J^{-1} (P^{-1})^T J;
+        # with P^{-1} = R P R (R negates velocities) that is P^T with the halves swapped
+        step_controlled=np.ascontiguousarray(np.roll(step.T, 2 * n, axis=(0, 1))),
         obs_rows=adjoint_observation_rows(problem.observer, space),
         xd=adjoint_space_weights(space, problem.case),
         source_nodes=source_nodes,
@@ -218,22 +219,6 @@ def _backward_states(final_vector: np.ndarray, ws: _Workspace, grid: TimeGrid) -
     states[-1] = final_vector
     march(ws.step_back, states[::-1])
     return states
-
-
-def _node_forcing(problem: HUMProblem, control: TimeSampledControl | None, ws: _Workspace) -> np.ndarray:
-    """Control and source at every node as full adjoint-side states, shape (n_steps + 1, 4N).
-
-    The control enters through the transposed observation rows, the source
-    in the driven position block.
-    """
-    n = problem.space.n_modes
-    if control is None:
-        forcing = np.zeros((problem.grid.n_steps + 1, 4 * n))
-    else:
-        forcing = control.values @ ws.obs_rows
-    if ws.source_nodes is not None:
-        forcing[:, n : 2 * n] += ws.source_nodes
-    return forcing
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +252,12 @@ def assemble_rhs(problem: HUMProblem, _ws: _Workspace | None = None) -> np.ndarr
     the duality pairing of the initial data against the adjoint state at
     time zero plus the node-quadrature pairing of the source against the
     adjoint's driven position.  Its Riesz representative in the adjoint
-    space metric is ell divided by the diagonal weights.  Computed by one
-    adjoint accumulation sweep (no final data needed).
+    space metric is ell divided by the diagonal weights.  By the
+    transposition identity this is the pairing of the uncontrolled terminal
+    state y(T) against W^T, so ell = -J y(T) with J the pairing matrix.
     """
     ws = _ws or _workspace(problem)
-    n = problem.space.n_modes
-    states = _node_forcing(problem, None, ws)
-    states *= problem.grid.node_weights[:, None]
-    # transpose of the pairing matrix is its negative
-    states[0] -= _pairing_matrix_apply(problem.initial_data.as_vector(), n)
-    return march(ws.step_back.T, states)[-1]
+    return -_pairing_matrix_apply(controlled_forward(problem, None, ws)[-1], problem.space.n_modes)
 
 
 def dense_hum_matrix(problem: HUMProblem, _ws: _Workspace | None = None) -> np.ndarray:
@@ -309,7 +290,14 @@ def controlled_forward(
     """
     ws = _ws or _workspace(problem)
     n = problem.space.n_modes
-    states = _pairing_matrix_apply(_node_forcing(problem, control, ws), n)
+    # control through the transposed observation rows, source in the driven position block
+    if control is None:
+        forcing = np.zeros((problem.grid.n_steps + 1, 4 * n))
+    else:
+        forcing = control.values @ ws.obs_rows
+    if ws.source_nodes is not None:
+        forcing[:, n : 2 * n] += ws.source_nodes
+    states = _pairing_matrix_apply(forcing, n)
     states *= problem.grid.node_weights[:, None]
     states[0] += problem.initial_data.as_vector()
     return march(ws.step_controlled, states)

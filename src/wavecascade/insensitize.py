@@ -59,7 +59,10 @@ class InsensitizeProblem:
     controlled wave; the perturbations enter the same slots with small
     amplitudes.  ``observation_weight`` is the nonnegative weight of Phi
     (its core region is the observation set); the control is either an
-    interior weight or boundary endpoint weights.
+    interior weight or boundary endpoint weights.  ``source`` is an
+    optional forcing of the controlled equation with the contract of
+    ``HUMProblem.source``: a callable t -> modal coefficients, called once
+    on the column of grid times and broadcast to one vector per node.
     """
 
     known_position: ModalCoefficients
@@ -70,7 +73,7 @@ class InsensitizeProblem:
     control_weight: CoefficientFunction | None = None
     b_left: float = 0.0
     b_right: float = 0.0
-    source: object = None
+    source: object = None  # callable t -> modal coefficients (broadcast per time), or None
     n_steps: int | None = None
     cg_tolerance: float = 1e-10
     max_iterations: int = 2000
@@ -226,7 +229,7 @@ def phi_functional(y2_positions: np.ndarray, weight_matrix: np.ndarray, weights:
     (one row per node), ``weight_matrix`` the multiplication matrix of the
     observation weight, ``weights`` the time-quadrature weights.
     """
-    quad = np.einsum("ki,ij,kj->k", y2_positions, weight_matrix, y2_positions)
+    quad = np.einsum("ki,ki->k", y2_positions @ weight_matrix, y2_positions)
     return 0.5 * float(weights @ quad)
 
 

@@ -706,7 +706,8 @@ def estimate_uniform_constants(
 
     # the forcing cos(freq t) g is separable: its kicks are the kicks of the
     # time profile cos(freq t) times g
-    substeps, kernel_pos, kernel_vel = simpson_kick_weights(space, grid)
+    taus, kernel_pos, kernel_vel = simpson_kick_weights(space, grid.dt)
+    substeps = times[:-1, None] + taus
     second_ratio = 0.0
     n = space.n_modes
     for _ in range(ensemble):

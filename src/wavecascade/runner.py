@@ -467,6 +467,7 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
         source=config.source(space, rng),
         cg_tolerance=config.get("hum", "cg_tolerance", default=1e-10, cast=float),
         max_iterations=config.get("hum", "max_iterations", default=2000, cast=int),
+        observability_floor=config.get("hum", "observability_floor", default=1e-8, cast=float),
         perturbation_count=config.get("insensitize", "perturbations", default=10, cast=int),
         seed=config.seed + 1,
     )

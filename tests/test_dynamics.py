@@ -234,6 +234,26 @@ class TestStepStructure:
             y = Q @ y
         assert np.max(np.abs(np.diff(pairings))) < 1e-12 * max(1.0, abs(pairings[0]))
 
+    @pytest.mark.parametrize("driven", ["second", "first"])
+    @pytest.mark.parametrize("dt", [0.01, 0.003])
+    def test_coupling_block_matches_per_sub_node_loop(self, driven, dt):
+        # reference: one Simpson sub-node at a time, the driven block nudged
+        # by kernel(dt - tau) * M * free source(tau)
+        space = SpectralSpace(12)
+        n = space.n_modes
+        M = RNG.standard_normal((n, n))
+        om = space.frequencies
+        src, drv = (0, n) if driven == "second" else (n, 0)
+        expected = cascade_step_matrix(space, None, dt)
+        for tau, w in ((0.0, dt / 6.0), (0.5 * dt, 4.0 * dt / 6.0), (dt, dt / 6.0)):
+            kernels = (np.sin(om * (dt - tau)) / om, np.cos(om * (dt - tau)))
+            sources = (np.cos(om * tau), np.sin(om * tau) / om)
+            for row, kernel in zip((drv, drv + 2 * n), kernels):
+                for col, source in zip((src, src + 2 * n), sources):
+                    expected[row : row + n, col : col + n] -= w * kernel[:, None] * M * source[None, :]
+        P = cascade_step_matrix(space, M, dt, driven=driven)
+        assert np.max(np.abs(P - expected)) <= 1e-14 * np.max(np.abs(expected))
+
 
 class TestGenerator:
     def test_apply_reads_velocities(self):
@@ -430,6 +450,33 @@ class TestForcedScalar:
         expected = np.array(expected)
         states = evolve_forced_scalar(initial, forcing, grid)
         assert np.max(np.abs(states - expected)) <= 1e3 * np.finfo(float).eps * np.max(np.abs(expected))
+
+    def test_forcing_is_called_once_on_a_column_of_times(self):
+        space = SpectralSpace(8)
+        grid = TimeGrid(1.0, 64)
+        g = RNG.standard_normal(8)
+        shapes = []
+
+        def forcing(t):
+            shapes.append(np.shape(t))
+            return np.cos(3.0 * t) * g
+
+        evolve_forced_scalar(ComponentState(space.zero(), space.zero()), forcing, grid)
+        assert shapes == [(grid.n_steps, 3, 1)]
+
+    def test_constant_forcing_vector_is_broadcast_over_time(self):
+        space = SpectralSpace(8)
+        grid = TimeGrid(1.0, 64)
+        g = RNG.standard_normal(8)
+        initial = ComponentState(space.zero(), space.zero())
+        constant = evolve_forced_scalar(initial, lambda t: g, grid)
+        assert np.array_equal(constant, evolve_forced_scalar(initial, lambda t: np.ones_like(t) * g, grid))
+
+    def test_forcing_of_wrong_length_rejected(self):
+        space = SpectralSpace(8)
+        initial = ComponentState(space.zero(), space.zero())
+        with pytest.raises(ValidationError, match="broadcast"):
+            evolve_forced_scalar(initial, lambda t: np.ones(9), TimeGrid(1.0, 64))
 
     def test_long_run_matches_extended_precision_recursion(self):
         # the audit's forced waves: N = 16 over 5866 steps, forcing cos(freq t) g

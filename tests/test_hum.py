@@ -15,6 +15,7 @@ from wavecascade.dynamics import (
     CouplingOperator,
     Observer,
     TimeGrid,
+    cascade_step_matrix,
     duality_pairing,
     invert_generator,
 )
@@ -138,6 +139,25 @@ class TestAssembleRhs:
                 )
                 paired = float(ell @ probe)
                 assert paired == pytest.approx(direct, rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("make", [interior_problem, boundary_problem])
+    def test_matches_adjoint_accumulation_march(self, make):
+        # reference: march the transposed backward step over the weighted
+        # source nodes, starting from the paired initial data
+        prob = make(8, source=lambda t: np.sin(t) * np.ones(8))
+        ws = _workspace(prob)
+        n, m = 8, prob.grid.n_steps
+        states = np.zeros((m + 1, 4 * n))
+        states[:, n : 2 * n] = ws.source_nodes
+        states *= prob.grid.node_weights[:, None]
+        x0 = prob.initial_data.as_vector()
+        states[0] -= np.concatenate([-x0[2 * n :], x0[: 2 * n]])
+        for k in range(m):
+            states[k + 1] += ws.step_back.T @ states[k]
+        expected = states[-1]
+        # two marches of m steps in different orders: rounding grows with m
+        tol = m * np.finfo(float).eps
+        assert np.linalg.norm(assemble_rhs(prob, ws) - expected) <= tol * np.linalg.norm(expected)
 
     def test_second_component_data_reduces_to_scalar_form(self):
         # data only in the controlled component pairs only against its slots
@@ -329,6 +349,35 @@ class TestTransposition:
         prob = interior_problem(8, source=lambda t: np.full(8, np.nan))
         with pytest.raises(ValidationError, match="non-finite"):
             _workspace(prob)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("coupling", [True, False])
+    def test_controlled_step_matches_first_driven_stepper(self, coupling):
+        prob = interior_problem(12, coupling=coupling)
+        cmat = prob.coupling.matrix.T if coupling else None
+        expected = cascade_step_matrix(prob.space, cmat, prob.grid.dt, driven="first")
+        step = _workspace(prob).step_controlled
+        assert np.max(np.abs(step - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_source_is_called_once_on_a_column_of_times(self):
+        g = RNG.standard_normal(8)
+        shapes = []
+
+        def source(t):
+            shapes.append(np.shape(t))
+            return np.cos(2.0 * t) * g
+
+        prob = interior_problem(8, source=source)
+        ws = _workspace(prob)
+        assert shapes == [(prob.grid.n_steps + 1, 1)]
+        expected = np.array([np.cos(2.0 * t) * g for t in prob.grid.times])
+        assert np.max(np.abs(ws.source_nodes - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("make", [interior_problem, boundary_problem])
+    def test_source_of_wrong_length_rejected(self, make):
+        with pytest.raises(ValidationError, match="broadcast"):
+            _workspace(make(8, source=lambda t: np.ones(9)))
 
 
 class TestSpaces:

@@ -160,6 +160,23 @@ class TestRunKinds:
         assert lines[1].startswith("  [FAIL] convergence: conjugate gradient stalled")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("config", ["criterion08_hum_interior", "criterion09_insensitize_interior"])
+    def test_observability_floor_refuses_with_one_line(self, tmp_path, capsys, config):
+        # the contrast of both control Gramians is about 1e-3
+        code = main([
+            f"{CONFIG_DIR}/{config}.ini",
+            "-o",
+            str(tmp_path / "out"),
+            "--set",
+            "hum.observability_floor=0.5",
+        ])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "status 1"
+        assert lines[1].startswith("  [FAIL] refusal: control Gramian fails the observability floor")
+        assert "floor=0.5" in lines[1]
+        assert len(lines) == 2
+
     def test_config_error_exit_code(self, tmp_path):
         assert main([str(tmp_path / "missing.ini")]) == 2
 
