@@ -530,15 +530,9 @@ def random_cascade_states(space: SpectralSpace, count: int, seed: int) -> list[C
 
 def _energy_metrics(space: SpectralSpace) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal metrics of the weak energy of u1 and the natural energy of u2."""
-    n = space.n_modes
-    lam = space.eigenvalues
-    weak_first = np.zeros(4 * n)
-    weak_first[:n] = 0.5
-    weak_first[2 * n : 3 * n] = 0.5 / lam
-    natural_second = np.zeros(4 * n)
-    natural_second[n : 2 * n] = 0.5 * lam
-    natural_second[3 * n :] = 0.5
-    return weak_first, natural_second
+    weights = norm_weights(space)
+    first = np.repeat([True, False, True, False], space.n_modes)  # u1 and its velocity
+    return np.where(first, weights, 0.0), np.where(first, 0.0, weights)
 
 
 def _integrated_form(metric: np.ndarray, step: np.ndarray, weights: np.ndarray) -> np.ndarray:

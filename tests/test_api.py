@@ -26,3 +26,12 @@ def test_package_reexports_resolve():
         module = importlib.import_module(f"wavecascade.{node.module}")
         for alias in node.names:
             assert getattr(wavecascade, alias.name) is getattr(module, alias.name)
+
+
+def test_every_traced_layer_resolves_to_a_wavecascade_function(monkeypatch):
+    # a retired or renamed function would otherwise read as a layer with 0 calls
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    layers = importlib.import_module("layers")
+    for span in layers.LAYERS:
+        module, name = span.split(".", 1)
+        assert callable(getattr(importlib.import_module(f"wavecascade.{module}"), name, None)), span

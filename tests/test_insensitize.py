@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavecascade.errors import RefusalError
+from wavecascade.errors import RefusalError, ValidationError
 from wavecascade.spectral import (
     CoefficientFunction,
     ModalCoefficients,
@@ -12,7 +12,7 @@ from wavecascade.spectral import (
     assemble_multiplication_matrix,
 )
 from wavecascade.dynamics import TimeGrid
-from wavecascade.hum import TimeSampledControl
+from wavecascade.hum import TimeSampledControl, controlled_forward
 from wavecascade.insensitize import (
     InsensitizeProblem,
     fine_second_positions,
@@ -22,7 +22,7 @@ from wavecascade.insensitize import (
     trajectory_phi,
     verify_converse,
 )
-from wavecascade.insensitize import _fd_derivatives
+from wavecascade.insensitize import _fd_derivative, _response
 
 RNG = np.random.default_rng(20240815)
 
@@ -96,8 +96,10 @@ class TestSensitivityDerivatives:
         z0 /= np.sqrt(np.sum(space.eigenvalues * z0**2))
         z1 = RNG.standard_normal(12)
         z1 /= np.linalg.norm(z1)
-        a0, a1 = sensitivity_derivatives(prob, control, z0, z1, _hum=hum)
-        f0, f1 = _fd_derivatives(prob, hum, control, z0, z1)
+        a0, a1 = sensitivity_derivatives(prob, control, z0, z1)
+        states = controlled_forward(hum, control)
+        f0 = _fd_derivative(prob, states, _response(hum, z0, np.zeros(12)))
+        f1 = _fd_derivative(prob, states, _response(hum, np.zeros(12), z1))
         assert f0 == pytest.approx(a0, rel=1e-5)
         assert f1 == pytest.approx(a1, rel=1e-5)
 
@@ -213,3 +215,20 @@ class TestTrajectoryPhi:
         states_fine = controlled_forward(prob_fine.hum_problem(), None)
         phi_fine = trajectory_phi(prob_fine, states_fine)
         assert phi_coarse == pytest.approx(phi_fine, rel=1e-6)
+
+
+class TestProblemValidation:
+    @pytest.mark.parametrize(
+        "steps",
+        [(1e-3, 1e-3), (0.0, 1e-4), (-1e-3, 1e-4), (1e-3, float("nan")), (1e-3, float("inf")),
+         (1e-3,), (1e-3, 1e-4, 1e-5), ("1e-3", 1e-4), 1e-3],
+    )
+    def test_rejects_fd_steps_that_are_not_two_distinct_positive_numbers(self, steps):
+        space = SpectralSpace(8)
+        with pytest.raises(ValidationError):
+            make_problem(8, data=(space.zero(), space.zero()), fd_steps=steps)
+
+    def test_accepts_either_step_order(self):
+        space = SpectralSpace(8)
+        prob = make_problem(8, data=(space.zero(), space.zero()), fd_steps=(1e-4, 1e-3))
+        assert prob.fd_steps == (1e-4, 1e-3)

@@ -5,6 +5,8 @@ forcing frequencies are drawn by hypothesis; the draws are derandomized so
 the suite stays deterministic.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,22 @@ from wavecascade.dynamics import (
     evolve_cascade_backward,
     evolve_forced_scalar,
 )
-from wavecascade.hum import HUMProblem, _backward_states, _workspace, controlled_forward
-from wavecascade.observability import _audit_forms, gramian_matrix, observation_history, weighted_gram
+from wavecascade.hum import (
+    HUMProblem,
+    TimeSampledControl,
+    _backward_states,
+    _workspace,
+    controlled_forward,
+    solve_hum,
+)
+from wavecascade.insensitize import _response
+from wavecascade.observability import (
+    _audit_forms,
+    gcc_min_time,
+    gramian_matrix,
+    observation_history,
+    weighted_gram,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=15, derandomize=True, deadline=None)
 
@@ -171,3 +187,63 @@ def test_solver_gramian_is_symmetric_positive_semidefinite(case):
     assert np.array_equal(gram, gram.T)
     eigvals = np.linalg.eigvalsh(gram)
     assert eigvals[0] >= -1e-12 * eigvals[-1]
+
+
+@PROPERTY_SETTINGS
+@given(geometry(), st.floats(-10.0, 10.0), st.floats(0.0, 20.0), st.integers(0, 2**32 - 1))
+def test_controlled_solve_is_affine_in_the_known_data(case, tau, freq, seed):
+    # the insensitizing certificate differences Phi along base + tau * response
+    space, coupling, observer, grid, x, w = case
+    n = space.n_modes
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(n)
+    control = TimeSampledControl(rng.standard_normal((grid.n_steps + 1, n)), "interior", grid)
+
+    def data(v):  # known position and velocity of the controlled component
+        return CascadeState(space.zero(), ModalCoefficients(v[:n], space), space.zero(),
+                            ModalCoefficients(v[n : 2 * n], space))
+
+    problem = HUMProblem("interior", data(x), coupling, observer, grid, source=lambda t: np.cos(freq * t) * g)
+    base = controlled_forward(problem, control)
+    response = _response(problem, w[:n], w[n : 2 * n])
+    perturbed = controlled_forward(replace(problem, initial_data=data(x + tau * w)), control)
+    scale = max(np.max(np.abs(base)), np.max(np.abs(tau * response)))
+    assert np.max(np.abs(perturbed - (base + tau * response))) <= 1e-12 * scale
+
+
+@st.composite
+def hum_case(draw):
+    """Interior or boundary HUM problem and a second data vector.
+
+    The horizon exceeds the sum of the coupling's and the control's
+    geometric control times: above their maximum alone, one-sided boundary
+    controls of the cascade still fail the observability floor.
+    """
+    space = SpectralSpace(draw(st.integers(2, 12)))
+    coupling = CouplingOperator(draw(plateau()), space)
+    if draw(st.booleans()):
+        observer = Observer("interior", weight=draw(plateau()))
+    else:
+        sides = draw(st.sampled_from([(1, 0), (0, 1), (1, 1)]))
+        b_left, b_right = (s * draw(st.floats(0.25, 2.0)) for s in sides)
+        observer = Observer("boundary", b_left=b_left, b_right=b_right)
+    horizon = gcc_min_time(coupling.core_region) + gcc_min_time(observer.region) + draw(st.floats(0.25, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, w = rng.standard_normal((2, 4 * space.n_modes))
+    grid = TimeGrid.for_space(space, horizon)
+    return HUMProblem(observer.kind, CascadeState.from_vector(x, space), coupling, observer, grid), w
+
+
+@PROPERTY_SETTINGS
+@given(hum_case(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_hum_solution_map_is_linear(case, alpha, beta):
+    problem, w = case
+    x = problem.initial_data.as_vector()
+
+    def control(v):
+        return solve_hum(replace(problem, initial_data=CascadeState.from_vector(v, problem.space))).control.values
+
+    cx, cw = control(x), control(w)
+    mixed = control(alpha * x + beta * w)
+    scale = np.linalg.norm(alpha * cx) + np.linalg.norm(beta * cw)
+    assert np.linalg.norm(mixed - (alpha * cx + beta * cw)) <= 1e-7 * scale
