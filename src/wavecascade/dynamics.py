@@ -249,6 +249,8 @@ class Observer:
             if self.weight is None:
                 raise ValidationError("interior observer needs a weight function")
         elif self.kind == "boundary":
+            if not (np.isfinite(self.b_left) and np.isfinite(self.b_right)):
+                raise ValidationError("boundary weights must be finite")
             if self.b_left < 0 or self.b_right < 0:
                 raise ValidationError("boundary weights must be nonnegative")
             if self.b_left == 0 and self.b_right == 0:

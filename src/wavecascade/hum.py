@@ -95,8 +95,12 @@ class HUMProblem:
             raise ValidationError("interior case needs an interior observer/control weight")
         if self.case == "boundary" and self.observer.kind != "boundary":
             raise ValidationError("boundary case needs a boundary observer/control weight")
-        if self.cg_tolerance <= 0:
-            raise ValidationError("cg_tolerance must be positive")
+        if not (np.isfinite(self.cg_tolerance) and self.cg_tolerance > 0):
+            raise ValidationError(f"cg_tolerance must be finite and positive, got {self.cg_tolerance}")
+        if self.max_iterations < 1:
+            raise ValidationError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if not (np.isfinite(self.observability_floor) and self.observability_floor >= 0):
+            raise ValidationError(f"observability_floor must be finite and nonnegative, got {self.observability_floor}")
         self.grid.validate_for(self.space)
 
     @property
@@ -263,12 +267,12 @@ def assemble_rhs(problem: HUMProblem, _ws: _Workspace | None = None) -> np.ndarr
 def dense_hum_matrix(problem: HUMProblem, _ws: _Workspace | None = None) -> np.ndarray:
     """Dense 4N x 4N control Gramian, the matrix that apply_hum_gramian applies.
 
-    Assembled by the chunked weighted_gram on the adjoint observation rows
-    and the backward propagator.
+    weighted_gram of the form rows^T rows of the adjoint observation rows
+    under the backward propagator: node n_steps - j lies j backward steps
+    from the final data, and the Simpson weights are symmetric.
     """
     ws = _ws or _workspace(problem)
-    # node n_steps - j lies j backward steps from the final data
-    return weighted_gram(ws.obs_rows, ws.step_back, problem.grid.node_weights[::-1])
+    return weighted_gram(ws.obs_rows.T @ ws.obs_rows, ws.step_back, problem.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,16 @@ in the known data, so the trajectory at data + tau z is the base trajectory
 plus tau times the response to z alone (no control, no source); Phi along
 each perturbation is then a quadratic in tau, evaluated without
 re-simulating.  Both sides run through the same discrete model, in which the
-analytic pairing is the exact derivative of the discrete functional.
+analytic pairing is the exact derivative of the discrete functional.  At the
+constructed control both derivatives vanish below the finite-difference
+resolution, so the two sides are also compared at the zero control, where
+the derivative is resolved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -107,6 +111,11 @@ class InsensitizeProblem:
     def space(self) -> SpectralSpace:
         return self.known_position.space
 
+    @cached_property
+    def weight_matrix(self) -> np.ndarray:
+        """Multiplication matrix of the observation weight, assembled once."""
+        return assemble_multiplication_matrix(self.observation_weight, self.space)
+
     @property
     def grid(self) -> TimeGrid:
         if self.n_steps is not None:
@@ -173,7 +182,10 @@ class InsensitizeCertificate:
     Phi (derivative entries).  ``fd_agreement`` is the worst relative gap
     between analytic and Richardson-extrapolated central differences, with
     the relative floor 1e-6 * phi_baseline guarding the insensitized regime
-    where both derivatives vanish.
+    where both derivatives vanish.  ``fd_reference`` holds the analytic and
+    finite-difference derivatives along the robustness perturbation at the
+    zero control, where Phi is not insensitized and the derivative is
+    resolved.
     """
 
     phi_baseline: float
@@ -184,6 +196,7 @@ class InsensitizeCertificate:
     cg_iterations: int
     final_residual: float
     fd_resolution: float = 0.0
+    fd_reference: tuple[float, float] = (0.0, 0.0)
 
     @property
     def max_terminal_relative(self) -> float:
@@ -216,6 +229,17 @@ class InsensitizeCertificate:
                     continue
                 worst = max(worst, abs(a - f) / max(abs(a), abs(f)))
         return worst
+
+    @property
+    def fd_reference_agreement(self) -> float:
+        """Relative gap between the two reference derivatives.
+
+        A reference derivative below the finite-difference resolution reads
+        inf: the oracle has nothing to compare, so it must not pass.
+        """
+        a, f = self.fd_reference
+        size = max(abs(a), abs(f))
+        return abs(a - f) / size if size > self.fd_resolution else float("inf")
 
 
 @dataclass(frozen=True)
@@ -264,9 +288,8 @@ def fine_second_positions(states: np.ndarray, space: SpectralSpace, grid: TimeGr
 
 def trajectory_phi(problem: InsensitizeProblem, states: np.ndarray) -> float:
     """Phi of a controlled trajectory (fine half-step quadrature)."""
-    weight_matrix = assemble_multiplication_matrix(problem.observation_weight, problem.space)
     fine = fine_second_positions(states, problem.space, problem.grid)
-    return phi_functional(fine, weight_matrix, problem.grid.fine_weights)
+    return phi_functional(fine, problem.weight_matrix, problem.grid.fine_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +322,8 @@ def _modal_derivatives(problem: InsensitizeProblem, states: np.ndarray) -> tuple
     """
     space = problem.space
     grid = problem.grid
-    weight_matrix = assemble_multiplication_matrix(problem.observation_weight, space)
     fine = fine_second_positions(states, space, grid)
-    weighted = (grid.fine_weights[:, None] * fine) @ weight_matrix
+    weighted = (grid.fine_weights[:, None] * fine) @ problem.weight_matrix
     cos_t, sin_t = free_flow(space, grid.fine_times)[:2]
     return (weighted * cos_t).sum(axis=0), (weighted * sin_t).sum(axis=0)
 
@@ -357,8 +379,9 @@ def insensitize(problem: InsensitizeProblem):
     the given horizon; the underlying exact-control solve additionally
     enforces the Gramian observability floor.  The certificate carries the
     terminal norms of both cascade components, the analytic and finite
-    difference sensitivity derivatives over the perturbation pool, and the
-    quadratic-robustness exponent of Phi.
+    difference sensitivity derivatives over the perturbation pool, the
+    quadratic-robustness exponent of Phi, and the finite-difference oracle
+    at the zero control along the robustness perturbation.
     """
     checks = []
     if problem.observation_region is not None:
@@ -390,13 +413,18 @@ def insensitize(problem: InsensitizeProblem):
         f1 = _fd_derivative(problem, states, _response(hum, zero, z1, ws))
         records.append(PerturbationRecord(i, float(per_position @ z0), f0, float(per_velocity @ z1), f1))
 
-    response = _response(hum, *_unit_perturbations(problem, 1, rng)[0], ws)
+    z0, z1 = _unit_perturbations(problem, 1, rng)[0]
+    response = _response(hum, z0, z1, ws)
     taus = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     deltas = np.array([abs(trajectory_phi(problem, states + tau * response) - phi0) for tau in taus])
     if np.all(deltas > 0):
         exponent = float(np.polyfit(np.log(taus), np.log(deltas), 1)[0])
     else:
         exponent = float("inf")  # perturbations invisible to Phi
+
+    reference = controlled_forward(hum, None, ws)
+    ref_pos, ref_vel = _modal_derivatives(problem, reference)
+    fd_reference = (float(ref_pos @ z0 + ref_vel @ z1), _fd_derivative(problem, reference, response))
 
     certificate = InsensitizeCertificate(
         phi_baseline=phi0,
@@ -407,6 +435,7 @@ def insensitize(problem: InsensitizeProblem):
         cg_iterations=solution.cg_iterations,
         final_residual=solution.final_residual,
         fd_resolution=1e3 * np.finfo(float).eps * phi0 / min(problem.fd_steps),
+        fd_reference=fd_reference,
     )
     return control, certificate
 

@@ -121,54 +121,38 @@ def _propagated(rows: np.ndarray, step: np.ndarray):
         rows = rows @ step
 
 
-def _row_chunk(rows: np.ndarray, step: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """[rows; rows step; ...; rows step^(k-1)] and step^k, by doubling.
+def weighted_gram(form: np.ndarray, step: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Composite-Simpson sum over the grid's nodes of w_m (step^m)^T form step^m.
 
-    Walks the bits of k from the top: each bit doubles the chunk (appending
-    the chunk times the current power), a set bit appends one more block.
+    With form = rows^T rows for the observation rows and the one-step
+    propagator this is the observability Gramian; by duality, with the
+    adjoint rows and the backward propagator it is the control Gramian.
+
+    The Simpson weights h/3 (1, 4, 2, ..., 4, 1) split the sum exactly: with
+    U the sum over j < M/2 of (step^2j)^T form step^2j it is
+    (h/3) (4 step^T U step + 2 U - form + (step^M)^T form step^M).  U and
+    step^M come from one binary doubling over the bits of M/2 in the square
+    A = step^2 (the squared Smith iteration): U_2n = U_n + (A^n)^T U_n A^n
+    and U_n+1 = form + A^T U_n A, at O(d^3 log M) for the d x d state.
     """
-    block, power = rows, step
-    for bit in bin(k)[3:]:
-        block = np.vstack([block, block @ power])
+    square = step @ step
+    acc, power = form, square  # U_1 and A^1
+    for bit in bin(grid.n_steps // 2)[3:]:
+        acc = acc + power.T @ acc @ power
         power = power @ power
         if bit == "1":
-            block = np.vstack([block, rows @ power])
-            power = power @ step
-    return block, power
-
-
-def weighted_gram(rows: np.ndarray, step: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Symmetrized sum over m of weights[m] (rows step^m)^T (rows step^m).
-
-    With observation rows and the one-step propagator this is the
-    observability Gramian; by duality, with the adjoint rows and propagator
-    it is the control Gramian.
-
-    The nodes are taken k = max(1, d // r) at a time (d the state size, r
-    the number of rows), so a chunk of k r propagated rows is never larger
-    than the Gramian.  The first chunk is built by doubling, each later one
-    is the previous times step^k, and each enters the sum as one product
-    chunk^T (w * chunk) with the node weights repeated over the rows.
-    """
-    r, d = rows.shape
-    k = max(1, d // r)
-    block, advance = _row_chunk(rows, step, k)
-    gram = np.zeros((d, d))
-    for start in range(0, len(weights), k):
-        w = np.repeat(weights[start : start + k], r)
-        chunk = block[: w.size]
-        gram += chunk.T @ (w[:, None] * chunk)
-        if start + k < len(weights):
-            block = block @ advance
+            acc = form + square.T @ acc @ square
+            power = power @ square
+    gram = (grid.dt / 3.0) * (4.0 * step.T @ acc @ step + 2.0 * acc - form + power.T @ form @ power)
     return 0.5 * (gram + gram.T)
 
 
 def adjoint_sweep(weighted_obs: np.ndarray, rows: np.ndarray, step: np.ndarray) -> np.ndarray:
     """Horner back-sweep: the sum over m of (step^T)^m rows^T weighted_obs[m].
 
-    When weighted_obs[m] = w_m rows step^m x, the weighted samples of the
-    trajectory from x, this is weighted_gram(rows, step, w) applied to x
-    without assembling it.
+    When weighted_obs[m] = w_m rows step^m x, the Simpson-weighted samples of
+    the trajectory from x, this is weighted_gram(rows.T @ rows, step, grid)
+    applied to x without assembling it.
     """
     step_t = step.T
     acc = rows.T @ weighted_obs[-1]
@@ -188,8 +172,9 @@ def gramian_matrix(
 
     ``propagator='exponential'`` steps with the matrix exponential of the
     dense generator (the independent oracle); ``'solver'`` steps with the
-    production one-step propagator.  Both use the same Simpson node weights,
-    so they differ only by the stepper's trajectory error.
+    production one-step propagator.  Both are weighted_gram of the form
+    rows^T rows of the observation rows on the same Simpson grid, so they
+    differ only by the stepper's trajectory error.
     """
     if space.n_modes > DENSE_LIMIT:
         raise ValidationError(f"dense Gramian limited to N <= {DENSE_LIMIT}, got N = {space.n_modes}")
@@ -200,7 +185,8 @@ def gramian_matrix(
         step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
     else:
         raise ValidationError("propagator must be 'exponential' or 'solver'")
-    return weighted_gram(observation_block_rows(observer, space), step, grid.node_weights)
+    rows = observation_block_rows(observer, space)
+    return weighted_gram(rows.T @ rows, step, grid)
 
 
 def apply_gramian(
@@ -535,17 +521,6 @@ def _energy_metrics(space: SpectralSpace) -> tuple[np.ndarray, np.ndarray]:
     return np.where(first, weights, 0.0), np.where(first, 0.0, weights)
 
 
-def _integrated_form(metric: np.ndarray, step: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Quadratic form of the weighted node sum of x_m^T diag(metric) x_m, x_m = step^m x.
-
-    diag(metric) = R^T R, where R has one row per nonzero (positive) metric
-    entry, so only those rows are propagated.
-    """
-    support = np.flatnonzero(metric)
-    rows = np.sqrt(metric[support])[:, None] * np.eye(metric.size)[support]
-    return weighted_gram(rows, step, weights)
-
-
 def _free_moment_form(quad: np.ndarray, space: SpectralSpace, grid: TimeGrid) -> np.ndarray:
     """Quadratic form of the half-step Simpson integral of u1(t)^T quad u1(t).
 
@@ -613,7 +588,7 @@ def empirical_ratios(
     return {
         "d1_emp": sup_ratio(np.diag(weak_first)),
         "d2_emp": sup_ratio(np.diag(natural_second)),
-        "k2_emp": sup_ratio(_integrated_form(natural_second, step, grid.node_weights)),
+        "k2_emp": sup_ratio(weighted_gram(np.diag(natural_second), step, grid)),
         "r2_emp": 0.0 if coupling is None else sup_ratio(_free_moment_form(coupling.matrix, space, grid)),
         "admissibility": _ensemble_ratio(gram, space, ensemble, seed),
     }
@@ -766,7 +741,6 @@ def _audit_forms(
     the closed-form free flow of the first component.
     """
     n = space.n_modes
-    weights = grid.node_weights
     step = cascade_step_matrix(space, coupling.matrix, grid.dt)
     power = np.linalg.matrix_power(step, grid.n_steps)  # initial data to final state
     weak_first, natural_second = _energy_metrics(space)
@@ -775,24 +749,21 @@ def _audit_forms(
     pairing = np.zeros((4 * n, 4 * n))
     pairing[2 * n : 3 * n, n : 2 * n] = pairing[n : 2 * n, 2 * n : 3 * n] = 0.5 * eye
     pairing[3 * n :, :n] = pairing[:n, 3 * n :] = -0.5 * eye
-    # rows of M u1 and of v2: their node-weighted product, by polarization
-    coupled = np.zeros((n, 4 * n))
-    coupled[:, :n] = coupling.matrix
-    driven_velocity = np.zeros((n, 4 * n))
-    driven_velocity[:, 3 * n :] = eye
-    plus, minus = coupled + driven_velocity, coupled - driven_velocity
-    work = 0.25 * (weighted_gram(plus, step, weights) - weighted_gram(minus, step, weights))
+    # coupling work (M u1).v2, the symmetrized cross form of the rows of M u1 and of v2
+    work = np.zeros((4 * n, 4 * n))
+    work[3 * n :, :n] = 0.5 * coupling.matrix
+    work[:n, 3 * n :] = 0.5 * coupling.matrix.T
     return {
         "obs_int": gramian_matrix(coupling, observer, grid, space, propagator="solver"),
         "e1_u2_0": np.diag(natural_second),
         "e1_u2_T": power.T @ (natural_second[:, None] * power),
-        "e1_u2_int": _integrated_form(natural_second, step, weights),
+        "e1_u2_int": weighted_gram(np.diag(natural_second), step, grid),
         "e0_u1_0": np.diag(weak_first),
         "coupling_int": _free_moment_form(coupling.matrix, space, grid),
         "coupling_sq_int": _free_moment_form(coupling.matrix.T @ coupling.matrix, space, grid),
         "proj_int": _free_moment_form(coupling.projection_matrix, space, grid),
         "boundary_term": power.T @ pairing @ power - pairing,
-        "balance_int": work,
+        "balance_int": weighted_gram(work, step, grid),
     }
 
 

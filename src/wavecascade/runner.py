@@ -113,6 +113,13 @@ class ExperimentConfig:
             return raw.strip().lower() in ("1", "true", "yes", "on")
         return _number(cast, raw, f"[{section}] {key}")
 
+    def count(self, section: str, key: str, default: int) -> int:
+        """An integer entry that must be at least 1."""
+        value = self.get(section, key, default=default, cast=int)
+        if value < 1:
+            raise ConfigError(f"[{section}] {key} must be at least 1")
+        return value
+
     def has(self, section: str, key: str | None = None) -> bool:
         if key is None:
             return section in self.sections
@@ -309,7 +316,7 @@ def _gramian_row(config, horizon, n_modes, ensemble, seed):
 def _run_gramian(config: ExperimentConfig, outdir: Path) -> RunResult:
     space = config.spectral_space()
     horizon = config.get("grid", "horizon", cast=float)
-    ensemble = config.get("checks", "ensemble", default=16, cast=int)
+    ensemble = config.count("checks", "ensemble", 16)
     report, row = _gramian_row(config, horizon, space.n_modes, ensemble, config.seed)
     path = outdir / "gramian_report.csv"
     write_csv(path, _GRAMIAN_HEADER, [row])
@@ -343,7 +350,7 @@ def _shift_observer(config: ExperimentConfig, offset: float) -> ExperimentConfig
 def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
     axis = config.get("sweep", "axis")
     values = [v.strip() for v in config.get("sweep", "values").split(",") if v.strip()]
-    ensemble = config.get("checks", "ensemble", default=16, cast=int)
+    ensemble = config.count("checks", "ensemble", 16)
     rows = []
     path = outdir / "sweep.csv"
     if not values:
@@ -398,11 +405,12 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> RunResult:
         max_iterations=config.get("hum", "max_iterations", default=2000, cast=int),
         observability_floor=config.get("hum", "observability_floor", default=1e-8, cast=float),
     )
+    x_samples = config.count("output", "x_samples", 33)
     solution = solve_hum(problem)
 
     artifacts = []
     if problem.case == "interior":
-        x_points = np.linspace(0.0, 1.0, config.get("output", "x_samples", default=33, cast=int))
+        x_points = np.linspace(0.0, 1.0, x_samples)
         basis = space.basis_matrix(x_points)
         rows = []
         for k, t in enumerate(grid.times):
@@ -468,7 +476,7 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
         cg_tolerance=config.get("hum", "cg_tolerance", default=1e-10, cast=float),
         max_iterations=config.get("hum", "max_iterations", default=2000, cast=int),
         observability_floor=config.get("hum", "observability_floor", default=1e-8, cast=float),
-        perturbation_count=config.get("insensitize", "perturbations", default=10, cast=int),
+        perturbation_count=config.count("insensitize", "perturbations", 10),
         seed=config.seed + 1,
     )
     if config.has("grid", "n_steps"):
@@ -478,8 +486,6 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
     else:
         kwargs["b_left"] = observer.b_left
         kwargs["b_right"] = observer.b_right
-    if kwargs["perturbation_count"] < 1:
-        raise ConfigError("[insensitize] perturbations must be at least 1")
     problem = InsensitizeProblem(**kwargs)
     control, certificate = insensitize(problem)
     converse = verify_converse(problem, control)
@@ -496,6 +502,7 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
         f"max_terminal_relative {_fmt(certificate.max_terminal_relative)}",
         f"max_derivative_relative {_fmt(certificate.max_derivative_relative)}",
         f"fd_agreement {_fmt(certificate.fd_agreement)}",
+        f"fd_reference_agreement {_fmt(certificate.fd_reference_agreement)}",
         f"robustness_exponent {_fmt(certificate.robustness_exponent)}",
         f"cg_iterations {certificate.cg_iterations}",
         f"converse_directions_agree {converse.directions_agree}",
@@ -510,6 +517,8 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
         ("sensitivity_derivatives_null", certificate.max_derivative_relative <= 1e-6,
          f"{certificate.max_derivative_relative:.3e}"),
         ("fd_agreement", certificate.fd_agreement <= 1e-5, f"{certificate.fd_agreement:.3e}"),
+        ("fd_reference_agreement", certificate.fd_reference_agreement <= 1e-5,
+         f"{certificate.fd_reference_agreement:.3e} at derivative {certificate.fd_reference[0]:.3e}"),
         ("robustness_quadratic", certificate.robustness_exponent >= 1.9,
          f"exponent {certificate.robustness_exponent:.3f}"),
         ("converse_agrees", converse.directions_agree, f"terminal {converse.terminal_relative:.3e}"),
@@ -519,9 +528,7 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
 
 
 def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
-    samples = config.get("audit", "samples", default=50, cast=int)
-    if samples < 1:
-        raise ConfigError("[audit] samples must be at least 1")
+    samples = config.count("audit", "samples", 50)
     space = config.spectral_space()
     coupling = config.coupling(space)
     if coupling is None:
@@ -532,7 +539,7 @@ def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
     horizon = config.get("grid", "horizon", default=horizon_factor * geometric, cast=float)
     grid = config.grid(space, horizon)
     inflation = config.get("audit", "inflation", default=2.0, cast=float)
-    ensemble = config.get("audit", "ensemble", default=32, cast=int)
+    ensemble = config.count("audit", "ensemble", 32)
 
     if config.has("constants", "gamma0"):
         gamma0 = config.get("constants", "gamma0", cast=float)

@@ -14,6 +14,7 @@ from wavecascade.spectral import (
 from wavecascade.dynamics import TimeGrid
 from wavecascade.hum import TimeSampledControl, controlled_forward
 from wavecascade.insensitize import (
+    InsensitizeCertificate,
     InsensitizeProblem,
     fine_second_positions,
     insensitize,
@@ -232,3 +233,26 @@ class TestProblemValidation:
         space = SpectralSpace(8)
         prob = make_problem(8, data=(space.zero(), space.zero()), fd_steps=(1e-4, 1e-3))
         assert prob.fd_steps == (1e-4, 1e-3)
+
+
+class TestReferenceOracle:
+    # the module RNG is left alone so that earlier draws stay put
+    @pytest.mark.parametrize("kind", ["interior", "boundary"])
+    def test_reference_derivative_is_resolved_and_matches_differences(self, kind):
+        space = SpectralSpace(12)
+        rng = np.random.default_rng(31)
+        data = (
+            ModalCoefficients(rng.standard_normal(12) / np.sqrt(space.eigenvalues), space),
+            ModalCoefficients(rng.standard_normal(12), space),
+        )
+        _, cert = insensitize(make_problem(12, kind=kind, data=data, perturbation_count=1, seed=3))
+        analytic, _ = cert.fd_reference
+        assert abs(analytic) > cert.fd_resolution
+        assert 0.0 < cert.fd_reference_agreement <= 1e-5
+
+    def test_reference_below_resolution_never_passes(self):
+        cert = InsensitizeCertificate(
+            phi_baseline=1.0, terminal={}, initial_norm=1.0, records=[], robustness_exponent=2.0,
+            cg_iterations=1, final_residual=0.0, fd_resolution=1e-10, fd_reference=(3e-11, 3e-11),
+        )
+        assert cert.fd_reference_agreement == float("inf")

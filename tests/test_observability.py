@@ -14,7 +14,6 @@ from wavecascade.dynamics import (
     evolve_cascade,
 )
 from wavecascade.observability import (
-    _integrated_form,
     admissibility_constant,
     apply_gramian,
     empirical_horizon,
@@ -28,6 +27,7 @@ from wavecascade.observability import (
     ray_hit_time,
     random_cascade_states,
     theoretical_constants,
+    weighted_gram,
 )
 
 RNG = np.random.default_rng(20240813)
@@ -252,7 +252,7 @@ class TestEmpiricalRatiosAndAudit:
         natural_second[n : 2 * n] = 0.5 * space.eigenvalues
         natural_second[3 * n :] = 0.5
         step = cascade_step_matrix(space, coupling.matrix, grid.dt)
-        kform = _integrated_form(natural_second, step, grid.node_weights)
+        kform = weighted_gram(np.diag(natural_second), step, grid)
         for x in np.random.default_rng(5).standard_normal((4, 4 * n)):
             traj = evolve_cascade(CascadeState.from_vector(x, space), coupling, grid)
             expected = float(grid.node_weights @ traj.energy_series(2, 1))

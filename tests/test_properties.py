@@ -130,22 +130,21 @@ def test_forced_scalar_matches_per_step_rotate_then_kick_loop(case, freq):
 
 @PROPERTY_SETTINGS
 @given(geometry(), st.booleans(), st.integers(1, 60), st.integers(0, 2**32 - 1))
-def test_chunked_weighted_gram_matches_per_node_loop(case, one_row, n_weights, seed):
-    # r = 1 takes chunks of k = 4N nodes, r = N chunks of 4; the weight
-    # counts fall short of one chunk or end inside one
+def test_simpson_doubling_matches_per_node_loop(case, one_row, half_steps, seed):
+    # M = 2k steps sweep the bit patterns of k, which the doubling walks
     space, coupling, _, grid, _, _ = case
     n = space.n_modes
+    grid = TimeGrid(grid.horizon, 2 * half_steps, allow_coarse=True)
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((1 if one_row else n, 4 * n))
     step = cascade_step_matrix(space, coupling.matrix, grid.dt)
-    weights = rng.random(n_weights)
     reference = np.zeros((4 * n, 4 * n))
     block = rows
-    for w in weights:
+    for w in grid.node_weights:
         reference += w * (block.T @ block)
         block = block @ step
-    gram = weighted_gram(rows, step, weights)
-    assert np.linalg.norm(gram - reference) <= 1e-12 * np.linalg.norm(reference)
+    gram = weighted_gram(rows.T @ rows, step, grid)
+    assert np.max(np.abs(gram - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 @PROPERTY_SETTINGS

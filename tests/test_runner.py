@@ -122,6 +122,28 @@ class TestParsing:
         (line,) = capsys.readouterr().out.splitlines()
         assert line.startswith("configuration error: [source] ") and key in line
 
+    @pytest.mark.parametrize(
+        "config, override",
+        [
+            ("criterion08_hum_interior", "hum.observability_floor=nan"),
+            ("criterion08_hum_interior", "hum.observability_floor=-1"),
+            ("criterion08_hum_boundary", "observer.b_left=nan"),
+            ("criterion08_hum_boundary", "observer.b_right=inf"),
+            ("criterion08_hum_interior", "hum.cg_tolerance=nan"),
+            ("criterion08_hum_interior", "hum.max_iterations=0"),
+            ("criterion09_insensitize_interior", "hum.cg_tolerance=inf"),
+            ("criterion08_hum_interior", "output.x_samples=-2"),
+            ("criterion04_gramian_interior", "checks.ensemble=0"),
+            ("criterion07_trends", "checks.ensemble=-3"),
+        ],
+    )
+    def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, config, override):
+        out = tmp_path / "out"
+        assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", override]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("configuration error: ")
+        assert not list(out.glob("*.csv"))
+
 
 class TestRunKinds:
     def test_simulate_zero_data_writes_zero_energies(self, tmp_path):
