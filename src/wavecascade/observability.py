@@ -6,6 +6,12 @@ observability constants, the closed-form theoretical constant chain, the 1D
 billiard control time, and an inequality-by-inequality audit of the
 two-level energy argument that links the weak energy of the unobserved
 component to the observation of the driven one.
+
+SciPy is imported inside the functions that use it, so that simulate, hum,
+insensitize and audit runs never load it: ``expm`` for the exponential
+propagator of ``gramian_matrix`` and the SVD factor of ``min_eigenvalue``,
+the generalized ``eigh`` of ``empirical_ratios``, and ARPACK for
+``min_eigenvalue(method="lanczos")``.
 """
 
 from __future__ import annotations
@@ -13,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError, RefusalError, ValidationError
 from .spectral import SpectralSpace
@@ -180,6 +184,8 @@ def gramian_matrix(
         raise ValidationError(f"dense Gramian limited to N <= {DENSE_LIMIT}, got N = {space.n_modes}")
     grid.validate_for(space)
     if propagator == "exponential":
+        from scipy.linalg import expm
+
         step = expm(grid.dt * _dense_generator(space, coupling))
     elif propagator == "solver":
         step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
@@ -247,6 +253,8 @@ def _observation_factor(
     Stacks sqrt(sigma_m) * Obs * E^m over all nodes, stepping with the matrix
     exponential oracle; the Gramian is the Gram product of this factor.
     """
+    from scipy.linalg import expm
+
     rows = observation_block_rows(observer, space)
     step = expm(grid.dt * _dense_generator(space, coupling))
     return np.vstack([np.sqrt(w) * block for w, block in zip(grid.node_weights, _propagated(rows, step))])
@@ -297,6 +305,7 @@ def min_eigenvalue(
         )
     if method != "lanczos":
         raise ValidationError("method must be 'dense' or 'lanczos'")
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     def matvec(x):
         return d_isqrt * apply_gramian(d_isqrt * x, coupling, observer, grid, space)
@@ -715,16 +724,18 @@ class AuditRow:
     must_hold: bool
     satisfied: bool
     kind: str = "inequality"  # or "identity"
+    scale: float = 1.0  # the sample's magnitude that the tolerance is relative to
 
 
 def _row(name, lhs, rhs, must_hold, scale, rtol=1e-9):
     margin = rhs - lhs
-    return AuditRow(name, lhs, rhs, margin, must_hold, lhs <= rhs + rtol * scale)
+    return AuditRow(name, lhs, rhs, margin, must_hold, lhs <= rhs + rtol * scale, scale=scale)
 
 
 def _identity_row(name, lhs, rhs, scale, rtol=1e-6):
     residual = abs(lhs - rhs)
-    return AuditRow(name, lhs, rhs, -residual, True, residual <= rtol * max(scale, 1e-300), kind="identity")
+    scale = max(scale, 1e-300)
+    return AuditRow(name, lhs, rhs, -residual, True, residual <= rtol * scale, kind="identity", scale=scale)
 
 
 def _audit_forms(

@@ -83,9 +83,16 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Header and rows as CSV, numbers as ``_fmt`` writes them.
+
+    One %-format serves every row, chosen from the cell types of the first.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+    if rows:
+        fmt = ",".join(
+            "%s" if isinstance(v, str) else "%d" if isinstance(v, (int, np.integer)) else "%.17g" for v in rows[0]
+        )
+        lines += [fmt % tuple(row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -567,25 +574,33 @@ def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
         coupling, observer, grid, space, ensemble=ensemble, seed=config.seed + 2
     )
 
-    # the ledger keeps the worst-margin row of each name; a check holds
-    # only when every sample's row holds against that sample's own scale
+    # the ledger keeps one row per name: the worst-margin sample of an
+    # inequality, and the largest-|lhs| sample of an identity, whose residuals
+    # are all quadrature and rounding noise; a check holds only when every
+    # sample's row holds against that sample's own scale
     states = random_cascade_states(space, samples, config.seed + 3)
-    worst, failing = {}, {}
+    kept, failing, relative = {}, {}, {}
     audited = inequality_chain_audit(states, coupling, observer, constants, grid, admissibility_bound=bound)
     for sample_rows in audited:
         for row in sample_rows:
-            prev = worst.get(row.name)
-            if prev is None or row.margin < prev.margin:
-                worst[row.name] = row
+            prev = kept.get(row.name)
+            if row.kind == "identity":
+                relative[row.name] = max(relative.get(row.name, 0.0), abs(row.lhs - row.rhs) / row.scale)
+                if prev is None or abs(row.lhs) > abs(prev.lhs):
+                    kept[row.name] = row
+            elif prev is None or row.margin < prev.margin:
+                kept[row.name] = row
             failing[row.name] = failing.get(row.name, 0) + (not row.satisfied)
-    rows = [[name, r.lhs, r.rhs, r.margin] for name, r in sorted(worst.items())]
+    rows = [[name, r.lhs, r.rhs, r.margin] for name, r in sorted(kept.items())]
     path = outdir / "audit_ledger.csv"
     write_csv(path, ["inequality_name", "lhs", "rhs", "margin"], rows)
 
     checks = []
-    for name, row in sorted(worst.items()):
+    for name, row in sorted(kept.items()):
         if row.must_hold:
             detail = f"lhs {row.lhs:.4e} rhs {row.rhs:.4e}"
+            if name in relative:
+                detail += f", worst relative residual {relative[name]:.3e}"
             if failing[name]:
                 detail += f", fails on {failing[name]} of {samples} samples"
             checks.append((name, not failing[name], detail))

@@ -1,7 +1,10 @@
-"""Public-surface hygiene: every exported name resolves."""
+"""Public-surface hygiene: every exported name resolves, and SciPy loads only where it is used."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,40 @@ def test_every_traced_layer_resolves_to_a_wavecascade_function(monkeypatch):
     for span in layers.LAYERS:
         module, name = span.split(".", 1)
         assert callable(getattr(importlib.import_module(f"wavecascade.{module}"), name, None)), span
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs configs in a fresh interpreter (this one has SciPy loaded already) and
+# prints which SciPy modules the runs loaded.
+_LOADED_SCIPY = """
+import sys, tempfile
+from wavecascade.runner import parse_config, run
+
+for name in sys.argv[1:]:
+    with tempfile.TemporaryDirectory() as out:
+        assert run(parse_config(f"configs/{name}.ini"), out).status == 0, name
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_modules_after(*configs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCIPY, *configs],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    return set(result.stdout.split())
+
+
+def test_control_insensitize_and_audit_runs_never_load_scipy():
+    loaded = _scipy_modules_after("criterion08_hum_boundary", "criterion09_insensitize_interior", "criterion06_audit")
+    assert loaded == set()
+
+
+def test_gramian_run_loads_dense_linalg_only():
+    loaded = _scipy_modules_after("criterion04_gramian_boundary")
+    assert "scipy.linalg" in loaded
+    assert "scipy.sparse.linalg" not in loaded

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavecascade.runner import ConfigError, main, parse_config, run
+from wavecascade.runner import ConfigError, main, parse_config, run, write_csv
 
 CONFIG_DIR = "configs"
 
@@ -306,6 +306,83 @@ max_iterations = 500
         assert "fails on 1 of 2 samples" in out
         ledger = (tmp_path / "audit" / "audit_ledger.csv").read_text().splitlines()
         assert ledger[1].startswith("crafted_bound,1,0.99999899999999997,")
+
+
+class TestCsv:
+    @staticmethod
+    def reference(header, rows):
+        """Per-cell formatting: strings as they are, integers by str, floats at 17 digits."""
+        def cell(v):
+            if isinstance(v, str):
+                return v
+            if isinstance(v, (int, np.integer)):
+                return str(int(v))
+            return format(float(v), ".17g")
+
+        return "\n".join([",".join(header)] + [",".join(cell(v) for v in row) for row in rows]) + "\n"
+
+    def test_cells_format_like_the_reference(self, tmp_path):
+        header = ["name", "i", "j", "x", "y"]
+        rows = [
+            ["a", 0, np.int64(-7), 0.1, np.float64(1.0 / 3.0)],
+            ["b c", 12345678901234, np.int64(2**62), float("nan"), float("inf")],
+            ["", -1, np.int64(0), float("-inf"), -0.0],
+            ["d", 3, np.int64(4), 5e-324, 1e300],
+            ["e", 5, np.int64(6), np.float64(-2.5e-17), 2.0],
+        ]
+        write_csv(tmp_path / "t.csv", header, rows)
+        assert (tmp_path / "t.csv").read_text() == self.reference(header, rows)
+
+    def test_empty_rows_write_the_header(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [])
+        assert (tmp_path / "t.csv").read_text() == self.reference(["a", "b"], []) == "a,b\n"
+
+
+class TestAuditLedger:
+    SMALL = [
+        f"{CONFIG_DIR}/criterion06_audit.ini", "--set", "spectral.n_modes=6", "--set", "grid.step_phase=0.2",
+        "--set", "audit.ensemble=2", "--set", "audit.samples=8",
+    ]
+
+    def test_identity_rows_do_not_follow_rounding_noise(self, tmp_path, monkeypatch):
+        # every identity residual is noise: moving the residuals of the samples
+        # the ledger does not show by 1e-13 must leave the ledger as it was
+        from wavecascade import runner
+        from wavecascade.observability import _identity_row
+
+        audit = runner.inequality_chain_audit
+        moved = {}
+
+        def jittered(*args, **kwargs):
+            samples = audit(*args, **kwargs)
+            identities = {row.name for row in samples[0] if row.kind == "identity"}
+            for name in identities:
+                rows = [row for sample in samples for row in sample if row.name == name]
+                shown = max(range(len(rows)), key=lambda i: abs(rows[i].lhs))
+                before = max(range(len(rows)), key=lambda i: -rows[i].margin)
+                for i, sample in enumerate(samples):
+                    if i != shown:
+                        j = sample.index(rows[i])
+                        jitter = 1e-13 if i % 2 else -1e-13
+                        sample[j] = _identity_row(name, rows[i].lhs, rows[i].rhs + jitter, rows[i].scale)
+                rows = [row for sample in samples for row in sample if row.name == name]
+                moved[name] = max(range(len(rows)), key=lambda i: -rows[i].margin) != before
+            return samples
+
+        assert main(self.SMALL + ["-o", str(tmp_path / "plain")]) == 0
+        monkeypatch.setattr(runner, "inequality_chain_audit", jittered)
+        assert main(self.SMALL + ["-o", str(tmp_path / "jittered")]) == 0
+        # the jitter does move the worst residual, so a worst-residual ledger would change
+        assert any(moved.values())
+        plain = (tmp_path / "plain" / "audit_ledger.csv").read_bytes()
+        assert (tmp_path / "jittered" / "audit_ledger.csv").read_bytes() == plain
+
+    def test_identity_check_reports_worst_relative_residual(self, tmp_path, capsys):
+        assert main(self.SMALL + ["-o", str(tmp_path / "audit")]) == 0
+        out = capsys.readouterr().out
+        for name in ("coupling_duality_identity", "driven_energy_balance"):
+            line = next(line for line in out.splitlines() if f"] {name}:" in line)
+            assert float(line.rsplit("worst relative residual ", 1)[1]) <= 1e-6
 
 
 class TestDeterminism:
