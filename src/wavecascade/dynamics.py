@@ -465,7 +465,7 @@ def march(step: np.ndarray, states: np.ndarray) -> np.ndarray:
     (``states[::-1]``) marches from the last row back to the first.
     """
     for current, following in zip(states[:-1], states[1:]):
-        following += step @ current
+        following += np.dot(step, current)
     return states
 
 

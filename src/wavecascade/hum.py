@@ -294,15 +294,16 @@ def controlled_forward(
     """
     ws = _ws or _workspace(problem)
     n = problem.space.n_modes
-    # control through the transposed observation rows, source in the driven position block
-    if control is None:
-        forcing = np.zeros((problem.grid.n_steps + 1, 4 * n))
+    shape = (problem.grid.n_steps + 1, 4 * n)
+    if control is None and ws.source_nodes is None:
+        states = np.zeros(shape)  # free flow: nothing is injected
     else:
-        forcing = control.values @ ws.obs_rows
-    if ws.source_nodes is not None:
-        forcing[:, n : 2 * n] += ws.source_nodes
-    states = _pairing_matrix_apply(forcing, n)
-    states *= problem.grid.node_weights[:, None]
+        # control through the transposed observation rows, source in the driven position block
+        forcing = np.zeros(shape) if control is None else control.values @ ws.obs_rows
+        if ws.source_nodes is not None:
+            forcing[:, n : 2 * n] += ws.source_nodes
+        states = _pairing_matrix_apply(forcing, n)
+        states *= problem.grid.node_weights[:, None]
     states[0] += problem.initial_data.as_vector()
     return march(ws.step_controlled, states)
 

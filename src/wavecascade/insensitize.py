@@ -16,10 +16,13 @@ The verification is double: analytic sensitivity pairings against the
 closed-form free waves, and finite differences of Phi along marched
 perturbation responses.  For a fixed control the controlled solve is affine
 in the known data, so the trajectory at data + tau z is the base trajectory
-plus tau times the response to z alone (no control, no source); Phi along
-each perturbation is then a quadratic in tau, evaluated without
-re-simulating.  Both sides run through the same discrete model, in which the
-analytic pairing is the exact derivative of the discrete functional.  At the
+plus tau times the response to z alone (no control, no source).  Phi reads
+only the half-step positions of the controlled component, which are linear
+in the node states, so each trajectory is reduced to those fine positions
+once and Phi along each perturbation is differenced on fine_base +
+tau * fine_response, without re-simulating.  Both sides run through the
+same discrete model, in which the analytic pairing is the exact derivative
+of the discrete functional.  At the
 constructed control both derivatives vanish below the finite-difference
 resolution, so the two sides are also compared at the zero control, where
 the derivative is resolved.
@@ -116,7 +119,7 @@ class InsensitizeProblem:
         """Multiplication matrix of the observation weight, assembled once."""
         return assemble_multiplication_matrix(self.observation_weight, self.space)
 
-    @property
+    @cached_property
     def grid(self) -> TimeGrid:
         if self.n_steps is not None:
             return TimeGrid(self.horizon, self.n_steps)
@@ -288,7 +291,11 @@ def fine_second_positions(states: np.ndarray, space: SpectralSpace, grid: TimeGr
 
 def trajectory_phi(problem: InsensitizeProblem, states: np.ndarray) -> float:
     """Phi of a controlled trajectory (fine half-step quadrature)."""
-    fine = fine_second_positions(states, problem.space, problem.grid)
+    return _fine_phi(problem, fine_second_positions(states, problem.space, problem.grid))
+
+
+def _fine_phi(problem: InsensitizeProblem, fine: np.ndarray) -> float:
+    """Phi from the fine positions of a trajectory."""
     return phi_functional(fine, problem.weight_matrix, problem.grid.fine_weights)
 
 
@@ -309,22 +316,22 @@ def sensitivity_derivatives(
     the weighted pairings of c times the solution against each wave.
     """
     states = controlled_forward(problem.hum_problem(), control)
-    per_position, per_velocity = _modal_derivatives(problem, states)
+    fine = fine_second_positions(states, problem.space, problem.grid)
+    per_position, per_velocity = _modal_derivatives(problem, fine)
     return float(per_position @ np.asarray(z0, dtype=float)), float(per_velocity @ np.asarray(z1, dtype=float))
 
 
-def _modal_derivatives(problem: InsensitizeProblem, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _modal_derivatives(problem: InsensitizeProblem, fine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Derivatives of Phi along each unit modal perturbation of the two slots.
 
-    The sensitivity wave of mode j is cos(w_j t) (position data) or
+    ``fine`` holds the controlled positions on the half-step grid.  The
+    sensitivity wave of mode j is cos(w_j t) (position data) or
     sin(w_j t) / w_j (velocity data), so the derivatives are the column sums
     of the weighted controlled positions against those trig blocks.
     """
-    space = problem.space
     grid = problem.grid
-    fine = fine_second_positions(states, space, grid)
     weighted = (grid.fine_weights[:, None] * fine) @ problem.weight_matrix
-    cos_t, sin_t = free_flow(space, grid.fine_times)[:2]
+    cos_t, sin_t = free_flow(problem.space, grid.fine_times)[:2]
     return (weighted * cos_t).sum(axis=0), (weighted * sin_t).sum(axis=0)
 
 
@@ -356,13 +363,17 @@ def _response(hum: HUMProblem, z0: np.ndarray, z1: np.ndarray, _ws=None) -> np.n
 
 
 def _fd_derivative(problem: InsensitizeProblem, base: np.ndarray, response: np.ndarray) -> float:
-    """Central difference of Phi along ``base + h * response``, Richardson-extrapolated over two steps."""
+    """Central difference of Phi along ``base + h * response``, Richardson-extrapolated over two steps.
+
+    ``base`` and ``response`` are fine positions (``fine_second_positions``)
+    of a controlled trajectory and of a marched perturbation response; being
+    linear in the node states, they are differenced directly.
+    """
     h1, h2 = problem.fd_steps
 
     def central(h):
-        up = trajectory_phi(problem, base + h * response)
-        down = trajectory_phi(problem, base - h * response)
-        return (up - down) / (2.0 * h)
+        step = h * response
+        return (_fine_phi(problem, base + step) - _fine_phi(problem, base - step)) / (2.0 * h)
 
     d1, d2 = central(h1), central(h2)
     return (h1**2 * d2 - h2**2 * d1) / (h1**2 - h2**2)
@@ -400,31 +411,36 @@ def insensitize(problem: InsensitizeProblem):
     hum = problem.hum_problem()
     solution = solve_hum(hum)
     control = solution.control
-    states = solution.trajectory
-    phi0 = trajectory_phi(problem, states)
+    space, grid = problem.space, problem.grid
+    fine = fine_second_positions(solution.trajectory, space, grid)
+    phi0 = _fine_phi(problem, fine)
 
     rng = np.random.default_rng(problem.seed)
     ws = _workspace(hum)
-    zero = np.zeros(problem.space.n_modes)
+    zero = np.zeros(space.n_modes)
+
+    def response(z0, z1):
+        return fine_second_positions(_response(hum, z0, z1, ws), space, grid)
+
     records = []
-    per_position, per_velocity = _modal_derivatives(problem, states)
+    per_position, per_velocity = _modal_derivatives(problem, fine)
     for i, (z0, z1) in enumerate(_unit_perturbations(problem, problem.perturbation_count, rng)):
-        f0 = _fd_derivative(problem, states, _response(hum, z0, zero, ws))
-        f1 = _fd_derivative(problem, states, _response(hum, zero, z1, ws))
+        f0 = _fd_derivative(problem, fine, response(z0, zero))
+        f1 = _fd_derivative(problem, fine, response(zero, z1))
         records.append(PerturbationRecord(i, float(per_position @ z0), f0, float(per_velocity @ z1), f1))
 
     z0, z1 = _unit_perturbations(problem, 1, rng)[0]
-    response = _response(hum, z0, z1, ws)
+    along = response(z0, z1)
     taus = np.array([1e-1, 1e-2, 1e-3, 1e-4])
-    deltas = np.array([abs(trajectory_phi(problem, states + tau * response) - phi0) for tau in taus])
+    deltas = np.array([abs(_fine_phi(problem, fine + tau * along) - phi0) for tau in taus])
     if np.all(deltas > 0):
         exponent = float(np.polyfit(np.log(taus), np.log(deltas), 1)[0])
     else:
         exponent = float("inf")  # perturbations invisible to Phi
 
-    reference = controlled_forward(hum, None, ws)
+    reference = fine_second_positions(controlled_forward(hum, None, ws), space, grid)
     ref_pos, ref_vel = _modal_derivatives(problem, reference)
-    fd_reference = (float(ref_pos @ z0 + ref_vel @ z1), _fd_derivative(problem, reference, response))
+    fd_reference = (float(ref_pos @ z0 + ref_vel @ z1), _fd_derivative(problem, reference, along))
 
     certificate = InsensitizeCertificate(
         phi_baseline=phi0,
@@ -438,6 +454,16 @@ def insensitize(problem: InsensitizeProblem):
         fd_reference=fd_reference,
     )
     return control, certificate
+
+
+def _first_component_norms(states: np.ndarray, space: SpectralSpace, control_kind: str) -> np.ndarray:
+    """Norm of the first cascade component in every row of ``states``, in the case's space."""
+    n = space.n_modes
+    lam = space.eigenvalues
+    orders = (2, 1) if control_kind == "interior" else (1, 0)
+    position = np.sum(lam ** orders[0] * states[:, :n] ** 2, axis=1)
+    velocity = np.sum(lam ** orders[1] * states[:, 2 * n : 3 * n] ** 2, axis=1)
+    return np.sqrt(position + velocity)
 
 
 def verify_converse(
@@ -458,25 +484,20 @@ def verify_converse(
     hum = problem.hum_problem()
     states = controlled_forward(hum, control)
     space = problem.space
-    n = space.n_modes
     lam = space.eigenvalues
-    phi0 = trajectory_phi(problem, states)
+    fine = fine_second_positions(states, space, problem.grid)
+    phi0 = _fine_phi(problem, fine)
     scale = max(phi0, 1e-300)
     k_pos, k_vel = problem.perturbation_spaces()
 
     # the spanning set: every mode in each slot, unit-normalized in the slot's space
-    per_position, per_velocity = _modal_derivatives(problem, states)
+    per_position, per_velocity = _modal_derivatives(problem, fine)
     spanning = np.concatenate([per_position / np.sqrt(lam**k_pos), per_velocity / np.sqrt(lam**k_vel)])
     worst_rel = float(np.max(np.abs(spanning))) / scale
 
-    orders = (2, 1) if problem.control_kind == "interior" else (1, 0)
-    first_norm = lambda vec: float(
-        np.sqrt(np.sum(lam ** orders[0] * vec[:n] ** 2) + np.sum(lam ** orders[1] * vec[2 * n : 3 * n] ** 2))
-    )
-    terminal_first = first_norm(states[-1])
-    running = max(first_norm(s) for s in states)
+    norms = _first_component_norms(states, space, problem.control_kind)
     data_scale = control_space_norms(hum.initial_data.as_vector(), space, problem.control_kind)["total"]
-    terminal_rel = terminal_first / max(running, data_scale, 1e-300)
+    terminal_rel = float(norms[-1]) / max(float(norms.max()), data_scale, 1e-300)
 
     return ConverseReport(
         derivatives_vanish=worst_rel <= derivative_tol,

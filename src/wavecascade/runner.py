@@ -419,11 +419,13 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> RunResult:
     if problem.case == "interior":
         x_points = np.linspace(0.0, 1.0, x_samples)
         basis = space.basis_matrix(x_points)
+        # each t repeats once per x and each x once per t: format them once
+        x_cells = [_fmt(x) for x in x_points]
         rows = []
         for k, t in enumerate(grid.times):
+            t_cell = _fmt(t)
             values = basis @ solution.control.values[k]
-            for x, v in zip(x_points, values):
-                rows.append([t, x, v])
+            rows.extend([t_cell, x, v] for x, v in zip(x_cells, values))
         control_path = outdir / "control.csv"
         write_csv(control_path, ["t", "x", "v"], rows)
     else:

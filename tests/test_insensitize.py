@@ -1,5 +1,8 @@
 """Tests for the insensitizing-control construction."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,12 @@ from wavecascade.insensitize import (
     trajectory_phi,
     verify_converse,
 )
-from wavecascade.insensitize import _fd_derivative, _response
+from wavecascade.insensitize import _fd_derivative, _first_component_norms, _response
+from wavecascade.runner import parse_config, run
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+# the package re-exports the function insensitize under the submodule's name
+insensitize_module = importlib.import_module("wavecascade.insensitize")
 
 RNG = np.random.default_rng(20240815)
 
@@ -98,9 +106,10 @@ class TestSensitivityDerivatives:
         z1 = RNG.standard_normal(12)
         z1 /= np.linalg.norm(z1)
         a0, a1 = sensitivity_derivatives(prob, control, z0, z1)
-        states = controlled_forward(hum, control)
-        f0 = _fd_derivative(prob, states, _response(hum, z0, np.zeros(12)))
-        f1 = _fd_derivative(prob, states, _response(hum, np.zeros(12), z1))
+        fine = lambda states: fine_second_positions(states, space, prob.grid)
+        base = fine(controlled_forward(hum, control))
+        f0 = _fd_derivative(prob, base, fine(_response(hum, z0, np.zeros(12))))
+        f1 = _fd_derivative(prob, base, fine(_response(hum, np.zeros(12), z1)))
         assert f0 == pytest.approx(a0, rel=1e-5)
         assert f1 == pytest.approx(a1, rel=1e-5)
 
@@ -256,3 +265,56 @@ class TestReferenceOracle:
             cg_iterations=1, final_residual=0.0, fd_resolution=1e-10, fd_reference=(3e-11, 3e-11),
         )
         assert cert.fd_reference_agreement == float("inf")
+
+
+class TestFinePositionRoute:
+    # the certificate differences Phi on fine positions; these pin it to the node-state route
+    @pytest.mark.parametrize("kind", ["interior", "boundary"])
+    def test_fd_on_fine_positions_matches_node_state_route(self, kind):
+        space = SpectralSpace(12)
+        rng = np.random.default_rng(41)
+        data = (
+            ModalCoefficients(rng.standard_normal(12) / np.sqrt(space.eigenvalues), space),
+            ModalCoefficients(rng.standard_normal(12), space),
+        )
+        prob = make_problem(12, kind=kind, data=data)
+        hum = prob.hum_problem()
+        space = prob.space
+        z0 = rng.standard_normal(12) / np.sqrt(space.eigenvalues)
+        z1 = rng.standard_normal(12)
+        base = controlled_forward(hum, None)  # the zero control: the derivative is resolved
+        response = _response(hum, z0, z1)
+
+        h1, h2 = prob.fd_steps
+        central = lambda h: (
+            trajectory_phi(prob, base + h * response) - trajectory_phi(prob, base - h * response)
+        ) / (2.0 * h)
+        nodes = (h1**2 * central(h2) - h2**2 * central(h1)) / (h1**2 - h2**2)
+
+        fine = lambda states: fine_second_positions(states, space, prob.grid)
+        fine_route = _fd_derivative(prob, fine(base), fine(response))
+        assert abs(nodes) > 1e-6 * trajectory_phi(prob, base)
+        assert fine_route == pytest.approx(nodes, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["interior", "boundary"])
+    def test_converse_norms_match_per_row_loop(self, kind):
+        space = SpectralSpace(8)
+        states = np.random.default_rng(43).standard_normal((33, 32))
+        lam = space.eigenvalues
+        p, v = (2, 1) if kind == "interior" else (1, 0)
+        loop = [
+            np.sqrt(np.sum(lam**p * row[:8] ** 2) + np.sum(lam**v * row[16:24] ** 2)) for row in states
+        ]
+        np.testing.assert_array_equal(_first_component_norms(states, space, kind), loop)
+
+
+class TestOracleTeeth:
+    def test_swapped_analytic_slots_fail_the_lab_run(self, monkeypatch, tmp_path):
+        derivatives = insensitize_module._modal_derivatives
+        monkeypatch.setattr(
+            insensitize_module, "_modal_derivatives", lambda problem, fine: derivatives(problem, fine)[::-1]
+        )
+        result = run(parse_config(CONFIG_DIR / "criterion10_converse.ini"), tmp_path)
+        assert result.status == 1
+        verdicts = {name: ok for name, ok, _ in result.checks}
+        assert verdicts["fd_reference_agreement"] is False
