@@ -17,6 +17,7 @@ from wavecascade import (
     CoefficientFunction,
     InsensitizeProblem,
     ModalCoefficients,
+    Observer,
     PlateauBump,
     SpectralSpace,
     insensitize,
@@ -37,9 +38,8 @@ problem = InsensitizeProblem(
         (PlateauBump(0.2, 0.3, 0.05, 1.0),), core_region=(0.2, 0.3)
     ),
     horizon=4.0,
-    control_kind="interior",
-    control_weight=CoefficientFunction(
-        (PlateauBump(0.6, 0.7, 0.05, 1.0),), core_region=(0.6, 0.7)
+    control_operator=Observer(
+        "interior", weight=CoefficientFunction((PlateauBump(0.6, 0.7, 0.05, 1.0),), core_region=(0.6, 0.7))
     ),
     source=lambda t: np.sin(np.pi * t) * forcing_profile,
     perturbation_count=10,

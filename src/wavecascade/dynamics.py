@@ -32,6 +32,7 @@ not broadcast is a ``ValidationError``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -213,7 +214,7 @@ class CouplingOperator:
     def core_region(self) -> tuple[float, float]:
         return self.function.core_region
 
-    @property
+    @cached_property
     def projection_matrix(self) -> np.ndarray:
         """Quadratic form of the sharp indicator of the core region."""
         return assemble_multiplication_matrix(IndicatorFunction(*self.core_region), self.space)
@@ -305,9 +306,18 @@ def observe(observer: Observer, component: ComponentState):
 # time grid
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid on [0, T] with composite Simpson node weights."""
+    """Uniform time grid on [0, T] with composite Simpson node weights.
+
+    The node and half-step times and weights are built once per grid and
+    shared by every caller, so they are read-only.
+    """
 
     horizon: float
     n_steps: int
@@ -323,24 +333,24 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_steps + 1)
+        return _read_only(np.linspace(0.0, self.horizon, self.n_steps + 1))
 
-    @property
+    @cached_property
     def node_weights(self) -> np.ndarray:
         """Simpson weights on the step nodes."""
-        return simpson_weights(self.n_steps, self.horizon)
+        return _read_only(simpson_weights(self.n_steps, self.horizon))
 
-    @property
+    @cached_property
     def fine_times(self) -> np.ndarray:
         """Half-step grid (2 n_steps + 1 nodes)."""
-        return np.linspace(0.0, self.horizon, 2 * self.n_steps + 1)
+        return _read_only(np.linspace(0.0, self.horizon, 2 * self.n_steps + 1))
 
-    @property
+    @cached_property
     def fine_weights(self) -> np.ndarray:
         """Simpson weights on the half-step grid."""
-        return simpson_weights(2 * self.n_steps, self.horizon)
+        return _read_only(simpson_weights(2 * self.n_steps, self.horizon))
 
     def validate_for(self, space: SpectralSpace) -> None:
         phase = self.dt * space.frequencies[-1]

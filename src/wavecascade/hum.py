@@ -25,6 +25,7 @@ limited only by the conjugate-gradient tolerance, not by the time step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,10 @@ class HUMProblem:
     times (shape (n_steps + 1, 1)) with its result broadcast to
     (n_steps + 1, N).  The observer doubles as the control operator: its
     weight is the control profile.
+
+    The problem owns the operators derived from it (the steppers, the
+    observation rows, the adjoint metric and the source samples); each is
+    built on first use and kept for the life of the problem.
     """
 
     case: str
@@ -106,6 +111,44 @@ class HUMProblem:
     @property
     def space(self) -> SpectralSpace:
         return self.initial_data.space
+
+    @cached_property
+    def step(self) -> np.ndarray:
+        """P, the adjoint one-step propagator."""
+        cmat = None if self.coupling is None else self.coupling.matrix
+        return cascade_step_matrix(self.space, cmat, self.grid.dt)
+
+    @cached_property
+    def step_back(self) -> np.ndarray:
+        """P^{-1}, exact by velocity reflection."""
+        return reversed_step(self.step, self.space.n_modes)
+
+    @cached_property
+    def step_controlled(self) -> np.ndarray:
+        """The dual of P: P^T with position and velocity halves swapped."""
+        # the dual of P keeps the pairing matrix J: Pc^T J P = J, so Pc = J^{-1} (P^{-1})^T J;
+        # with P^{-1} = R P R (R negates velocities) that is P^T with the halves swapped
+        return np.ascontiguousarray(np.roll(self.step.T, 2 * self.space.n_modes, axis=(0, 1)))
+
+    @cached_property
+    def obs_rows(self) -> np.ndarray:
+        """Control-dual observation rows on the adjoint state (``adjoint_observation_rows``)."""
+        return adjoint_observation_rows(self.observer, self.space)
+
+    @cached_property
+    def xd(self) -> np.ndarray:
+        """Diagonal weights of the adjoint space metric."""
+        return adjoint_space_weights(self.space, self.case)
+
+    @cached_property
+    def source_nodes(self) -> np.ndarray | None:
+        """Source samples at the grid nodes, (n_steps + 1, N), or None."""
+        if self.source is None:
+            return None
+        nodes = _sample_forcing(self.source, self.grid.times, self.space.n_modes, "source")
+        if not np.all(np.isfinite(nodes)):
+            raise ValidationError("source(t) returned non-finite values")
+        return nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,39 +219,6 @@ def control_space_norms(vector: np.ndarray, space: SpectralSpace, case: str) -> 
     return out
 
 
-@dataclass(eq=False)
-class _Workspace:
-    """Cached operators for one problem."""
-
-    step_back: np.ndarray     # P^{-1}, P the adjoint one-step propagator (exact, via velocity reflection)
-    step_controlled: np.ndarray  # P^T with position and velocity halves swapped: the dual of P
-    obs_rows: np.ndarray
-    xd: np.ndarray            # adjoint space diagonal weights
-    source_nodes: np.ndarray | None  # xi samples at nodes, (n+1, N)
-
-
-def _workspace(problem: HUMProblem) -> _Workspace:
-    space = problem.space
-    n = space.n_modes
-    cmat = None if problem.coupling is None else problem.coupling.matrix
-    step = cascade_step_matrix(space, cmat, problem.grid.dt)
-    if problem.source is None:
-        source_nodes = None
-    else:
-        source_nodes = _sample_forcing(problem.source, problem.grid.times, n, "source")
-        if not np.all(np.isfinite(source_nodes)):
-            raise ValidationError("source(t) returned non-finite values")
-    return _Workspace(
-        step_back=reversed_step(step, n),
-        # the dual of P keeps the pairing matrix J: Pc^T J P = J, so Pc = J^{-1} (P^{-1})^T J;
-        # with P^{-1} = R P R (R negates velocities) that is P^T with the halves swapped
-        step_controlled=np.ascontiguousarray(np.roll(step.T, 2 * n, axis=(0, 1))),
-        obs_rows=adjoint_observation_rows(problem.observer, space),
-        xd=adjoint_space_weights(space, problem.case),
-        source_nodes=source_nodes,
-    )
-
-
 def _pairing_matrix_apply(vec: np.ndarray, n: int) -> np.ndarray:
     """Apply the duality pairing matrix (w1, w2, q1, q2) -> (-q1, -q2, w1, w2) along the last axis."""
     out = np.empty_like(vec)
@@ -217,11 +227,11 @@ def _pairing_matrix_apply(vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _backward_states(final_vector: np.ndarray, ws: _Workspace, grid: TimeGrid) -> np.ndarray:
+def _backward_states(final_vector: np.ndarray, problem: HUMProblem) -> np.ndarray:
     """Adjoint node states from final data, shape (n_steps + 1, 4N)."""
-    states = np.zeros((grid.n_steps + 1, final_vector.size))
+    states = np.zeros((problem.grid.n_steps + 1, final_vector.size))
     states[-1] = final_vector
-    march(ws.step_back, states[::-1])
+    march(problem.step_back, states[::-1])
     return states
 
 
@@ -229,7 +239,7 @@ def _backward_states(final_vector: np.ndarray, ws: _Workspace, grid: TimeGrid) -
 # the HUM operator and right-hand side
 
 
-def apply_hum_gramian(final_data, problem: HUMProblem, _ws: _Workspace | None = None):
+def apply_hum_gramian(final_data, problem: HUMProblem):
     """Apply the control Gramian to adjoint final data (matrix-free).
 
     The independent oracle for dense_hum_matrix, which solve_hum uses.
@@ -238,18 +248,16 @@ def apply_hum_gramian(final_data, problem: HUMProblem, _ws: _Workspace | None = 
     operator is symmetric; its quadratic form is the time-integrated squared
     control sample.
     """
-    ws = _ws or _workspace(problem)
-    grid = problem.grid
     as_state = isinstance(final_data, CascadeState)
     vec = final_data.as_vector() if as_state else np.asarray(final_data, dtype=float)
-    states = _backward_states(vec, ws, grid)
-    contributions = (states @ ws.obs_rows.T) * grid.node_weights[:, None]
+    states = _backward_states(vec, problem)
+    contributions = (states @ problem.obs_rows.T) * problem.grid.node_weights[:, None]
     # node n_steps - j lies j backward steps from the final data
-    acc = adjoint_sweep(contributions[::-1], ws.obs_rows, ws.step_back)
+    acc = adjoint_sweep(contributions[::-1], problem.obs_rows, problem.step_back)
     return CascadeState.from_vector(acc, problem.space) if as_state else acc
 
 
-def assemble_rhs(problem: HUMProblem, _ws: _Workspace | None = None) -> np.ndarray:
+def assemble_rhs(problem: HUMProblem) -> np.ndarray:
     """Functional of the data and source on adjoint final states.
 
     Returns the plain-coordinate vector ell with ell . W^T = L(W^T) + J(W^T):
@@ -260,30 +268,24 @@ def assemble_rhs(problem: HUMProblem, _ws: _Workspace | None = None) -> np.ndarr
     transposition identity this is the pairing of the uncontrolled terminal
     state y(T) against W^T, so ell = -J y(T) with J the pairing matrix.
     """
-    ws = _ws or _workspace(problem)
-    return -_pairing_matrix_apply(controlled_forward(problem, None, ws)[-1], problem.space.n_modes)
+    return -_pairing_matrix_apply(controlled_forward(problem, None)[-1], problem.space.n_modes)
 
 
-def dense_hum_matrix(problem: HUMProblem, _ws: _Workspace | None = None) -> np.ndarray:
+def dense_hum_matrix(problem: HUMProblem) -> np.ndarray:
     """Dense 4N x 4N control Gramian, the matrix that apply_hum_gramian applies.
 
     weighted_gram of the form rows^T rows of the adjoint observation rows
     under the backward propagator: node n_steps - j lies j backward steps
     from the final data, and the Simpson weights are symmetric.
     """
-    ws = _ws or _workspace(problem)
-    return weighted_gram(ws.obs_rows.T @ ws.obs_rows, ws.step_back, problem.grid)
+    return weighted_gram(problem.obs_rows.T @ problem.obs_rows, problem.step_back, problem.grid)
 
 
 # ---------------------------------------------------------------------------
 # controlled evolution
 
 
-def controlled_forward(
-    problem: HUMProblem,
-    control: TimeSampledControl | None,
-    _ws: _Workspace | None = None,
-) -> np.ndarray:
+def controlled_forward(problem: HUMProblem, control: TimeSampledControl | None) -> np.ndarray:
     """Direct forced solve of the controlled system over the grid.
 
     The control and source enter as velocity injections at the nodes with
@@ -292,20 +294,20 @@ def controlled_forward(
     against adjoint trajectories exact.  Returns node states (post
     injection), shape (n_steps + 1, 4N).
     """
-    ws = _ws or _workspace(problem)
     n = problem.space.n_modes
     shape = (problem.grid.n_steps + 1, 4 * n)
-    if control is None and ws.source_nodes is None:
+    source = problem.source_nodes
+    if control is None and source is None:
         states = np.zeros(shape)  # free flow: nothing is injected
     else:
         # control through the transposed observation rows, source in the driven position block
-        forcing = np.zeros(shape) if control is None else control.values @ ws.obs_rows
-        if ws.source_nodes is not None:
-            forcing[:, n : 2 * n] += ws.source_nodes
+        forcing = np.zeros(shape) if control is None else control.values @ problem.obs_rows
+        if source is not None:
+            forcing[:, n : 2 * n] += source
         states = _pairing_matrix_apply(forcing, n)
         states *= problem.grid.node_weights[:, None]
     states[0] += problem.initial_data.as_vector()
-    return march(ws.step_controlled, states)
+    return march(problem.step_controlled, states)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +332,12 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
     controlled system is re-simulated with it, and the terminal norms are
     certified in the case's data space.
     """
-    ws = _workspace(problem)
     grid = problem.grid
     space = problem.space
     n = space.n_modes
 
-    gram = dense_hum_matrix(problem, ws)
-    scale = 1.0 / np.sqrt(ws.xd)
+    gram = dense_hum_matrix(problem)
+    scale = 1.0 / np.sqrt(problem.xd)
     scaled = gram * np.outer(scale, scale)
     if problem.coupling is None:
         # without coupling the first component is beyond reach; only the
@@ -357,7 +358,7 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
             },
         )
 
-    rhs = -assemble_rhs(problem, ws)
+    rhs = -assemble_rhs(problem)
     rhs_scale = _certificate_norm(rhs, problem)
     initial_norm = control_space_norms(problem.initial_data.as_vector(), space, problem.case)["total"]
     trace = []
@@ -367,7 +368,7 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
         final_residual = 0.0
     else:
         r = rhs.copy()
-        z = r / ws.xd
+        z = r / problem.xd
         p = z.copy()
         rz = float(r @ z)
         final_residual = _certificate_norm(r, problem) / rhs_scale
@@ -381,7 +382,7 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
             trace.append(final_residual)
             if final_residual <= problem.cg_tolerance:
                 break
-            z = r / ws.xd
+            z = r / problem.xd
             rz_new = float(r @ z)
             p = z + (rz_new / rz) * p
             rz = rz_new
@@ -393,10 +394,10 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
                 partial=CascadeState.from_vector(x, space),
             )
 
-    control = TimeSampledControl(_backward_states(x, ws, grid) @ ws.obs_rows.T, problem.case, grid)
-    trajectory = controlled_forward(problem, control, ws)
+    control = TimeSampledControl(_backward_states(x, problem) @ problem.obs_rows.T, problem.case, grid)
+    trajectory = controlled_forward(problem, control)
     terminal_norms = control_space_norms(trajectory[-1], space, problem.case)
-    duality = verify_transposition(problem, control, trajectory=trajectory, n_probes=5, seed=1, _ws=ws)
+    duality = verify_transposition(problem, control, trajectory=trajectory, n_probes=5, seed=1)
     return HUMSolution(
         minimizer=CascadeState.from_vector(x, space),
         control=control,
@@ -416,7 +417,6 @@ def verify_transposition(
     trajectory: np.ndarray | None = None,
     n_probes: int = 20,
     seed: int = 0,
-    _ws: _Workspace | None = None,
 ) -> dict:
     """Check the transposition identity of the controlled solution.
 
@@ -427,25 +427,25 @@ def verify_transposition(
     code paths (forward injected solve with endpoint pairings vs backward
     adjoint solve with node quadrature).
     """
-    ws = _ws or _workspace(problem)
     grid = problem.grid
     n = problem.space.n_modes
+    source = problem.source_nodes
     if trajectory is None:
-        trajectory = controlled_forward(problem, control, ws)
+        trajectory = controlled_forward(problem, control)
     rng = np.random.default_rng(seed)
     worst = 0.0
     residuals = []
     for _ in range(n_probes):
         probe = rng.standard_normal(4 * n)
-        states = _backward_states(probe, ws, grid)
+        states = _backward_states(probe, problem)
         quadrature = 0.0
         magnitude = 0.0  # scale of the terms before cancellation
         if control is not None:
-            obs = states @ ws.obs_rows.T
+            obs = states @ problem.obs_rows.T
             quadrature += float(grid.node_weights @ (obs * control.values).sum(axis=1))
             magnitude += float(grid.node_weights @ (np.abs(obs) * np.abs(control.values)).sum(axis=1))
-        if ws.source_nodes is not None:
-            paired = np.einsum("mi,mi->m", ws.source_nodes, states[:, n : 2 * n])
+        if source is not None:
+            paired = np.einsum("mi,mi->m", source, states[:, n : 2 * n])
             quadrature += float(grid.node_weights @ paired)
             magnitude += float(grid.node_weights @ np.abs(paired))
         end_pair = duality_pairing(trajectory[-1], probe, n)

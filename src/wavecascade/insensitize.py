@@ -30,7 +30,7 @@ the derivative is resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import RefusalError, ValidationError
 from .spectral import CoefficientFunction, ModalCoefficients, SpectralSpace, assemble_multiplication_matrix
-from .dynamics import CascadeState, CouplingOperator, Observer, TimeGrid, free_flow
+from .dynamics import CascadeState, CouplingOperator, Observer, TimeGrid, free_flow, march
 from .observability import gcc_min_time
 from .hum import (
     HUMProblem,
@@ -47,7 +47,6 @@ from .hum import (
     controlled_forward,
     solve_hum,
 )
-from .hum import _workspace
 
 __all__ = [
     "InsensitizeProblem",
@@ -70,21 +69,19 @@ class InsensitizeProblem:
     ``known_position``/``known_velocity`` are the known initial data of the
     controlled wave; the perturbations enter the same slots with small
     amplitudes.  ``observation_weight`` is the nonnegative weight of Phi
-    (its core region is the observation set); the control is either an
-    interior weight or boundary endpoint weights.  ``source`` is an
-    optional forcing of the controlled equation with the contract of
-    ``HUMProblem.source``: a callable t -> modal coefficients, called once
-    on the column of grid times and broadcast to one vector per node.
+    (its core region is the observation set); ``control_operator`` is the
+    observer through which the control acts, an interior weight or boundary
+    endpoint weights.  ``source`` is an optional forcing of the controlled
+    equation with the contract of ``HUMProblem.source``: a callable
+    t -> modal coefficients, called once on the column of grid times and
+    broadcast to one vector per node.
     """
 
     known_position: ModalCoefficients
     known_velocity: ModalCoefficients
     observation_weight: CoefficientFunction
     horizon: float
-    control_kind: str = "interior"
-    control_weight: CoefficientFunction | None = None
-    b_left: float = 0.0
-    b_right: float = 0.0
+    control_operator: Observer
     source: object = None  # callable t -> modal coefficients (broadcast per time), or None
     n_steps: int | None = None
     cg_tolerance: float = 1e-10
@@ -97,10 +94,6 @@ class InsensitizeProblem:
     def __post_init__(self):
         if self.known_position.space is not self.known_velocity.space:
             raise ValidationError("known data must share one spectral space")
-        if self.control_kind == "interior" and self.control_weight is None:
-            raise ValidationError("interior control needs a weight function")
-        if self.control_kind not in ("interior", "boundary"):
-            raise ValidationError("control_kind must be 'interior' or 'boundary'")
         steps = self.fd_steps
         if not (
             isinstance(steps, tuple)
@@ -129,32 +122,22 @@ class InsensitizeProblem:
     def observation_region(self):
         return self.observation_weight.core_region
 
-    @property
-    def control_region(self):
-        if self.control_kind == "interior":
-            return self.control_weight.core_region
-        return tuple(
-            side for side, b in (("left", self.b_left), ("right", self.b_right)) if b > 0
-        )
+    @cached_property
+    def hum(self) -> HUMProblem:
+        """The exact-control problem of the associated cascade, shared by every caller.
 
-    def observer(self) -> Observer:
-        if self.control_kind == "interior":
-            return Observer("interior", weight=self.control_weight)
-        return Observer("boundary", b_left=self.b_left, b_right=self.b_right)
-
-    def coupling(self) -> CouplingOperator | None:
-        if self.observation_weight.core_region is None:
-            return None  # vanishing observation weight: nothing to insensitize
-        return CouplingOperator(self.observation_weight, self.space)
-
-    def hum_problem(self) -> HUMProblem:
+        Its coupling is the observation weight (none when that weight
+        vanishes: there is nothing to insensitize) and its initial data the
+        known data in the controlled component.
+        """
         space = self.space
         initial = CascadeState(space.zero(), self.known_position, space.zero(), self.known_velocity)
+        coupling = None if self.observation_region is None else CouplingOperator(self.observation_weight, space)
         return HUMProblem(
-            self.control_kind,
+            self.control_operator.kind,
             initial,
-            self.coupling(),
-            self.observer(),
+            coupling,
+            self.control_operator,
             self.grid,
             source=self.source,
             cg_tolerance=self.cg_tolerance,
@@ -164,7 +147,7 @@ class InsensitizeProblem:
 
     def perturbation_spaces(self) -> tuple[int, int]:
         """Sobolev orders of the (position, velocity) perturbation slots."""
-        return (1, 0) if self.control_kind == "interior" else (0, -1)
+        return (1, 0) if self.control_operator.kind == "interior" else (0, -1)
 
 
 @dataclass(frozen=True)
@@ -315,7 +298,7 @@ def sensitivity_derivatives(
     free sensitivity waves (position data z0, velocity data z1), and returns
     the weighted pairings of c times the solution against each wave.
     """
-    states = controlled_forward(problem.hum_problem(), control)
+    states = controlled_forward(problem.hum, control)
     fine = fine_second_positions(states, problem.space, problem.grid)
     per_position, per_velocity = _modal_derivatives(problem, fine)
     return float(per_position @ np.asarray(z0, dtype=float)), float(per_velocity @ np.asarray(z1, dtype=float))
@@ -349,17 +332,18 @@ def _unit_perturbations(problem: InsensitizeProblem, count: int, rng) -> list[tu
     return out
 
 
-def _response(hum: HUMProblem, z0: np.ndarray, z1: np.ndarray, _ws=None) -> np.ndarray:
+def _response(hum: HUMProblem, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
     """Controlled states from the perturbation (z0, z1) alone: no control, no source.
 
     The trajectory at known data + tau (z0, z1) under any fixed control is
-    the base trajectory plus tau times this response.  ``_ws`` is a
-    workspace of ``hum``; its source samples are ignored.
+    the base trajectory plus tau times this response, the free march of the
+    controlled stepper from the data row.
     """
-    space = hum.space
-    data = CascadeState(space.zero(), ModalCoefficients(z0, space), space.zero(), ModalCoefficients(z1, space))
-    ws = None if _ws is None else replace(_ws, source_nodes=None)
-    return controlled_forward(replace(hum, initial_data=data, source=None), None, ws)
+    n = hum.space.n_modes
+    states = np.zeros((hum.grid.n_steps + 1, 4 * n))
+    states[0, n : 2 * n] = z0
+    states[0, 3 * n :] = z1
+    return march(hum.step_controlled, states)
 
 
 def _fd_derivative(problem: InsensitizeProblem, base: np.ndarray, response: np.ndarray) -> float:
@@ -397,9 +381,7 @@ def insensitize(problem: InsensitizeProblem):
     checks = []
     if problem.observation_region is not None:
         checks.append(("observation region", problem.observation_region))
-    region = problem.control_region
-    if problem.control_kind == "interior" or region:
-        checks.append(("control region", region))
+    checks.append(("control region", problem.control_operator.region))
     for label, reg in checks:
         minimal = gcc_min_time(reg)
         if problem.horizon <= minimal:
@@ -408,7 +390,7 @@ def insensitize(problem: InsensitizeProblem):
                 {"region": reg, "minimal_horizon": minimal, "horizon": problem.horizon},
             )
 
-    hum = problem.hum_problem()
+    hum = problem.hum
     solution = solve_hum(hum)
     control = solution.control
     space, grid = problem.space, problem.grid
@@ -416,11 +398,10 @@ def insensitize(problem: InsensitizeProblem):
     phi0 = _fine_phi(problem, fine)
 
     rng = np.random.default_rng(problem.seed)
-    ws = _workspace(hum)
     zero = np.zeros(space.n_modes)
 
     def response(z0, z1):
-        return fine_second_positions(_response(hum, z0, z1, ws), space, grid)
+        return fine_second_positions(_response(hum, z0, z1), space, grid)
 
     records = []
     per_position, per_velocity = _modal_derivatives(problem, fine)
@@ -438,7 +419,7 @@ def insensitize(problem: InsensitizeProblem):
     else:
         exponent = float("inf")  # perturbations invisible to Phi
 
-    reference = fine_second_positions(controlled_forward(hum, None, ws), space, grid)
+    reference = fine_second_positions(controlled_forward(hum, None), space, grid)
     ref_pos, ref_vel = _modal_derivatives(problem, reference)
     fd_reference = (float(ref_pos @ z0 + ref_vel @ z1), _fd_derivative(problem, reference, along))
 
@@ -456,11 +437,11 @@ def insensitize(problem: InsensitizeProblem):
     return control, certificate
 
 
-def _first_component_norms(states: np.ndarray, space: SpectralSpace, control_kind: str) -> np.ndarray:
+def _first_component_norms(states: np.ndarray, space: SpectralSpace, case: str) -> np.ndarray:
     """Norm of the first cascade component in every row of ``states``, in the case's space."""
     n = space.n_modes
     lam = space.eigenvalues
-    orders = (2, 1) if control_kind == "interior" else (1, 0)
+    orders = (2, 1) if case == "interior" else (1, 0)
     position = np.sum(lam ** orders[0] * states[:, :n] ** 2, axis=1)
     velocity = np.sum(lam ** orders[1] * states[:, 2 * n : 3 * n] ** 2, axis=1)
     return np.sqrt(position + velocity)
@@ -481,7 +462,7 @@ def verify_converse(
     Phi exactly when the terminal data of the coupled component vanish
     relative to the trajectory scale.
     """
-    hum = problem.hum_problem()
+    hum = problem.hum
     states = controlled_forward(hum, control)
     space = problem.space
     lam = space.eigenvalues
@@ -495,8 +476,8 @@ def verify_converse(
     spanning = np.concatenate([per_position / np.sqrt(lam**k_pos), per_velocity / np.sqrt(lam**k_vel)])
     worst_rel = float(np.max(np.abs(spanning))) / scale
 
-    norms = _first_component_norms(states, space, problem.control_kind)
-    data_scale = control_space_norms(hum.initial_data.as_vector(), space, problem.control_kind)["total"]
+    norms = _first_component_norms(states, space, hum.case)
+    data_scale = control_space_norms(hum.initial_data.as_vector(), space, hum.case)["total"]
     terminal_rel = float(norms[-1]) / max(float(norms.max()), data_scale, 1e-300)
 
     return ConverseReport(

@@ -480,7 +480,7 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
         known_velocity=y1,
         observation_weight=observation,
         horizon=config.get("grid", "horizon", cast=float),
-        control_kind=observer.kind,
+        control_operator=observer,
         source=config.source(space, rng),
         cg_tolerance=config.get("hum", "cg_tolerance", default=1e-10, cast=float),
         max_iterations=config.get("hum", "max_iterations", default=2000, cast=int),
@@ -490,11 +490,6 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
     )
     if config.has("grid", "n_steps"):
         kwargs["n_steps"] = config.get("grid", "n_steps", cast=int)
-    if observer.kind == "interior":
-        kwargs["control_weight"] = observer.weight
-    else:
-        kwargs["b_left"] = observer.b_left
-        kwargs["b_right"] = observer.b_right
     problem = InsensitizeProblem(**kwargs)
     control, certificate = insensitize(problem)
     converse = verify_converse(problem, control)

@@ -14,7 +14,7 @@ composite quadrature rule configured on the space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,8 @@ __all__ = [
     "sobolev_norm",
     "assemble_multiplication_matrix",
 ]
+
+SCAN_POINTS = 4001  # uniform samples behind the numerical infimum and sup norm of a coefficient function
 
 
 def simpson_weights(n_panels: int, length: float) -> np.ndarray:
@@ -218,7 +220,6 @@ class CoefficientFunction:
 
     pieces: tuple[PlateauBump, ...]
     core_region: tuple[float, float] | None = None
-    _scan_points: int = field(default=4001, repr=False)
 
     def __post_init__(self):
         if isinstance(self.pieces, PlateauBump):
@@ -259,12 +260,12 @@ class CoefficientFunction:
         if self.core_region is None:
             return 0.0
         a, b = self.core_region
-        grid = np.linspace(a, b, self._scan_points)
+        grid = np.linspace(a, b, SCAN_POINTS)
         return float(np.min(self(grid)))
 
     @property
     def sup_norm(self) -> float:
-        grid = np.linspace(0.0, 1.0, self._scan_points)
+        grid = np.linspace(0.0, 1.0, SCAN_POINTS)
         return float(np.max(self(grid)))
 
 

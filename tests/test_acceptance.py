@@ -344,19 +344,18 @@ class TestCriterion9Insensitizing:
         y1 = ModalCoefficients(rng.standard_normal(32), space)
         g = rng.standard_normal(32)
         g /= np.linalg.norm(g)
-        extra = dict(control_weight=OBS_FN) if kind == "interior" else dict(b_left=1.0)
+        control = Observer("interior", weight=OBS_FN) if kind == "interior" else Observer("boundary", b_left=1.0)
         return InsensitizeProblem(
             known_position=y0,
             known_velocity=y1,
             observation_weight=COUPLING_FN,
             horizon=4.0,
-            control_kind=kind,
+            control_operator=control,
             source=lambda t: np.sin(np.pi * t) * g,
             cg_tolerance=1e-10,
             max_iterations=500,
             perturbation_count=10,
             seed=seed + 1,
-            **extra,
         )
 
     def _check(self, kind, seed, label):
@@ -396,8 +395,7 @@ class TestCriterion10Equivalence:
                 known_velocity=y1,
                 observation_weight=COUPLING_FN,
                 horizon=4.0,
-                control_kind="interior",
-                control_weight=OBS_FN,
+                control_operator=Observer("interior", weight=OBS_FN),
                 cg_tolerance=1e-10,
                 max_iterations=500,
                 perturbation_count=3,

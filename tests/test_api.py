@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -19,6 +20,20 @@ def test_module_all_resolves(module_name):
     module = importlib.import_module(f"wavecascade.{module_name}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_no_public_callable_takes_a_private_parameter():
+    # a private knob on a public signature is state that belongs to an object
+    private = []
+    for module_name in MODULES:
+        module = importlib.import_module(f"wavecascade.{module_name}")
+        for name in getattr(module, "__all__", ()):
+            try:
+                parameters = inspect.signature(getattr(module, name)).parameters
+            except (TypeError, ValueError):  # not callable, or a builtin type such as an exception class
+                continue
+            private += [f"{module_name}.{name}({p})" for p in parameters if p.startswith("_")]
+    assert private == []
 
 
 def test_package_reexports_resolve():

@@ -541,3 +541,17 @@ class TestCouplingOperator:
         assert coupling.alpha == pytest.approx(1.0)
         assert coupling.beta == pytest.approx(1.0)
         assert coupling.core_region == (0.2, 0.3)
+
+    def test_projection_matrix_is_assembled_once(self):
+        coupling = standard_coupling(SpectralSpace(8))
+        assert coupling.projection_matrix is coupling.projection_matrix
+
+
+class TestTimeGrid:
+    def test_arrays_are_built_once_and_read_only(self):
+        grid = TimeGrid(1.0, 64)
+        for name in ("times", "node_weights", "fine_times", "fine_weights"):
+            array = getattr(grid, name)
+            assert getattr(grid, name) is array
+            with pytest.raises(ValueError):
+                array[0] = 1.0

@@ -32,7 +32,7 @@ from wavecascade.hum import (
     solve_hum,
     verify_transposition,
 )
-from wavecascade.hum import _backward_states, _workspace
+from wavecascade.hum import _backward_states
 
 RNG = np.random.default_rng(20240814)
 
@@ -77,22 +77,20 @@ class TestGramianOperator:
 
     def test_matrix_free_matches_dense_on_random_vectors(self):
         prob = interior_problem(8)
-        ws = _workspace(prob)
-        gram = dense_hum_matrix(prob, ws)
+        gram = dense_hum_matrix(prob)
         for _ in range(50):
             u = RNG.standard_normal(32)
             dense = gram @ u
-            free = apply_hum_gramian(u, prob, ws)
+            free = apply_hum_gramian(u, prob)
             assert np.max(np.abs(free - dense)) <= 1e-8 * max(np.max(np.abs(dense)), 1e-300)
 
     def test_self_adjointness(self):
         prob = interior_problem(8)
-        ws = _workspace(prob)
         for _ in range(10):
             u = RNG.standard_normal(32)
             v = RNG.standard_normal(32)
-            left = float(v @ apply_hum_gramian(u, prob, ws))
-            right = float(u @ apply_hum_gramian(v, prob, ws))
+            left = float(v @ apply_hum_gramian(u, prob))
+            right = float(u @ apply_hum_gramian(v, prob))
             assert abs(left - right) <= 1e-8 * max(abs(left), abs(right))
 
     def test_quadratic_form_matches_observability_gramian_of_shifted_data(self):
@@ -108,10 +106,9 @@ class TestGramianOperator:
             Observer("interior", weight=CONTROL_FN),
             grid,
         )
-        ws = _workspace(prob)
         wt = RNG.standard_normal(32)
-        quad = float(wt @ apply_hum_gramian(wt, prob, ws))
-        states = _backward_states(wt, ws, grid)
+        quad = float(wt @ apply_hum_gramian(wt, prob))
+        states = _backward_states(wt, prob)
         shifted_initial = invert_generator(CascadeState.from_vector(states[0], space), coupling)
         observed = gramian_form(shifted_initial, coupling, Observer("interior", weight=CONTROL_FN), grid)
         assert quad == pytest.approx(observed, rel=1e-8)
@@ -126,16 +123,15 @@ class TestAssembleRhs:
     def test_functional_matches_direct_evaluation(self):
         for make in (interior_problem, boundary_problem):
             prob = make(8, source=lambda t: np.sin(t) * np.ones(8))
-            ws = _workspace(prob)
-            ell = assemble_rhs(prob, ws)
+            ell = assemble_rhs(prob)
             grid = prob.grid
             for _ in range(10):
                 probe = RNG.standard_normal(32)
-                states = _backward_states(probe, ws, grid)
+                states = _backward_states(probe, prob)
                 direct = duality_pairing(prob.initial_data.as_vector(), states[0], 8)
                 direct += float(
                     grid.node_weights
-                    @ np.einsum("mi,mi->m", ws.source_nodes, states[:, 8:16])
+                    @ np.einsum("mi,mi->m", prob.source_nodes, states[:, 8:16])
                 )
                 paired = float(ell @ probe)
                 assert paired == pytest.approx(direct, rel=1e-8, abs=1e-12)
@@ -145,19 +141,18 @@ class TestAssembleRhs:
         # reference: march the transposed backward step over the weighted
         # source nodes, starting from the paired initial data
         prob = make(8, source=lambda t: np.sin(t) * np.ones(8))
-        ws = _workspace(prob)
         n, m = 8, prob.grid.n_steps
         states = np.zeros((m + 1, 4 * n))
-        states[:, n : 2 * n] = ws.source_nodes
+        states[:, n : 2 * n] = prob.source_nodes
         states *= prob.grid.node_weights[:, None]
         x0 = prob.initial_data.as_vector()
         states[0] -= np.concatenate([-x0[2 * n :], x0[: 2 * n]])
         for k in range(m):
-            states[k + 1] += ws.step_back.T @ states[k]
+            states[k + 1] += prob.step_back.T @ states[k]
         expected = states[-1]
         # two marches of m steps in different orders: rounding grows with m
         tol = m * np.finfo(float).eps
-        assert np.linalg.norm(assemble_rhs(prob, ws) - expected) <= tol * np.linalg.norm(expected)
+        assert np.linalg.norm(assemble_rhs(prob) - expected) <= tol * np.linalg.norm(expected)
 
     def test_second_component_data_reduces_to_scalar_form(self):
         # data only in the controlled component pairs only against its slots
@@ -166,10 +161,9 @@ class TestAssembleRhs:
         dy2 = ModalCoefficients(RNG.standard_normal(8), space)
         data = CascadeState(space.zero(), y2, space.zero(), dy2)
         prob = interior_problem(8, data=data)
-        ws = _workspace(prob)
-        ell = assemble_rhs(prob, ws)
+        ell = assemble_rhs(prob)
         probe = RNG.standard_normal(32)
-        states = _backward_states(probe, ws, prob.grid)
+        states = _backward_states(probe, prob)
         w2_0 = states[0, 8:16]
         dw2_0 = states[0, 24:32]
         scalar_form = float(dy2.coeffs @ w2_0 - y2.coeffs @ dw2_0)
@@ -206,21 +200,19 @@ class TestSolve:
 
     def test_cg_matches_dense_solve(self):
         prob = interior_problem(8, cg_tolerance=1e-12)
-        ws = _workspace(prob)
         sol = solve_hum(prob)
-        gram = dense_hum_matrix(prob, ws)
+        gram = dense_hum_matrix(prob)
         dense = np.linalg.solve(
-            gram + 1e-300 * np.eye(32), -assemble_rhs(prob, ws)
+            gram + 1e-300 * np.eye(32), -assemble_rhs(prob)
         )
         rel = np.linalg.norm(sol.minimizer.as_vector() - dense) / np.linalg.norm(dense)
         assert rel < 1e-6
 
     def test_cg_matches_solve_on_matrix_free_gramian(self):
         prob = interior_problem(8, cg_tolerance=1e-12)
-        ws = _workspace(prob)
         sol = solve_hum(prob)
-        gram = np.column_stack([apply_hum_gramian(e, prob, ws) for e in np.eye(32)])
-        oracle = np.linalg.solve(gram, -assemble_rhs(prob, ws))
+        gram = np.column_stack([apply_hum_gramian(e, prob) for e in np.eye(32)])
+        oracle = np.linalg.solve(gram, -assemble_rhs(prob))
         rel = np.linalg.norm(sol.minimizer.as_vector() - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-6
 
@@ -243,20 +235,19 @@ class TestSolve:
         from wavecascade.hum import _pairing_matrix_apply
 
         prob = interior_problem(8, horizon=2.0, cg_tolerance=1e-12)
-        ws = _workspace(prob)
         sol = solve_hum(prob)
         grid = prob.grid
         n = 8
-        q = ws.obs_rows.shape[0]
+        q = prob.obs_rows.shape[0]
         base = np.zeros((4 * n, q))
         for j in range(q):
-            base[:, j] = _pairing_matrix_apply(ws.obs_rows.T[:, j], n)
+            base[:, j] = _pairing_matrix_apply(prob.obs_rows.T[:, j], n)
         # reachability matrix: columns are terminal states of unit samples
         power = np.eye(4 * n)
         blocks = [None] * (grid.n_steps + 1)
         for m in range(grid.n_steps, -1, -1):
             blocks[m] = grid.node_weights[m] * (power @ base)
-            power = power @ ws.step_controlled
+            power = power @ prob.step_controlled
         reach = np.hstack(blocks)
         _, svals, vt = np.linalg.svd(reach, full_matrices=True)
         null_dirs = vt[np.count_nonzero(svals > 1e-10 * svals[0]) :]
@@ -348,17 +339,36 @@ class TestTransposition:
     def test_non_finite_source_rejected(self):
         prob = interior_problem(8, source=lambda t: np.full(8, np.nan))
         with pytest.raises(ValidationError, match="non-finite"):
-            _workspace(prob)
+            prob.source_nodes
 
 
-class TestWorkspace:
+class TestProblemOperators:
     @pytest.mark.parametrize("coupling", [True, False])
     def test_controlled_step_matches_first_driven_stepper(self, coupling):
         prob = interior_problem(12, coupling=coupling)
         cmat = prob.coupling.matrix.T if coupling else None
         expected = cascade_step_matrix(prob.space, cmat, prob.grid.dt, driven="first")
-        step = _workspace(prob).step_controlled
+        step = prob.step_controlled
         assert np.max(np.abs(step - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_steppers_are_built_once_and_step_back_inverts_the_step(self, monkeypatch):
+        import wavecascade.hum as hum_module
+
+        original = hum_module.cascade_step_matrix
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hum_module, "cascade_step_matrix", counted)
+        prob = interior_problem(8, data=CascadeState.zero(SpectralSpace(8)))  # leaves the module RNG alone
+        solve_hum(prob)
+        verify_transposition(prob, None, n_probes=2)
+        apply_hum_gramian(np.ones(32), prob)
+        assert prob.step_back is prob.step_back and prob.step_controlled is prob.step_controlled
+        assert len(builds) == 1
+        assert np.max(np.abs(prob.step_back @ prob.step - np.eye(32))) <= 1e-12
 
     def test_source_is_called_once_on_a_column_of_times(self):
         g = RNG.standard_normal(8)
@@ -369,15 +379,16 @@ class TestWorkspace:
             return np.cos(2.0 * t) * g
 
         prob = interior_problem(8, source=source)
-        ws = _workspace(prob)
+        nodes = prob.source_nodes
+        assert prob.source_nodes is nodes
         assert shapes == [(prob.grid.n_steps + 1, 1)]
         expected = np.array([np.cos(2.0 * t) * g for t in prob.grid.times])
-        assert np.max(np.abs(ws.source_nodes - expected)) <= 1e-15
+        assert np.max(np.abs(nodes - expected)) <= 1e-15
 
     @pytest.mark.parametrize("make", [interior_problem, boundary_problem])
     def test_source_of_wrong_length_rejected(self, make):
         with pytest.raises(ValidationError, match="broadcast"):
-            _workspace(make(8, source=lambda t: np.ones(9)))
+            make(8, source=lambda t: np.ones(9)).source_nodes
 
 
 class TestSpaces:

@@ -14,7 +14,7 @@ from wavecascade.spectral import (
     SpectralSpace,
     assemble_multiplication_matrix,
 )
-from wavecascade.dynamics import TimeGrid
+from wavecascade.dynamics import Observer, TimeGrid
 from wavecascade.hum import TimeSampledControl, controlled_forward
 from wavecascade.insensitize import (
     InsensitizeCertificate,
@@ -46,15 +46,14 @@ def make_problem(n_modes=16, horizon=4.0, kind="interior", weight=OBSERVATION_FN
         y1 = ModalCoefficients(RNG.standard_normal(n_modes), space)
     else:
         y0, y1 = data
-    extra = dict(control_weight=CONTROL_FN) if kind == "interior" else dict(b_left=1.0)
-    extra.update(kw)
+    control = Observer("interior", weight=CONTROL_FN) if kind == "interior" else Observer("boundary", b_left=1.0)
     return InsensitizeProblem(
         known_position=y0,
         known_velocity=y1,
         observation_weight=weight,
         horizon=horizon,
-        control_kind=kind,
-        **extra,
+        control_operator=control,
+        **kw,
     )
 
 
@@ -96,7 +95,7 @@ class TestSensitivityDerivatives:
 
     def test_matches_finite_difference_oracle(self):
         prob = make_problem(12)
-        hum = prob.hum_problem()
+        hum = prob.hum
         control = TimeSampledControl(
             0.1 * RNG.standard_normal((prob.grid.n_steps + 1, 12)), "interior", prob.grid
         )
@@ -214,7 +213,7 @@ class TestTrajectoryPhi:
         # node positions enter both the node and half-node samples; check
         # agreement against a direct fine re-simulation at doubled steps
         prob = make_problem(8, n_steps=512)
-        hum = prob.hum_problem()
+        hum = prob.hum
         from wavecascade.hum import controlled_forward
 
         states = controlled_forward(hum, None)
@@ -222,7 +221,7 @@ class TestTrajectoryPhi:
         prob_fine = make_problem(
             8, n_steps=1024, data=(prob.known_position, prob.known_velocity)
         )
-        states_fine = controlled_forward(prob_fine.hum_problem(), None)
+        states_fine = controlled_forward(prob_fine.hum, None)
         phi_fine = trajectory_phi(prob_fine, states_fine)
         assert phi_coarse == pytest.approx(phi_fine, rel=1e-6)
 
@@ -278,7 +277,7 @@ class TestFinePositionRoute:
             ModalCoefficients(rng.standard_normal(12), space),
         )
         prob = make_problem(12, kind=kind, data=data)
-        hum = prob.hum_problem()
+        hum = prob.hum
         space = prob.space
         z0 = rng.standard_normal(12) / np.sqrt(space.eigenvalues)
         z1 = rng.standard_normal(12)
@@ -318,3 +317,33 @@ class TestOracleTeeth:
         assert result.status == 1
         verdicts = {name: ok for name, ok, _ in result.checks}
         assert verdicts["fd_reference_agreement"] is False
+
+
+class TestSharedOperators:
+    def test_converse_run_builds_the_step_once_and_the_grid_weights_once(self, monkeypatch, tmp_path):
+        import wavecascade.dynamics as dynamics_module
+        import wavecascade.hum as hum_module
+
+        counts = {"cascade_step_matrix": 0, "simpson_weights": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(hum_module, "cascade_step_matrix")
+        counting(dynamics_module, "simpson_weights")
+        result = run(parse_config(CONFIG_DIR / "criterion10_converse.ini"), tmp_path)
+        assert result.status == 0
+        assert counts["cascade_step_matrix"] == 1
+        assert counts["simpson_weights"] <= 2
+
+    def test_certificate_and_converse_share_one_cascade_problem(self):
+        prob = make_problem(8, perturbation_count=1)
+        assert prob.hum is prob.hum
+        assert prob.hum.observer is prob.control_operator
+        assert prob.hum.coupling.function is prob.observation_weight

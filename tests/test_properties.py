@@ -30,7 +30,6 @@ from wavecascade.hum import (
     HUMProblem,
     TimeSampledControl,
     _backward_states,
-    _workspace,
     controlled_forward,
     solve_hum,
 )
@@ -86,9 +85,8 @@ def test_backward_evolution_undoes_forward_evolution(case):
 def test_duality_pairing_is_constant_along_controlled_and_adjoint_trajectories(case):
     space, coupling, observer, grid, x, w = case
     problem = HUMProblem("interior", CascadeState.from_vector(x, space), coupling, observer, grid)
-    ws = _workspace(problem)
-    forward = controlled_forward(problem, None, ws)
-    adjoint = _backward_states(w, ws, grid)
+    forward = controlled_forward(problem, None)
+    adjoint = _backward_states(w, problem)
     n = space.n_modes
     pairings = np.array([duality_pairing(y, a, n) for y, a in zip(forward, adjoint)])
     scale = np.max(np.linalg.norm(forward, axis=1) * np.linalg.norm(adjoint, axis=1))
