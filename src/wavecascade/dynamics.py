@@ -479,6 +479,21 @@ def march(step: np.ndarray, states: np.ndarray) -> np.ndarray:
     return states
 
 
+def _aligned(array: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``array`` whose data start on a 64-byte boundary.
+
+    A step marched thousands of times runs measurably slower in BLAS gemv
+    when its data start 16 or 48 bytes past a cache line, and numpy's
+    allocator guarantees only 16; an aligned copy makes the speed of
+    ``march`` independent of where the allocator put the step.
+    """
+    buffer = np.empty(array.nbytes + 64, dtype=np.uint8)
+    start = -buffer.ctypes.data % 64
+    out = buffer[start : start + array.nbytes].view(array.dtype).reshape(array.shape)
+    out[...] = array
+    return out
+
+
 def reversed_step(step: np.ndarray, n_modes: int) -> np.ndarray:
     """R step R with R negating velocities: the exact inverse of a reversible step."""
     out = step.copy()

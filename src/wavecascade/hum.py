@@ -36,6 +36,7 @@ from .dynamics import (
     CouplingOperator,
     Observer,
     TimeGrid,
+    _aligned,
     _sample_forcing,
     cascade_step_matrix,
     duality_pairing,
@@ -80,7 +81,8 @@ class HUMProblem:
 
     The problem owns the operators derived from it (the steppers, the
     observation rows, the adjoint metric and the source samples); each is
-    built on first use and kept for the life of the problem.
+    built on first use and kept for the life of the problem, the steppers
+    in 64-byte-aligned buffers (``dynamics._aligned``).
     """
 
     case: str
@@ -116,19 +118,19 @@ class HUMProblem:
     def step(self) -> np.ndarray:
         """P, the adjoint one-step propagator."""
         cmat = None if self.coupling is None else self.coupling.matrix
-        return cascade_step_matrix(self.space, cmat, self.grid.dt)
+        return _aligned(cascade_step_matrix(self.space, cmat, self.grid.dt))
 
     @cached_property
     def step_back(self) -> np.ndarray:
         """P^{-1}, exact by velocity reflection."""
-        return reversed_step(self.step, self.space.n_modes)
+        return _aligned(reversed_step(self.step, self.space.n_modes))
 
     @cached_property
     def step_controlled(self) -> np.ndarray:
         """The dual of P: P^T with position and velocity halves swapped."""
         # the dual of P keeps the pairing matrix J: Pc^T J P = J, so Pc = J^{-1} (P^{-1})^T J;
         # with P^{-1} = R P R (R negates velocities) that is P^T with the halves swapped
-        return np.ascontiguousarray(np.roll(self.step.T, 2 * self.space.n_modes, axis=(0, 1)))
+        return _aligned(np.roll(self.step.T, 2 * self.space.n_modes, axis=(0, 1)))
 
     @cached_property
     def obs_rows(self) -> np.ndarray:

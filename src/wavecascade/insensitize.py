@@ -13,16 +13,21 @@ the source, the cascade coupling weight is the observation weight c, and
 the control acts through the weight b (interior) or the boundary.
 
 The verification is double: analytic sensitivity pairings against the
-closed-form free waves, and finite differences of Phi along marched
-perturbation responses.  For a fixed control the controlled solve is affine
-in the known data, so the trajectory at data + tau z is the base trajectory
-plus tau times the response to z alone (no control, no source).  Phi reads
-only the half-step positions of the controlled component, which are linear
-in the node states, so each trajectory is reduced to those fine positions
-once and Phi along each perturbation is differenced on fine_base +
-tau * fine_response, without re-simulating.  Both sides run through the
-same discrete model, in which the analytic pairing is the exact derivative
-of the discrete functional.  At the
+closed-form free waves, and finite differences of Phi along perturbation
+responses.  For a fixed control the controlled solve is affine in the known
+data, so the trajectory at data + tau z is the base trajectory plus tau
+times the response to z alone (no control, no source).  The cascade's first
+component never feeds the controlled one, so that response's controlled
+component is the free wave cos(w t) z0 + sin(w t) / w z1, read off one
+half-step trig table per problem.  Phi reads only the half-step positions
+of the controlled component, which are linear in the node states, so each
+trajectory is reduced to those fine positions once and Phi along each
+perturbation is differenced on fine_base + tau * fine_response, without
+re-simulating.  One response, along the robustness perturbation, is still
+marched through the controlled stepper; its gap to the closed form ties the
+two together, and it drives the robustness sweep and the finite-difference
+oracle.  Both sides run through the same discrete model, in which the
+analytic pairing is the exact derivative of the discrete functional.  At the
 constructed control both derivatives vanish below the finite-difference
 resolution, so the two sides are also compared at the zero control, where
 the derivative is resolved.
@@ -38,7 +43,7 @@ import numpy as np
 
 from .errors import RefusalError, ValidationError
 from .spectral import CoefficientFunction, ModalCoefficients, SpectralSpace, assemble_multiplication_matrix
-from .dynamics import CascadeState, CouplingOperator, Observer, TimeGrid, free_flow, march
+from .dynamics import CascadeState, CouplingOperator, Observer, TimeGrid, _read_only, free_flow, march
 from .observability import gcc_min_time
 from .hum import (
     HUMProblem,
@@ -118,6 +123,16 @@ class InsensitizeProblem:
             return TimeGrid(self.horizon, self.n_steps)
         return TimeGrid.for_space(self.space, self.horizon, 0.4)
 
+    @cached_property
+    def fine_flow(self) -> tuple[np.ndarray, np.ndarray]:
+        """Free-wave blocks (cos w t, sin w t / w) on the half-step grid, built once.
+
+        Each is (2 n_steps + 1, N) and read-only.  They are the sensitivity
+        waves of the analytic derivatives and the controlled component of
+        every perturbation response.
+        """
+        return tuple(_read_only(block) for block in free_flow(self.space, self.grid.fine_times)[:2])
+
     @property
     def observation_region(self):
         return self.observation_weight.core_region
@@ -171,7 +186,9 @@ class InsensitizeCertificate:
     where both derivatives vanish.  ``fd_reference`` holds the analytic and
     finite-difference derivatives along the robustness perturbation at the
     zero control, where Phi is not insensitized and the derivative is
-    resolved.
+    resolved.  ``response_stepper_gap`` is the relative gap between the
+    marched and the closed-form fine positions of the robustness
+    perturbation's response; without a measurement it reads inf.
     """
 
     phi_baseline: float
@@ -183,6 +200,7 @@ class InsensitizeCertificate:
     final_residual: float
     fd_resolution: float = 0.0
     fd_reference: tuple[float, float] = (0.0, 0.0)
+    response_stepper_gap: float = float("inf")
 
     @property
     def max_terminal_relative(self) -> float:
@@ -202,7 +220,7 @@ class InsensitizeCertificate:
         """Worst relative gap between analytic and central-difference values.
 
         Derivatives below the finite-difference resolution (the roundoff of
-        differencing the re-simulated functional at the smallest step) are
+        differencing the functional at the smallest step) are
         indistinguishable from zero and count as agreeing exactly.
         """
         worst = 0.0
@@ -310,11 +328,11 @@ def _modal_derivatives(problem: InsensitizeProblem, fine: np.ndarray) -> tuple[n
     ``fine`` holds the controlled positions on the half-step grid.  The
     sensitivity wave of mode j is cos(w_j t) (position data) or
     sin(w_j t) / w_j (velocity data), so the derivatives are the column sums
-    of the weighted controlled positions against those trig blocks.
+    of the weighted controlled positions against those trig blocks
+    (``InsensitizeProblem.fine_flow``).
     """
-    grid = problem.grid
-    weighted = (grid.fine_weights[:, None] * fine) @ problem.weight_matrix
-    cos_t, sin_t = free_flow(problem.space, grid.fine_times)[:2]
+    weighted = (problem.grid.fine_weights[:, None] * fine) @ problem.weight_matrix
+    cos_t, sin_t = problem.fine_flow
     return (weighted * cos_t).sum(axis=0), (weighted * sin_t).sum(axis=0)
 
 
@@ -337,7 +355,9 @@ def _response(hum: HUMProblem, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
 
     The trajectory at known data + tau (z0, z1) under any fixed control is
     the base trajectory plus tau times this response, the free march of the
-    controlled stepper from the data row.
+    controlled stepper from the data row.  Its controlled component is the
+    free wave of ``_free_response``; the certificate marches only the
+    robustness direction, to measure the stepper against that closed form.
     """
     n = hum.space.n_modes
     states = np.zeros((hum.grid.n_steps + 1, 4 * n))
@@ -346,12 +366,33 @@ def _response(hum: HUMProblem, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
     return march(hum.step_controlled, states)
 
 
+def _free_response(problem: InsensitizeProblem, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
+    """Fine positions of the response to (z0, z1) in closed form: cos(w t) z0 + sin(w t) / w z1.
+
+    The controlled component of ``_response`` is a free wave, since the
+    first component never feeds it; this is its half-step position table.
+    """
+    cos_f, sin_f = problem.fine_flow
+    return cos_f * z0 + sin_f * z1
+
+
+def _stepper_gap(problem: InsensitizeProblem, z0: np.ndarray, z1: np.ndarray, marched: np.ndarray) -> float:
+    """max|marched - closed| / max|closed| between the marched and the closed-form fine response to (z0, z1).
+
+    The closed form lives only here, so it is freed before the zero-control
+    reference is formed, where the certificate's memory peaks.
+    """
+    closed = _free_response(problem, z0, z1)
+    return float(np.max(np.abs(marched - closed))) / max(float(np.max(np.abs(closed))), 1e-300)
+
+
 def _fd_derivative(problem: InsensitizeProblem, base: np.ndarray, response: np.ndarray) -> float:
     """Central difference of Phi along ``base + h * response``, Richardson-extrapolated over two steps.
 
-    ``base`` and ``response`` are fine positions (``fine_second_positions``)
-    of a controlled trajectory and of a marched perturbation response; being
-    linear in the node states, they are differenced directly.
+    ``base`` and ``response`` are fine positions of a controlled trajectory
+    (``fine_second_positions``) and of a perturbation response (closed form,
+    ``_free_response``, or marched); being linear in the node states, they
+    are differenced directly.
     """
     h1, h2 = problem.fd_steps
 
@@ -375,8 +416,9 @@ def insensitize(problem: InsensitizeProblem):
     enforces the Gramian observability floor.  The certificate carries the
     terminal norms of both cascade components, the analytic and finite
     difference sensitivity derivatives over the perturbation pool, the
-    quadratic-robustness exponent of Phi, and the finite-difference oracle
-    at the zero control along the robustness perturbation.
+    quadratic-robustness exponent of Phi, the finite-difference oracle at
+    the zero control along the robustness perturbation, and the gap between
+    that perturbation's marched response and its closed form.
     """
     checks = []
     if problem.observation_region is not None:
@@ -400,18 +442,16 @@ def insensitize(problem: InsensitizeProblem):
     rng = np.random.default_rng(problem.seed)
     zero = np.zeros(space.n_modes)
 
-    def response(z0, z1):
-        return fine_second_positions(_response(hum, z0, z1), space, grid)
-
     records = []
     per_position, per_velocity = _modal_derivatives(problem, fine)
     for i, (z0, z1) in enumerate(_unit_perturbations(problem, problem.perturbation_count, rng)):
-        f0 = _fd_derivative(problem, fine, response(z0, zero))
-        f1 = _fd_derivative(problem, fine, response(zero, z1))
+        f0 = _fd_derivative(problem, fine, _free_response(problem, z0, zero))
+        f1 = _fd_derivative(problem, fine, _free_response(problem, zero, z1))
         records.append(PerturbationRecord(i, float(per_position @ z0), f0, float(per_velocity @ z1), f1))
 
     z0, z1 = _unit_perturbations(problem, 1, rng)[0]
-    along = response(z0, z1)
+    along = fine_second_positions(_response(hum, z0, z1), space, grid)
+    stepper_gap = _stepper_gap(problem, z0, z1, along)
     taus = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     deltas = np.array([abs(_fine_phi(problem, fine + tau * along) - phi0) for tau in taus])
     if np.all(deltas > 0):
@@ -433,6 +473,7 @@ def insensitize(problem: InsensitizeProblem):
         final_residual=solution.final_residual,
         fd_resolution=1e3 * np.finfo(float).eps * phi0 / min(problem.fd_steps),
         fd_reference=fd_reference,
+        response_stepper_gap=stepper_gap,
     )
     return control, certificate
 

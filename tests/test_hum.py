@@ -370,6 +370,11 @@ class TestProblemOperators:
         assert len(builds) == 1
         assert np.max(np.abs(prob.step_back @ prob.step - np.eye(32))) <= 1e-12
 
+    def test_steppers_start_on_a_cache_line(self):
+        prob = interior_problem(8, data=CascadeState.zero(SpectralSpace(8)))  # leaves the module RNG alone
+        for step in (prob.step, prob.step_back, prob.step_controlled):
+            assert step.ctypes.data % 64 == 0 and step.flags.c_contiguous
+
     def test_source_is_called_once_on_a_column_of_times(self):
         g = RNG.standard_normal(8)
         shapes = []

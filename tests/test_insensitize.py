@@ -15,7 +15,7 @@ from wavecascade.spectral import (
     assemble_multiplication_matrix,
 )
 from wavecascade.dynamics import Observer, TimeGrid
-from wavecascade.hum import TimeSampledControl, controlled_forward
+from wavecascade.hum import HUMProblem, TimeSampledControl, controlled_forward
 from wavecascade.insensitize import (
     InsensitizeCertificate,
     InsensitizeProblem,
@@ -26,7 +26,7 @@ from wavecascade.insensitize import (
     trajectory_phi,
     verify_converse,
 )
-from wavecascade.insensitize import _fd_derivative, _first_component_norms, _response
+from wavecascade.insensitize import _fd_derivative, _first_component_norms, _free_response, _response
 from wavecascade.runner import parse_config, run
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -296,6 +296,17 @@ class TestFinePositionRoute:
         assert fine_route == pytest.approx(nodes, rel=1e-9)
 
     @pytest.mark.parametrize("kind", ["interior", "boundary"])
+    def test_closed_form_response_matches_the_marched_one(self, kind):
+        space = SpectralSpace(12)
+        rng = np.random.default_rng(42)
+        prob = make_problem(12, kind=kind, data=(space.zero(), space.zero()))
+        z0 = rng.standard_normal(12) / np.sqrt(space.eigenvalues)
+        z1 = rng.standard_normal(12)
+        marched = fine_second_positions(_response(prob.hum, z0, z1), prob.space, prob.grid)
+        closed = _free_response(prob, z0, z1)
+        assert np.max(np.abs(marched - closed)) <= 1e-12 * np.max(np.abs(closed))
+
+    @pytest.mark.parametrize("kind", ["interior", "boundary"])
     def test_converse_norms_match_per_row_loop(self, kind):
         space = SpectralSpace(8)
         states = np.random.default_rng(43).standard_normal((33, 32))
@@ -317,6 +328,22 @@ class TestOracleTeeth:
         assert result.status == 1
         verdicts = {name: ok for name, ok, _ in result.checks}
         assert verdicts["fd_reference_agreement"] is False
+
+    def test_perturbed_controlled_stepper_fails_the_lab_run(self, monkeypatch, tmp_path):
+        # a perturbation this small passes every other check of the converse run
+        exact = HUMProblem.step_controlled.func
+
+        def perturbed(problem):
+            step = exact(problem).copy()
+            n = problem.space.n_modes
+            controlled = np.r_[n : 2 * n, 3 * n : 4 * n]
+            step[np.ix_(controlled, controlled)] += 1e-12
+            return step
+
+        monkeypatch.setattr(HUMProblem, "step_controlled", property(perturbed))
+        result = run(parse_config(CONFIG_DIR / "criterion10_converse.ini"), tmp_path)
+        assert result.status == 1
+        assert [name for name, ok, _ in result.checks if not ok] == ["response_stepper_gap"]
 
 
 class TestSharedOperators:
@@ -341,6 +368,20 @@ class TestSharedOperators:
         assert result.status == 0
         assert counts["cascade_step_matrix"] == 1
         assert counts["simpson_weights"] <= 2
+
+    def test_converse_run_builds_the_fine_trig_table_once(self, monkeypatch, tmp_path):
+        tables = []
+        original = insensitize_module.free_flow
+
+        def counted(space, t):
+            if np.ndim(t):  # fine_second_positions rotates by the scalar half step
+                tables.append(np.shape(t))
+            return original(space, t)
+
+        monkeypatch.setattr(insensitize_module, "free_flow", counted)
+        result = run(parse_config(CONFIG_DIR / "criterion10_converse.ini"), tmp_path)
+        assert result.status == 0
+        assert len(tables) == 1
 
     def test_certificate_and_converse_share_one_cascade_problem(self):
         prob = make_problem(8, perturbation_count=1)
