@@ -14,6 +14,7 @@ import numpy as np
 from wavecascade import (
     CoefficientFunction,
     CouplingOperator,
+    ObservabilityConstants,
     Observer,
     PlateauBump,
     SpectralSpace,
@@ -22,7 +23,6 @@ from wavecascade import (
     estimate_uniform_constants,
     gcc_min_time,
     min_eigenvalue,
-    theoretical_constants,
 )
 
 coupling_fn = CoefficientFunction((PlateauBump(0.2, 0.3, 0.05, 1.0),), core_region=(0.2, 0.3))
@@ -60,11 +60,8 @@ space = SpectralSpace(16)
 coupling = CouplingOperator(coupling_fn, space)
 horizon = empirical_horizon(coupling, observer)
 grid = TimeGrid.for_space(space, 1.25 * horizon, 0.05)
-gamma0, _ = estimate_uniform_constants(coupling, grid, space, ensemble=16, seed=1)
-eta0, alpha0 = estimate_uniform_constants(observer, grid, space, ensemble=16, seed=2)
-constants = theoretical_constants(
-    coupling.alpha, coupling.beta, 2 * gamma0, 2 * eta0, max(2 * alpha0, 1e-12), horizon
-)
+gamma0, eta0, alpha0 = estimate_uniform_constants(coupling, observer, grid, space, ensemble=16, seed=1)
+constants = ObservabilityConstants(coupling.alpha, coupling.beta, 2 * gamma0, 2 * eta0, 2 * alpha0, horizon)
 print(f"\nestimated uniform constants (inflated 2x): gamma0 = {2 * gamma0:.2f}, eta0 = {2 * eta0:.2f}")
 print(f"derived chain: a = {constants.a:.2f}, b = {constants.b:.2f}, "
       f"mean-energy factor = {constants.m_factor:.3e}, horizon threshold t3 = {constants.t3:.2f}")

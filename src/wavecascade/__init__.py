@@ -53,7 +53,6 @@ from .observability import (
     inequality_chain_audit,
     min_eigenvalue,
     ray_hit_time,
-    theoretical_constants,
 )
 from .hum import (
     HUMProblem,

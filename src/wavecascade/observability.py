@@ -16,7 +16,9 @@ the generalized ``eigh`` of ``empirical_ratios``, and ARPACK for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,7 +50,6 @@ __all__ = [
     "adjoint_sweep",
     "norm_weights",
     "min_eigenvalue",
-    "theoretical_constants",
     "estimate_uniform_constants",
     "gcc_min_time",
     "ray_hit_time",
@@ -329,12 +330,16 @@ def min_eigenvalue(
 class ObservabilityConstants:
     """Constant chain of the two-level energy argument.
 
-    alpha/beta are the coupling coercivity and sup-norm; gamma0/delta0 and
-    eta0/alpha0 the uniform source-observability constants of the localized
-    projection and of the observation operator; c1..c4 the chain constants
-    obtained by walking the proof with Young parameter eta = T alpha /
-    (4 gamma0); the derived quantities (a, b, nu, m_factor, t1..t3) follow by
-    closed forms.
+    alpha/beta are the coupling coercivity and sup-norm; gamma0 the uniform
+    observability constant of the localized projection and eta0/alpha0 the
+    source-observability pair of the observation operator
+    (``estimate_uniform_constants`` samples all three); t0 the horizon from
+    which the geometric inequalities are asserted.  c1..c4 are the chain
+    constants obtained by walking the proof with Young parameter eta = T
+    alpha / (4 gamma0); the derived quantities (a, b, nu, m_factor, t1..t3)
+    follow by closed forms.  Inputs must be finite and positive, and a chain
+    that leaves the float range is a ValidationError, so that no derived
+    threshold is NaN or infinite.
     """
 
     alpha: float
@@ -342,12 +347,11 @@ class ObservabilityConstants:
     gamma0: float
     eta0: float
     alpha0: float
-    delta0: float
     t0: float
-    c1: float = 4.0
-    c2: float = 16.0
-    c3: float = 32.0
-    c4: float = 128.0
+    c1: ClassVar[float] = 4.0
+    c2: ClassVar[float] = 16.0
+    c3: ClassVar[float] = 32.0
+    c4: ClassVar[float] = 128.0
     a: float = field(init=False)
     b: float = field(init=False)
     nu: float = field(init=False)
@@ -357,23 +361,30 @@ class ObservabilityConstants:
     t3: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma0", "eta0", "alpha0", "t0", "c1", "c2", "c3", "c4"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        a = self.c3 * self.beta * self.gamma0 / (2.0 * self.alpha)
-        b = self.c4 * self.beta**2 * self.gamma0**2 / (2.0 * self.alpha**2)
-        root = np.sqrt(a * a + a + b)
-        nu = a + root
-        m_factor = root / ((2.0 * a + 1.0) * (a + root) + a + 2.0 * b)
-        t1 = np.sqrt(2.0 * self.c4 * self.alpha0 * self.beta * self.gamma0) / self.alpha
-        t2 = np.sqrt(2.0 * self.c3 * self.alpha0 * self.beta * self.gamma0) / np.sqrt(self.alpha * m_factor)
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "b", float(b))
-        object.__setattr__(self, "nu", float(nu))
-        object.__setattr__(self, "m_factor", float(m_factor))
-        object.__setattr__(self, "t1", float(t1))
-        object.__setattr__(self, "t2", float(t2))
-        object.__setattr__(self, "t3", float(max(self.t0, t1, t2)))
+        # plain floats: their arithmetic overflows into an exception or inf,
+        # never into a numpy RuntimeWarning
+        inputs = ("alpha", "beta", "gamma0", "eta0", "alpha0", "t0")
+        for name in inputs:
+            value = float(getattr(self, name))
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and positive, got {value}")
+            object.__setattr__(self, name, value)
+        try:
+            a = self.c3 * self.beta * self.gamma0 / (2.0 * self.alpha)
+            b = self.c4 * self.beta**2 * self.gamma0**2 / (2.0 * self.alpha**2)
+            root = math.sqrt(a * a + a + b)
+            m_factor = root / ((2.0 * a + 1.0) * (a + root) + a + 2.0 * b)
+            t1 = math.sqrt(2.0 * self.c4 * self.alpha0 * self.beta * self.gamma0) / self.alpha
+            t2 = math.sqrt(2.0 * self.c3 * self.alpha0 * self.beta * self.gamma0) / math.sqrt(self.alpha * m_factor)
+            derived = {"a": a, "b": b, "nu": a + root, "m_factor": m_factor, "t1": t1, "t2": t2}
+            if not all(map(math.isfinite, derived.values())):
+                raise OverflowError  # a product went infinite
+        except ArithmeticError:  # or a power overflowed, or a square underflowed to 0
+            at = ", ".join(f"{name} = {getattr(self, name):.4g}" for name in inputs)
+            raise ValidationError(f"constant chain leaves the float range at {at}") from None
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "t3", max(self.t0, t1, t2))
         if not 0.0 < self.m_factor < 1.0:
             raise ValidationError("mean-energy factor must lie in (0, 1)")
 
@@ -408,35 +419,6 @@ class ObservabilityConstants:
     def _require_beyond_t2(self, horizon: float) -> None:
         if horizon <= self.t2:
             raise ValidationError(f"horizon {horizon} does not exceed the threshold t2 = {self.t2:.4g}")
-
-
-def theoretical_constants(
-    alpha: float,
-    beta: float,
-    gamma0: float,
-    eta0: float,
-    alpha0: float,
-    t0: float,
-    c1: float = 4.0,
-    c2: float = 16.0,
-    c3: float = 32.0,
-    c4: float = 128.0,
-    delta0: float = 1.0,
-) -> ObservabilityConstants:
-    """Evaluate the closed-form constant chain from its primitive inputs."""
-    return ObservabilityConstants(
-        alpha=alpha,
-        beta=beta,
-        gamma0=gamma0,
-        eta0=eta0,
-        alpha0=alpha0,
-        delta0=delta0,
-        t0=t0,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        c4=c4,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -621,73 +603,76 @@ def admissibility_constant(
 
 
 def estimate_uniform_constants(
-    target,
+    coupling: CouplingOperator,
+    observer: Observer,
     grid: TimeGrid,
     space: SpectralSpace,
     ensemble: int = 32,
     seed: int = 0,
-) -> tuple[float, float]:
-    """Sampled lower-bound estimates of the uniform observability pair.
+) -> tuple[float, float, float]:
+    """Sampled lower-bound estimates (gamma0, eta0, alpha0) of the uniform constants.
 
-    ``target`` is an Observer (estimates the observation pair) or a
-    CouplingOperator (estimates the localized-projection pair through the
-    sharp indicator of its core region).  The first returned number bounds
-    the integrated natural energy per unit observation on free solutions,
-    the second absorbs the source term on forced solutions.  Both are
-    heuristics: maxima over finite ensembles, to be inflated by the caller
-    before use in proofs-by-audit.
+    gamma0 bounds the integrated natural energy of free solutions per unit
+    of their localized projection (the sharp indicator of the coupling's
+    core region), eta0 the same per unit of their observation; alpha0
+    absorbs the source term of the observation inequality on forced
+    solutions and is floored at 1e-12.  The coupling's free ensemble is
+    drawn from ``default_rng(seed)``, the observer's free and forced
+    ensembles from ``default_rng(seed + 1)``.  All three are heuristics:
+    maxima over finite ensembles, to be inflated by the caller before use in
+    proofs-by-audit.  An empty observation region, or a horizon at or below
+    the billiard control time of either region, is refused.
     """
-    if isinstance(target, CouplingOperator):
-        region = target.core_region
-        quad = target.projection_matrix
+    if not observer.region:
+        raise RefusalError("empty observation region", {"region": observer.region})
+    for name, region in (("coupling", coupling.core_region), ("observation", observer.region)):
+        t_min = gcc_min_time(region)
+        if grid.horizon <= t_min:
+            raise RefusalError(
+                f"horizon below the geometric control time of the {name} region",
+                {"region": region, "horizon": grid.horizon, "gcc_min_time": t_min},
+            )
 
-        def observation_sq(positions, velocities):
-            return np.einsum("ki,ki->k", velocities @ quad, velocities)
+    quad = coupling.projection_matrix
+    rows = observer.observation_rows(space)
 
-    elif isinstance(target, Observer):
-        region = target.region
-        if not region:
-            raise RefusalError("empty observation region", {"region": region})
-        rows = target.observation_rows(space)
+    def projection_sq(positions, velocities):
+        return np.einsum("ki,ki->k", velocities @ quad, velocities)
 
-        def observation_sq(positions, velocities):
-            component = velocities if target.kind == "interior" else positions
-            return ((component @ rows.T) ** 2).sum(axis=1)
+    def observation_sq(positions, velocities):
+        component = velocities if observer.kind == "interior" else positions
+        return ((component @ rows.T) ** 2).sum(axis=1)
 
-    else:
-        raise ValidationError("target must be an Observer or a CouplingOperator")
-
-    t_min = gcc_min_time(region)
-    if grid.horizon <= t_min:
-        raise RefusalError(
-            "horizon below the geometric control time of the target region",
-            {"horizon": grid.horizon, "gcc_min_time": t_min},
-        )
-
-    rng = np.random.default_rng(seed)
     times = grid.times
     flow = free_flow(space, times)
     cos_t, sin_over, minus_sin = flow
     w = grid.node_weights
+    n = space.n_modes
 
-    first_ratio = 0.0
-    for _ in range(ensemble):
-        p0 = rng.standard_normal(space.n_modes)
-        v0 = rng.standard_normal(space.n_modes)
-        positions = cos_t * p0 + sin_over * v0
-        velocities = minus_sin * p0 + cos_t * v0
-        e1 = 0.5 * float(p0**2 @ space.eigenvalues + v0 @ v0)
-        denom = float(w @ observation_sq(positions, velocities))
-        if denom <= 0.0:
-            raise RefusalError("degenerate ensemble: free solution invisible", {"ratio": np.inf})
-        first_ratio = max(first_ratio, grid.horizon * e1 / denom)
+    def free_ratio(form_sq, rng) -> float:
+        """Largest horizon-integrated natural energy per unit of form_sq over free waves."""
+        ratio = 0.0
+        for _ in range(ensemble):
+            p0 = rng.standard_normal(n)
+            v0 = rng.standard_normal(n)
+            positions = cos_t * p0 + sin_over * v0
+            velocities = minus_sin * p0 + cos_t * v0
+            e1 = 0.5 * float(p0**2 @ space.eigenvalues + v0 @ v0)
+            denom = float(w @ form_sq(positions, velocities))
+            if denom <= 0.0:
+                raise RefusalError("degenerate ensemble: free solution invisible", {"ratio": np.inf})
+            ratio = max(ratio, grid.horizon * e1 / denom)
+        return ratio
+
+    gamma0 = free_ratio(projection_sq, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    eta0 = free_ratio(observation_sq, rng)
 
     # the forcing cos(freq t) g is separable: its kicks are the kicks of the
     # time profile cos(freq t) times g
     taus, kernel_pos, kernel_vel = simpson_kick_weights(space, grid.dt)
     substeps = times[:-1, None] + taus
-    second_ratio = 0.0
-    n = space.n_modes
+    alpha0 = 0.0
     for _ in range(ensemble):
         p0 = rng.standard_normal(n)
         v0 = rng.standard_normal(n)
@@ -705,10 +690,10 @@ def estimate_uniform_constants(
         e1_int = float(w @ e1_series)
         obs_int = float(w @ observation_sq(positions, velocities))
         f_int = float(w @ (np.cos(freq * times) ** 2))  # |g| = 1
-        deficit = e1_int - first_ratio * obs_int
+        deficit = e1_int - eta0 * obs_int
         if deficit > 0 and f_int > 0:
-            second_ratio = max(second_ratio, deficit / f_int)
-    return first_ratio, max(second_ratio, 1e-12)
+            alpha0 = max(alpha0, deficit / f_int)
+    return gamma0, eta0, max(alpha0, 1e-12)
 
 
 # ---------------------------------------------------------------------------

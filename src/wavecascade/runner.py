@@ -27,6 +27,7 @@ from .dynamics import (
     evolve_cascade,
 )
 from .observability import (
+    ObservabilityConstants,
     admissibility_constant,
     empirical_horizon,
     empirical_ratios,
@@ -35,7 +36,6 @@ from .observability import (
     min_eigenvalue,
     observation_history,
     random_cascade_states,
-    theoretical_constants,
 )
 from .hum import HUMProblem, solve_hum
 from .insensitize import InsensitizeProblem, insensitize, verify_converse
@@ -547,30 +547,13 @@ def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
     horizon = config.get("grid", "horizon", default=horizon_factor * geometric, cast=float)
     grid = config.grid(space, horizon)
     inflation = config.get("audit", "inflation", default=2.0, cast=float)
+    if not (np.isfinite(inflation) and inflation > 0):
+        raise ConfigError(f"[audit] inflation must be finite and positive, got {inflation}")
     ensemble = config.count("audit", "ensemble", 32)
 
-    if config.has("constants", "gamma0"):
-        gamma0 = config.get("constants", "gamma0", cast=float)
-        delta0 = config.get("constants", "delta0", default=1.0, cast=float)
-        eta0 = config.get("constants", "eta0", cast=float)
-        alpha0 = config.get("constants", "alpha0", cast=float)
-    else:
-        gamma0, delta0 = estimate_uniform_constants(coupling, grid, space, ensemble=ensemble, seed=config.seed)
-        eta0, alpha0 = estimate_uniform_constants(observer, grid, space, ensemble=ensemble, seed=config.seed + 1)
-        gamma0, delta0, eta0, alpha0 = (inflation * v for v in (gamma0, delta0, eta0, alpha0))
-    constants = theoretical_constants(
-        alpha=coupling.alpha,
-        beta=coupling.beta,
-        gamma0=gamma0,
-        eta0=eta0,
-        alpha0=max(alpha0, 1e-12),
-        t0=config.get("constants", "t0", default=geometric, cast=float),
-        c1=config.get("constants", "c1", default=4.0, cast=float),
-        c2=config.get("constants", "c2", default=16.0, cast=float),
-        c3=config.get("constants", "c3", default=32.0, cast=float),
-        c4=config.get("constants", "c4", default=128.0, cast=float),
-        delta0=max(delta0, 1e-12),
-    )
+    estimates = estimate_uniform_constants(coupling, observer, grid, space, ensemble=ensemble, seed=config.seed)
+    gamma0, eta0, alpha0 = (inflation * v for v in estimates)
+    constants = ObservabilityConstants(coupling.alpha, coupling.beta, gamma0, eta0, alpha0, t0=geometric)
     bound = inflation * admissibility_constant(
         coupling, observer, grid, space, ensemble=ensemble, seed=config.seed + 2
     )

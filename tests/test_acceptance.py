@@ -24,6 +24,7 @@ from wavecascade.dynamics import (
     evolve_cascade,
 )
 from wavecascade.observability import (
+    ObservabilityConstants,
     admissibility_constant,
     empirical_horizon,
     empirical_ratios,
@@ -31,7 +32,6 @@ from wavecascade.observability import (
     inequality_chain_audit,
     min_eigenvalue,
     random_cascade_states,
-    theoretical_constants,
 )
 from wavecascade.hum import (
     HUMProblem,
@@ -220,7 +220,7 @@ class TestCriterion5Necessity:
 
 class TestCriterion6ConstantChain:
     def test_closed_forms_at_unit_inputs(self):
-        c = theoretical_constants(alpha=1.0, beta=1.0, gamma0=1.0, eta0=1.0, alpha0=1.0, t0=1.4)
+        c = ObservabilityConstants(alpha=1.0, beta=1.0, gamma0=1.0, eta0=1.0, alpha0=1.0, t0=1.4)
         root = np.sqrt(16.0**2 + 16.0 + 64.0)
         expected_m = root / ((2 * 16 + 1) * (16 + root) + 16 + 2 * 64)
         ok = (
@@ -239,11 +239,8 @@ class TestCriterion6ConstantChain:
         observer = interior_observer()
         horizon = empirical_horizon(coupling, observer)
         grid = TimeGrid.for_space(space, 1.25 * horizon, 0.015)
-        gamma0, delta0 = estimate_uniform_constants(coupling, grid, space, ensemble=32, seed=11)
-        eta0, alpha0 = estimate_uniform_constants(observer, grid, space, ensemble=32, seed=12)
-        constants = theoretical_constants(
-            coupling.alpha, coupling.beta, 2 * gamma0, 2 * eta0, 2 * alpha0, horizon, delta0=2 * delta0
-        )
+        gamma0, eta0, alpha0 = estimate_uniform_constants(coupling, observer, grid, space, ensemble=32, seed=11)
+        constants = ObservabilityConstants(coupling.alpha, coupling.beta, 2 * gamma0, 2 * eta0, 2 * alpha0, horizon)
         bound = 2.0 * admissibility_constant(coupling, observer, grid, space, ensemble=16, seed=13)
         failures = []
         states = random_cascade_states(space, 100, seed=77)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,28 @@ def test_every_traced_layer_resolves_to_a_wavecascade_function(monkeypatch):
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_config_section_the_runner_reads_is_documented():
+    # a section read by the runner but missing from the README's config block is a knob no one can find
+    tree = ast.parse((ROOT / "src" / "wavecascade" / "runner.py").read_text())
+    read = {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("get", "count", "has", "coefficient_function")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("config", "self")
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    }
+    block = (ROOT / "README.md").read_text().split("Config sections (schema 1):", 1)[1].split("```")[1]
+    documented = set(re.findall(r"^\[(\w+)\]", block, re.MULTILINE))
+    assert {"spectral", "grid", "audit"} <= read
+    assert read - documented == set()
+
 
 # Runs configs in a fresh interpreter (this one has SciPy loaded already) and
 # prints which SciPy modules the runs loaded.

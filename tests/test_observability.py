@@ -12,8 +12,10 @@ from wavecascade.dynamics import (
     TimeGrid,
     cascade_step_matrix,
     evolve_cascade,
+    forced_flow,
 )
 from wavecascade.observability import (
+    ObservabilityConstants,
     admissibility_constant,
     apply_gramian,
     empirical_horizon,
@@ -26,7 +28,6 @@ from wavecascade.observability import (
     min_eigenvalue,
     ray_hit_time,
     random_cascade_states,
-    theoretical_constants,
     weighted_gram,
 )
 
@@ -140,7 +141,7 @@ class TestMinEigenvalue:
 
 class TestTheoreticalConstants:
     def test_unit_inputs_reproduce_closed_forms(self):
-        c = theoretical_constants(alpha=1.0, beta=1.0, gamma0=1.0, eta0=1.0, alpha0=1.0, t0=1.0)
+        c = ObservabilityConstants(alpha=1.0, beta=1.0, gamma0=1.0, eta0=1.0, alpha0=1.0, t0=1.0)
         assert c.a == pytest.approx(16.0, rel=1e-12)
         assert c.b == pytest.approx(64.0, rel=1e-12)
         assert c.nu == pytest.approx(16.0 + np.sqrt(336.0), rel=1e-12)
@@ -155,16 +156,30 @@ class TestTheoreticalConstants:
         assert c.t3 == pytest.approx(max(c.t0, c.t1, c.t2), rel=1e-15)
 
     def test_pure_function_determinism(self):
-        a = theoretical_constants(2.0, 3.0, 0.7, 1.1, 0.9, 1.4)
-        b = theoretical_constants(2.0, 3.0, 0.7, 1.1, 0.9, 1.4)
+        a = ObservabilityConstants(2.0, 3.0, 0.7, 1.1, 0.9, 1.4)
+        b = ObservabilityConstants(2.0, 3.0, 0.7, 1.1, 0.9, 1.4)
         assert a == b
 
-    def test_rejects_nonpositive_inputs(self):
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            (0.0, 1.0, 1.0, 1.0, 1.0, 1.0),  # alpha zero
+            (1.0, 1.0, -1.0, 1.0, 1.0, 1.0),  # gamma0 negative
+            (1.0, 1.0, 1.0, 1.0, 1.0, float("nan")),  # t0 NaN would make t3 NaN
+            (1.0, 1.0, 1.0, float("inf"), 1.0, 1.0),  # eta0 infinite would make right-hand sides infinite
+            (1.0, 1.0, 1e200, 1.0, 1.0, 1.0),  # gamma0**2 overflows
+            (1e-300, 1.0, 1.0, 1.0, 1.0, 1.0),  # alpha**2 underflows to 0
+            (1.0, 1e154, 1e154, 1.0, 1.0, 1.0),  # the squares fit, their products overflow to inf
+        ],
+        ids=["alpha_zero", "gamma0_negative", "t0_nan", "eta0_inf", "power_overflow", "square_underflow",
+             "product_overflow"],
+    )
+    def test_rejects_nonpositive_inputs(self, inputs):
         with pytest.raises(ValidationError):
-            theoretical_constants(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+            ObservabilityConstants(*inputs)
 
     def test_nu_identity_and_m_range(self):
-        c = theoretical_constants(0.5, 2.0, 1.3, 0.8, 1.7, 2.0)
+        c = ObservabilityConstants(0.5, 2.0, 1.3, 0.8, 1.7, 2.0)
         assert c.nu == pytest.approx(c.a + np.sqrt(c.a**2 + c.a + c.b), rel=1e-14)
         assert 0.0 < c.m_factor < 1.0
 
@@ -206,27 +221,50 @@ class TestEstimateUniformConstants:
             weight=CoefficientFunction((PlateauBump(0.0, 1.0, 0.0, 1.0),), core_region=(0.0, 1.0)),
         )
         grid = TimeGrid(2.0, 512, allow_coarse=True)
-        eta0, _ = estimate_uniform_constants(obs, grid, space, ensemble=4, seed=1)
+        coupling = CouplingOperator(COUPLING_FN, space)
+        _, eta0, _ = estimate_uniform_constants(coupling, obs, grid, space, ensemble=4, seed=0)
         assert eta0 == pytest.approx(1.0, rel=1e-10)
 
     def test_empty_region_reports_failure(self):
         space = SpectralSpace(4)
         obs = Observer("interior", weight=CoefficientFunction(()))
         with pytest.raises(RefusalError):
-            estimate_uniform_constants(obs, TimeGrid(4.0, 256), space)
+            estimate_uniform_constants(CouplingOperator(COUPLING_FN, space), obs, TimeGrid(4.0, 256), space)
 
     def test_horizon_below_control_time_refused(self):
         space = SpectralSpace(4)
         with pytest.raises(RefusalError):
             estimate_uniform_constants(
-                interior_observer(), TimeGrid(0.5, 64, allow_coarse=True), space
+                CouplingOperator(COUPLING_FN, space), interior_observer(), TimeGrid(0.5, 64, allow_coarse=True), space
             )
+
+    def test_horizon_between_control_times_refused_naming_the_coupling(self):
+        # the observation region's control time is 1.2, the coupling region's 1.4
+        space = SpectralSpace(4)
+        coupling = CouplingOperator(COUPLING_FN, space)
+        with pytest.raises(RefusalError, match="coupling region") as info:
+            estimate_uniform_constants(coupling, interior_observer(), TimeGrid(1.3, 64, allow_coarse=True), space)
+        assert info.value.diagnostic["region"] == coupling.core_region
+        assert info.value.diagnostic["gcc_min_time"] == pytest.approx(1.4)
 
     def test_projection_pair_positive(self):
         space, coupling, grid = standard_setup(8, horizon=2.0, step_phase=0.2)
-        gamma0, delta0 = estimate_uniform_constants(coupling, grid, space, ensemble=8, seed=3)
+        gamma0, _, _ = estimate_uniform_constants(coupling, interior_observer(), grid, space, ensemble=8, seed=3)
         assert gamma0 > 0
-        assert delta0 >= 0
+
+    def test_one_call_marches_one_forced_ensemble(self, monkeypatch):
+        from wavecascade import observability
+
+        calls = []
+
+        def counted(flow, states):
+            calls.append(1)
+            return forced_flow(flow, states)
+
+        monkeypatch.setattr(observability, "forced_flow", counted)
+        space, coupling, grid = standard_setup(8, horizon=2.0, step_phase=0.2)
+        estimate_uniform_constants(coupling, interior_observer(), grid, space, ensemble=5, seed=3)
+        assert len(calls) == 5
 
 
 class TestEmpiricalRatiosAndAudit:
@@ -281,7 +319,7 @@ class TestEmpiricalRatiosAndAudit:
 
     def test_audit_zero_state_all_trivial(self):
         space, coupling, grid = standard_setup(8, horizon=2.0)
-        constants = theoretical_constants(1.0, 1.0, 1.0, 1.0, 1.0, 1.4)
+        constants = ObservabilityConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.4)
         states = [CascadeState.zero(space)]
         (rows,) = inequality_chain_audit(states, coupling, interior_observer(), constants, grid)
         assert all(r.satisfied for r in rows)
@@ -291,7 +329,7 @@ class TestEmpiricalRatiosAndAudit:
         space = SpectralSpace(32)
         coupling = CouplingOperator(COUPLING_FN, space)
         grid = TimeGrid.for_space(space, 4.0, 0.4)
-        constants = theoretical_constants(coupling.alpha, coupling.beta, 1.0, 1.0, 1.0, 1.4)
+        constants = ObservabilityConstants(coupling.alpha, coupling.beta, 1.0, 1.0, 1.0, 1.4)
         obs = interior_observer()
         states = random_cascade_states(space, 5, seed=21)
         for sample_rows in inequality_chain_audit(states, coupling, obs, constants, grid):
@@ -306,10 +344,9 @@ class TestEmpiricalRatiosAndAudit:
         obs = interior_observer()
         horizon = empirical_horizon(coupling, obs)
         grid = TimeGrid.for_space(space, 1.25 * horizon, 0.015)
-        gamma0, delta0 = estimate_uniform_constants(coupling, grid, space, ensemble=32, seed=11)
-        eta0, alpha0 = estimate_uniform_constants(obs, grid, space, ensemble=32, seed=12)
-        constants = theoretical_constants(
-            coupling.alpha, coupling.beta, 2.0 * gamma0, 2.0 * eta0, 2.0 * alpha0, horizon, delta0=2.0 * delta0
+        gamma0, eta0, alpha0 = estimate_uniform_constants(coupling, obs, grid, space, ensemble=32, seed=11)
+        constants = ObservabilityConstants(
+            coupling.alpha, coupling.beta, 2.0 * gamma0, 2.0 * eta0, 2.0 * alpha0, horizon
         )
         bound = 2.0 * admissibility_constant(coupling, obs, grid, space, ensemble=16, seed=13)
         states = random_cascade_states(space, 25, seed=77)

@@ -135,6 +135,8 @@ class TestParsing:
             ("criterion08_hum_interior", "output.x_samples=-2"),
             ("criterion04_gramian_interior", "checks.ensemble=0"),
             ("criterion07_trends", "checks.ensemble=-3"),
+            ("criterion06_audit", "audit.inflation=nan"),
+            ("criterion06_audit", "audit.inflation=1e300"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, config, override):
