@@ -472,7 +472,9 @@ def march(step: np.ndarray, states: np.ndarray) -> np.ndarray:
 
     On entry row 0 holds the initial state x_0 and row k >= 1 the increment
     b_k injected at node k; on return row k holds x_k.  A reversed view
-    (``states[::-1]``) marches from the last row back to the first.
+    (``states[::-1]``) marches from the last row back to the first.  A row
+    is a state vector (one matrix-vector product per step) or a (d, k)
+    block of k states side by side (one matrix-matrix product per step).
     """
     for current, following in zip(states[:-1], states[1:]):
         following += np.dot(step, current)

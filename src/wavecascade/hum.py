@@ -428,33 +428,58 @@ def verify_transposition(
     plus the source pairing.  Both sides are computed through independent
     code paths (forward injected solve with endpoint pairings vs backward
     adjoint solve with node quadrature).
+
+    The probes are drawn as one (n_probes, 4N) array and marched back
+    together, one (4N, n_probes) block per node, so each step is one matrix
+    product.  The block is reused chunk by chunk: it holds
+    ceil(n_steps / n_probes) + 1 nodes, never more than one probe's
+    trajectory; each chunk's nodes are reduced into per-probe quadrature and
+    magnitude sums at once, and its earliest node ends the next chunk.  The
+    last node reached, time zero, gives the start pairing.
     """
     grid = problem.grid
     n = problem.space.n_modes
+    n_steps = grid.n_steps
     source = problem.source_nodes
     if trajectory is None:
         trajectory = controlled_forward(problem, control)
-    rng = np.random.default_rng(seed)
+    probes = np.random.default_rng(seed).standard_normal((n_probes, 4 * n))
+    positions = problem.obs_rows[:, n : 2 * n]  # the rows read only the driven position
+    rows = -(-n_steps // max(n_probes, 1)) + 1
+    block = np.empty((rows, 4 * n, n_probes))
+    quadrature = np.zeros(n_probes)
+    magnitude = np.zeros(n_probes)  # scale of the terms before cancellation
+    top, final, reduced = n_steps, probes.T, 0  # the chunk's last node, its state, whether it is reduced
+    while True:
+        bottom = max(top - rows + 1, 0)
+        chunk = block[: top - bottom + 1]  # row r holds node bottom + r
+        chunk[-1] = final
+        chunk[:-1] = 0.0
+        march(problem.step_back, chunk[::-1])
+        fresh = chunk[: len(chunk) - reduced, n : 2 * n]  # driven positions of the nodes not yet reduced
+        nodes = slice(bottom, bottom + len(fresh))
+        weights = grid.node_weights[nodes]
+        if control is not None:
+            terms = np.matmul(positions, fresh)
+            terms *= control.values[nodes, :, None]
+            quadrature += weights @ terms.sum(axis=1)
+            magnitude += weights @ np.abs(terms, out=terms).sum(axis=1)
+        if source is not None:
+            paired = np.matmul(source[nodes, None, :], fresh)[:, 0]
+            quadrature += weights @ paired
+            magnitude += weights @ np.abs(paired)
+        if bottom == 0:
+            break
+        top, final, reduced = bottom, chunk[0], 1
+    initial = problem.initial_data.as_vector()
     worst = 0.0
     residuals = []
-    for _ in range(n_probes):
-        probe = rng.standard_normal(4 * n)
-        states = _backward_states(probe, problem)
-        quadrature = 0.0
-        magnitude = 0.0  # scale of the terms before cancellation
-        if control is not None:
-            obs = states @ problem.obs_rows.T
-            quadrature += float(grid.node_weights @ (obs * control.values).sum(axis=1))
-            magnitude += float(grid.node_weights @ (np.abs(obs) * np.abs(control.values)).sum(axis=1))
-        if source is not None:
-            paired = np.einsum("mi,mi->m", source, states[:, n : 2 * n])
-            quadrature += float(grid.node_weights @ paired)
-            magnitude += float(grid.node_weights @ np.abs(paired))
+    for probe, start, quad, mag in zip(probes, chunk[0].T, quadrature.tolist(), magnitude.tolist()):
         end_pair = duality_pairing(trajectory[-1], probe, n)
-        start_pair = duality_pairing(problem.initial_data.as_vector(), states[0], n)
+        start_pair = duality_pairing(initial, start, n)
         lhs = end_pair - start_pair
-        scale = max(abs(lhs), abs(quadrature), magnitude, abs(end_pair), abs(start_pair), 1e-300)
-        residual = abs(lhs - quadrature) / scale
+        scale = max(abs(lhs), abs(quad), mag, abs(end_pair), abs(start_pair), 1e-300)
+        residual = abs(lhs - quad) / scale
         residuals.append(residual)
         worst = max(worst, residual)
     return {"max_residual": worst, "residuals": residuals}

@@ -763,6 +763,7 @@ def _audit_forms(
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a side that leaves the float range is refused below
 def inequality_chain_audit(
     states: list[CascadeState],
     coupling: CouplingOperator,
@@ -782,7 +783,8 @@ def inequality_chain_audit(
     pairing, the stepper's endpoint energies against its node-weighted
     coupling work).  Inequalities carry must_hold flags derived from the
     horizon thresholds in ``constants``; rows beyond their threshold are
-    reported with margins only.
+    reported with margins only.  Constants so large that a side leaves the
+    float range are a ValidationError naming the row.
     """
     x = np.array([s.as_vector() for s in states])
     forms = _audit_forms(coupling, observer, grid, states[0].space)
@@ -849,6 +851,9 @@ def inequality_chain_audit(
         inequalities.append(
             ("admissibility", obs_int, admissibility_bound * (e0_u1_0 + e1_u2_0), True, scale)
         )
+    for name, lhs, rhs, *_ in identities + inequalities:
+        if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+            raise ValidationError(f"audit row {name} leaves the float range")
     return [
         [_identity_row(name, float(lhs[i]), float(rhs[i]), float(s[i])) for name, lhs, rhs, s in identities]
         + [

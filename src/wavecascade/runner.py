@@ -553,18 +553,21 @@ def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
 
     estimates = estimate_uniform_constants(coupling, observer, grid, space, ensemble=ensemble, seed=config.seed)
     gamma0, eta0, alpha0 = (inflation * v for v in estimates)
-    constants = ObservabilityConstants(coupling.alpha, coupling.beta, gamma0, eta0, alpha0, t0=geometric)
     bound = inflation * admissibility_constant(
         coupling, observer, grid, space, ensemble=ensemble, seed=config.seed + 2
     )
+    states = random_cascade_states(space, samples, config.seed + 3)
+    try:
+        constants = ObservabilityConstants(coupling.alpha, coupling.beta, gamma0, eta0, alpha0, t0=geometric)
+        audited = inequality_chain_audit(states, coupling, observer, constants, grid, admissibility_bound=bound)
+    except ValidationError as exc:
+        raise ConfigError(f"[audit] inflation = {inflation:g} is too large: {exc}") from None
 
     # the ledger keeps one row per name: the worst-margin sample of an
     # inequality, and the largest-|lhs| sample of an identity, whose residuals
     # are all quadrature and rounding noise; a check holds only when every
     # sample's row holds against that sample's own scale
-    states = random_cascade_states(space, samples, config.seed + 3)
     kept, failing, relative = {}, {}, {}
-    audited = inequality_chain_audit(states, coupling, observer, constants, grid, admissibility_bound=bound)
     for sample_rows in audited:
         for row in sample_rows:
             prev = kept.get(row.name)

@@ -188,6 +188,21 @@ class TestMarch:
         for k in range(8, 0, -1):
             np.testing.assert_array_equal(states[k - 1], step @ states[k])
 
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "reversed_view"])
+    def test_block_of_columns_marches_like_each_column(self, backward):
+        # a row may be a (d, k) block: one matrix product per step marches k states
+        rng = np.random.default_rng(11)
+        step = rng.standard_normal((40, 40)) / 7.0
+        block = np.zeros((31, 40, 5))
+        rows = block[::-1] if backward else block
+        rows[0] = rng.standard_normal((40, 5))
+        rows[1:, :, [1, 4]] = rng.standard_normal((30, 40, 2))  # increments in some columns only
+        columns = [march(step, rows[:, :, j].copy()) for j in range(5)]
+        assert march(step, rows) is rows
+        for j, column in enumerate(columns):
+            gap = np.max(np.abs(rows[:, :, j] - column))
+            assert gap <= 1e-13 * np.max(np.abs(column))
+
     def test_reversed_step_inverts_the_reversible_stepper(self):
         space = SpectralSpace(8)
         step = cascade_step_matrix(space, standard_coupling(space).matrix, 0.01)

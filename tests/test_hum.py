@@ -1,5 +1,7 @@
 """Tests for the exact-control synthesis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,35 @@ class TestSolve:
             )
 
 
+def _probe_by_probe_residuals(problem, control, trajectory, n_probes, seed):
+    """Transposition residuals from one backward march per probe, node sums over the whole trajectory."""
+    n = problem.space.n_modes
+    weights = problem.grid.node_weights
+    rng = np.random.default_rng(seed)
+    residuals = []
+    for _ in range(n_probes):
+        probe = rng.standard_normal(4 * n)
+        states = _backward_states(probe, problem)
+        obs = states @ problem.obs_rows.T
+        quadrature = float(weights @ (obs * control.values).sum(axis=1))
+        magnitude = float(weights @ (np.abs(obs) * np.abs(control.values)).sum(axis=1))
+        if problem.source is not None:
+            paired = np.einsum("mi,mi->m", problem.source_nodes, states[:, n : 2 * n])
+            quadrature += float(weights @ paired)
+            magnitude += float(weights @ np.abs(paired))
+        end_pair = duality_pairing(trajectory[-1], probe, n)
+        start_pair = duality_pairing(problem.initial_data.as_vector(), states[0], n)
+        lhs = end_pair - start_pair
+        scale = max(abs(lhs), abs(quadrature), magnitude, abs(end_pair), abs(start_pair), 1e-300)
+        residuals.append(abs(lhs - quadrature) / scale)
+    return residuals
+
+
+def _random_control(problem, rng):
+    samples = rng.standard_normal((problem.grid.n_steps + 1, problem.obs_rows.shape[0]))
+    return TimeSampledControl(samples, problem.case, problem.grid)
+
+
 class TestTransposition:
     def test_trivial_zero_case(self):
         space = SpectralSpace(8)
@@ -335,6 +366,50 @@ class TestTransposition:
         )
         report = verify_transposition(prob, control, n_probes=10, seed=8)
         assert report["max_residual"] < 1e-6
+
+    @pytest.mark.parametrize("n_probes", [1, 3, 7])
+    @pytest.mark.parametrize("case", ["interior_source", "boundary"])
+    def test_block_march_matches_probe_by_probe_and_has_teeth(self, case, n_probes):
+        # zero initial data: the identity's terms are the control's and the
+        # source's alone, so a 0.1% error in the control shows far above rounding
+        rng = np.random.default_rng(19)
+        zero = CascadeState.zero(SpectralSpace(16))
+        if case == "boundary":
+            prob = boundary_problem(16, horizon=3.5, data=zero)
+        else:
+            g = rng.standard_normal(16)
+            prob = interior_problem(16, horizon=3.5, data=zero, source=lambda t: np.cos(2.0 * t) * g)
+        assert prob.grid.n_steps % 3 and prob.grid.n_steps % 7  # the last chunk is a partial one
+        control = _random_control(prob, rng)
+        trajectory = controlled_forward(prob, control)
+        wrong = TimeSampledControl(1.001 * control.values, prob.case, prob.grid)
+        report = verify_transposition(prob, wrong, trajectory=trajectory, n_probes=n_probes, seed=3)
+        reference = _probe_by_probe_residuals(prob, wrong, trajectory, n_probes, seed=3)
+        assert len(report["residuals"]) == n_probes
+        np.testing.assert_allclose(report["residuals"], reference, rtol=1e-9, atol=0.0)
+        assert report["max_residual"] == max(report["residuals"]) > 1e-6
+        true = verify_transposition(prob, control, trajectory=trajectory, n_probes=n_probes, seed=3)
+        assert true["max_residual"] < 1e-6
+
+    @pytest.mark.parametrize("n_probes", [5, 20])
+    @pytest.mark.parametrize("case", ["boundary_n80", "interior_n32_source"])
+    def test_peak_memory_stays_near_one_trajectory(self, case, n_probes):
+        rng = np.random.default_rng(23)
+        if case == "boundary_n80":
+            prob = boundary_problem(80, data=CascadeState.zero(SpectralSpace(80)))
+        else:
+            g = rng.standard_normal(32)
+            prob = interior_problem(32, data=CascadeState.zero(SpectralSpace(32)), source=lambda t: np.sin(t) * g)
+        control = _random_control(prob, rng)
+        trajectory = controlled_forward(prob, control)  # builds the problem's cached operators too
+        tracemalloc.start()
+        try:
+            verify_transposition(prob, control, trajectory=trajectory, n_probes=n_probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an unchunked (n_steps + 1, 4N, n_probes) block alone would read n_probes
+        assert peak <= 2.5 * trajectory.nbytes
 
     def test_non_finite_source_rejected(self):
         prob = interior_problem(8, source=lambda t: np.full(8, np.nan))

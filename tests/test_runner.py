@@ -137,6 +137,7 @@ class TestParsing:
             ("criterion07_trends", "checks.ensemble=-3"),
             ("criterion06_audit", "audit.inflation=nan"),
             ("criterion06_audit", "audit.inflation=1e300"),
+            ("criterion06_audit", "audit.inflation=1e150"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, config, override):
@@ -145,6 +146,14 @@ class TestParsing:
         (line,) = capsys.readouterr().out.splitlines()
         assert line.startswith("configuration error: ")
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("inflation", ["1e300", "1e150"])
+    def test_overflowing_audit_inflation_names_the_key(self, tmp_path, capsys, inflation):
+        # 1e300 overflows the constant chain, 1e150 only an audit row's right-hand side
+        config = f"{CONFIG_DIR}/criterion06_audit.ini"
+        assert main([config, "-o", str(tmp_path / "out"), "--set", f"audit.inflation={inflation}"]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("configuration error: [audit] inflation = ")
 
 
 class TestRunKinds:
