@@ -472,14 +472,12 @@ def verify_transposition(
             break
         top, final, reduced = bottom, chunk[0], 1
     initial = problem.initial_data.as_vector()
-    worst = 0.0
     residuals = []
     for probe, start, quad, mag in zip(probes, chunk[0].T, quadrature.tolist(), magnitude.tolist()):
         end_pair = duality_pairing(trajectory[-1], probe, n)
         start_pair = duality_pairing(initial, start, n)
         lhs = end_pair - start_pair
         scale = max(abs(lhs), abs(quad), mag, abs(end_pair), abs(start_pair), 1e-300)
-        residual = abs(lhs - quad) / scale
-        residuals.append(residual)
-        worst = max(worst, residual)
-    return {"max_residual": worst, "residuals": residuals}
+        residuals.append(abs(lhs - quad) / scale)
+    # np.max propagates a NaN residual, where max(0.0, nan) would drop it
+    return {"max_residual": float(np.max(residuals, initial=0.0)), "residuals": residuals}

@@ -10,8 +10,7 @@ component to the observation of the driven one.
 SciPy is imported inside the functions that use it, so that simulate, hum,
 insensitize and audit runs never load it: ``expm`` for the exponential
 propagator of ``gramian_matrix`` and the SVD factor of ``min_eigenvalue``,
-the generalized ``eigh`` of ``empirical_ratios``, and ARPACK for
-``min_eigenvalue(method="lanczos")``.
+and the generalized ``eigh`` of ``empirical_ratios``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConvergenceError, RefusalError, ValidationError
+from .errors import RefusalError, ValidationError
 from .spectral import SpectralSpace
 from .dynamics import (
     CascadeState,
@@ -59,9 +58,6 @@ __all__ = [
     "admissibility_constant",
     "random_cascade_states",
 ]
-
-DENSE_LIMIT = 64  # largest N for dense Gramian assembly
-
 
 # ---------------------------------------------------------------------------
 # observation as a block operator on the stacked state
@@ -181,8 +177,6 @@ def gramian_matrix(
     rows^T rows of the observation rows on the same Simpson grid, so they
     differ only by the stepper's trajectory error.
     """
-    if space.n_modes > DENSE_LIMIT:
-        raise ValidationError(f"dense Gramian limited to N <= {DENSE_LIMIT}, got N = {space.n_modes}")
     grid.validate_for(space)
     if propagator == "exponential":
         from scipy.linalg import expm
@@ -233,7 +227,7 @@ class EigenReport:
 
     min_eig: float
     max_eig: float
-    block_min: dict  # minimal eigenvalue of the "u1" block (dense routes only)
+    block_min: dict  # minimal eigenvalue of the "u1" block
 
     @property
     def contrast(self) -> float:
@@ -266,60 +260,39 @@ def min_eigenvalue(
     observer: Observer,
     grid: TimeGrid,
     space: SpectralSpace,
-    method: str = "dense",
-    lanczos_maxiter: int = 5000,
 ) -> EigenReport:
     """Smallest eigenvalue of the metric-scaled Gramian, with diagnostics.
 
     A stable positive eigenvalue under refinement certifies observability;
     collapse under refinement (or an exactly null block) certifies failure.
-    The dense route works on the square-root observation factor by SVD when
-    it fits (never squaring, so near-null directions are resolved far below
-    the eigenvalue roundoff floor of the assembled Gramian) and falls back
-    to an eigen-decomposition of the assembled matrix otherwise; 'lanczos'
-    applies the Gramian matrix-free through the production solver.
+    The spectrum is dense at every N: it works on the square-root
+    observation factor by SVD when the factor fits (never squaring, so
+    near-null directions are resolved far below the eigenvalue roundoff
+    floor of the assembled Gramian) and falls back to an
+    eigen-decomposition of the assembled matrix otherwise.
     """
     d = norm_weights(space)
     d_isqrt = 1.0 / np.sqrt(d)
     n = space.n_modes
-    if method == "dense":
-        if space.n_modes > DENSE_LIMIT:
-            raise ValidationError(f"dense route limited to N <= {DENSE_LIMIT}")
-        rows = observation_block_rows(observer, space)
-        factor_size = (grid.n_steps + 1) * rows.shape[0] * 4 * n
-        first_idx = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
-        if factor_size <= FACTOR_LIMIT:
-            factor = _observation_factor(coupling, observer, grid, space) * d_isqrt[None, :]
-            svals = _min_singular(factor)
-            return EigenReport(
-                min_eig=float(svals[-1] ** 2),
-                max_eig=float(svals[0] ** 2),
-                block_min={"u1": _min_singular(factor[:, first_idx])[-1] ** 2},
-            )
-        gram = gramian_matrix(coupling, observer, grid, space, propagator="exponential")
-        scaled = gram * np.outer(d_isqrt, d_isqrt)
-        eigvals = np.linalg.eigvalsh(scaled)
+    rows = observation_block_rows(observer, space)
+    factor_size = (grid.n_steps + 1) * rows.shape[0] * 4 * n
+    first_idx = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
+    if factor_size <= FACTOR_LIMIT:
+        factor = _observation_factor(coupling, observer, grid, space) * d_isqrt[None, :]
+        svals = _min_singular(factor)
         return EigenReport(
-            min_eig=float(eigvals[0]),
-            max_eig=float(eigvals[-1]),
-            block_min={"u1": float(np.linalg.eigvalsh(scaled[np.ix_(first_idx, first_idx)])[0])},
+            min_eig=float(svals[-1] ** 2),
+            max_eig=float(svals[0] ** 2),
+            block_min={"u1": float(_min_singular(factor[:, first_idx])[-1] ** 2)},
         )
-    if method != "lanczos":
-        raise ValidationError("method must be 'dense' or 'lanczos'")
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    def matvec(x):
-        return d_isqrt * apply_gramian(d_isqrt * x, coupling, observer, grid, space)
-
-    op = LinearOperator((4 * n, 4 * n), matvec=matvec, dtype=float)
-    try:
-        small = eigsh(op, k=1, which="SA", maxiter=lanczos_maxiter, return_eigenvectors=False)
-        large = eigsh(op, k=1, which="LA", maxiter=lanczos_maxiter, return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"Lanczos did not converge within {lanczos_maxiter} iterations", trace=exc
-        ) from exc
-    return EigenReport(min_eig=float(small[0]), max_eig=float(large[0]), block_min={})
+    gram = gramian_matrix(coupling, observer, grid, space, propagator="exponential")
+    scaled = gram * np.outer(d_isqrt, d_isqrt)
+    eigvals = np.linalg.eigvalsh(scaled)
+    return EigenReport(
+        min_eig=float(eigvals[0]),
+        max_eig=float(eigvals[-1]),
+        block_min={"u1": float(np.linalg.eigvalsh(scaled[np.ix_(first_idx, first_idx)])[0])},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +485,33 @@ def _energy_metrics(space: SpectralSpace) -> tuple[np.ndarray, np.ndarray]:
     return np.where(first, weights, 0.0), np.where(first, 0.0, weights)
 
 
-def _free_moment_form(quad: np.ndarray, space: SpectralSpace, grid: TimeGrid) -> np.ndarray:
+def _free_flow_gram(space: SpectralSpace, times: np.ndarray, weights: np.ndarray, velocity: bool = False) -> np.ndarray:
+    """Weighted Gram sum over the times of w_m B_m^T B_m, B = [b0 | b1] the free flow's map from (p0, v0).
+
+    The blocks are (cos wt, sin wt / w) for the position, or (-w sin wt,
+    cos wt) for the velocity, ``velocity=True``.  With Q a form on one
+    component, tile(Q, (2, 2)) * Gram is the (p0, v0) form of the weighted
+    sum of its values along the free wave.  The flow blocks are dropped
+    once stacked, so only the stack lives through the product.
+    """
+    cos, sin_over, minus_sin = free_flow(space, times)
+    trig = np.hstack((minus_sin, cos) if velocity else (cos, sin_over))
+    del cos, sin_over, minus_sin
+    return trig.T @ (weights[:, None] * trig)
+
+
+def _free_moment_form(quad: np.ndarray, position_gram: np.ndarray) -> np.ndarray:
     """Quadratic form of the half-step Simpson integral of u1(t)^T quad u1(t).
 
     The first component is free and known in closed form, u1(t) = cos(wt)
-    u1(0) + sin(wt)/w v1(0), so the time moments reduce to the weighted Gram
-    matrix of the stacked trig blocks.
+    u1(0) + sin(wt)/w v1(0), so the time moments reduce to its position Gram
+    on the fine grid, ``_free_flow_gram(space, grid.fine_times,
+    grid.fine_weights)``, placed on the first component of the 4N state.
     """
-    n = space.n_modes
-    trig = np.hstack(free_flow(space, grid.fine_times)[:2])
+    n = quad.shape[0]
     first = np.r_[0:n, 2 * n : 3 * n]
     form = np.zeros((4 * n, 4 * n))
-    form[np.ix_(first, first)] = np.tile(quad, (2, 2)) * (trig.T @ (grid.fine_weights[:, None] * trig))
+    form[np.ix_(first, first)] = np.tile(quad, (2, 2)) * position_gram
     return 0.5 * (form + form.T)
 
 
@@ -576,11 +564,16 @@ def empirical_ratios(
 
     weak_first, natural_second = _energy_metrics(space)
     step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
+    if coupling is None:
+        r2_emp = 0.0
+    else:
+        position_gram = _free_flow_gram(space, grid.fine_times, grid.fine_weights)
+        r2_emp = sup_ratio(_free_moment_form(coupling.matrix, position_gram))
     return {
         "d1_emp": sup_ratio(np.diag(weak_first)),
         "d2_emp": sup_ratio(np.diag(natural_second)),
         "k2_emp": sup_ratio(weighted_gram(np.diag(natural_second), step, grid)),
-        "r2_emp": 0.0 if coupling is None else sup_ratio(_free_moment_form(coupling.matrix, space, grid)),
+        "r2_emp": r2_emp,
         "admissibility": _ensemble_ratio(gram, space, ensemble, seed),
     }
 
@@ -616,9 +609,14 @@ def estimate_uniform_constants(
     of their localized projection (the sharp indicator of the coupling's
     core region), eta0 the same per unit of their observation; alpha0
     absorbs the source term of the observation inequality on forced
-    solutions and is floored at 1e-12.  The coupling's free ensemble is
-    drawn from ``default_rng(seed)``, the observer's free and forced
-    ensembles from ``default_rng(seed + 1)``.  All three are heuristics:
+    solutions and is floored at 1e-12.  gamma0 and eta0 are ensemble maxima
+    of Rayleigh quotients evaluated on free-moment forms of (p0, v0): the
+    node-weighted Gram of the closed-form free flow (``_free_flow_gram``)
+    times the tiled projection, or observation, form, with no free wave
+    simulated.  The draws are the same as one wave at a time: the
+    coupling's free ensemble comes from ``default_rng(seed)``, the
+    observer's free and then forced ensembles from ``default_rng(seed +
+    1)``, each free wave's p0 then v0.  All three are heuristics:
     maxima over finite ensembles, to be inflated by the caller before use in
     proofs-by-audit.  An empty observation region, or a horizon at or below
     the billiard control time of either region, is refused.
@@ -633,41 +631,30 @@ def estimate_uniform_constants(
                 {"region": region, "horizon": grid.horizon, "gcc_min_time": t_min},
             )
 
-    quad = coupling.projection_matrix
+    n = space.n_modes
+    times, w = grid.times, grid.node_weights
     rows = observer.observation_rows(space)
+    energy = 0.5 * np.r_[space.eigenvalues, np.ones(n)]  # natural energy of (p0, v0)
+    velocity_gram = _free_flow_gram(space, times, w, velocity=True)
+    observed_gram = velocity_gram if observer.kind == "interior" else _free_flow_gram(space, times, w)
 
-    def projection_sq(positions, velocities):
-        return np.einsum("ki,ki->k", velocities @ quad, velocities)
+    def free_ratio(form, rng) -> float:
+        """Largest horizon-integrated natural energy per unit of the (p0, v0) form over free waves."""
+        x = rng.standard_normal((ensemble, 2 * n))  # row s is the s-th wave's p0 then v0
+        denom = np.einsum("si,si->s", x @ form, x)
+        if np.any(denom <= 0.0):
+            raise RefusalError("degenerate ensemble: free solution invisible", {"ratio": np.inf})
+        return float(np.max(grid.horizon * ((x * x) @ energy) / denom, initial=0.0))
+
+    gamma0 = free_ratio(np.tile(coupling.projection_matrix, (2, 2)) * velocity_gram, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    eta0 = free_ratio(np.tile(rows.T @ rows, (2, 2)) * observed_gram, rng)
 
     def observation_sq(positions, velocities):
         component = velocities if observer.kind == "interior" else positions
         return ((component @ rows.T) ** 2).sum(axis=1)
 
-    times = grid.times
     flow = free_flow(space, times)
-    cos_t, sin_over, minus_sin = flow
-    w = grid.node_weights
-    n = space.n_modes
-
-    def free_ratio(form_sq, rng) -> float:
-        """Largest horizon-integrated natural energy per unit of form_sq over free waves."""
-        ratio = 0.0
-        for _ in range(ensemble):
-            p0 = rng.standard_normal(n)
-            v0 = rng.standard_normal(n)
-            positions = cos_t * p0 + sin_over * v0
-            velocities = minus_sin * p0 + cos_t * v0
-            e1 = 0.5 * float(p0**2 @ space.eigenvalues + v0 @ v0)
-            denom = float(w @ form_sq(positions, velocities))
-            if denom <= 0.0:
-                raise RefusalError("degenerate ensemble: free solution invisible", {"ratio": np.inf})
-            ratio = max(ratio, grid.horizon * e1 / denom)
-        return ratio
-
-    gamma0 = free_ratio(projection_sq, np.random.default_rng(seed))
-    rng = np.random.default_rng(seed + 1)
-    eta0 = free_ratio(observation_sq, rng)
-
     # the forcing cos(freq t) g is separable: its kicks are the kicks of the
     # time profile cos(freq t) times g
     taus, kernel_pos, kernel_vel = simpson_kick_weights(space, grid.dt)
@@ -740,6 +727,7 @@ def _audit_forms(
     step = cascade_step_matrix(space, coupling.matrix, grid.dt)
     power = np.linalg.matrix_power(step, grid.n_steps)  # initial data to final state
     weak_first, natural_second = _energy_metrics(space)
+    position_gram = _free_flow_gram(space, grid.fine_times, grid.fine_weights)
     # first-component pairing v1.u2 - v2.u1 of the duality identity
     eye = np.eye(n)
     pairing = np.zeros((4 * n, 4 * n))
@@ -755,9 +743,9 @@ def _audit_forms(
         "e1_u2_T": power.T @ (natural_second[:, None] * power),
         "e1_u2_int": weighted_gram(np.diag(natural_second), step, grid),
         "e0_u1_0": np.diag(weak_first),
-        "coupling_int": _free_moment_form(coupling.matrix, space, grid),
-        "coupling_sq_int": _free_moment_form(coupling.matrix.T @ coupling.matrix, space, grid),
-        "proj_int": _free_moment_form(coupling.projection_matrix, space, grid),
+        "coupling_int": _free_moment_form(coupling.matrix, position_gram),
+        "coupling_sq_int": _free_moment_form(coupling.matrix.T @ coupling.matrix, position_gram),
+        "proj_int": _free_moment_form(coupling.projection_matrix, position_gram),
         "boundary_term": power.T @ pairing @ power - pairing,
         "balance_int": weighted_gram(work, step, grid),
     }

@@ -314,7 +314,7 @@ def _gramian_row(config, horizon, n_modes, ensemble, seed):
         ratios = {"d1_emp": float("nan"), "d2_emp": float("nan"), "k2_emp": float("nan"),
                   "r2_emp": float("nan"), "admissibility": float("nan")}
     row = [
-        horizon, n_modes, report.min_eig, report.block_min.get("u1", float("nan")),
+        horizon, n_modes, report.min_eig, report.block_min["u1"],
         ratios["d1_emp"], ratios["d2_emp"], ratios["admissibility"], ratios["k2_emp"], ratios["r2_emp"],
     ]
     return report, row

@@ -59,6 +59,22 @@ def test_every_traced_layer_resolves_to_a_wavecascade_function(monkeypatch):
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def test_no_module_imports_scipy_sparse():
+    # every spectrum is dense at every N: a sparse or ARPACK route would be a second way to the same number
+    found = []
+    for path in sorted((ROOT / "src" / "wavecascade").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_config_section_the_runner_reads_is_documented():
     # a section read by the runner but missing from the README's config block is a knob no one can find
     tree = ast.parse((ROOT / "src" / "wavecascade" / "runner.py").read_text())

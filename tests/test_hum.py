@@ -411,6 +411,15 @@ class TestTransposition:
         # an unchunked (n_steps + 1, 4N, n_probes) block alone would read n_probes
         assert peak <= 2.5 * trajectory.nbytes
 
+    def test_non_finite_control_gives_non_finite_max_residual(self):
+        # max(0.0, nan) is 0.0, which would pass any residual bound
+        prob = boundary_problem(8, data=CascadeState.zero(SpectralSpace(8)))
+        control = _random_control(prob, np.random.default_rng(29))
+        control.values[3, 0] = np.nan
+        report = verify_transposition(prob, control, n_probes=3)
+        assert np.isnan(report["residuals"]).all()
+        assert np.isnan(report["max_residual"])
+
     def test_non_finite_source_rejected(self):
         prob = interior_problem(8, source=lambda t: np.full(8, np.nan))
         with pytest.raises(ValidationError, match="non-finite"):

@@ -287,6 +287,30 @@ max_iterations = 500
         names = {line.split(",")[0] for line in ledger[1:]}
         assert "coupling_duality_identity" in names
 
+    def test_transposition_check_fails_on_a_non_finite_control(self, tmp_path, monkeypatch, capsys):
+        # the identity is checked on a control with one NaN sample
+        from wavecascade import hum
+
+        checked = hum.verify_transposition
+
+        def poisoned(problem, control, **kwargs):
+            values = control.values.copy()
+            values[3, 0] = np.nan
+            return checked(problem, hum.TimeSampledControl(values, control.kind, control.grid), **kwargs)
+
+        monkeypatch.setattr(hum, "verify_transposition", poisoned)
+        code = main([
+            f"{CONFIG_DIR}/criterion08_hum_boundary.ini",
+            "-o",
+            str(tmp_path / "hum"),
+            "--set",
+            "spectral.n_modes=8",
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] transposition_identity: nan" in out
+        assert "[pass] terminal_state_null" in out  # only the identity fails
+
     def test_audit_check_fails_when_any_sample_fails(self, tmp_path, monkeypatch, capsys):
         # the worst-margin sample holds against its large scale, while a
         # small-scale sample with a milder margin fails against its own
