@@ -9,8 +9,8 @@ component to the observation of the driven one.
 
 SciPy is imported inside the functions that use it, so that simulate, hum,
 insensitize and audit runs never load it: ``expm`` for the exponential
-propagator of ``gramian_matrix`` and the SVD factor of ``min_eigenvalue``,
-and the generalized ``eigh`` of ``empirical_ratios``.
+propagator of ``gramian_matrix`` and the observation factor of
+``min_eigenvalue``, and the generalized ``eigh`` of ``empirical_ratios``.
 """
 
 from __future__ import annotations
@@ -109,17 +109,6 @@ def _dense_generator(space: SpectralSpace, coupling: CouplingOperator | None) ->
     eye = np.eye(n)
     cmat = z if coupling is None else coupling.matrix
     return np.block([[z, z, eye, z], [z, z, z, eye], [-lam, z, z, z], [-cmat, -lam, z, z]])
-
-
-def _propagated(rows: np.ndarray, step: np.ndarray):
-    """Yield rows @ step^m for m = 0, 1, 2, ...
-
-    Each power is formed only when asked for; callers zip their weights
-    first, so no product past the last weight is computed.
-    """
-    while True:
-        yield rows
-        rows = rows @ step
 
 
 def weighted_gram(form: np.ndarray, step: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -234,7 +223,9 @@ class EigenReport:
         return self.min_eig / self.max_eig if self.max_eig > 0 else 0.0
 
 
-FACTOR_LIMIT = 8_000_000  # largest observation-factor size for the SVD route
+# largest observation-factor size for the QR route; during the QR the factor
+# lives three times: the buffer, numpy's working copy and LAPACK's copy of it
+FACTOR_LIMIT = 8_000_000
 
 
 def _observation_factor(
@@ -242,17 +233,28 @@ def _observation_factor(
     observer: Observer,
     grid: TimeGrid,
     space: SpectralSpace,
+    scale: np.ndarray,
 ) -> np.ndarray:
-    """Square-root factor of the Gramian: weighted observation history rows.
+    """Square-root factor of the metric-scaled Gramian: weighted observation history rows.
 
-    Stacks sqrt(sigma_m) * Obs * E^m over all nodes, stepping with the matrix
-    exponential oracle; the Gramian is the Gram product of this factor.
+    Node block m is (sqrt(sigma_m) * Obs E^m) * scale, stepping with the
+    matrix exponential oracle; the scaled Gramian is the Gram product of
+    this factor.  The blocks are written into one preallocated column-major
+    array, LAPACK's layout, and the propagated rows alternate between two
+    buffers, so no power past the last node is formed.
     """
     from scipy.linalg import expm
 
     rows = observation_block_rows(observer, space)
     step = expm(grid.dt * _dense_generator(space, coupling))
-    return np.vstack([np.sqrt(w) * block for w, block in zip(grid.node_weights, _propagated(rows, step))])
+    q = rows.shape[0]
+    factor = np.empty(((grid.n_steps + 1) * q, rows.shape[1]), order="F")
+    block, spare = rows, np.empty_like(rows)
+    for m, w in enumerate(grid.node_weights):
+        if m:
+            block, spare = np.dot(block, step, out=spare), block
+        factor[m * q : (m + 1) * q] = (np.sqrt(w) * block) * scale
+    return factor
 
 
 def min_eigenvalue(
@@ -265,11 +267,13 @@ def min_eigenvalue(
 
     A stable positive eigenvalue under refinement certifies observability;
     collapse under refinement (or an exactly null block) certifies failure.
-    The spectrum is dense at every N: it works on the square-root
-    observation factor by SVD when the factor fits (never squaring, so
-    near-null directions are resolved far below the eigenvalue roundoff
-    floor of the assembled Gramian) and falls back to an
-    eigen-decomposition of the assembled matrix otherwise.
+    The spectrum is dense at every N.  When the square-root observation
+    factor fits, it is never squared (so near-null directions are resolved
+    far below the eigenvalue roundoff floor of the assembled Gramian): one
+    Householder QR, factor = Q R, and the singular values of R and of its
+    u1 columns are those of the factor and of its u1 columns.  For a tall
+    factor this R is the one LAPACK's SVD of the factor starts from (the
+    R-SVD).  Otherwise the assembled matrix is eigen-decomposed.
     """
     d = norm_weights(space)
     d_isqrt = 1.0 / np.sqrt(d)
@@ -278,12 +282,12 @@ def min_eigenvalue(
     factor_size = (grid.n_steps + 1) * rows.shape[0] * 4 * n
     first_idx = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
     if factor_size <= FACTOR_LIMIT:
-        factor = _observation_factor(coupling, observer, grid, space) * d_isqrt[None, :]
-        svals = _min_singular(factor)
+        r = np.linalg.qr(_observation_factor(coupling, observer, grid, space, d_isqrt), mode="r")
+        svals = _min_singular(r)
         return EigenReport(
             min_eig=float(svals[-1] ** 2),
             max_eig=float(svals[0] ** 2),
-            block_min={"u1": float(_min_singular(factor[:, first_idx])[-1] ** 2)},
+            block_min={"u1": float(_min_singular(r[:, first_idx])[-1] ** 2)},
         )
     gram = gramian_matrix(coupling, observer, grid, space, propagator="exponential")
     scaled = gram * np.outer(d_isqrt, d_isqrt)
@@ -546,7 +550,11 @@ def empirical_ratios(
     """
     from scipy.linalg import eigh as generalized_eigh
 
-    gram = gramian_matrix(coupling, observer, grid, space, propagator="solver")
+    # the solver Gramian, built as gramian_matrix(..., "solver") does; its step serves k2_emp too
+    grid.validate_for(space)
+    step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
+    rows = observation_block_rows(observer, space)
+    gram = weighted_gram(rows.T @ rows, step, grid)
 
     # regularity guard: ratios are meaningless for a singular Gramian
     metric = norm_weights(space)
@@ -563,7 +571,6 @@ def empirical_ratios(
         return float(vals[-1])
 
     weak_first, natural_second = _energy_metrics(space)
-    step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
     if coupling is None:
         r2_emp = 0.0
     else:

@@ -388,8 +388,12 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
         checks.append(("trend_k2_bounded", max(k2) <= 2.0 * min(k2), ", ".join(f"{s:.3g}" for s in k2)))
     if axis == "n_modes" and config.get("checks", "refinement_decay", default=False, cast=bool):
         eigs = [row[2] for row in rows]
-        ok = all(eigs[i] / eigs[i + 1] >= 2.0 for i in range(len(eigs) - 1))
-        checks.append(("min_eig_decays_per_doubling", ok, ", ".join(f"{e:.3e}" for e in eigs)))
+        zero_at = [row[1] for row in rows[1:] if row[2] == 0.0]  # a ratio over 0 decides nothing
+        ok = not zero_at and all(eigs[i] / eigs[i + 1] >= 2.0 for i in range(len(eigs) - 1))
+        detail = ", ".join(f"{e:.3e}" for e in eigs)
+        if zero_at:
+            detail += "; exactly 0 at N = " + ", ".join(map(str, zero_at))
+        checks.append(("min_eig_decays_per_doubling", ok, detail))
     status = 0 if all(ok for _, ok, _ in checks) else 1
     return RunResult(status, [path], checks)
 

@@ -17,6 +17,8 @@ from wavecascade.dynamics import (
 )
 from wavecascade.observability import (
     ObservabilityConstants,
+    _dense_generator,
+    _observation_factor,
     admissibility_constant,
     apply_gramian,
     empirical_horizon,
@@ -27,6 +29,8 @@ from wavecascade.observability import (
     gramian_matrix,
     inequality_chain_audit,
     min_eigenvalue,
+    norm_weights,
+    observation_block_rows,
     ray_hit_time,
     random_cascade_states,
     weighted_gram,
@@ -147,6 +151,55 @@ class TestMinEigenvalue:
             grid = TimeGrid.for_space(space, 4.0, 0.5)
             values[n] = min_eigenvalue(coupling, interior_observer(), grid, space).min_eig
         assert abs(values[64] - values[32]) <= 0.25 * values[32]
+
+    def test_one_qr_matches_the_stacked_svd(self):
+        # reference: the node blocks sqrt(w_m) rows E^m stacked, scaled by the
+        # metric, and tall SVDs of that factor and of its u1 columns
+        from scipy.linalg import expm
+
+        def extremes(matrix):
+            """Squared smallest and largest singular values; the smallest is 0 for a wide matrix."""
+            svals = np.linalg.svd(matrix, compute_uv=False)
+            return (svals[-1] ** 2 if svals.size == matrix.shape[1] else 0.0), svals[0] ** 2
+
+        def reference(coupling, observer, grid, space):
+            rows = observation_block_rows(observer, space)
+            step = expm(grid.dt * _dense_generator(space, coupling))
+            blocks = []
+            for w in grid.node_weights:
+                blocks.append(np.sqrt(w) * rows)
+                rows = rows @ step
+            factor = np.vstack(blocks) * (1.0 / np.sqrt(norm_weights(space)))[None, :]
+            n = space.n_modes
+            return factor, extremes(factor), extremes(factor[:, np.r_[0:n, 2 * n : 3 * n]])[0]
+
+        for n, horizon in ((16, 4.0), (16, 0.1), (32, 0.1)):
+            space = SpectralSpace(n)
+            coupling = CouplingOperator(COUPLING_FN, space)
+            grid = TimeGrid.for_space(space, horizon, 0.5)
+            factor, (min_eig, max_eig), u1 = reference(coupling, interior_observer(), grid, space)
+            built = _observation_factor(coupling, interior_observer(), grid, space, 1.0 / np.sqrt(norm_weights(space)))
+            assert built.flags.f_contiguous
+            assert np.array_equal(built, factor)
+            report = min_eigenvalue(coupling, interior_observer(), grid, space)
+            assert report.min_eig == min_eig
+            assert report.max_eig == max_eig
+            if horizon == 4.0:  # resolved u1 block; at T = 0.1 it is roundoff
+                assert report.block_min["u1"] == pytest.approx(u1, rel=1e-12)
+
+        space, _, grid = standard_setup(16, step_phase=0.5)
+        assert min_eigenvalue(None, interior_observer(), grid, space).block_min["u1"] == 0.0
+
+        # wide factor: 13 rows of one boundary observation against 64 columns
+        space = SpectralSpace(16)
+        coupling = CouplingOperator(COUPLING_FN, space)
+        grid = TimeGrid.for_space(space, 0.1, 0.5)
+        boundary = Observer("boundary", b_left=1.0)
+        factor, (_, max_eig), _ = reference(coupling, boundary, grid, space)
+        assert factor.shape[0] < factor.shape[1]
+        report = min_eigenvalue(coupling, boundary, grid, space)
+        assert report.min_eig == 0.0 and report.block_min["u1"] == 0.0
+        assert report.max_eig == pytest.approx(max_eig, rel=1e-12)
 
 
 class TestTheoreticalConstants:

@@ -193,6 +193,28 @@ class TestRunKinds:
         assert lines[1].startswith("  [FAIL] convergence: conjugate gradient stalled")
         assert len(lines) == 2
 
+    def test_refinement_decay_fails_on_an_exact_zero(self, tmp_path, capsys):
+        # one boundary row per node, 13 and 23 nodes against 4N = 64 and 128
+        # columns: every min eig is the padding 0.0, which the decay check must
+        # refuse, not divide by
+        code = main([
+            f"{CONFIG_DIR}/criterion05_short_horizon.ini",
+            "-o",
+            str(tmp_path / "sweep"),
+            "--set",
+            "observer.kind=boundary",
+            "--set",
+            "observer.b_left=1.0",
+            "--set",
+            "sweep.values=16, 32",
+        ])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "status 1"
+        assert lines[1].startswith("  [FAIL] min_eig_decays_per_doubling: 0.000e+00, 0.000e+00")
+        assert lines[1].endswith("; exactly 0 at N = 32")
+        assert lines[2:] == [f"  wrote {tmp_path / 'sweep' / 'sweep.csv'}"]
+
     @pytest.mark.parametrize("config", ["criterion08_hum_interior", "criterion09_insensitize_interior"])
     def test_observability_floor_refuses_with_one_line(self, tmp_path, capsys, config):
         # the contrast of both control Gramians is about 1e-3
