@@ -28,31 +28,21 @@ from .dynamics import (
     CouplingOperator,
     Observer,
     TimeGrid,
-    apply_generator,
-    energy,
     evolve_cascade,
     evolve_cascade_backward,
     evolve_forced_scalar,
-    free_evolve,
-    inverse_shift_energy_report,
-    invert_generator,
-    iterate_inverse,
-    observe,
 )
 from .observability import (
     AuditRow,
     ObservabilityConstants,
     admissibility_constant,
-    apply_gramian,
     empirical_horizon,
     empirical_ratios,
     estimate_uniform_constants,
     gcc_min_time,
-    gramian_form,
     gramian_matrix,
     inequality_chain_audit,
     min_eigenvalue,
-    ray_hit_time,
 )
 from .hum import (
     HUMProblem,
@@ -70,8 +60,6 @@ from .insensitize import (
     InsensitizeProblem,
     insensitize,
     phi_functional,
-    sensitivity_derivatives,
-    trajectory_phi,
     verify_converse,
 )
 

@@ -23,6 +23,11 @@ there the step is the exact rotation alone, so ``forced_flow`` sums the
 whole recursion in the rotating frame with one prefix sum instead.  Both
 take their Simpson kernel from ``simpson_kick_weights``.
 
+The module holds what the runs use.  The reference computations the tests
+check it against (free evolution and energies of one component, pointwise
+observation, the inverse of the first-order generator) live in
+``tests/oracles.py``.
+
 A forcing f is a callable t -> modal coefficients.  It is called once, on a
 column of all the times it is needed at (shape (..., 1)), and its result is
 broadcast to one modal vector per time (shape (..., N)); a result that does
@@ -44,7 +49,6 @@ from .spectral import (
     SpectralSpace,
     assemble_multiplication_matrix,
     simpson_weights,
-    sobolev_norm,
 )
 
 __all__ = [
@@ -56,7 +60,6 @@ __all__ = [
     "CascadeTrajectory",
     "cascade_step_matrix",
     "free_flow",
-    "free_evolve",
     "evolve_cascade",
     "evolve_cascade_backward",
     "evolve_forced_scalar",
@@ -64,14 +67,8 @@ __all__ = [
     "simpson_kick_weights",
     "march",
     "reversed_step",
-    "apply_generator",
-    "invert_generator",
-    "iterate_inverse",
-    "energy",
     "state_weights",
-    "observe",
     "duality_pairing",
-    "inverse_shift_energy_report",
 ]
 
 MAX_STEP_PHASE = 0.5  # dt * sqrt(lambda_N) bound for the default grid guard
@@ -146,11 +143,6 @@ class CascadeState:
     @staticmethod
     def zero(space: SpectralSpace) -> "CascadeState":
         return CascadeState.from_vector(np.zeros(4 * space.n_modes), space)
-
-
-def energy(component: ComponentState, k: int) -> float:
-    """Level-k energy 0.5 (|u|_k^2 + |u'|_{k-1}^2) of one component."""
-    return 0.5 * (sobolev_norm(component.position, k) ** 2 + sobolev_norm(component.velocity, k - 1) ** 2)
 
 
 def state_weights(space: SpectralSpace, orders: tuple[int, int, int, int]) -> np.ndarray:
@@ -284,24 +276,6 @@ class Observer:
         return np.vstack(rows)
 
 
-def observe(observer: Observer, component: ComponentState):
-    """Evaluate the observation of one component state.
-
-    Interior: samples of b * u' on the quadrature grid.  Boundary: tuple of
-    weighted outward normal derivatives of the position at active endpoints.
-    """
-    space = component.space
-    if observer.kind == "interior":
-        return observer.weight(space.nodes) * component.velocity.evaluate(space.nodes)
-    left, right = space.boundary_trace_vectors()
-    out = []
-    if observer.b_left > 0:
-        out.append(observer.b_left * float(left @ component.position.coeffs))
-    if observer.b_right > 0:
-        out.append(observer.b_right * float(right @ component.position.coeffs))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # time grid
 
@@ -363,6 +337,8 @@ class TimeGrid:
     @staticmethod
     def for_space(space: SpectralSpace, horizon: float, step_phase: float = 0.4) -> "TimeGrid":
         """Smallest even step count keeping dt * sqrt(lambda_N) <= step_phase."""
+        if not (np.isfinite(step_phase) and step_phase > 0):
+            raise ValidationError(f"step_phase must be positive and finite, got {step_phase}")
         steps = horizon * space.frequencies[-1] / step_phase
         if not np.isfinite(steps):
             raise ValidationError(f"horizon {horizon} and step_phase {step_phase} give no finite step count")
@@ -609,90 +585,3 @@ def evolve_forced_scalar(
     states[1:, :n] = np.einsum("kjn,jn->kn", samples, kernel_pos)
     states[1:, n:] = np.einsum("kjn,jn->kn", samples, kernel_vel)
     return forced_flow(free_flow(space, grid.times), states)
-
-
-def free_evolve(component: ComponentState, t: float) -> ComponentState:
-    """Exact free wave evolution of one component by time t (any sign)."""
-    space = component.space
-    c, s_over, ms = free_flow(space, t)
-    p = component.position.coeffs
-    v = component.velocity.coeffs
-    return ComponentState(
-        ModalCoefficients(c * p + s_over * v, space),
-        ModalCoefficients(ms * p + c * v, space),
-    )
-
-
-# ---------------------------------------------------------------------------
-# the generator and its inverse
-
-
-def apply_generator(state: CascadeState, coupling: CouplingOperator | None) -> CascadeState:
-    """First-order generator (u1, u2, v1, v2) -> (v1, v2, -A u1, -A u2 - C u1)."""
-    space = state.space
-    lam = space.eigenvalues
-    c_u1 = np.zeros(space.n_modes) if coupling is None else coupling.matrix @ state.u1.coeffs
-    return CascadeState(
-        state.v1,
-        state.v2,
-        ModalCoefficients(-lam * state.u1.coeffs, space),
-        ModalCoefficients(-lam * state.u2.coeffs - c_u1, space),
-    )
-
-
-def invert_generator(state: CascadeState, coupling: CouplingOperator | None) -> CascadeState:
-    """Solve generator(W) = U exactly in modal coordinates.
-
-    W = (w1, w2, r1, r2) with w1 = -A^{-1} u1', w2 = -A^{-1} u2' +
-    A^{-1} C A^{-1} u1', r1 = u1, r2 = u2.
-    """
-    space = state.space
-    lam = space.eigenvalues
-    w1 = -state.v1.coeffs / lam
-    w2 = -state.v2.coeffs / lam
-    if coupling is not None:
-        w2 = w2 + (coupling.matrix @ (state.v1.coeffs / lam)) / lam
-    return CascadeState(
-        ModalCoefficients(w1, space),
-        ModalCoefficients(w2, space),
-        state.u1,
-        state.u2,
-    )
-
-
-def iterate_inverse(state: CascadeState, coupling: CouplingOperator | None, k: int) -> CascadeState:
-    """k-fold application of the generator inverse."""
-    if k < 1:
-        raise ValidationError("k must be a positive integer")
-    out = state
-    for _ in range(k):
-        out = invert_generator(out, coupling)
-    return out
-
-
-def inverse_shift_energy_report(state: CascadeState, coupling: CouplingOperator | None) -> dict:
-    """Energy identities relating W and Z = generator_inverse(W).
-
-    Returns the exact-identity residual e0(Z1) = e-1(W1) together with the
-    ratios entering the two-sided norm equivalence between
-    e-1(W1) + e0(W2) and e0(Z1) + e1(Z2); callers record empirical bounds
-    for the ratios over ensembles.
-    """
-    z = invert_generator(state, coupling)
-    e0_z1 = energy(z.first, 0)
-    e1_z2 = energy(z.second, 1)
-    em1_w1 = energy(state.first, -1)
-    e0_w2 = energy(state.second, 0)
-    scale = max(e0_z1, em1_w1, 1e-300)
-    shifted = e0_z1 + e1_z2
-    weak = em1_w1 + e0_w2
-    return {
-        "identity_residual": abs(e0_z1 - em1_w1) / scale if scale > 0 else 0.0,
-        "e0_z1": e0_z1,
-        "e1_z2": e1_z2,
-        "em1_w1": em1_w1,
-        "e0_w2": e0_w2,
-        "ratio_w2_vs_shifted": e0_w2 / shifted if shifted > 0 else 0.0,
-        "ratio_z2_vs_weak": e1_z2 / weak if weak > 0 else 0.0,
-        "ratio_weak_vs_shifted": weak / shifted if shifted > 0 else 0.0,
-    }

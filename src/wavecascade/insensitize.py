@@ -60,8 +60,6 @@ __all__ = [
     "ConverseReport",
     "phi_functional",
     "fine_second_positions",
-    "trajectory_phi",
-    "sensitivity_derivatives",
     "insensitize",
     "verify_converse",
 ]
@@ -290,11 +288,6 @@ def fine_second_positions(states: np.ndarray, space: SpectralSpace, grid: TimeGr
     return fine
 
 
-def trajectory_phi(problem: InsensitizeProblem, states: np.ndarray) -> float:
-    """Phi of a controlled trajectory (fine half-step quadrature)."""
-    return _fine_phi(problem, fine_second_positions(states, problem.space, problem.grid))
-
-
 def _fine_phi(problem: InsensitizeProblem, fine: np.ndarray) -> float:
     """Phi from the fine positions of a trajectory."""
     return phi_functional(fine, problem.weight_matrix, problem.grid.fine_weights)
@@ -302,24 +295,6 @@ def _fine_phi(problem: InsensitizeProblem, fine: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # sensitivities
-
-
-def sensitivity_derivatives(
-    problem: InsensitizeProblem,
-    control: TimeSampledControl | None,
-    z0: np.ndarray,
-    z1: np.ndarray,
-) -> tuple[float, float]:
-    """Derivatives of Phi with respect to the two perturbation amplitudes.
-
-    Solves the controlled equation once (any candidate control), the two
-    free sensitivity waves (position data z0, velocity data z1), and returns
-    the weighted pairings of c times the solution against each wave.
-    """
-    states = controlled_forward(problem.hum, control)
-    fine = fine_second_positions(states, problem.space, problem.grid)
-    per_position, per_velocity = _modal_derivatives(problem, fine)
-    return float(per_position @ np.asarray(z0, dtype=float)), float(per_velocity @ np.asarray(z1, dtype=float))
 
 
 def _modal_derivatives(problem: InsensitizeProblem, fine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

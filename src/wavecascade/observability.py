@@ -1,11 +1,14 @@
 """Observability laboratory for the cascade pair.
 
-Provides the time-integrated observation quadratic form (the Gramian), its
-dense matrix oracle, extreme eigenvalues in the observation metric, empirical
-observability constants, the closed-form theoretical constant chain, the 1D
-billiard control time, and an inequality-by-inequality audit of the
-two-level energy argument that links the weak energy of the unobserved
-component to the observation of the driven one.
+Provides the time-integrated observation form (the Gramian) as a dense
+matrix, under the production stepper or the exponential oracle, its extreme
+eigenvalues in the observation metric, empirical observability constants,
+the closed-form theoretical constant chain, the 1D billiard control time,
+and an inequality-by-inequality audit of the two-level energy argument that
+links the weak energy of the unobserved component to the observation of the
+driven one.  The form along one simulated trajectory, its matrix-free
+application and the ray tracing that cross-checks the control time are test
+oracles, in ``tests/oracles.py``.
 
 SciPy is imported inside the functions that use it, so that simulate, hum,
 insensitize and audit runs never load it: ``expm`` for the exponential
@@ -30,7 +33,6 @@ from .dynamics import (
     Observer,
     TimeGrid,
     cascade_step_matrix,
-    evolve_cascade,
     forced_flow,
     free_flow,
     simpson_kick_weights,
@@ -42,16 +44,13 @@ __all__ = [
     "AuditRow",
     "observation_block_rows",
     "observation_history",
-    "gramian_form",
     "gramian_matrix",
     "weighted_gram",
-    "apply_gramian",
     "adjoint_sweep",
     "norm_weights",
     "min_eigenvalue",
     "estimate_uniform_constants",
     "gcc_min_time",
-    "ray_hit_time",
     "empirical_horizon",
     "empirical_ratios",
     "inequality_chain_audit",
@@ -85,21 +84,6 @@ def observation_history(trajectory: CascadeTrajectory, observer: Observer) -> np
     """Observation samples at every node, shape (n_steps + 1, q)."""
     rows = observation_block_rows(observer, trajectory.space)
     return trajectory.states @ rows.T
-
-
-def gramian_form(
-    initial: CascadeState,
-    coupling: CouplingOperator | None,
-    observer: Observer,
-    grid: TimeGrid,
-) -> float:
-    """Time-integrated squared observation along the evolved trajectory.
-
-    Simpson quadrature on the step nodes; quadratic in the initial data.
-    """
-    traj = evolve_cascade(initial, coupling, grid)
-    obs = observation_history(traj, observer)
-    return float(grid.node_weights @ (obs**2).sum(axis=1))
 
 
 def _dense_generator(space: SpectralSpace, coupling: CouplingOperator | None) -> np.ndarray:
@@ -177,21 +161,6 @@ def gramian_matrix(
         raise ValidationError("propagator must be 'exponential' or 'solver'")
     rows = observation_block_rows(observer, space)
     return weighted_gram(rows.T @ rows, step, grid)
-
-
-def apply_gramian(
-    state_vector: np.ndarray,
-    coupling: CouplingOperator | None,
-    observer: Observer,
-    grid: TimeGrid,
-    space: SpectralSpace,
-) -> np.ndarray:
-    """Matrix-free Gramian application: evolve, observe, accumulate the adjoint."""
-    traj = evolve_cascade(CascadeState.from_vector(state_vector, space), coupling, grid)
-    rows = observation_block_rows(observer, space)
-    contributions = (traj.states @ rows.T) * grid.node_weights[:, None]  # sigma_m g_m
-    step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
-    return adjoint_sweep(contributions, rows, step)
 
 
 def norm_weights(space: SpectralSpace) -> np.ndarray:
@@ -400,44 +369,6 @@ class ObservabilityConstants:
 
 # ---------------------------------------------------------------------------
 # geometric control time (1D billiard)
-
-
-def ray_hit_time(x0: float, direction: int, region) -> float:
-    """First time a speed-1 billiard ray on (0, 1) meets the region.
-
-    Interior regions are open intervals (a, b); boundary regions are sets of
-    endpoint names.  Rays reflect at both walls; a few segments always
-    suffice in one dimension.
-    """
-    if not 0.0 < x0 < 1.0:
-        raise ValidationError("ray must start inside the open interval")
-    if direction not in (-1, 1):
-        raise ValidationError("direction must be +1 or -1")
-    boundary = _as_boundary_set(region)
-    t, x, d = 0.0, float(x0), float(direction)
-    for _ in range(4):
-        if boundary is not None:
-            wall = 1.0 if d > 0 else 0.0
-            segment = abs(wall - x)
-            if ("right" in boundary and d > 0) or ("left" in boundary and d < 0):
-                return t + segment
-            t += segment
-            x, d = wall, -d
-            continue
-        a, b = region
-        if a < x < b:
-            return t
-        if d > 0:
-            if x <= a:
-                return t + (a - x)
-            t += 1.0 - x
-            x, d = 1.0, -1.0
-        else:
-            if x >= b:
-                return t + (x - b)
-            t += x
-            x, d = 0.0, 1.0
-    raise RuntimeError("ray failed to meet a nonempty region within four segments")
 
 
 def _as_boundary_set(region):
@@ -727,12 +658,15 @@ def _audit_forms(
 
     The stepper's forms (observation, driven energies, endpoint pairing and
     node-weighted coupling work) propagate with the one-step matrix and its
-    M-th power; the coupling, coupling-squared and projection moments use
-    the closed-form free flow of the first component.
+    M-th power, built once for all of them; the coupling, coupling-squared
+    and projection moments use the closed-form free flow of the first
+    component.
     """
+    grid.validate_for(space)
     n = space.n_modes
     step = cascade_step_matrix(space, coupling.matrix, grid.dt)
     power = np.linalg.matrix_power(step, grid.n_steps)  # initial data to final state
+    rows = observation_block_rows(observer, space)
     weak_first, natural_second = _energy_metrics(space)
     position_gram = _free_flow_gram(space, grid.fine_times, grid.fine_weights)
     # first-component pairing v1.u2 - v2.u1 of the duality identity
@@ -745,7 +679,7 @@ def _audit_forms(
     work[3 * n :, :n] = 0.5 * coupling.matrix
     work[:n, 3 * n :] = 0.5 * coupling.matrix.T
     return {
-        "obs_int": gramian_matrix(coupling, observer, grid, space, propagator="solver"),
+        "obs_int": weighted_gram(rows.T @ rows, step, grid),  # the solver Gramian
         "e1_u2_0": np.diag(natural_second),
         "e1_u2_T": power.T @ (natural_second[:, None] * power),
         "e1_u2_int": weighted_gram(np.diag(natural_second), step, grid),

@@ -127,6 +127,13 @@ class ExperimentConfig:
             raise ConfigError(f"[{section}] {key} must be at least 1")
         return value
 
+    def tolerance(self, section: str, key: str, default: float) -> float:
+        """A float bound that must be finite and nonnegative: a NaN or negative bound decides every check alike."""
+        value = self.get(section, key, default=default, cast=float)
+        if not (np.isfinite(value) and value >= 0):
+            raise ConfigError(f"[{section}] {key} must be finite and nonnegative, got {value}")
+        return value
+
     def has(self, section: str, key: str | None = None) -> bool:
         if key is None:
             return section in self.sections
@@ -267,6 +274,7 @@ class RunResult:
 
 
 def _run_simulate(config: ExperimentConfig, outdir: Path) -> RunResult:
+    tol = config.tolerance("checks", "conservation_tol", 1e-10)
     space = config.spectral_space()
     coupling = config.coupling(space)
     grid = config.grid(space)
@@ -287,7 +295,6 @@ def _run_simulate(config: ExperimentConfig, outdir: Path) -> RunResult:
     write_csv(path, ["t", "e1_u1", "e0_u1", "e1_u2", "e0_u2", "obs_norm_sq"], rows)
 
     checks = []
-    tol = config.get("checks", "conservation_tol", default=1e-10, cast=float)
     scale = max(e1_u1[0], 1e-300)
     drift1 = float(np.max(np.abs(e1_u1 - e1_u1[0]))) / scale
     scale0 = max(e0_u1[0], 1e-300)
@@ -324,10 +331,10 @@ def _run_gramian(config: ExperimentConfig, outdir: Path) -> RunResult:
     space = config.spectral_space()
     horizon = config.get("grid", "horizon", cast=float)
     ensemble = config.count("checks", "ensemble", 16)
+    floor = config.tolerance("checks", "floor", 1e-6)
     report, row = _gramian_row(config, horizon, space.n_modes, ensemble, config.seed)
     path = outdir / "gramian_report.csv"
     write_csv(path, _GRAMIAN_HEADER, [row])
-    floor = config.get("checks", "floor", default=1e-6, cast=float)
     observable = report.min_eig > floor * report.max_eig
     checks = [(
         "gramian_coercive",
@@ -399,6 +406,7 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
 
 
 def _run_hum(config: ExperimentConfig, outdir: Path) -> RunResult:
+    tol = config.tolerance("checks", "terminal_tol", 1e-6)
     space = config.spectral_space()
     coupling = config.coupling(space)
     observer = config.observer()
@@ -460,7 +468,6 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> RunResult:
     manifest_path.write_text("\n".join(manifest) + "\n")
     artifacts.append(manifest_path)
 
-    tol = config.get("checks", "terminal_tol", default=1e-6, cast=float)
     scale = max(solution.initial_norm, 1e-300)
     worst = max(v for k, v in solution.terminal_norms.items() if k != "total") / scale
     checks = [

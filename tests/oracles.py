@@ -1,0 +1,193 @@
+"""Reference oracles that the tests compare the package against.
+
+No config run or demo reaches these functions, so they live with the tests
+and not in ``wavecascade``: component energies, pointwise observation, the
+free evolution of one component and the inverse of the first-order
+generator; the Gramian form along one simulated trajectory and its
+matrix-free application; the ray tracing that cross-checks
+``gcc_min_time``; and Phi and its sensitivity derivatives straight from a
+controlled trajectory.
+"""
+
+import numpy as np
+
+from wavecascade.errors import ValidationError
+from wavecascade.spectral import ModalCoefficients, SpectralSpace, sobolev_norm
+from wavecascade.dynamics import (
+    CascadeState,
+    ComponentState,
+    CouplingOperator,
+    Observer,
+    TimeGrid,
+    cascade_step_matrix,
+    evolve_cascade,
+    free_flow,
+)
+from wavecascade.observability import (
+    _as_boundary_set,
+    adjoint_sweep,
+    observation_block_rows,
+    observation_history,
+)
+from wavecascade.hum import TimeSampledControl, controlled_forward
+from wavecascade.insensitize import (
+    InsensitizeProblem,
+    _fine_phi,
+    _modal_derivatives,
+    fine_second_positions,
+)
+
+# ---------------------------------------------------------------------------
+# one component and the generator
+
+
+def energy(component: ComponentState, k: int) -> float:
+    """Level-k energy 0.5 (|u|_k^2 + |u'|_{k-1}^2) of one component."""
+    return 0.5 * (sobolev_norm(component.position, k) ** 2 + sobolev_norm(component.velocity, k - 1) ** 2)
+
+
+def observe(observer: Observer, component: ComponentState):
+    """Evaluate the observation of one component state.
+
+    Interior: samples of b * u' on the quadrature grid.  Boundary: tuple of
+    weighted outward normal derivatives of the position at active endpoints.
+    """
+    space = component.space
+    if observer.kind == "interior":
+        return observer.weight(space.nodes) * component.velocity.evaluate(space.nodes)
+    left, right = space.boundary_trace_vectors()
+    out = []
+    if observer.b_left > 0:
+        out.append(observer.b_left * float(left @ component.position.coeffs))
+    if observer.b_right > 0:
+        out.append(observer.b_right * float(right @ component.position.coeffs))
+    return tuple(out)
+
+
+def free_evolve(component: ComponentState, t: float) -> ComponentState:
+    """Exact free wave evolution of one component by time t (any sign)."""
+    space = component.space
+    c, s_over, ms = free_flow(space, t)
+    p = component.position.coeffs
+    v = component.velocity.coeffs
+    return ComponentState(
+        ModalCoefficients(c * p + s_over * v, space),
+        ModalCoefficients(ms * p + c * v, space),
+    )
+
+
+def invert_generator(state: CascadeState, coupling: CouplingOperator | None) -> CascadeState:
+    """Solve generator(W) = U exactly in modal coordinates.
+
+    W = (w1, w2, r1, r2) with w1 = -A^{-1} u1', w2 = -A^{-1} u2' +
+    A^{-1} C A^{-1} u1', r1 = u1, r2 = u2.
+    """
+    space = state.space
+    lam = space.eigenvalues
+    w1 = -state.v1.coeffs / lam
+    w2 = -state.v2.coeffs / lam
+    if coupling is not None:
+        w2 = w2 + (coupling.matrix @ (state.v1.coeffs / lam)) / lam
+    return CascadeState(
+        ModalCoefficients(w1, space),
+        ModalCoefficients(w2, space),
+        state.u1,
+        state.u2,
+    )
+
+# ---------------------------------------------------------------------------
+# observability
+
+
+def gramian_form(
+    initial: CascadeState,
+    coupling: CouplingOperator | None,
+    observer: Observer,
+    grid: TimeGrid,
+) -> float:
+    """Time-integrated squared observation along the evolved trajectory.
+
+    Simpson quadrature on the step nodes; quadratic in the initial data.
+    """
+    traj = evolve_cascade(initial, coupling, grid)
+    obs = observation_history(traj, observer)
+    return float(grid.node_weights @ (obs**2).sum(axis=1))
+
+
+def apply_gramian(
+    state_vector: np.ndarray,
+    coupling: CouplingOperator | None,
+    observer: Observer,
+    grid: TimeGrid,
+    space: SpectralSpace,
+) -> np.ndarray:
+    """Matrix-free Gramian application: evolve, observe, accumulate the adjoint."""
+    traj = evolve_cascade(CascadeState.from_vector(state_vector, space), coupling, grid)
+    rows = observation_block_rows(observer, space)
+    contributions = (traj.states @ rows.T) * grid.node_weights[:, None]  # sigma_m g_m
+    step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
+    return adjoint_sweep(contributions, rows, step)
+
+
+def ray_hit_time(x0: float, direction: int, region) -> float:
+    """First time a speed-1 billiard ray on (0, 1) meets the region.
+
+    Interior regions are open intervals (a, b); boundary regions are sets of
+    endpoint names.  Rays reflect at both walls; a few segments always
+    suffice in one dimension.
+    """
+    if not 0.0 < x0 < 1.0:
+        raise ValidationError("ray must start inside the open interval")
+    if direction not in (-1, 1):
+        raise ValidationError("direction must be +1 or -1")
+    boundary = _as_boundary_set(region)
+    t, x, d = 0.0, float(x0), float(direction)
+    for _ in range(4):
+        if boundary is not None:
+            wall = 1.0 if d > 0 else 0.0
+            segment = abs(wall - x)
+            if ("right" in boundary and d > 0) or ("left" in boundary and d < 0):
+                return t + segment
+            t += segment
+            x, d = wall, -d
+            continue
+        a, b = region
+        if a < x < b:
+            return t
+        if d > 0:
+            if x <= a:
+                return t + (a - x)
+            t += 1.0 - x
+            x, d = 1.0, -1.0
+        else:
+            if x >= b:
+                return t + (x - b)
+            t += x
+            x, d = 0.0, 1.0
+    raise RuntimeError("ray failed to meet a nonempty region within four segments")
+
+# ---------------------------------------------------------------------------
+# insensitizing
+
+
+def trajectory_phi(problem: InsensitizeProblem, states: np.ndarray) -> float:
+    """Phi of a controlled trajectory (fine half-step quadrature)."""
+    return _fine_phi(problem, fine_second_positions(states, problem.space, problem.grid))
+
+
+def sensitivity_derivatives(
+    problem: InsensitizeProblem,
+    control: TimeSampledControl | None,
+    z0: np.ndarray,
+    z1: np.ndarray,
+) -> tuple[float, float]:
+    """Derivatives of Phi with respect to the two perturbation amplitudes.
+
+    Solves the controlled equation once (any candidate control), the two
+    free sensitivity waves (position data z0, velocity data z1), and returns
+    the weighted pairings of c times the solution against each wave.
+    """
+    states = controlled_forward(problem.hum, control)
+    fine = fine_second_positions(states, problem.space, problem.grid)
+    per_position, per_velocity = _modal_derivatives(problem, fine)
+    return float(per_position @ np.asarray(z0, dtype=float)), float(per_velocity @ np.asarray(z1, dtype=float))

@@ -1,4 +1,4 @@
-"""Public-surface hygiene: every exported name resolves, and SciPy loads only where it is used."""
+"""Public-surface hygiene: every exported name resolves and is used by a run or a demo, and SciPy loads only where it is used."""
 
 import ast
 import importlib
@@ -59,6 +59,29 @@ def test_every_traced_layer_resolves_to_a_wavecascade_function(monkeypatch):
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def test_every_reexported_callable_is_used_by_the_package_or_a_demo(monkeypatch):
+    # a function that only tests call is an oracle for tests/oracles.py, not package surface;
+    # the traced layers stay until the harness stops tracing them
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = {span.split(".", 1)[1] for span in importlib.import_module("layers").LAYERS}
+    exported = {
+        alias.name
+        for node in ast.parse(Path(wavecascade.__file__).read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if callable(getattr(wavecascade, alias.name))
+    }
+    sources = [path for path in (ROOT / "src" / "wavecascade").glob("*.py") if path.name != "__init__.py"]
+    referenced = set()
+    for path in sources + sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert sorted(exported - referenced - spans) == []
+
+
 def test_no_module_imports_scipy_sparse():
     # every spectrum is dense at every N: a sparse or ARPACK route would be a second way to the same number
     found = []
@@ -83,7 +106,7 @@ def test_every_config_section_the_runner_reads_is_documented():
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("get", "count", "has", "coefficient_function")
+        and node.func.attr in ("get", "count", "tolerance", "has", "coefficient_function")
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id in ("config", "self")
         and node.args

@@ -19,9 +19,7 @@ from wavecascade.dynamics import (
     TimeGrid,
     cascade_step_matrix,
     duality_pairing,
-    invert_generator,
 )
-from wavecascade.observability import gramian_form
 from wavecascade.hum import (
     HUMProblem,
     TimeSampledControl,
@@ -35,6 +33,8 @@ from wavecascade.hum import (
     verify_transposition,
 )
 from wavecascade.hum import _backward_states
+
+from oracles import gramian_form, invert_generator
 
 RNG = np.random.default_rng(20240814)
 

@@ -20,21 +20,20 @@ from wavecascade.observability import (
     _dense_generator,
     _observation_factor,
     admissibility_constant,
-    apply_gramian,
     empirical_horizon,
     empirical_ratios,
     estimate_uniform_constants,
     gcc_min_time,
-    gramian_form,
     gramian_matrix,
     inequality_chain_audit,
     min_eigenvalue,
     norm_weights,
     observation_block_rows,
-    ray_hit_time,
     random_cascade_states,
     weighted_gram,
 )
+
+from oracles import apply_gramian, gramian_form, ray_hit_time
 
 RNG = np.random.default_rng(20240813)
 

@@ -147,6 +147,34 @@ class TestParsing:
         assert line.startswith("configuration error: ")
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "config, override, flags",
+        [
+            # an expected negative: a NaN floor would fail its check and so read as a pass
+            ("criterion05_decoupled", "checks.floor=nan", []),
+            # a negative floor would pass gramian_coercive whatever the spectrum
+            ("criterion04_gramian_interior", "checks.floor=-1", []),
+            ("criterion08_hum_interior", "checks.terminal_tol=nan", ["--expect-fail"]),
+            ("criterion02_conservation", "checks.conservation_tol=nan", []),
+        ],
+    )
+    def test_malformed_check_tolerance_names_the_key(self, tmp_path, capsys, config, override, flags):
+        out = tmp_path / "out"
+        assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", override, *flags]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        key = override.split("=")[0].split(".")[1]
+        assert line.startswith(f"configuration error: [checks] {key} must be finite and nonnegative")
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("step_phase", ["0", "-1"])
+    def test_non_positive_step_phase_exits_2_naming_it(self, tmp_path, capsys, step_phase):
+        out = tmp_path / "out"
+        config = f"{CONFIG_DIR}/criterion04_gramian_boundary.ini"
+        assert main([config, "-o", str(out), "--set", f"grid.step_phase={step_phase}"]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("configuration error: step_phase must be positive and finite")
+        assert not list(out.glob("*"))
+
     @pytest.mark.parametrize("inflation", ["1e300", "1e150"])
     def test_overflowing_audit_inflation_names_the_key(self, tmp_path, capsys, inflation):
         # 1e300 overflows the constant chain, 1e150 only an audit row's right-hand side
