@@ -15,6 +15,7 @@ from wavecascade.spectral import (
     ModalCoefficients,
     PlateauBump,
     SpectralSpace,
+    project,
 )
 from wavecascade.dynamics import (
     CascadeState,
@@ -29,8 +30,10 @@ from wavecascade.observability import (
     empirical_horizon,
     empirical_ratios,
     estimate_uniform_constants,
+    gramian_matrix,
     inequality_chain_audit,
     min_eigenvalue,
+    norm_weights,
     random_cascade_states,
 )
 from wavecascade.hum import (
@@ -216,6 +219,24 @@ class TestCriterion5Necessity:
         ratios = [values[0] / values[1], values[1] / values[2]]
         verdict(5, "short_horizon_collapse", all(r >= 2.0 for r in ratios),
                 f"eigs {[f'{v:.2e}' for v in values]}, decay factors {[f'{r:.1f}' for r in ratios]}")
+
+    def test_short_horizon_witness_decays_resolved(self):
+        # the minimal eigenvalue is at most the Rayleigh quotient of any datum: u2(0)
+        # on the coupling's plateau, more than T away from the observed region, is
+        # unobserved in the continuum, and its quotient decays far above roundoff
+        values = []
+        for n in (16, 32, 64):
+            space = SpectralSpace(n)
+            coupling = CouplingOperator(COUPLING_FN, space)
+            grid = TimeGrid.for_space(space, 0.1, 0.5)
+            x = np.zeros(4 * n)
+            x[n : 2 * n] = project(PlateauBump(0.2, 0.3, 0.05), space).coeffs
+            gram = gramian_matrix(coupling, interior_observer(), grid, space, propagator="solver")
+            values.append(float(x @ gram @ x) / float(x @ (norm_weights(space) * x)))
+        ratios = [values[0] / values[1], values[1] / values[2]]
+        ok = all(r >= 2.0 for r in ratios) and all(v > 1e-10 for v in values)
+        verdict(5, "short_horizon_witness", ok,
+                f"quotients {[f'{v:.2e}' for v in values]}, decay factors {[f'{r:.1f}' for r in ratios]}")
 
 
 class TestCriterion6ConstantChain:
