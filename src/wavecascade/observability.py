@@ -1,19 +1,20 @@
 """Observability laboratory for the cascade pair.
 
 Provides the time-integrated observation form (the Gramian) as a dense
-matrix, under the production stepper or the exponential oracle, its extreme
-eigenvalues in the observation metric, empirical observability constants,
-the closed-form theoretical constant chain, the 1D billiard control time,
-and an inequality-by-inequality audit of the two-level energy argument that
-links the weak energy of the unobserved component to the observation of the
-driven one.  The form along one simulated trajectory, its matrix-free
-application and the ray tracing that cross-checks the control time are test
-oracles, in ``tests/oracles.py``.
+matrix under the production stepper, its extreme eigenvalues in the
+observation metric from a triangular square root built by QR doubling,
+empirical observability constants, the closed-form theoretical constant
+chain, the 1D billiard control time, and an inequality-by-inequality audit
+of the two-level energy argument that links the weak energy of the
+unobserved component to the observation of the driven one.  The form along
+one simulated trajectory, its matrix-free application, the Gramian under
+the exponential oracle and the ray tracing that cross-checks the control
+time are test oracles, in ``tests/oracles.py``.
 
 SciPy is imported inside the functions that use it, so that simulate, hum,
-insensitize and audit runs never load it: ``expm`` for the exponential
-propagator of ``gramian_matrix`` and the observation factor of
-``min_eigenvalue``, and the generalized ``eigh`` of ``empirical_ratios``.
+insensitize and audit runs never load it: ``expm`` for the one-step
+propagator of ``min_eigenvalue``'s square-root factor, and the generalized
+``eigh`` of ``empirical_ratios``.
 """
 
 from __future__ import annotations
@@ -140,25 +141,14 @@ def gramian_matrix(
     observer: Observer,
     grid: TimeGrid,
     space: SpectralSpace,
-    propagator: str = "exponential",
 ) -> np.ndarray:
-    """Dense 4N x 4N observability Gramian.
+    """Dense 4N x 4N observability Gramian under the production stepper.
 
-    ``propagator='exponential'`` steps with the matrix exponential of the
-    dense generator (the independent oracle); ``'solver'`` steps with the
-    production one-step propagator.  Both are weighted_gram of the form
-    rows^T rows of the observation rows on the same Simpson grid, so they
-    differ only by the stepper's trajectory error.
+    weighted_gram of the form rows^T rows of the observation rows and the
+    one-step propagator, on the grid's Simpson nodes.
     """
     grid.validate_for(space)
-    if propagator == "exponential":
-        from scipy.linalg import expm
-
-        step = expm(grid.dt * _dense_generator(space, coupling))
-    elif propagator == "solver":
-        step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
-    else:
-        raise ValidationError("propagator must be 'exponential' or 'solver'")
+    step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
     rows = observation_block_rows(observer, space)
     return weighted_gram(rows.T @ rows, step, grid)
 
@@ -192,38 +182,53 @@ class EigenReport:
         return self.min_eig / self.max_eig if self.max_eig > 0 else 0.0
 
 
-# largest observation-factor size for the QR route; during the QR the factor
-# lives three times: the buffer, numpy's working copy and LAPACK's copy of it
-FACTOR_LIMIT = 8_000_000
+def _qr_r(*blocks: np.ndarray) -> np.ndarray:
+    """Triangular R of the stacked blocks: R^T R is the sum of their Gram products."""
+    return np.linalg.qr(np.vstack(blocks), mode="r")
 
 
-def _observation_factor(
+def _scaled_gramian_factor(
     coupling: CouplingOperator | None,
     observer: Observer,
     grid: TimeGrid,
     space: SpectralSpace,
-    scale: np.ndarray,
 ) -> np.ndarray:
-    """Square-root factor of the metric-scaled Gramian: weighted observation history rows.
+    """Triangular square root R of the metric-scaled Gramian: R^T R = S G S.
 
-    Node block m is (sqrt(sigma_m) * Obs E^m) * scale, stepping with the
-    matrix exponential oracle; the scaled Gramian is the Gram product of
-    this factor.  The blocks are written into one preallocated column-major
-    array, LAPACK's layout, and the propagated rows alternate between two
-    buffers, so no power past the last node is formed.
+    S = diag(norm_weights)^(-1/2).  In the scaled coordinates Ps = S^-1 P S,
+    P the matrix exponential of the dense generator over one step, and Os =
+    Obs S, weighted_gram's squared doubling runs on square roots: with A =
+    Ps^2 and R_n^T R_n the sum over j < n of (A^j)^T Os^T Os A^j,
+    R_2n = qr_r([R_n; R_n A^n]) and R_n+1 = qr_r([Os; R_n A]).  Simpson's
+    split then stacks four factors, every weight positive, so nothing is
+    subtracted: [sqrt(h/3) Os; sqrt(h/3) Os Ps^M; sqrt(4h/3) R_U Ps;
+    sqrt(2h/3) R_V A], with M = 2L, R_V = R_(L-1) and R_U = R_L.  No block
+    is taller than twice the 4N state.
     """
     from scipy.linalg import expm
 
-    rows = observation_block_rows(observer, space)
-    step = expm(grid.dt * _dense_generator(space, coupling))
-    q = rows.shape[0]
-    factor = np.empty(((grid.n_steps + 1) * q, rows.shape[1]), order="F")
-    block, spare = rows, np.empty_like(rows)
-    for m, w in enumerate(grid.node_weights):
-        if m:
-            block, spare = np.dot(block, step, out=spare), block
-        factor[m * q : (m + 1) * q] = (np.sqrt(w) * block) * scale
-    return factor
+    scale = 1.0 / np.sqrt(norm_weights(space))
+    step = expm(grid.dt * _dense_generator(space, coupling)) * scale / scale[:, None]
+    obs = observation_block_rows(observer, space) * scale
+    square = step @ step
+    half = grid.n_steps // 2
+    acc, power = np.zeros((0, obs.shape[1])), np.eye(obs.shape[1])  # R_0 and A^0
+    if half > 1:
+        acc, power = obs, square  # R_1 and A^1
+        for bit in bin(half - 1)[3:]:
+            acc = _qr_r(acc, acc @ power)
+            power = power @ power
+            if bit == "1":
+                acc = _qr_r(obs, acc @ square)
+                power = power @ square
+    r_u = _qr_r(obs, acc @ square)
+    h3 = grid.dt / 3.0
+    return _qr_r(
+        math.sqrt(h3) * obs,
+        math.sqrt(h3) * (obs @ (power @ square)),
+        math.sqrt(4.0 * h3) * (r_u @ step),
+        math.sqrt(2.0 * h3) * (acc @ square),
+    )
 
 
 def min_eigenvalue(
@@ -236,35 +241,21 @@ def min_eigenvalue(
 
     A stable positive eigenvalue under refinement certifies observability;
     collapse under refinement (or an exactly null block) certifies failure.
-    The spectrum is dense at every N.  When the square-root observation
-    factor fits, it is never squared (so near-null directions are resolved
-    far below the eigenvalue roundoff floor of the assembled Gramian): one
-    Householder QR, factor = Q R, and the singular values of R and of its
-    u1 columns are those of the factor and of its u1 columns.  For a tall
-    factor this R is the one LAPACK's SVD of the factor starts from (the
-    R-SVD).  Otherwise the assembled matrix is eigen-decomposed.
+    One route serves every N and T: the Gramian is never assembled, so
+    near-null directions are resolved far below the eigenvalue roundoff
+    floor of the assembled matrix.  Its 4N-column triangular square root R
+    (``_scaled_gramian_factor``) is built by QR doubling, and the singular
+    values of R and of its u1 columns give the full and u1-block spectra.
     """
-    d = norm_weights(space)
-    d_isqrt = 1.0 / np.sqrt(d)
+    grid.validate_for(space)
     n = space.n_modes
-    rows = observation_block_rows(observer, space)
-    factor_size = (grid.n_steps + 1) * rows.shape[0] * 4 * n
+    r = _scaled_gramian_factor(coupling, observer, grid, space)
+    svals = _min_singular(r)
     first_idx = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
-    if factor_size <= FACTOR_LIMIT:
-        r = np.linalg.qr(_observation_factor(coupling, observer, grid, space, d_isqrt), mode="r")
-        svals = _min_singular(r)
-        return EigenReport(
-            min_eig=float(svals[-1] ** 2),
-            max_eig=float(svals[0] ** 2),
-            block_min={"u1": float(_min_singular(r[:, first_idx])[-1] ** 2)},
-        )
-    gram = gramian_matrix(coupling, observer, grid, space, propagator="exponential")
-    scaled = gram * np.outer(d_isqrt, d_isqrt)
-    eigvals = np.linalg.eigvalsh(scaled)
     return EigenReport(
-        min_eig=float(eigvals[0]),
-        max_eig=float(eigvals[-1]),
-        block_min={"u1": float(np.linalg.eigvalsh(scaled[np.ix_(first_idx, first_idx)])[0])},
+        min_eig=float(svals[-1] ** 2),
+        max_eig=float(svals[0] ** 2),
+        block_min={"u1": float(_min_singular(r[:, first_idx])[-1] ** 2)},
     )
 
 
@@ -481,7 +472,7 @@ def empirical_ratios(
     """
     from scipy.linalg import eigh as generalized_eigh
 
-    # the solver Gramian, built as gramian_matrix(..., "solver") does; its step serves k2_emp too
+    # the solver Gramian, built as gramian_matrix does; its step serves k2_emp too
     grid.validate_for(space)
     step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
     rows = observation_block_rows(observer, space)
@@ -529,7 +520,7 @@ def admissibility_constant(
     The ensemble maximum of the observation form (the solver Gramian) per
     unit of initial energy in the observation metric.
     """
-    gram = gramian_matrix(coupling, observer, grid, space, propagator="solver")
+    gram = gramian_matrix(coupling, observer, grid, space)
     return _ensemble_ratio(gram, space, ensemble, seed)
 
 

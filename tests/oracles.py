@@ -3,13 +3,15 @@
 No config run or demo reaches these functions, so they live with the tests
 and not in ``wavecascade``: component energies, pointwise observation, the
 free evolution of one component and the inverse of the first-order
-generator; the Gramian form along one simulated trajectory and its
-matrix-free application; the ray tracing that cross-checks
+generator; the Gramian form along one simulated trajectory, its
+matrix-free application and the Gramian under the exponential
+propagator; the ray tracing that cross-checks
 ``gcc_min_time``; and Phi and its sensitivity derivatives straight from a
 controlled trajectory.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 from wavecascade.errors import ValidationError
 from wavecascade.spectral import ModalCoefficients, SpectralSpace, sobolev_norm
@@ -25,9 +27,11 @@ from wavecascade.dynamics import (
 )
 from wavecascade.observability import (
     _as_boundary_set,
+    _dense_generator,
     adjoint_sweep,
     observation_block_rows,
     observation_history,
+    weighted_gram,
 )
 from wavecascade.hum import TimeSampledControl, controlled_forward
 from wavecascade.insensitize import (
@@ -127,6 +131,22 @@ def apply_gramian(
     contributions = (traj.states @ rows.T) * grid.node_weights[:, None]  # sigma_m g_m
     step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
     return adjoint_sweep(contributions, rows, step)
+
+
+def exponential_gramian(
+    coupling: CouplingOperator | None,
+    observer: Observer,
+    grid: TimeGrid,
+    space: SpectralSpace,
+) -> np.ndarray:
+    """Dense Gramian stepping with the matrix exponential of the dense generator.
+
+    The same Simpson sum as ``gramian_matrix``, so the two differ only by
+    the production stepper's trajectory error.
+    """
+    grid.validate_for(space)
+    rows = observation_block_rows(observer, space)
+    return weighted_gram(rows.T @ rows, expm(grid.dt * _dense_generator(space, coupling)), grid)
 
 
 def ray_hit_time(x0: float, direction: int, region) -> float:

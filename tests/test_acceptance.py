@@ -231,7 +231,7 @@ class TestCriterion5Necessity:
             grid = TimeGrid.for_space(space, 0.1, 0.5)
             x = np.zeros(4 * n)
             x[n : 2 * n] = project(PlateauBump(0.2, 0.3, 0.05), space).coeffs
-            gram = gramian_matrix(coupling, interior_observer(), grid, space, propagator="solver")
+            gram = gramian_matrix(coupling, interior_observer(), grid, space)
             values.append(float(x @ gram @ x) / float(x @ (norm_weights(space) * x)))
         ratios = [values[0] / values[1], values[1] / values[2]]
         ok = all(r >= 2.0 for r in ratios) and all(v > 1e-10 for v in values)

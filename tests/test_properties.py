@@ -180,7 +180,7 @@ def test_audit_forms_match_simulated_functionals(case):
 @given(geometry())
 def test_solver_gramian_is_symmetric_positive_semidefinite(case):
     space, coupling, observer, grid, _, _ = case
-    gram = gramian_matrix(coupling, observer, grid, space, propagator="solver")
+    gram = gramian_matrix(coupling, observer, grid, space)
     assert np.array_equal(gram, gram.T)
     eigvals = np.linalg.eigvalsh(gram)
     assert eigvals[0] >= -1e-12 * eigvals[-1]
