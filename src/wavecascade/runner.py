@@ -58,6 +58,10 @@ def _number(cast, text: str, what: str):
         raise ConfigError(f"bad value for {what}: {text!r}") from exc
 
 
+# the spellings of a boolean switch; any other value is a ConfigError, never a silent False
+_SWITCHES = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
 def _floats(text: str, what: str) -> list[float]:
     return [_number(float, p, what) for p in text.split(",")]
 
@@ -117,7 +121,10 @@ class ExperimentConfig:
                 raise ConfigError(f"missing required key [{section}] {key}")
             return default
         if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+            switch = raw.strip().lower()
+            if switch not in _SWITCHES:
+                raise ConfigError(f"[{section}] {key} must be one of {', '.join(_SWITCHES)}, got {raw!r}")
+            return _SWITCHES[switch]
         return _number(cast, raw, f"[{section}] {key}")
 
     def count(self, section: str, key: str, default: int) -> int:
@@ -365,6 +372,8 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
     axis = config.get("sweep", "axis")
     values = [v.strip() for v in config.get("sweep", "values").split(",") if v.strip()]
     ensemble = config.count("checks", "ensemble", 16)
+    trends = config.get("checks", "trends", default=False, cast=bool)
+    refinement_decay = config.get("checks", "refinement_decay", default=False, cast=bool)
     rows = []
     path = outdir / "sweep.csv"
     if not values:
@@ -386,14 +395,14 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
         rows.append(_gramian_row(shifted, horizon, n_modes, ensemble, config.seed)[1])
     write_csv(path, _GRAMIAN_HEADER, rows)
     checks = []
-    if axis == "horizon" and config.get("checks", "trends", default=False, cast=bool):
+    if axis == "horizon" and trends:
         for key, idx, power in (("d1_emp", 4, 3.0), ("d2_emp", 5, 1.0), ("r2_emp", 8, 2.0)):
             series = [row[idx] * row[0] ** power for row in rows]
             ok = all(series[i + 1] <= 2.0 * series[i] for i in range(len(series) - 1))
             checks.append((f"trend_{key}_T{power:g}", ok, ", ".join(f"{s:.3g}" for s in series)))
         k2 = [row[7] for row in rows]
         checks.append(("trend_k2_bounded", max(k2) <= 2.0 * min(k2), ", ".join(f"{s:.3g}" for s in k2)))
-    if axis == "n_modes" and config.get("checks", "refinement_decay", default=False, cast=bool):
+    if axis == "n_modes" and refinement_decay:
         eigs = [row[2] for row in rows]
         zero_at = [row[1] for row in rows[1:] if row[2] == 0.0]  # a ratio over 0 decides nothing
         ok = not zero_at and all(eigs[i] / eigs[i + 1] >= 2.0 for i in range(len(eigs) - 1))

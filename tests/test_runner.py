@@ -166,6 +166,19 @@ class TestParsing:
         assert line.startswith(f"configuration error: [checks] {key} must be finite and nonnegative")
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize(
+        "config, override",
+        [("criterion07_trends", "checks.trends=maybe"), ("criterion05_short_horizon", "checks.refinement_decay=ture")],
+    )
+    def test_malformed_switch_exits_2_naming_the_key(self, tmp_path, capsys, config, override):
+        # a switch outside 1/true/yes/on and 0/false/no/off had read as False and run no check
+        out = tmp_path / "out"
+        assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", override]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        key = override.split("=")[0].split(".")[1]
+        assert line.startswith(f"configuration error: [checks] {key} must be one of ")
+        assert not list(out.glob("*"))
+
     @pytest.mark.parametrize("step_phase", ["0", "-1"])
     def test_non_positive_step_phase_exits_2_naming_it(self, tmp_path, capsys, step_phase):
         out = tmp_path / "out"
