@@ -2,14 +2,13 @@
 
 Provides the time-integrated observation form (the Gramian) as a dense
 matrix under the production stepper, its extreme eigenvalues in the
-observation metric from a triangular square root built by QR doubling,
-empirical observability constants, the closed-form theoretical constant
-chain, the 1D billiard control time, and an inequality-by-inequality audit
-of the two-level energy argument that links the weak energy of the
-unobserved component to the observation of the driven one.  The form along
-one simulated trajectory, its matrix-free application, the Gramian under
-the exponential oracle and the ray tracing that cross-checks the control
-time are test oracles, in ``tests/oracles.py``.
+observation metric by QR doubling of a square root, empirical observability
+constants, the closed-form constant chain, the 1D billiard control time, and
+an inequality-by-inequality audit of the two-level energy argument that
+links the weak energy of the unobserved component to the observation of the
+driven one.  The trajectory form, its matrix-free application, the
+exponential-oracle Gramian and the control-time ray tracing are test
+oracles, in ``tests/oracles.py``.
 
 SciPy is imported inside the functions that use it, so that simulate, hum,
 insensitize and audit runs never load it: ``expm`` for the one-step

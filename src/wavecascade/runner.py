@@ -58,10 +58,6 @@ def _number(cast, text: str, what: str):
         raise ConfigError(f"bad value for {what}: {text!r}") from exc
 
 
-# the spellings of a boolean switch; any other value is a ConfigError, never a silent False
-_SWITCHES = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
-
-
 def _floats(text: str, what: str) -> list[float]:
     return [_number(float, p, what) for p in text.split(",")]
 
@@ -121,10 +117,11 @@ class ExperimentConfig:
                 raise ConfigError(f"missing required key [{section}] {key}")
             return default
         if cast is bool:
-            switch = raw.strip().lower()
-            if switch not in _SWITCHES:
-                raise ConfigError(f"[{section}] {key} must be one of {', '.join(_SWITCHES)}, got {raw!r}")
-            return _SWITCHES[switch]
+            switch = {"1": True, "true": True, "yes": True, "on": True,
+                      "0": False, "false": False, "no": False, "off": False}.get(raw.strip().lower())
+            if switch is None:  # never a silent False: that would switch checks off
+                raise ConfigError(f"[{section}] {key} must be 1/true/yes/on or 0/false/no/off, got {raw!r}")
+            return switch
         return _number(cast, raw, f"[{section}] {key}")
 
     def count(self, section: str, key: str, default: int) -> int:

@@ -176,7 +176,7 @@ class TestParsing:
         assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", override]) == 2
         (line,) = capsys.readouterr().out.splitlines()
         key = override.split("=")[0].split(".")[1]
-        assert line.startswith(f"configuration error: [checks] {key} must be one of ")
+        assert line.startswith(f"configuration error: [checks] {key} must be 1/true/yes/on or 0/false/no/off")
         assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("step_phase", ["0", "-1"])
