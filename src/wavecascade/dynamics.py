@@ -367,16 +367,12 @@ def cascade_step_matrix(
     space: SpectralSpace,
     coupling_matrix: np.ndarray | None,
     dt: float,
-    driven: str = "second",
 ) -> np.ndarray:
     """Dense one-step propagator over dt for the triangular pair.
 
-    ``driven='second'`` evolves (u1 free, u2'' + A u2 + M u1 = 0); with
-    ``driven='first'`` the roles are swapped (y2 free, y1'' + A y1 + M y2 = 0),
-    which is the shape of the controlled system (``hum`` derives its
-    controlled stepper from the ``'second'`` one by duality; this branch is
-    the independent reference).  ``coupling_matrix`` is the matrix M
-    multiplying the free component's position.
+    Evolves (u1 free, u2'' + A u2 + M u1 = 0), ``coupling_matrix`` the
+    matrix M multiplying the free component's position (``hum`` derives the
+    controlled stepper, with the roles swapped, from this one by duality).
 
     The free motion is the exact rotation; the coupling contribution is the
     Simpson kick (``simpson_kick_weights``) of the free source, evaluated in
@@ -387,10 +383,6 @@ def cascade_step_matrix(
     P = np.block([[c, s], [m, c]])
     if coupling_matrix is not None:
         source, target = np.r_[0:n, 2 * n : 3 * n], np.r_[n : 2 * n, 3 * n : 4 * n]
-        if driven == "first":
-            source, target = target, source
-        elif driven != "second":
-            raise ValidationError("driven must be 'first' or 'second'")
         # the Simpson kick of the source's free flow, nudged through the coupling
         taus, kernel_pos, kernel_vel = simpson_kick_weights(space, dt)
         kernels = np.hstack([kernel_pos, kernel_vel])

@@ -10,10 +10,11 @@ driven one.  The trajectory form, its matrix-free application, the
 exponential-oracle Gramian and the control-time ray tracing are test
 oracles, in ``tests/oracles.py``.
 
-SciPy is imported inside the functions that use it, so that simulate, hum,
-insensitize and audit runs never load it: ``expm`` for the one-step
-propagator of ``min_eigenvalue``'s square-root factor, and the generalized
-``eigh`` of ``empirical_ratios``.
+SciPy is used only for ``expm``, the one-step propagator of
+``min_eigenvalue``'s square-root factor, and is imported inside that
+function, so that simulate, hum, insensitize and audit runs never load it.
+Every worst-case ratio is the top eigenvalue of a symmetric-definite
+pencil, computed with numpy alone.
 """
 
 from __future__ import annotations
@@ -440,37 +441,25 @@ def _free_moment_form(quad: np.ndarray, position_gram: np.ndarray) -> np.ndarray
     return 0.5 * (form + form.T)
 
 
-def _ensemble_ratio(gram: np.ndarray, space: SpectralSpace, ensemble: int, seed: int) -> float:
-    """Largest x^T gram x per unit of norm_weights energy over a seeded random ensemble."""
-    x = np.array([s.as_vector() for s in random_cascade_states(space, ensemble, seed)])
-    x = x.reshape(ensemble, 4 * space.n_modes)
-    ratios = np.einsum("si,si->s", x @ gram, x) / ((x * x) @ norm_weights(space))
-    return float(np.max(ratios, initial=0.0))
-
-
 def empirical_ratios(
     coupling: CouplingOperator | None,
     observer: Observer,
     grid: TimeGrid,
     space: SpectralSpace,
-    ensemble: int = 24,
-    seed: int = 0,
 ) -> dict:
     """Discrete worst-case observability and admissibility ratios.
 
     Every numerator is a quadratic form of the initial data, so the sharp
     constants on the truncated space are extreme generalized eigenvalues
-    against the Gramian: d1_emp bounds the weak initial energy of the free
-    component, d2_emp the natural initial energy of the driven one, k2_emp
-    its integrated energy and r2_emp the integrated coupling form, each per
-    unit of integrated squared observation.  The admissibility entry is the
-    ensemble maximum of the direct inequality's ratio, evaluated on the same
-    Gramian as ``admissibility_constant`` (the worst-case value is the top
-    eigenvalue of the metric-scaled Gramian and is reported by
-    min_eigenvalue instead).
+    against the solver Gramian G: d1_emp bounds the weak initial energy of
+    the free component, d2_emp the natural initial energy of the driven one,
+    k2_emp its integrated energy and r2_emp the integrated coupling form,
+    each per unit of integrated squared observation.  With S =
+    diag(norm_weights)^(-1/2) and L the Cholesky factor of S G S, the top
+    eigenvalue of L^-1 S F S L^-T is the largest x^T F x / x^T G x.  The
+    admissibility entry is ``admissibility_constant``: the top eigenvalue of
+    S G S itself.
     """
-    from scipy.linalg import eigh as generalized_eigh
-
     # the solver Gramian, built as gramian_matrix does; its step serves k2_emp too
     grid.validate_for(space)
     step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
@@ -486,10 +475,10 @@ def empirical_ratios(
             "Gramian is not coercive at this horizon; worst-case ratios are unbounded",
             {"min_eig": float(spectrum[0]), "max_eig": float(spectrum[-1])},
         )
+    whiten = np.linalg.inv(np.linalg.cholesky(scaled)) / np.sqrt(metric)  # L^-1 S
 
     def sup_ratio(form):
-        vals = generalized_eigh(form, gram, eigvals_only=True)
-        return float(vals[-1])
+        return float(np.linalg.eigvalsh(whiten @ form @ whiten.T)[-1])
 
     weak_first, natural_second = _energy_metrics(space)
     if coupling is None:
@@ -502,7 +491,7 @@ def empirical_ratios(
         "d2_emp": sup_ratio(np.diag(natural_second)),
         "k2_emp": sup_ratio(weighted_gram(np.diag(natural_second), step, grid)),
         "r2_emp": r2_emp,
-        "admissibility": _ensemble_ratio(gram, space, ensemble, seed),
+        "admissibility": float(spectrum[-1]),
     }
 
 
@@ -511,16 +500,16 @@ def admissibility_constant(
     observer: Observer,
     grid: TimeGrid,
     space: SpectralSpace,
-    ensemble: int = 24,
-    seed: int = 0,
 ) -> float:
-    """Empirical constant of the direct (hidden regularity) inequality.
+    """Sharp constant of the direct (hidden regularity) inequality.
 
-    The ensemble maximum of the observation form (the solver Gramian) per
-    unit of initial energy in the observation metric.
+    The largest observation form (the solver Gramian) per unit of initial
+    energy in the observation metric: the top eigenvalue of the
+    metric-scaled Gramian.
     """
+    metric = norm_weights(space)
     gram = gramian_matrix(coupling, observer, grid, space)
-    return _ensemble_ratio(gram, space, ensemble, seed)
+    return float(np.linalg.eigvalsh(gram / np.sqrt(np.outer(metric, metric)))[-1])
 
 
 def estimate_uniform_constants(

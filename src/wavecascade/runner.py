@@ -312,7 +312,7 @@ def _run_simulate(config: ExperimentConfig, outdir: Path) -> RunResult:
 _GRAMIAN_HEADER = ["T", "N", "min_eig_full", "min_eig_u1block", "d1_emp", "d2_emp", "admissibility", "k2_emp", "r2_emp"]
 
 
-def _gramian_row(config, horizon, n_modes, ensemble, seed):
+def _gramian_row(config, horizon, n_modes):
     """Eigen report and CSV row (``_GRAMIAN_HEADER`` columns) of one Gramian case."""
     space = config.spectral_space(n_modes)
     coupling = config.coupling(space)
@@ -320,7 +320,7 @@ def _gramian_row(config, horizon, n_modes, ensemble, seed):
     grid = config.grid(space, horizon)
     report = min_eigenvalue(coupling, observer, grid, space)
     try:
-        ratios = empirical_ratios(coupling, observer, grid, space, ensemble=ensemble, seed=seed)
+        ratios = empirical_ratios(coupling, observer, grid, space)
     except RefusalError:
         ratios = {"d1_emp": float("nan"), "d2_emp": float("nan"), "k2_emp": float("nan"),
                   "r2_emp": float("nan"), "admissibility": float("nan")}
@@ -334,9 +334,8 @@ def _gramian_row(config, horizon, n_modes, ensemble, seed):
 def _run_gramian(config: ExperimentConfig, outdir: Path) -> RunResult:
     space = config.spectral_space()
     horizon = config.get("grid", "horizon", cast=float)
-    ensemble = config.count("checks", "ensemble", 16)
     floor = config.tolerance("checks", "floor", 1e-6)
-    report, row = _gramian_row(config, horizon, space.n_modes, ensemble, config.seed)
+    report, row = _gramian_row(config, horizon, space.n_modes)
     path = outdir / "gramian_report.csv"
     write_csv(path, _GRAMIAN_HEADER, [row])
     observable = report.min_eig > floor * report.max_eig
@@ -368,9 +367,11 @@ def _shift_observer(config: ExperimentConfig, offset: float) -> ExperimentConfig
 def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
     axis = config.get("sweep", "axis")
     values = [v.strip() for v in config.get("sweep", "values").split(",") if v.strip()]
-    ensemble = config.count("checks", "ensemble", 16)
     trends = config.get("checks", "trends", default=False, cast=bool)
     refinement_decay = config.get("checks", "refinement_decay", default=False, cast=bool)
+    for key, on, own_axis in (("trends", trends, "horizon"), ("refinement_decay", refinement_decay, "n_modes")):
+        if on and axis != own_axis:  # it would run no check, and the sweep would pass
+            raise ConfigError(f"[checks] {key} checks the {own_axis} axis, not the {axis} axis")
     rows = []
     path = outdir / "sweep.csv"
     if not values:
@@ -389,17 +390,17 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
             shifted = _shift_observer(config, _number(float, value, "[sweep] values"))
         else:
             raise ConfigError(f"unknown sweep axis {axis!r}")
-        rows.append(_gramian_row(shifted, horizon, n_modes, ensemble, config.seed)[1])
+        rows.append(_gramian_row(shifted, horizon, n_modes)[1])
     write_csv(path, _GRAMIAN_HEADER, rows)
     checks = []
-    if axis == "horizon" and trends:
+    if trends:
         for key, idx, power in (("d1_emp", 4, 3.0), ("d2_emp", 5, 1.0), ("r2_emp", 8, 2.0)):
             series = [row[idx] * row[0] ** power for row in rows]
             ok = all(series[i + 1] <= 2.0 * series[i] for i in range(len(series) - 1))
             checks.append((f"trend_{key}_T{power:g}", ok, ", ".join(f"{s:.3g}" for s in series)))
         k2 = [row[7] for row in rows]
         checks.append(("trend_k2_bounded", max(k2) <= 2.0 * min(k2), ", ".join(f"{s:.3g}" for s in k2)))
-    if axis == "n_modes" and refinement_decay:
+    if refinement_decay:
         eigs = [row[2] for row in rows]
         zero_at = [row[1] for row in rows[1:] if row[2] == 0.0]  # a ratio over 0 decides nothing
         ok = not zero_at and all(eigs[i] / eigs[i + 1] >= 2.0 for i in range(len(eigs) - 1))
@@ -570,9 +571,7 @@ def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
 
     estimates = estimate_uniform_constants(coupling, observer, grid, space, ensemble=ensemble, seed=config.seed)
     gamma0, eta0, alpha0 = (inflation * v for v in estimates)
-    bound = inflation * admissibility_constant(
-        coupling, observer, grid, space, ensemble=ensemble, seed=config.seed + 2
-    )
+    bound = inflation * admissibility_constant(coupling, observer, grid, space)
     states = random_cascade_states(space, samples, config.seed + 3)
     try:
         constants = ObservabilityConstants(coupling.alpha, coupling.beta, gamma0, eta0, alpha0, t0=geometric)

@@ -2,16 +2,17 @@
 
 No config run or demo reaches these functions, so they live with the tests
 and not in ``wavecascade``: component energies, pointwise observation, the
-free evolution of one component and the inverse of the first-order
-generator; the Gramian form along one simulated trajectory, its
-matrix-free application and the Gramian under the exponential
-propagator; the ray tracing that cross-checks
+free evolution of one component, the inverse of the first-order generator
+and the stepper of the pair with the roles swapped; the Gramian form along
+one simulated trajectory, its matrix-free application, the Gramian under
+the exponential propagator and the worst-case ratios by SciPy's
+generalized eigensolver; the ray tracing that cross-checks
 ``gcc_min_time``; and Phi and its sensitivity derivatives straight from a
 controlled trajectory.
 """
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from wavecascade.errors import ValidationError
 from wavecascade.spectral import ModalCoefficients, SpectralSpace, sobolev_norm
@@ -24,11 +25,17 @@ from wavecascade.dynamics import (
     cascade_step_matrix,
     evolve_cascade,
     free_flow,
+    simpson_kick_weights,
 )
 from wavecascade.observability import (
     _as_boundary_set,
     _dense_generator,
+    _energy_metrics,
+    _free_flow_gram,
+    _free_moment_form,
     adjoint_sweep,
+    gramian_matrix,
+    norm_weights,
     observation_block_rows,
     observation_history,
     weighted_gram,
@@ -99,6 +106,26 @@ def invert_generator(state: CascadeState, coupling: CouplingOperator | None) -> 
         state.u2,
     )
 
+
+def first_driven_step_matrix(space: SpectralSpace, coupling_matrix: np.ndarray | None, dt: float) -> np.ndarray:
+    """``cascade_step_matrix`` with the roles swapped: y2 free, y1'' + A y1 + M y2 = 0.
+
+    This is the shape of the controlled system; ``hum`` derives its
+    controlled stepper from the production one by duality, and this
+    stepper, built directly, is the independent reference.
+    """
+    n = space.n_modes
+    c, s, m = (np.diag(np.tile(block, 2)) for block in free_flow(space, dt))
+    P = np.block([[c, s], [m, c]])
+    if coupling_matrix is not None:
+        source, target = np.r_[n : 2 * n, 3 * n : 4 * n], np.r_[0:n, 2 * n : 3 * n]
+        # the Simpson kick of the source's free flow, nudged through the coupling
+        taus, kernel_pos, kernel_vel = simpson_kick_weights(space, dt)
+        kernels = np.hstack([kernel_pos, kernel_vel])
+        sources = np.hstack(free_flow(space, taus)[:2])
+        P[np.ix_(target, source)] -= np.tile(coupling_matrix, (2, 2)) * (kernels.T @ sources)
+    return P
+
 # ---------------------------------------------------------------------------
 # observability
 
@@ -147,6 +174,35 @@ def exponential_gramian(
     grid.validate_for(space)
     rows = observation_block_rows(observer, space)
     return weighted_gram(rows.T @ rows, expm(grid.dt * _dense_generator(space, coupling)), grid)
+
+
+def generalized_ratios(
+    coupling: CouplingOperator | None,
+    observer: Observer,
+    grid: TimeGrid,
+    space: SpectralSpace,
+) -> dict:
+    """``empirical_ratios`` by SciPy's generalized symmetric-definite eigensolver.
+
+    Each ratio is the top eigenvalue of the pencil (form, Gramian), and the
+    admissibility that of (Gramian, diag(norm_weights)), with no scaling or
+    whitening of the package's own.
+    """
+    gram = gramian_matrix(coupling, observer, grid, space)
+    step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
+    weak_first, natural_second = _energy_metrics(space)
+    forms = {
+        "d1_emp": np.diag(weak_first),
+        "d2_emp": np.diag(natural_second),
+        "k2_emp": weighted_gram(np.diag(natural_second), step, grid),
+    }
+    if coupling is not None:
+        position_gram = _free_flow_gram(space, grid.fine_times, grid.fine_weights)
+        forms["r2_emp"] = _free_moment_form(coupling.matrix, position_gram)
+    ratios = {name: float(eigh(form, gram, eigvals_only=True)[-1]) for name, form in forms.items()}
+    ratios.setdefault("r2_emp", 0.0)
+    ratios["admissibility"] = float(eigh(gram, np.diag(norm_weights(space)), eigvals_only=True)[-1])
+    return ratios
 
 
 def ray_hit_time(x0: float, direction: int, region) -> float:

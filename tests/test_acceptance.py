@@ -262,7 +262,7 @@ class TestCriterion6ConstantChain:
         grid = TimeGrid.for_space(space, 1.25 * horizon, 0.015)
         gamma0, eta0, alpha0 = estimate_uniform_constants(coupling, observer, grid, space, ensemble=32, seed=11)
         constants = ObservabilityConstants(coupling.alpha, coupling.beta, 2 * gamma0, 2 * eta0, 2 * alpha0, horizon)
-        bound = 2.0 * admissibility_constant(coupling, observer, grid, space, ensemble=16, seed=13)
+        bound = 2.0 * admissibility_constant(coupling, observer, grid, space)
         failures = []
         states = random_cascade_states(space, 100, seed=77)
         for rows in inequality_chain_audit(states, coupling, observer, constants, grid,
@@ -282,7 +282,7 @@ class TestCriterion7Trends:
         rows = []
         for horizon in (4.0, 8.0, 16.0):
             grid = TimeGrid.for_space(space, horizon, 0.25)
-            rows.append((horizon, empirical_ratios(coupling, observer, grid, space, ensemble=16, seed=5)))
+            rows.append((horizon, empirical_ratios(coupling, observer, grid, space)))
         details = []
         ok = True
         for key, power in (("d1_emp", 3.0), ("d2_emp", 1.0), ("r2_emp", 2.0)):

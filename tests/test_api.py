@@ -98,6 +98,19 @@ def test_no_module_imports_scipy_sparse():
     assert found == []
 
 
+def test_the_only_scipy_import_is_expm():
+    # every worst case is a numpy eigenvalue; expm builds the one-step propagator of min_eigenvalue
+    found = []
+    for path in sorted((ROOT / "src" / "wavecascade").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [alias.name for alias in node.names if alias.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                if node.module.split(".")[0] == "scipy":
+                    found += [f"{node.module}.{alias.name}" for alias in node.names]
+    assert found == ["scipy.linalg.expm"]
+
+
 def test_every_config_section_the_runner_reads_is_documented():
     # a section read by the runner but missing from the README's config block is a knob no one can find
     tree = ast.parse((ROOT / "src" / "wavecascade" / "runner.py").read_text())

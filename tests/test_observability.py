@@ -33,7 +33,7 @@ from wavecascade.observability import (
     weighted_gram,
 )
 
-from oracles import apply_gramian, exponential_gramian, gramian_form, ray_hit_time
+from oracles import apply_gramian, exponential_gramian, generalized_ratios, gramian_form, ray_hit_time
 
 RNG = np.random.default_rng(20240813)
 
@@ -390,7 +390,7 @@ class TestEmpiricalRatiosAndAudit:
         rows = []
         for horizon in (4.0, 8.0, 16.0):
             grid = TimeGrid.for_space(space, horizon, 0.25)
-            rows.append((horizon, empirical_ratios(coupling, obs, grid, space, ensemble=16, seed=5)))
+            rows.append((horizon, empirical_ratios(coupling, obs, grid, space)))
         for key, power in (("d1_emp", 3), ("d2_emp", 1), ("r2_emp", 2)):
             vals = [r[key] * T**power for T, r in rows]
             assert all(vals[i + 1] <= 2.0 * vals[i] for i in range(len(vals) - 1)), key
@@ -418,19 +418,50 @@ class TestEmpiricalRatiosAndAudit:
         with pytest.raises(RefusalError):
             empirical_ratios(coupling, interior_observer(), grid, space)
 
+    @pytest.mark.parametrize("case", ["interior", "boundary", "trends"])
+    def test_ratios_match_the_generalized_eigh_oracle(self, case):
+        # criterion 4's interior and boundary Gramians (N=32, T=4) and criterion 7's at T=16 (N=16)
+        space = SpectralSpace(16 if case == "trends" else 32)
+        coupling = CouplingOperator(COUPLING_FN, space)
+        obs = Observer("boundary", b_left=1.0) if case == "boundary" else interior_observer()
+        grid = TimeGrid.for_space(space, 16.0, 0.25) if case == "trends" else TimeGrid.for_space(space, 4.0, 0.5)
+        ratios = empirical_ratios(coupling, obs, grid, space)
+        expected = generalized_ratios(coupling, obs, grid, space)
+        assert ratios.keys() == expected.keys()
+        for key, value in expected.items():
+            assert ratios[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+    def test_admissibility_constant_is_the_top_rayleigh_quotient(self):
+        space = SpectralSpace(32)
+        coupling = CouplingOperator(COUPLING_FN, space)
+        obs = interior_observer()
+        grid = TimeGrid.for_space(space, 4.0, 0.5)
+        constant = admissibility_constant(coupling, obs, grid, space)
+        gram = gramian_matrix(coupling, obs, grid, space)
+        metric = norm_weights(space)
+
+        def quotients(x):
+            return np.einsum("si,si->s", x @ gram, x) / ((x * x) @ metric)
+
+        _, vectors = np.linalg.eigh(gram / np.sqrt(np.outer(metric, metric)))
+        top = vectors[:, -1] / np.sqrt(metric)  # back from the metric-scaled coordinates
+        assert constant == pytest.approx(quotients(top[None, :])[0], rel=1e-12, abs=0.0)
+        draws = np.random.default_rng(1000).standard_normal((1000, 4 * space.n_modes))
+        assert np.all(quotients(draws) <= constant)
+
     def test_admissibility_constant_stable_under_refinement(self):
         values = {}
         for n in (32, 64):
             space = SpectralSpace(n)
             coupling = CouplingOperator(COUPLING_FN, space)
             grid = TimeGrid.for_space(space, 4.0, 0.4)
-            values[n] = admissibility_constant(coupling, interior_observer(), grid, space, ensemble=16, seed=9)
+            values[n] = admissibility_constant(coupling, interior_observer(), grid, space)
         assert abs(values[64] - values[32]) <= 0.10 * values[32]
 
     def test_zero_weight_admissibility(self):
         space, coupling, grid = standard_setup(8)
         obs = Observer("interior", weight=CoefficientFunction(()))
-        assert admissibility_constant(coupling, obs, grid, space, ensemble=4) == 0.0
+        assert admissibility_constant(coupling, obs, grid, space) == 0.0
 
     def test_audit_zero_state_all_trivial(self):
         space, coupling, grid = standard_setup(8, horizon=2.0)
@@ -463,7 +494,7 @@ class TestEmpiricalRatiosAndAudit:
         constants = ObservabilityConstants(
             coupling.alpha, coupling.beta, 2.0 * gamma0, 2.0 * eta0, 2.0 * alpha0, horizon
         )
-        bound = 2.0 * admissibility_constant(coupling, obs, grid, space, ensemble=16, seed=13)
+        bound = 2.0 * admissibility_constant(coupling, obs, grid, space)
         states = random_cascade_states(space, 25, seed=77)
         for rows in inequality_chain_audit(states, coupling, obs, constants, grid, admissibility_bound=bound):
             for row in rows:

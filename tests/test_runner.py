@@ -133,16 +133,20 @@ class TestParsing:
             ("criterion08_hum_interior", "hum.max_iterations=0"),
             ("criterion09_insensitize_interior", "hum.cg_tolerance=inf"),
             ("criterion08_hum_interior", "output.x_samples=-2"),
-            ("criterion04_gramian_interior", "checks.ensemble=0"),
-            ("criterion07_trends", "checks.ensemble=-3"),
             ("criterion06_audit", "audit.inflation=nan"),
             ("criterion06_audit", "audit.inflation=1e300"),
             ("criterion06_audit", "audit.inflation=1e150"),
+            # a must-hold switch of another sweep axis had run no check and passed
+            ("criterion07_trends", "checks.trends=0 checks.refinement_decay=1"),
+            ("criterion05_short_horizon", "checks.refinement_decay=0 checks.trends=1"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, config, override):
         out = tmp_path / "out"
-        assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", override]) == 2
+        args = [f"{CONFIG_DIR}/{config}.ini", "-o", str(out)]
+        for one in override.split():
+            args += ["--set", one]
+        assert main(args) == 2
         (line,) = capsys.readouterr().out.splitlines()
         assert line.startswith("configuration error: ")
         assert not list(out.glob("*.csv"))
@@ -324,7 +328,6 @@ max_iterations = 500
     def test_region_offset_sweep(self, tmp_path):
         text = MINIMAL_SIMULATE.replace("kind = simulate", "kind = sweep") + (
             "\n[grid]\nhorizon = 4.0\n\n[sweep]\naxis = region_offset\nvalues = 0.0, 0.1\n"
-            "\n[checks]\nensemble = 4\n"
         )
         # drop the duplicate short-horizon grid block from the template
         text = text.replace("[grid]\nhorizon = 1.0\nn_steps = 128\n", "", 1)
@@ -491,6 +494,16 @@ class TestDeterminism:
         first = (tmp_path / "one" / "trajectory.csv").read_bytes()
         second = (tmp_path / "two" / "trajectory.csv").read_bytes()
         assert first == second
+
+    @pytest.mark.parametrize("config", ["criterion04_gramian_interior", "criterion07_trends"])
+    def test_gramian_artifacts_do_not_depend_on_the_seed(self, tmp_path, config):
+        # every column is an eigenvalue: no random draw is left in a gramian or sweep run
+        artifacts = []
+        for label, seed in (("config", []), ("seed1", ["--set", "experiment.seed=1"])):
+            assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(tmp_path / label), *seed]) == 0
+            (csv,) = (tmp_path / label).glob("*.csv")
+            artifacts.append(csv.read_bytes())
+        assert artifacts[0] == artifacts[1]
 
     def test_different_seed_changes_bytes(self, tmp_path):
         base = [f"{CONFIG_DIR}/criterion11_determinism.ini"]
