@@ -427,13 +427,6 @@ class CascadeTrajectory:
         vel = self.block("v1" if component == 1 else "v2")
         return 0.5 * ((pos**2 * lam**k).sum(axis=1) + (vel**2 * lam ** (k - 1)).sum(axis=1))
 
-    def first_component_fine_positions(self) -> np.ndarray:
-        """Closed-form u1 positions on the half-step grid (u1 is free)."""
-        c, s = free_flow(self.space, self.grid.fine_times)[:2]
-        u0 = self.states[0, : self.space.n_modes]
-        w0 = self.states[0, 2 * self.space.n_modes : 3 * self.space.n_modes]
-        return c * u0 + s * w0
-
 
 def march(step: np.ndarray, states: np.ndarray) -> np.ndarray:
     """March x_{k+1} = step x_k + b_{k+1} in place over the rows of ``states``.

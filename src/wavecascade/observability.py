@@ -14,7 +14,7 @@ SciPy is used only for ``expm``, the one-step propagator of
 ``min_eigenvalue``'s square-root factor, and is imported inside that
 function, so that simulate, hum, insensitize and audit runs never load it.
 Every worst-case ratio is the top eigenvalue of a symmetric-definite
-pencil, computed with numpy alone.
+pencil, reduced with numpy alone by ``min_eigenvalue``'s square root.
 """
 
 from __future__ import annotations
@@ -171,11 +171,13 @@ def _min_singular(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EigenReport:
-    """Extreme eigenvalues of the metric-scaled Gramian."""
+    """Extreme eigenvalues of the metric-scaled Gramian S G S = R^T R, with R and the step P."""
 
     min_eig: float
     max_eig: float
     block_min: dict  # minimal eigenvalue of the "u1" block
+    factor: np.ndarray = field(repr=False)
+    step: np.ndarray = field(repr=False)
 
     @property
     def contrast(self) -> float:
@@ -188,7 +190,7 @@ def _qr_r(*blocks: np.ndarray) -> np.ndarray:
 
 
 def _scaled_gramian_factor(
-    coupling: CouplingOperator | None,
+    step: np.ndarray,
     observer: Observer,
     grid: TimeGrid,
     space: SpectralSpace,
@@ -196,19 +198,17 @@ def _scaled_gramian_factor(
     """Triangular square root R of the metric-scaled Gramian: R^T R = S G S.
 
     S = diag(norm_weights)^(-1/2).  In the scaled coordinates Ps = S^-1 P S,
-    P the matrix exponential of the dense generator over one step, and Os =
-    Obs S, weighted_gram's squared doubling runs on square roots: with A =
-    Ps^2 and R_n^T R_n the sum over j < n of (A^j)^T Os^T Os A^j,
+    P the one-step propagator ``step``, and Os = Obs S, weighted_gram's
+    squared doubling runs on square roots: with A = Ps^2 and R_n^T R_n the
+    sum over j < n of (A^j)^T Os^T Os A^j,
     R_2n = qr_r([R_n; R_n A^n]) and R_n+1 = qr_r([Os; R_n A]).  Simpson's
     split then stacks four factors, every weight positive, so nothing is
     subtracted: [sqrt(h/3) Os; sqrt(h/3) Os Ps^M; sqrt(4h/3) R_U Ps;
     sqrt(2h/3) R_V A], with M = 2L, R_V = R_(L-1) and R_U = R_L.  No block
     is taller than twice the 4N state.
     """
-    from scipy.linalg import expm
-
     scale = 1.0 / np.sqrt(norm_weights(space))
-    step = expm(grid.dt * _dense_generator(space, coupling)) * scale / scale[:, None]
+    step = step * scale / scale[:, None]
     obs = observation_block_rows(observer, space) * scale
     square = step @ step
     half = grid.n_steps // 2
@@ -244,18 +244,24 @@ def min_eigenvalue(
     One route serves every N and T: the Gramian is never assembled, so
     near-null directions are resolved far below the eigenvalue roundoff
     floor of the assembled matrix.  Its 4N-column triangular square root R
-    (``_scaled_gramian_factor``) is built by QR doubling, and the singular
-    values of R and of its u1 columns give the full and u1-block spectra.
+    (``_scaled_gramian_factor``) is built by QR doubling under the matrix
+    exponential step, and the singular values of R and of its u1 columns
+    give the full and u1-block spectra.  The report keeps R and the step.
     """
+    from scipy.linalg import expm
+
     grid.validate_for(space)
     n = space.n_modes
-    r = _scaled_gramian_factor(coupling, observer, grid, space)
+    step = expm(grid.dt * _dense_generator(space, coupling))
+    r = _scaled_gramian_factor(step, observer, grid, space)
     svals = _min_singular(r)
     first_idx = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
     return EigenReport(
         min_eig=float(svals[-1] ** 2),
         max_eig=float(svals[0] ** 2),
         block_min={"u1": float(_min_singular(r[:, first_idx])[-1] ** 2)},
+        factor=r,
+        step=step,
     )
 
 
@@ -398,6 +404,8 @@ def empirical_horizon(coupling: CouplingOperator, observer: Observer) -> float:
 # ---------------------------------------------------------------------------
 # empirical constants
 
+ALPHA0_FLOOR = 1e-12  # estimate_uniform_constants' alpha0 when no forced sample sets it
+
 
 def random_cascade_states(space: SpectralSpace, count: int, seed: int) -> list[CascadeState]:
     rng = np.random.default_rng(seed)
@@ -442,8 +450,8 @@ def _free_moment_form(quad: np.ndarray, position_gram: np.ndarray) -> np.ndarray
 
 
 def empirical_ratios(
+    report: EigenReport,
     coupling: CouplingOperator | None,
-    observer: Observer,
     grid: TimeGrid,
     space: SpectralSpace,
 ) -> dict:
@@ -451,31 +459,22 @@ def empirical_ratios(
 
     Every numerator is a quadratic form of the initial data, so the sharp
     constants on the truncated space are extreme generalized eigenvalues
-    against the solver Gramian G: d1_emp bounds the weak initial energy of
-    the free component, d2_emp the natural initial energy of the driven one,
-    k2_emp its integrated energy and r2_emp the integrated coupling form,
-    each per unit of integrated squared observation.  With S =
-    diag(norm_weights)^(-1/2) and L the Cholesky factor of S G S, the top
-    eigenvalue of L^-1 S F S L^-T is the largest x^T F x / x^T G x.  The
-    admissibility entry is ``admissibility_constant``: the top eigenvalue of
-    S G S itself.
+    against the Gramian G of ``report`` (``min_eigenvalue``'s): d1_emp bounds
+    the weak initial energy of the free component, d2_emp the natural
+    initial energy of the driven one, k2_emp its integrated energy and
+    r2_emp the integrated coupling form, each per unit of integrated squared
+    observation.  With S = diag(norm_weights)^(-1/2) and the report's square
+    root R^T R = S G S, the top eigenvalue of R^-T S F S R^-1 is the largest
+    x^T F x / x^T G x.  The admissibility entry is the report's top
+    eigenvalue of S G S.  A contrast at most 1e-12 is refused before R is
+    inverted.
     """
-    # the solver Gramian, built as gramian_matrix does; its step serves k2_emp too
-    grid.validate_for(space)
-    step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
-    rows = observation_block_rows(observer, space)
-    gram = weighted_gram(rows.T @ rows, step, grid)
-
-    # regularity guard: ratios are meaningless for a singular Gramian
-    metric = norm_weights(space)
-    scaled = gram / np.sqrt(np.outer(metric, metric))
-    spectrum = np.linalg.eigvalsh(scaled)
-    if spectrum[0] <= 1e-12 * spectrum[-1]:
+    if report.contrast <= 1e-12:
         raise RefusalError(
             "Gramian is not coercive at this horizon; worst-case ratios are unbounded",
-            {"min_eig": float(spectrum[0]), "max_eig": float(spectrum[-1])},
+            {"min_eig": report.min_eig, "max_eig": report.max_eig},
         )
-    whiten = np.linalg.inv(np.linalg.cholesky(scaled)) / np.sqrt(metric)  # L^-1 S
+    whiten = np.linalg.inv(report.factor).T / np.sqrt(norm_weights(space))  # R^-T S
 
     def sup_ratio(form):
         return float(np.linalg.eigvalsh(whiten @ form @ whiten.T)[-1])
@@ -489,9 +488,9 @@ def empirical_ratios(
     return {
         "d1_emp": sup_ratio(np.diag(weak_first)),
         "d2_emp": sup_ratio(np.diag(natural_second)),
-        "k2_emp": sup_ratio(weighted_gram(np.diag(natural_second), step, grid)),
+        "k2_emp": sup_ratio(weighted_gram(np.diag(natural_second), report.step, grid)),
         "r2_emp": r2_emp,
-        "admissibility": float(spectrum[-1]),
+        "admissibility": report.max_eig,
     }
 
 
@@ -597,7 +596,7 @@ def estimate_uniform_constants(
         deficit = e1_int - eta0 * obs_int
         if deficit > 0 and f_int > 0:
             alpha0 = max(alpha0, deficit / f_int)
-    return gamma0, eta0, max(alpha0, 1e-12)
+    return gamma0, eta0, max(alpha0, ALPHA0_FLOOR)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .dynamics import (
     evolve_cascade,
 )
 from .observability import (
+    ALPHA0_FLOOR,
     ObservabilityConstants,
     admissibility_constant,
     empirical_horizon,
@@ -320,7 +321,7 @@ def _gramian_row(config, horizon, n_modes):
     grid = config.grid(space, horizon)
     report = min_eigenvalue(coupling, observer, grid, space)
     try:
-        ratios = empirical_ratios(coupling, observer, grid, space)
+        ratios = empirical_ratios(report, coupling, grid, space)
     except RefusalError:
         ratios = {"d1_emp": float("nan"), "d2_emp": float("nan"), "k2_emp": float("nan"),
                   "r2_emp": float("nan"), "admissibility": float("nan")}
@@ -366,6 +367,8 @@ def _shift_observer(config: ExperimentConfig, offset: float) -> ExperimentConfig
 
 def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
     axis = config.get("sweep", "axis")
+    if axis not in ("horizon", "n_modes", "region_offset"):  # checked before an empty value list returns
+        raise ConfigError(f"unknown sweep axis {axis!r}; the axes are horizon, n_modes and region_offset")
     values = [v.strip() for v in config.get("sweep", "values").split(",") if v.strip()]
     trends = config.get("checks", "trends", default=False, cast=bool)
     refinement_decay = config.get("checks", "refinement_decay", default=False, cast=bool)
@@ -385,11 +388,9 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
             horizon, n_modes = _number(float, value, "[sweep] values"), base_n
         elif axis == "n_modes":
             horizon, n_modes = base_t, _number(int, value, "[sweep] values")
-        elif axis == "region_offset":
+        else:  # region_offset
             horizon, n_modes = base_t, base_n
             shifted = _shift_observer(config, _number(float, value, "[sweep] values"))
-        else:
-            raise ConfigError(f"unknown sweep axis {axis!r}")
         rows.append(_gramian_row(shifted, horizon, n_modes)[1])
     write_csv(path, _GRAMIAN_HEADER, rows)
     checks = []
@@ -604,6 +605,8 @@ def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
             detail = f"lhs {row.lhs:.4e} rhs {row.rhs:.4e}"
             if name in relative:
                 detail += f", worst relative residual {relative[name]:.3e}"
+            if name == "source_observability_driven" and estimates[2] == ALPHA0_FLOOR:
+                detail += f", alpha0 at its {ALPHA0_FLOOR:g} floor"  # no forced sample set it
             if failing[name]:
                 detail += f", fails on {failing[name]} of {samples} samples"
             checks.append((name, not failing[name], detail))

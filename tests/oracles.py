@@ -2,7 +2,8 @@
 
 No config run or demo reaches these functions, so they live with the tests
 and not in ``wavecascade``: component energies, pointwise observation, the
-free evolution of one component, the inverse of the first-order generator
+free evolution of one component and the closed-form fine-grid positions of
+a trajectory's free component, the inverse of the first-order generator
 and the stepper of the pair with the roles swapped; the Gramian form along
 one simulated trajectory, its matrix-free application, the Gramian under
 the exponential propagator and the worst-case ratios by SciPy's
@@ -18,6 +19,7 @@ from wavecascade.errors import ValidationError
 from wavecascade.spectral import ModalCoefficients, SpectralSpace, sobolev_norm
 from wavecascade.dynamics import (
     CascadeState,
+    CascadeTrajectory,
     ComponentState,
     CouplingOperator,
     Observer,
@@ -34,7 +36,6 @@ from wavecascade.observability import (
     _free_flow_gram,
     _free_moment_form,
     adjoint_sweep,
-    gramian_matrix,
     norm_weights,
     observation_block_rows,
     observation_history,
@@ -85,6 +86,14 @@ def free_evolve(component: ComponentState, t: float) -> ComponentState:
         ModalCoefficients(c * p + s_over * v, space),
         ModalCoefficients(ms * p + c * v, space),
     )
+
+
+def first_component_fine_positions(trajectory: CascadeTrajectory) -> np.ndarray:
+    """Closed-form u1 positions on the half-step grid (u1 is free)."""
+    c, s = free_flow(trajectory.space, trajectory.grid.fine_times)[:2]
+    u0 = trajectory.states[0, : trajectory.space.n_modes]
+    w0 = trajectory.states[0, 2 * trajectory.space.n_modes : 3 * trajectory.space.n_modes]
+    return c * u0 + s * w0
 
 
 def invert_generator(state: CascadeState, coupling: CouplingOperator | None) -> CascadeState:
@@ -186,10 +195,11 @@ def generalized_ratios(
 
     Each ratio is the top eigenvalue of the pencil (form, Gramian), and the
     admissibility that of (Gramian, diag(norm_weights)), with no scaling or
-    whitening of the package's own.
+    whitening of the package's own.  The Gramian and the k2_emp form step
+    with the matrix exponential, as ``min_eigenvalue``'s square root does.
     """
-    gram = gramian_matrix(coupling, observer, grid, space)
-    step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
+    gram = exponential_gramian(coupling, observer, grid, space)
+    step = expm(grid.dt * _dense_generator(space, coupling))
     weak_first, natural_second = _energy_metrics(space)
     forms = {
         "d1_emp": np.diag(weak_first),

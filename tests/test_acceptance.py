@@ -51,6 +51,8 @@ from wavecascade.insensitize import (
 )
 from wavecascade.runner import main as cli_main
 
+from oracles import first_component_fine_positions
+
 COUPLING_FN = CoefficientFunction((PlateauBump(0.2, 0.3, 0.05, 1.0),), core_region=(0.2, 0.3))
 OBS_FN = CoefficientFunction((PlateauBump(0.6, 0.7, 0.05, 1.0),), core_region=(0.6, 0.7))
 
@@ -137,7 +139,7 @@ class TestCriterion3Identities:
         for _ in range(20):
             state = CascadeState.from_vector(rng.standard_normal(4 * n), space)
             traj = evolve_cascade(state, coupling, grid)
-            u1_fine = traj.first_component_fine_positions()
+            u1_fine = first_component_fine_positions(traj)
             cu1 = u1_fine @ coupling.matrix.T
             lhs = float(grid.fine_weights @ np.einsum("ki,ki->k", cu1, u1_fine))
             pairing = lambda s: float(s[2 * n : 3 * n] @ s[n : 2 * n] - s[3 * n :] @ s[:n])
@@ -282,7 +284,8 @@ class TestCriterion7Trends:
         rows = []
         for horizon in (4.0, 8.0, 16.0):
             grid = TimeGrid.for_space(space, horizon, 0.25)
-            rows.append((horizon, empirical_ratios(coupling, observer, grid, space)))
+            report = min_eigenvalue(coupling, observer, grid, space)
+            rows.append((horizon, empirical_ratios(report, coupling, grid, space)))
         details = []
         ok = True
         for key, power in (("d1_emp", 3.0), ("d2_emp", 1.0), ("r2_emp", 2.0)):

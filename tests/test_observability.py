@@ -390,7 +390,8 @@ class TestEmpiricalRatiosAndAudit:
         rows = []
         for horizon in (4.0, 8.0, 16.0):
             grid = TimeGrid.for_space(space, horizon, 0.25)
-            rows.append((horizon, empirical_ratios(coupling, obs, grid, space)))
+            report = min_eigenvalue(coupling, obs, grid, space)
+            rows.append((horizon, empirical_ratios(report, coupling, grid, space)))
         for key, power in (("d1_emp", 3), ("d2_emp", 1), ("r2_emp", 2)):
             vals = [r[key] * T**power for T, r in rows]
             assert all(vals[i + 1] <= 2.0 * vals[i] for i in range(len(vals) - 1)), key
@@ -415,21 +416,28 @@ class TestEmpiricalRatiosAndAudit:
         space = SpectralSpace(8)
         coupling = CouplingOperator(COUPLING_FN, space)
         grid = TimeGrid.for_space(space, 0.1, 0.5)
+        report = min_eigenvalue(coupling, interior_observer(), grid, space)
         with pytest.raises(RefusalError):
-            empirical_ratios(coupling, interior_observer(), grid, space)
+            empirical_ratios(report, coupling, grid, space)
 
-    @pytest.mark.parametrize("case", ["interior", "boundary", "trends"])
+    @pytest.mark.parametrize("case", ["interior", "boundary", "trends", "interior_n64"])
     def test_ratios_match_the_generalized_eigh_oracle(self, case):
-        # criterion 4's interior and boundary Gramians (N=32, T=4) and criterion 7's at T=16 (N=16)
-        space = SpectralSpace(16 if case == "trends" else 32)
+        # criterion 4's interior and boundary Gramians (N=32 and 64, T=4) and criterion 7's at T=16 (N=16)
+        space = SpectralSpace({"trends": 16, "interior_n64": 64}.get(case, 32))
         coupling = CouplingOperator(COUPLING_FN, space)
         obs = Observer("boundary", b_left=1.0) if case == "boundary" else interior_observer()
         grid = TimeGrid.for_space(space, 16.0, 0.25) if case == "trends" else TimeGrid.for_space(space, 4.0, 0.5)
-        ratios = empirical_ratios(coupling, obs, grid, space)
+        ratios = empirical_ratios(min_eigenvalue(coupling, obs, grid, space), coupling, grid, space)
         expected = generalized_ratios(coupling, obs, grid, space)
         assert ratios.keys() == expected.keys()
         for key, value in expected.items():
             assert ratios[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+    def test_ratios_admissibility_is_the_reports_top_eigenvalue(self):
+        # one Gramian per row: the admissibility cell is the report's, bit for bit
+        space, coupling, grid = standard_setup(32, step_phase=0.5)
+        report = min_eigenvalue(coupling, interior_observer(), grid, space)
+        assert empirical_ratios(report, coupling, grid, space)["admissibility"] == report.max_eig
 
     def test_admissibility_constant_is_the_top_rayleigh_quotient(self):
         space = SpectralSpace(32)

@@ -139,6 +139,8 @@ class TestParsing:
             # a must-hold switch of another sweep axis had run no check and passed
             ("criterion07_trends", "checks.trends=0 checks.refinement_decay=1"),
             ("criterion05_short_horizon", "checks.refinement_decay=0 checks.trends=1"),
+            # an empty value list had returned before the axis was read, and passed
+            ("criterion07_trends", "checks.trends=0 sweep.axis=frobnicate sweep.values="),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, config, override):
@@ -211,6 +213,27 @@ class TestRunKinds:
         assert lines[0] == "t,e1_u1,e0_u1,e1_u2,e0_u2,obs_norm_sq"
         for line in lines[1:]:
             assert [float(v) for v in line.split(",")[1:]] == [0.0] * 5
+
+    def test_gramian_row_builds_one_gramian(self, tmp_path, monkeypatch):
+        # the ratios read min_eigenvalue's square root: no solver step is built,
+        # and weighted_gram sums only the k2_emp form
+        from wavecascade import observability
+
+        calls = {"cascade_step_matrix": 0, "weighted_gram": 0}
+
+        def counted(name):
+            original = getattr(observability, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(observability, name, counted(name))
+        assert main([f"{CONFIG_DIR}/criterion04_gramian_interior.ini", "-o", str(tmp_path / "g")]) == 0
+        assert calls == {"cascade_step_matrix": 0, "weighted_gram": 1}
 
     def test_gramian_decoupled_expected_negative(self, tmp_path):
         result_code = main([f"{CONFIG_DIR}/criterion05_decoupled.ini", "-o", str(tmp_path / "g")])
@@ -484,6 +507,16 @@ class TestAuditLedger:
         for name in ("coupling_duality_identity", "driven_energy_balance"):
             line = next(line for line in out.splitlines() if f"] {name}:" in line)
             assert float(line.rsplit("worst relative residual ", 1)[1]) <= 1e-6
+
+
+    def test_alpha0_at_its_floor_is_named_in_the_check_detail(self, tmp_path, capsys):
+        # at criterion 6's seed no forced sample lifts alpha0 off its floor, so
+        # the check that uses it says so; on the small lab one does, and it does not
+        for args, floored in (([f"{CONFIG_DIR}/criterion06_audit.ini"], True), (self.SMALL, False)):
+            assert main(args + ["-o", str(tmp_path / "audit")]) == 0
+            out = capsys.readouterr().out
+            line = next(line for line in out.splitlines() if "] source_observability_driven:" in line)
+            assert line.endswith(", alpha0 at its 1e-12 floor") == floored
 
 
 class TestDeterminism:
