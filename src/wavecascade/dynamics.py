@@ -17,11 +17,14 @@ sub-nodes.  The step is therefore fourth-order accurate in dt, exactly
 time-reversible under velocity negation, and exactly symplectic for the
 duality pairing used by the control modules.
 
-Coupled trajectories march their one-step matrix (``march``).  A single
-forced wave w'' + A w = f steps by the same rotation and Simpson kick, but
-there the step is the exact rotation alone, so ``forced_flow`` sums the
-whole recursion in the rotating frame with one prefix sum instead.  Both
-take their Simpson kernel from ``simpson_kick_weights``.
+Coupled trajectories march their one-step matrix (``march``).  A sweep
+with no injection into the free component may march only the driven block
+(``march_driven``): the free states come in closed form and their kicks in
+one matrix product.  A single forced wave w'' + A w = f steps by the same
+rotation and Simpson kick, but there the step is the exact rotation alone,
+so ``forced_flow`` sums the whole recursion in the rotating frame with one
+prefix sum instead.  All take their Simpson kernel from
+``simpson_kick_weights``.
 
 The module holds what the runs use.  The reference computations the tests
 check it against (free evolution and energies of one component, pointwise
@@ -66,6 +69,7 @@ __all__ = [
     "forced_flow",
     "simpson_kick_weights",
     "march",
+    "march_driven",
     "reversed_step",
     "state_weights",
     "duality_pairing",
@@ -363,6 +367,12 @@ def free_flow(space: SpectralSpace, t):
     return np.cos(phase), sin / om, -om * sin
 
 
+def _component_indices(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slots of the free (u1, u1') and the driven (u2, u2') component in a stacked 4N state."""
+    n = n_modes
+    return np.r_[0:n, 2 * n : 3 * n], np.r_[n : 2 * n, 3 * n : 4 * n]
+
+
 def cascade_step_matrix(
     space: SpectralSpace,
     coupling_matrix: np.ndarray | None,
@@ -378,11 +388,10 @@ def cascade_step_matrix(
     Simpson kick (``simpson_kick_weights``) of the free source, evaluated in
     closed form at the sub-nodes {0, dt/2, dt}.
     """
-    n = space.n_modes
     c, s, m = (np.diag(np.tile(block, 2)) for block in free_flow(space, dt))
     P = np.block([[c, s], [m, c]])
     if coupling_matrix is not None:
-        source, target = np.r_[0:n, 2 * n : 3 * n], np.r_[n : 2 * n, 3 * n : 4 * n]
+        source, target = _component_indices(space.n_modes)
         # the Simpson kick of the source's free flow, nudged through the coupling
         taus, kernel_pos, kernel_vel = simpson_kick_weights(space, dt)
         kernels = np.hstack([kernel_pos, kernel_vel])
@@ -440,6 +449,38 @@ def march(step: np.ndarray, states: np.ndarray) -> np.ndarray:
     for current, following in zip(states[:-1], states[1:]):
         following += np.dot(step, current)
     return states
+
+
+def march_driven(driven_t: np.ndarray, kick_t: np.ndarray, flow, free: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """March only the driven block of a cascade step whose free component rotates exactly, in place.
+
+    The step takes a free state f and a driven state x, as rows, to
+    (f R^T, x driven_t + f kick_t), with R the exact per-mode rotation.
+    ``free`` (shape (..., 2N)) is f_0, and ``flow`` holds the blocks (c, s, m)
+    of R^r for every row r of ``states`` (shape (len(states), N) each:
+    ``free_flow`` at the elapsed times, its sine terms negated for a reflected
+    step).  So every free state f_r = (c_r p + s_r v, m_r p + c_r v) is closed
+    form, every kick f_r kick_t comes from one matrix product with that table,
+    and only x_{r+1} = x_r driven_t + f_r kick_t is marched, step by step as
+    in ``march``.  On entry row 0 of ``states`` (shape (rows, ..., 2N),
+    C-contiguous) holds x_0; on return row r holds x_r.  A row is one state
+    or a (k, 2N) block of k states, one per row of ``free``.  Returns the
+    free table f_r, shaped as ``states``.
+    """
+    n = free.shape[-1] // 2
+    c, s, m = (block.reshape((len(block),) + (1,) * (free.ndim - 1) + (n,)) for block in flow)
+    table = np.empty(states.shape)
+    pos, vel = table[..., :n], table[..., n:]
+    np.multiply(c, free[..., :n], out=pos)
+    pos += s * free[..., n:]
+    np.multiply(m, free[..., :n], out=vel)
+    vel += c * free[..., n:]
+    # row r + 1 is injected with the kick of f_r: one product for every row at once
+    kicks = np.reshape(states[1:], (-1, 2 * n), copy=False)
+    np.dot(np.reshape(table[:-1], (-1, 2 * n), copy=False), kick_t, out=kicks)
+    for current, following in zip(states[:-1], states[1:]):
+        following += np.dot(current, driven_t)
+    return table
 
 
 def _aligned(array: np.ndarray) -> np.ndarray:

@@ -20,6 +20,14 @@ adjoint stepper as its dual under the wave duality pairing (the transpose
 with position and velocity halves swapped).  As a result the
 discrete transposition identity holds to roundoff and terminal nulling is
 limited only by the conjugate-gradient tolerance, not by the time step.
+
+Adjoint trajectories are swept, not marched whole.  The adjoint's first
+component is a free wave that only drives the second, so it rotates back in
+closed form, its kicks on the driven component are one matrix product, and
+only the driven block of the backward step is marched
+(``dynamics.march_driven``).  Forward solves march the full controlled step
+(``dynamics.march``), so the transposition check compares two different
+algorithms.
 """
 
 from __future__ import annotations
@@ -37,10 +45,13 @@ from .dynamics import (
     Observer,
     TimeGrid,
     _aligned,
+    _component_indices,
     _sample_forcing,
     cascade_step_matrix,
     duality_pairing,
+    free_flow,
     march,
+    march_driven,
     reversed_step,
     state_weights,
 )
@@ -124,6 +135,18 @@ class HUMProblem:
     def step_back(self) -> np.ndarray:
         """P^{-1}, exact by velocity reflection."""
         return _aligned(reversed_step(self.step, self.space.n_modes))
+
+    @cached_property
+    def driven_back_t(self) -> np.ndarray:
+        """The driven block of P^{-1}, (w2, q2) to (w2, q2), transposed to act on row states."""
+        _, driven = _component_indices(self.space.n_modes)
+        return _aligned(self.step_back[np.ix_(driven, driven)].T)
+
+    @cached_property
+    def kick_back_t(self) -> np.ndarray:
+        """The kick block of P^{-1}, (w1, q1) to (w2, q2), transposed to act on row states."""
+        free, driven = _component_indices(self.space.n_modes)
+        return _aligned(self.step_back[np.ix_(driven, free)].T)
 
     @cached_property
     def step_controlled(self) -> np.ndarray:
@@ -229,11 +252,44 @@ def _pairing_matrix_apply(vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _sweep_back(problem: HUMProblem, free_final: np.ndarray, states: np.ndarray, start: int = 0) -> np.ndarray:
+    """Driven adjoint states ``start``, ``start + 1``, ... backward steps from T, in place.
+
+    ``march_driven`` with the blocks of P^{-1}: ``free_final`` holds the free
+    component (w1, q1) at T, which rotates back in closed form, and row 0 of
+    ``states`` the driven component (w2, q2) ``start`` steps back.  Returns
+    the free table.
+    """
+    c, s, m = free_flow(problem.space, problem.grid.times[start : start + len(states)])
+    # the reflected step rotates backward: its sine terms change sign
+    s *= -1.0
+    m *= -1.0
+    return march_driven(problem.driven_back_t, problem.kick_back_t, (c, s, m), free_final, states)
+
+
+def _sweep_from(final: np.ndarray, problem: HUMProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint driven states and free table from final data ``final`` (..., 4N) back to time zero.
+
+    Both have shape (n_steps + 1, ..., 2N); row j lies j steps back from T.
+    """
+    free, driven = _component_indices(problem.space.n_modes)
+    driven_final = final[..., driven]
+    swept = np.empty((problem.grid.n_steps + 1,) + driven_final.shape)
+    swept[0] = driven_final
+    return swept, _sweep_back(problem, final[..., free], swept)
+
+
 def _backward_states(final_vector: np.ndarray, problem: HUMProblem) -> np.ndarray:
-    """Adjoint node states from final data, shape (n_steps + 1, 4N)."""
-    states = np.zeros((problem.grid.n_steps + 1, final_vector.size))
-    states[-1] = final_vector
-    march(problem.step_back, states[::-1])
+    """Adjoint node states from final data, shape (n_steps + 1, 4N).
+
+    The free component rotates back in closed form and only the driven one
+    is marched (``_sweep_back``).
+    """
+    free, driven = _component_indices(problem.space.n_modes)
+    swept, table = _sweep_from(final_vector, problem)
+    states = np.empty((problem.grid.n_steps + 1, final_vector.size))
+    states[::-1, free] = table
+    states[::-1, driven] = swept
     return states
 
 
@@ -396,7 +452,9 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
                 partial=CascadeState.from_vector(x, space),
             )
 
-    control = TimeSampledControl(_backward_states(x, problem) @ problem.obs_rows.T, problem.case, grid)
+    # the control observes the driven position of the adjoint trajectory from x
+    swept, _ = _sweep_from(x, problem)
+    control = TimeSampledControl(swept[::-1, :n] @ problem.obs_rows[:, n : 2 * n].T, problem.case, grid)
     trajectory = controlled_forward(problem, control)
     terminal_norms = control_space_norms(trajectory[-1], space, problem.case)
     duality = verify_transposition(problem, control, trajectory=trajectory, n_probes=5, seed=1)
@@ -426,17 +484,22 @@ def verify_transposition(
     state against the adjoint trajectory, taken between the endpoints, must
     equal the time quadrature of the control against the adjoint observation
     plus the source pairing.  Both sides are computed through independent
-    code paths (forward injected solve with endpoint pairings vs backward
-    adjoint solve with node quadrature).
+    code paths: a forward injected solve with the full controlled step and
+    endpoint pairings, against a backward adjoint sweep with node quadrature
+    that rotates the free component in closed form and marches only the
+    driven block (``_sweep_back``).
 
-    The probes are drawn as one (n_probes, 4N) array and marched back
-    together, one (4N, n_probes) block per node, so each step is one matrix
-    product.  The block is reused chunk by chunk: it holds
-    ceil(n_steps / n_probes) + 1 nodes, never more than one probe's
+    The probes are drawn as one (n_probes, 4N) array and swept back
+    together, their driven components as one (n_probes, 2N) block per node,
+    so each step is one matrix product.  The block is reused chunk by chunk:
+    it holds ceil(n_steps / n_probes) + 1 nodes, about half of one probe's
     trajectory; each chunk's nodes are reduced into per-probe quadrature and
-    magnitude sums at once, and its earliest node ends the next chunk.  The
-    last node reached, time zero, gives the start pairing.
+    magnitude sums at once, and its earliest node starts the next chunk.  The
+    last node reached, time zero, gives the start pairing.  ``n_probes``
+    below 1 is a ``ValidationError``: a check without a probe checks nothing.
     """
+    if n_probes < 1:
+        raise ValidationError(f"n_probes must be at least 1, got {n_probes}")
     grid = problem.grid
     n = problem.space.n_modes
     n_steps = grid.n_steps
@@ -444,36 +507,44 @@ def verify_transposition(
     if trajectory is None:
         trajectory = controlled_forward(problem, control)
     probes = np.random.default_rng(seed).standard_normal((n_probes, 4 * n))
+    free, driven = _component_indices(n)
     positions = problem.obs_rows[:, n : 2 * n]  # the rows read only the driven position
-    rows = -(-n_steps // max(n_probes, 1)) + 1
-    block = np.empty((rows, 4 * n, n_probes))
+    # node samples read from T back: row j of each is node n_steps - j
+    weights = grid.node_weights[::-1]
+    values = None if control is None else control.values[::-1]
+    sources = None if source is None else source[::-1]
+    rows = -(-n_steps // n_probes) + 1
+    block = np.empty((rows, n_probes, 2 * n))
+    block[0] = probes[:, driven]
+    free_final = probes[:, free]
     quadrature = np.zeros(n_probes)
     magnitude = np.zeros(n_probes)  # scale of the terms before cancellation
-    top, final, reduced = n_steps, probes.T, 0  # the chunk's last node, its state, whether it is reduced
+    top, reduced = 0, 0  # steps back from T to the chunk's first row, and whether that row is reduced
     while True:
-        bottom = max(top - rows + 1, 0)
-        chunk = block[: top - bottom + 1]  # row r holds node bottom + r
-        chunk[-1] = final
-        chunk[:-1] = 0.0
-        march(problem.step_back, chunk[::-1])
-        fresh = chunk[: len(chunk) - reduced, n : 2 * n]  # driven positions of the nodes not yet reduced
-        nodes = slice(bottom, bottom + len(fresh))
-        weights = grid.node_weights[nodes]
+        chunk = block[: min(rows, n_steps + 1 - top)]  # row r lies top + r steps back from T
+        start_free = _sweep_back(problem, free_final, chunk, top)[-1].copy()  # drops the free table
+        fresh = chunk[reduced:, :, :n]  # driven positions of the nodes not yet reduced
+        steps = slice(top + reduced, top + len(chunk))
         if control is not None:
-            terms = np.matmul(positions, fresh)
-            terms *= control.values[nodes, :, None]
-            quadrature += weights @ terms.sum(axis=1)
-            magnitude += weights @ np.abs(terms, out=terms).sum(axis=1)
+            terms = np.matmul(fresh, positions.T)
+            terms *= values[steps, None, :]
+            quadrature += weights[steps] @ terms.sum(axis=2)
+            magnitude += weights[steps] @ np.abs(terms, out=terms).sum(axis=2)
+            del terms  # the next chunk's sweep needs the room
         if source is not None:
-            paired = np.matmul(source[nodes, None, :], fresh)[:, 0]
-            quadrature += weights @ paired
-            magnitude += weights @ np.abs(paired)
-        if bottom == 0:
+            paired = np.matmul(fresh, sources[steps, :, None])[..., 0]
+            quadrature += weights[steps] @ paired
+            magnitude += weights[steps] @ np.abs(paired)
+        if top + len(chunk) == n_steps + 1:
             break
-        top, final, reduced = bottom, chunk[0], 1
+        top, reduced = top + len(chunk) - 1, 1
+        block[0] = chunk[-1]
+    starts = np.empty((n_probes, 4 * n))
+    starts[:, free] = start_free
+    starts[:, driven] = chunk[-1]
     initial = problem.initial_data.as_vector()
     residuals = []
-    for probe, start, quad, mag in zip(probes, chunk[0].T, quadrature.tolist(), magnitude.tolist()):
+    for probe, start, quad, mag in zip(probes, starts, quadrature.tolist(), magnitude.tolist()):
         end_pair = duality_pairing(trajectory[-1], probe, n)
         start_pair = duality_pairing(initial, start, n)
         lhs = end_pair - start_pair

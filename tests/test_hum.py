@@ -31,7 +31,8 @@ from wavecascade.hum import (
     solve_hum,
     verify_transposition,
 )
-from wavecascade.hum import _backward_states
+from wavecascade.dynamics import _component_indices, march
+from wavecascade.hum import _backward_states, _sweep_from
 
 from oracles import first_driven_step_matrix, gramian_form, invert_generator
 
@@ -410,6 +411,34 @@ class TestTransposition:
         # an unchunked (n_steps + 1, 4N, n_probes) block alone would read n_probes
         assert peak <= 2.5 * trajectory.nbytes
 
+    @pytest.mark.parametrize("n_probes", [0, -2])
+    def test_needs_a_probe(self, n_probes):
+        # no probe would be a check that passes without checking anything
+        prob = boundary_problem(8, data=CascadeState.zero(SpectralSpace(8)))
+        control = _random_control(prob, np.random.default_rng(29))
+        with pytest.raises(ValidationError, match=f"n_probes must be at least 1, got {n_probes}"):
+            verify_transposition(prob, control, n_probes=n_probes)
+
+    @pytest.mark.parametrize("block", ["step_controlled", "kick_back_t"])
+    @pytest.mark.parametrize("make", [interior_problem, boundary_problem])
+    def test_a_wrong_kick_on_either_side_fails_the_check(self, make, block):
+        # the forward march reads the controlled step's kick block, the backward
+        # sweep its own kick block: a 0.1% error in either shows far above rounding
+        data = CascadeState.from_vector(np.random.default_rng(37).standard_normal(64), SpectralSpace(16))
+        prob = make(16, data=data)
+        control = _random_control(prob, np.random.default_rng(31))
+        assert verify_transposition(prob, control, n_probes=5, seed=2)["max_residual"] < 1e-6
+        wrong = make(16, data=data)
+        if block == "step_controlled":
+            # the controlled step kicks y1 (slots of the adjoint's free component) from y2
+            first, second = _component_indices(16)
+            step = wrong.step_controlled.copy()
+            step[np.ix_(first, second)] *= 1.0 + 1e-3
+            wrong.__dict__["step_controlled"] = step
+        else:
+            wrong.__dict__["kick_back_t"] = wrong.kick_back_t * (1.0 + 1e-3)
+        assert verify_transposition(wrong, control, n_probes=5, seed=2)["max_residual"] > 1e-6
+
     def test_non_finite_control_gives_non_finite_max_residual(self):
         # max(0.0, nan) is 0.0, which would pass any residual bound
         prob = boundary_problem(8, data=CascadeState.zero(SpectralSpace(8)))
@@ -423,6 +452,54 @@ class TestTransposition:
         prob = interior_problem(8, source=lambda t: np.full(8, np.nan))
         with pytest.raises(ValidationError, match="non-finite"):
             prob.source_nodes
+
+
+def _energy_relative_errors(states, reference, space):
+    """Per-node relative error in the energy norm, where the free rotation is an isometry."""
+    om = space.frequencies
+    weights = np.concatenate([om, om, np.ones_like(om), np.ones_like(om)])
+    return np.linalg.norm((states - reference) * weights, axis=-1) / np.linalg.norm(reference * weights, axis=-1)
+
+
+class TestAdjointSweep:
+    @pytest.mark.parametrize("columns", [1, 5])
+    @pytest.mark.parametrize("n_modes", [8, 32, 80])
+    @pytest.mark.parametrize("case", ["interior", "interior_decoupled", "boundary"])
+    def test_matches_the_full_step_march(self, case, n_modes, columns):
+        zero = CascadeState.zero(SpectralSpace(n_modes))
+        if case == "boundary":
+            prob = boundary_problem(n_modes, data=zero)
+        else:
+            prob = interior_problem(n_modes, data=zero, coupling=case == "interior")
+        n, m = n_modes, prob.grid.n_steps
+        final = np.random.default_rng(41).standard_normal((columns, 4 * n))
+        reference = np.zeros((m + 1, 4 * n, columns))
+        reference[-1] = final.T
+        march(prob.step_back, reference[::-1])
+        reference = reference.transpose(0, 2, 1)  # (node, column, state)
+        if columns == 1:
+            states = _backward_states(final[0], prob)[:, None, :]
+        else:
+            free, driven = _component_indices(n)
+            swept, table = _sweep_from(final, prob)
+            states = np.empty_like(reference)
+            states[::-1, :, free] = table
+            states[::-1, :, driven] = swept
+        assert np.array_equal(states[-1], final)
+        # two recursions of j steps, each rounding once per step
+        steps_back = np.arange(m, -1, -1)[:, None]
+        errors = _energy_relative_errors(states, reference, prob.space)
+        assert np.all(errors <= 2 * (steps_back + 1) * np.finfo(float).eps)
+
+    def test_blocks_are_read_once_from_the_backward_step(self):
+        prob = interior_problem(8, data=CascadeState.zero(SpectralSpace(8)))  # leaves the module RNG alone
+        free, driven = _component_indices(8)
+        assert prob.driven_back_t is prob.driven_back_t and prob.kick_back_t is prob.kick_back_t
+        assert np.array_equal(prob.driven_back_t, prob.step_back[np.ix_(driven, driven)].T)
+        assert np.array_equal(prob.kick_back_t, prob.step_back[np.ix_(driven, free)].T)
+        assert np.all(prob.step_back[np.ix_(free, driven)] == 0.0)  # the free component is never kicked
+        for block in (prob.driven_back_t, prob.kick_back_t):
+            assert block.ctypes.data % 64 == 0 and block.flags.c_contiguous
 
 
 class TestProblemOperators:

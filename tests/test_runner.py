@@ -235,6 +235,25 @@ class TestRunKinds:
         assert main([f"{CONFIG_DIR}/criterion04_gramian_interior.ini", "-o", str(tmp_path / "g")]) == 0
         assert calls == {"cascade_step_matrix": 0, "weighted_gram": 1}
 
+    def test_hum_run_marches_only_its_two_forward_sweeps(self, tmp_path, monkeypatch):
+        # the adjoint sweeps (control extraction, transposition probes) march only the
+        # driven block in their own loop; the full step is marched forward alone
+        import sys
+
+        from wavecascade import dynamics, hum
+
+        callers = []
+        original = dynamics.march
+
+        def counted(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args, **kwargs)
+
+        for module in (dynamics, hum):
+            monkeypatch.setattr(module, "march", counted)
+        assert main([f"{CONFIG_DIR}/criterion08_hum_boundary.ini", "-o", str(tmp_path / "h")]) == 0
+        assert callers == ["controlled_forward", "controlled_forward"]
+
     def test_gramian_decoupled_expected_negative(self, tmp_path):
         result_code = main([f"{CONFIG_DIR}/criterion05_decoupled.ini", "-o", str(tmp_path / "g")])
         assert result_code == 0  # the config declares expect = fail
