@@ -28,6 +28,13 @@ only the driven block of the backward step is marched
 (``dynamics.march_driven``).  Forward solves march the full controlled step
 (``dynamics.march``), so the transposition check compares two different
 algorithms.
+
+The control Gramian and the M-step backward propagator P^-M come from one
+doubling on the blocks of the backward step (``observability._doubling``),
+kept by the problem.  The right-hand side reads the initial data's part from
+P^-M, so a source-free solve marches forward once, to re-simulate the
+controlled system; only a source is marched from rest for the right-hand
+side.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .dynamics import (
     TimeGrid,
     _aligned,
     _component_indices,
+    _read_only,
     _sample_forcing,
     cascade_step_matrix,
     duality_pairing,
@@ -55,7 +63,7 @@ from .dynamics import (
     reversed_step,
     state_weights,
 )
-from .observability import adjoint_sweep, weighted_gram
+from .observability import _doubling, adjoint_sweep
 
 __all__ = [
     "HUMProblem",
@@ -91,9 +99,10 @@ class HUMProblem:
     weight is the control profile.
 
     The problem owns the operators derived from it (the steppers, the
-    observation rows, the adjoint metric and the source samples); each is
-    built on first use and kept for the life of the problem, the steppers
-    in 64-byte-aligned buffers (``dynamics._aligned``).
+    observation rows, the adjoint metric, the source samples, the control
+    Gramian and P^-M); each is built on first use and kept for the life of
+    the problem, the steppers in 64-byte-aligned buffers
+    (``dynamics._aligned``).
     """
 
     case: str
@@ -154,6 +163,12 @@ class HUMProblem:
         # the dual of P keeps the pairing matrix J: Pc^T J P = J, so Pc = J^{-1} (P^{-1})^T J;
         # with P^{-1} = R P R (R negates velocities) that is P^T with the halves swapped
         return _aligned(np.roll(self.step.T, 2 * self.space.n_modes, axis=(0, 1)))
+
+    @cached_property
+    def gramian_and_power(self) -> tuple[np.ndarray, np.ndarray]:
+        """The control Gramian and P^-M, M = n_steps, read-only, from one doubling of ``step_back``."""
+        gram, power = _doubling(self.obs_rows.T @ self.obs_rows, self.step_back, self.grid)
+        return _read_only(gram), _read_only(power)
 
     @cached_property
     def obs_rows(self) -> np.ndarray:
@@ -325,8 +340,17 @@ def assemble_rhs(problem: HUMProblem) -> np.ndarray:
     space metric is ell divided by the diagonal weights.  By the
     transposition identity this is the pairing of the uncontrolled terminal
     state y(T) against W^T, so ell = -J y(T) with J the pairing matrix.
+
+    The data's part of y(T) is Pc^M y0, and the controlled stepper is
+    Pc = J^-1 (P^-1)^T J, so it is read as -(P^-M)^T J y0 from the problem's
+    P^-M (``HUMProblem.gramian_and_power``), with no march.  A source adds
+    its own terminal state, marched from rest.
     """
-    return -_pairing_matrix_apply(controlled_forward(problem, None)[-1], problem.space.n_modes)
+    n = problem.space.n_modes
+    ell = -(problem.gramian_and_power[1].T @ _pairing_matrix_apply(problem.initial_data.as_vector(), n))
+    if problem.source is not None:
+        ell -= _pairing_matrix_apply(march(problem.step_controlled, _injections(problem, None))[-1], n)
+    return ell
 
 
 def dense_hum_matrix(problem: HUMProblem) -> np.ndarray:
@@ -334,36 +358,46 @@ def dense_hum_matrix(problem: HUMProblem) -> np.ndarray:
 
     weighted_gram of the form rows^T rows of the adjoint observation rows
     under the backward propagator: node n_steps - j lies j backward steps
-    from the final data, and the Simpson weights are symmetric.
+    from the final data, and the Simpson weights are symmetric.  The problem
+    keeps it, read-only, with P^-M from the same doubling
+    (``HUMProblem.gramian_and_power``).
     """
-    return weighted_gram(problem.obs_rows.T @ problem.obs_rows, problem.step_back, problem.grid)
+    return problem.gramian_and_power[0]
 
 
 # ---------------------------------------------------------------------------
 # controlled evolution
 
 
-def controlled_forward(problem: HUMProblem, control: TimeSampledControl | None) -> np.ndarray:
-    """Direct forced solve of the controlled system over the grid.
+def _injections(problem: HUMProblem, control: TimeSampledControl | None) -> np.ndarray:
+    """Node injections of the control and source into the controlled system, (n_steps + 1, 4N).
 
-    The control and source enter as velocity injections at the nodes with
-    the quadrature weights (the node-quadrature discretization of their
-    forcing integrals), which makes the discrete transposition identity
-    against adjoint trajectories exact.  Returns node states (post
-    injection), shape (n_steps + 1, 4N).
+    Velocity injections with the quadrature weights: the node-quadrature
+    discretization of their forcing integrals.
     """
     n = problem.space.n_modes
     shape = (problem.grid.n_steps + 1, 4 * n)
     source = problem.source_nodes
     if control is None and source is None:
-        states = np.zeros(shape)  # free flow: nothing is injected
-    else:
-        # control through the transposed observation rows, source in the driven position block
-        forcing = np.zeros(shape) if control is None else control.values @ problem.obs_rows
-        if source is not None:
-            forcing[:, n : 2 * n] += source
-        states = _pairing_matrix_apply(forcing, n)
-        states *= problem.grid.node_weights[:, None]
+        return np.zeros(shape)  # free flow: nothing is injected
+    # control through the transposed observation rows, source in the driven position block
+    forcing = np.zeros(shape) if control is None else control.values @ problem.obs_rows
+    if source is not None:
+        forcing[:, n : 2 * n] += source
+    states = _pairing_matrix_apply(forcing, n)
+    states *= problem.grid.node_weights[:, None]
+    return states
+
+
+def controlled_forward(problem: HUMProblem, control: TimeSampledControl | None) -> np.ndarray:
+    """Direct forced solve of the controlled system over the grid.
+
+    The control and source enter as velocity injections at the nodes with
+    the quadrature weights (``_injections``), which makes the discrete
+    transposition identity against adjoint trajectories exact.  Returns
+    node states (post injection), shape (n_steps + 1, 4N).
+    """
+    states = _injections(problem, control)
     states[0] += problem.initial_data.as_vector()
     return march(problem.step_controlled, states)
 

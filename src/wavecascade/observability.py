@@ -96,6 +96,146 @@ def _dense_generator(space: SpectralSpace, coupling: CouplingOperator | None) ->
     return np.block([[z, z, eye, z], [z, z, z, eye], [-lam, z, z, z], [-cmat, -lam, z, z]])
 
 
+# A cascade step in (free, driven) order is [[R, 0], [K, D]]: R and D rotate
+# mode by mode, the kick K of the free state on the driven one is a dense
+# 2N x 2N block.  A per-mode block, with r_ab (a, b = 0 position, 1 velocity)
+# the N entries carrying slot b of each mode into slot a, is kept as three
+# 2N vectors: diag [r00, r11], up [r01, r10] and down [r10, r01], so that
+# R x and x R are elementwise scalings of x and of x with its two slots
+# swapped.  A symmetric form is kept as its three blocks (free-free,
+# free-driven, driven-driven).
+
+
+def _mode_vectors(blocks: np.ndarray) -> np.ndarray:
+    """(diag, up, down) of the per-mode 2 x 2 blocks given as an (N, 2, 2) array."""
+    r00, r01, r10, r11 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
+    return np.array([np.r_[r00, r11], np.r_[r01, r10], np.r_[r10, r01]])
+
+
+def _cascade_blocks(step: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, K, D) of a 4N x 4N cascade step; any entry outside that pattern is a ValidationError."""
+    n = step.shape[0] // 4
+    split = step.reshape(2, 2, n, 2, 2, n)  # (slot, component, mode) of the row, then of the column
+    modes = np.arange(n)
+    rest = split.copy()
+    rest[:, 1, :, :, 0, :] = 0.0
+    rest[:, 0, modes, :, 0, modes] = rest[:, 1, modes, :, 1, modes] = 0.0
+    if np.any(rest):
+        raise ValidationError(
+            "step has a nonzero entry outside the cascade pattern: in the free<-driven block "
+            "or between two modes of one component"
+        )
+    return (
+        _mode_vectors(split[:, 0, modes, :, 0, modes]),
+        split[:, 1, :, :, 0, :].reshape(2 * n, 2 * n),
+        _mode_vectors(split[:, 1, modes, :, 1, modes]),
+    )
+
+
+def _swap(x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """x with the halves of ``axis`` (the position and velocity slots) exchanged."""
+    n = x.shape[axis] // 2
+    return np.concatenate((x[n:], x[:n]) if axis == 0 else (x[:, n:], x[:, :n]), axis=axis)
+
+
+def _modes_left(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """R @ x for the per-mode block R and x of 2N rows."""
+    out = _swap(x)
+    out *= r[1][:, None]
+    out += r[0][:, None] * x
+    return out
+
+
+def _modes_right(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """x @ R for x of 2N columns and the per-mode block R."""
+    out = _swap(x, axis=1)
+    out *= r[2]
+    out += x * r[0]
+    return out
+
+
+def _modes_transpose(r: np.ndarray) -> np.ndarray:
+    """R^T: its up and down vectors exchange."""
+    return r[[0, 2, 1]]
+
+
+def _modes_product(r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """R @ Q for two per-mode blocks."""
+    out = np.empty_like(r)
+    out[0] = r[0] * q[0] + r[1] * q[2]
+    out[1] = r[0] * q[1] + r[1] * _swap(q[0])
+    out[2] = _swap(out[1])
+    return out
+
+
+def _compose(p: tuple, q: tuple) -> tuple:
+    """Blocks of the product p @ q of two cascade steps: no gemm.
+
+    The per-mode blocks are kept and multiplied in np.longdouble: squared
+    again and again, their rounding in double would double with each
+    squaring and dominate the error of the whole doubling.
+    """
+    (rp, kp, dp), (rq, kq, dq) = p, q
+    kick = _modes_right(kp, rq.astype(float)) + _modes_left(dp.astype(float), kq)
+    return _modes_product(rp, rq), kick, _modes_product(dp, dq)
+
+
+def _congruence(p: tuple, form: tuple) -> tuple:
+    """Blocks of p^T form p for a cascade step p and a symmetric form, in three 2N gemms.
+
+    With form [[F, X], [X^T, G]]: free-free R^T F R + R^T X K + (R^T X K)^T
+    + K^T G K, free-driven (R^T X + (G K)^T) D and driven-driven D^T G D.
+    """
+    r, k, d = (block.astype(float, copy=False) for block in p)
+    ff, fd, dd = form
+    r_t = _modes_transpose(r)
+    gk = dd @ k
+    cross = _modes_left(r_t, fd @ k)
+    return (
+        _modes_left(r_t, _modes_right(ff, r)) + cross + cross.T + k.T @ gk,
+        _modes_right(_modes_left(r_t, fd) + gk.T, d),
+        _modes_left(_modes_transpose(d), _modes_right(dd, d)),
+    )
+
+
+def _doubling(form: np.ndarray, step: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """weighted_gram(form, step, grid) and step^M, M = grid.n_steps, from one doubling.
+
+    The doubling of ``weighted_gram`` on the blocks of the cascade step: a
+    congruence p^T A p costs three 2N gemms and per-mode scalings, a power
+    product only per-mode scalings.  The form enters symmetrized, which
+    leaves the symmetrized sum unchanged.  Both results are dense 4N x 4N in
+    the state order.
+    """
+    n = step.shape[0] // 4
+    rotation, kick, driven = step = _cascade_blocks(step)
+    exact = (rotation.astype(np.longdouble), kick, driven.astype(np.longdouble))
+    split = (0.5 * (form + form.T)).reshape(2, 2, n, 2, 2, n)
+    form = tuple(split[:, a, :, :, b, :].reshape(2 * n, 2 * n) for a, b in ((0, 0), (0, 1), (1, 1)))
+    square = _compose(exact, exact)
+    acc, power = form, square  # U_1 and A^1
+    for bit in bin(grid.n_steps // 2)[3:]:
+        acc = tuple(map(np.add, acc, _congruence(power, acc)))
+        power = _compose(power, power)
+        if bit == "1":
+            acc = tuple(map(np.add, form, _congruence(square, acc)))
+            power = _compose(power, square)
+    h3 = grid.dt / 3.0
+    inner, ends = _congruence(step, acc), _congruence(power, form)
+    ff, fd, dd = (h3 * (4.0 * i + 2.0 * a - f + e) for i, a, f, e in zip(inner, acc, form, ends))
+    gram = np.empty((2, 2, n, 2, 2, n))
+    gram[:, 0, :, :, 0, :] = (0.5 * (ff + ff.T)).reshape(2, n, 2, n)
+    gram[:, 0, :, :, 1, :] = fd.reshape(2, n, 2, n)
+    gram[:, 1, :, :, 0, :] = fd.T.reshape(2, n, 2, n)
+    gram[:, 1, :, :, 1, :] = (0.5 * (dd + dd.T)).reshape(2, n, 2, n)
+    dense = np.zeros((2, 2, n, 2, 2, n))
+    modes = np.arange(n)
+    for c, (diag, up, _) in enumerate((power[0], power[2])):
+        dense[:, c, modes, :, c, modes] = np.array([[diag[:n], up[:n]], [up[n:], diag[n:]]]).transpose(2, 0, 1)
+    dense[:, 1, :, :, 0, :] = power[1].reshape(2, n, 2, n)
+    return gram.reshape(4 * n, 4 * n), dense.reshape(4 * n, 4 * n)
+
+
 def weighted_gram(form: np.ndarray, step: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Composite-Simpson sum over the grid's nodes of w_m (step^m)^T form step^m.
 
@@ -108,18 +248,12 @@ def weighted_gram(form: np.ndarray, step: np.ndarray, grid: TimeGrid) -> np.ndar
     (h/3) (4 step^T U step + 2 U - form + (step^M)^T form step^M).  U and
     step^M come from one binary doubling over the bits of M/2 in the square
     A = step^2 (the squared Smith iteration): U_2n = U_n + (A^n)^T U_n A^n
-    and U_n+1 = form + A^T U_n A, at O(d^3 log M) for the d x d state.
+    and U_n+1 = form + A^T U_n A.  The doubling runs on the blocks of the
+    cascade step (``_doubling``): two per-mode rotations and one dense 2N x
+    2N kick, at O(N^3 log M) in 2N gemms.  A step with a nonzero entry
+    outside that pattern is a ValidationError, not silently dropped.
     """
-    square = step @ step
-    acc, power = form, square  # U_1 and A^1
-    for bit in bin(grid.n_steps // 2)[3:]:
-        acc = acc + power.T @ acc @ power
-        power = power @ power
-        if bit == "1":
-            acc = form + square.T @ acc @ square
-            power = power @ square
-    gram = (grid.dt / 3.0) * (4.0 * step.T @ acc @ step + 2.0 * acc - form + power.T @ form @ power)
-    return 0.5 * (gram + gram.T)
+    return _doubling(form, step, grid)[0]
 
 
 def adjoint_sweep(weighted_obs: np.ndarray, rows: np.ndarray, step: np.ndarray) -> np.ndarray:

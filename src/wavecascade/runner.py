@@ -97,6 +97,21 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_field_csv(path: Path, header: list[str], times: np.ndarray, points: np.ndarray, values) -> None:
+    """Header and one row (t, x, value) per time and point, times outer, as ``write_csv`` writes them.
+
+    ``values`` yields one array per time, one value per point.  Each t and
+    x cell is formatted once, and each time's rows are one line template
+    filled with that time's values as Python floats.
+    """
+    tails = [f",{_fmt(x)},%.17g\n" for x in points]
+    lines = [",".join(header) + "\n"]
+    for t, row in zip(times.tolist(), values):
+        t_cell = _fmt(t)
+        lines.append((t_cell + t_cell.join(tails)) % tuple(row.tolist()))
+    path.write_text("".join(lines))
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -439,15 +454,9 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> RunResult:
     if problem.case == "interior":
         x_points = np.linspace(0.0, 1.0, x_samples)
         basis = space.basis_matrix(x_points)
-        # each t repeats once per x and each x once per t: format them once
-        x_cells = [_fmt(x) for x in x_points]
-        rows = []
-        for k, t in enumerate(grid.times):
-            t_cell = _fmt(t)
-            values = basis @ solution.control.values[k]
-            rows.extend([t_cell, x, v] for x, v in zip(x_cells, values))
         control_path = outdir / "control.csv"
-        write_csv(control_path, ["t", "x", "v"], rows)
+        fields = (basis @ node for node in solution.control.values)
+        write_field_csv(control_path, ["t", "x", "v"], grid.times, x_points, fields)
     else:
         # control columns are the active endpoints in left, right order
         sides = np.zeros((grid.n_steps + 1, 2))

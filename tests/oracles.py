@@ -5,11 +5,11 @@ and not in ``wavecascade``: component energies, pointwise observation, the
 free evolution of one component and the closed-form fine-grid positions of
 a trajectory's free component, the inverse of the first-order generator
 and the stepper of the pair with the roles swapped; the Gramian form along
-one simulated trajectory, its matrix-free application, the Gramian under
-the exponential propagator and the worst-case ratios by SciPy's
-generalized eigensolver; the ray tracing that cross-checks
-``gcc_min_time``; and Phi and its sensitivity derivatives straight from a
-controlled trajectory.
+one simulated trajectory, its matrix-free application, the Simpson sum by
+doubling of dense matrices, the Gramian under the exponential propagator
+and the worst-case ratios by SciPy's generalized eigensolver; the ray
+tracing that cross-checks ``gcc_min_time``; and Phi and its sensitivity
+derivatives straight from a controlled trajectory.
 """
 
 import numpy as np
@@ -167,6 +167,25 @@ def apply_gramian(
     contributions = (traj.states @ rows.T) * grid.node_weights[:, None]  # sigma_m g_m
     step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
     return adjoint_sweep(contributions, rows, step)
+
+
+def dense_weighted_gram(form: np.ndarray, step: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``weighted_gram`` and step^M by the squared Smith doubling of the dense matrices.
+
+    The same Simpson split and bit walk as the package's block doubling, on
+    whole d x d matrices and in the dtype of the inputs (np.longdouble gives
+    a reference whose own roundoff lies far below double's).
+    """
+    square = step @ step
+    acc, power = form, square  # U_1 and A^1
+    for bit in bin(grid.n_steps // 2)[3:]:
+        acc = acc + power.T @ acc @ power
+        power = power @ power
+        if bit == "1":
+            acc = form + square.T @ acc @ square
+            power = power @ square
+    gram = (grid.dt / 3.0) * (4.0 * step.T @ acc @ step + 2.0 * acc - form + power.T @ form @ power)
+    return 0.5 * (gram + gram.T), power
 
 
 def exponential_gramian(

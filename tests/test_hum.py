@@ -156,6 +156,18 @@ class TestAssembleRhs:
         tol = m * np.finfo(float).eps
         assert np.linalg.norm(assemble_rhs(prob) - expected) <= tol * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("n_modes", [8, 32])
+    @pytest.mark.parametrize("make", [interior_problem, boundary_problem])
+    def test_source_free_functional_is_minus_j_of_the_marched_terminal_state(self, make, n_modes):
+        # -(P^-M)^T J y0 from the Gramian's doubling against -J y(T) marched forward
+        prob = make(n_modes)
+        n = n_modes
+        y_final = controlled_forward(prob, None)[-1]
+        expected = -np.concatenate([-y_final[2 * n :], y_final[: 2 * n]])
+        # one march of m steps against one doubling: rounding grows with m
+        tol = prob.grid.n_steps * np.finfo(float).eps
+        assert np.linalg.norm(assemble_rhs(prob) - expected) <= tol * np.linalg.norm(expected)
+
     def test_second_component_data_reduces_to_scalar_form(self):
         # data only in the controlled component pairs only against its slots
         space = SpectralSpace(8)

@@ -15,10 +15,12 @@ from wavecascade.dynamics import (
     evolve_cascade,
     forced_flow,
     free_flow,
+    reversed_step,
 )
 from wavecascade.observability import (
     ObservabilityConstants,
     _dense_generator,
+    _doubling,
     admissibility_constant,
     empirical_horizon,
     empirical_ratios,
@@ -33,7 +35,14 @@ from wavecascade.observability import (
     weighted_gram,
 )
 
-from oracles import apply_gramian, exponential_gramian, generalized_ratios, gramian_form, ray_hit_time
+from oracles import (
+    apply_gramian,
+    dense_weighted_gram,
+    exponential_gramian,
+    generalized_ratios,
+    gramian_form,
+    ray_hit_time,
+)
 
 RNG = np.random.default_rng(20240813)
 
@@ -123,6 +132,53 @@ class TestGramianMatrix:
             u = RNG.standard_normal(4 * space.n_modes)
             mv = apply_gramian(u, coupling, obs, grid, space)
             assert np.max(np.abs(mv - gram @ u)) < 1e-8 * np.max(np.abs(gram @ u))
+
+
+def cascade_steps(space, coupling, dt):
+    """The three steps the doubling serves: the solver's, its exact inverse and the matrix exponential's."""
+    step = cascade_step_matrix(space, coupling.matrix, dt)
+    return {
+        "cascade_step_matrix": step,
+        "step_back": reversed_step(step, space.n_modes),
+        "expm": expm(dt * _dense_generator(space, coupling)),
+    }
+
+
+class TestBlockDoubling:
+    # M = 2 never enters the doubling loop
+    @pytest.mark.parametrize("n_modes", [8, 16, 32])
+    @pytest.mark.parametrize("n_steps", [2, 806, 5866])
+    def test_matches_the_dense_doubling(self, n_modes, n_steps):
+        # the reference doubles the dense matrices in long double: in double its
+        # own roundoff reaches 1e-13 of the Gramian at M = 5866
+        space = SpectralSpace(n_modes)
+        coupling = CouplingOperator(COUPLING_FN, space)
+        grid = TimeGrid(4.0, n_steps, allow_coarse=True)
+        rows = np.random.default_rng(n_modes + n_steps).standard_normal((3, 4 * n_modes))
+        form = rows.T @ rows  # every block of the form is nonzero
+        for name, step in cascade_steps(space, coupling, grid.dt).items():
+            gram, power = _doubling(form, step, grid)
+            ref_gram, ref_power = dense_weighted_gram(form.astype(np.longdouble), step.astype(np.longdouble), grid)
+            assert np.array_equal(gram, gram.T), name
+            assert np.max(np.abs(gram - ref_gram)) <= 1e-13 * np.max(np.abs(ref_gram)), name
+            assert np.max(np.abs(power - ref_power)) <= 1e-13 * np.max(np.abs(ref_power)), name
+            exact = np.linalg.matrix_power(step.astype(np.longdouble), n_steps)
+            assert np.max(np.abs(power - exact)) <= 1e-13 * np.max(np.abs(exact)), name
+            assert np.array_equal(weighted_gram(form, step, grid), gram), name
+
+    def test_refuses_a_step_it_cannot_represent(self):
+        space, coupling, grid = standard_setup(8)
+        n = space.n_modes
+        form = np.eye(4 * n)
+        with pytest.raises(ValidationError):
+            weighted_gram(form, RNG.standard_normal((4 * n, 4 * n)), grid)
+        step = cascade_step_matrix(space, coupling.matrix, grid.dt)
+        for row, col in ((2 * n + 1, 3 * n + 2), (1, 2), (3 * n, 3 * n + 1)):
+            # free <- driven, then between two modes of the free and of the driven component
+            bad = step.copy()
+            bad[row, col] = 1e-300
+            with pytest.raises(ValidationError):
+                weighted_gram(form, bad, grid)
 
 
 class TestMinEigenvalue:

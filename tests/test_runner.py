@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavecascade.runner import ConfigError, main, parse_config, run, write_csv
+from wavecascade.runner import ConfigError, main, parse_config, run, write_csv, write_field_csv
 
 CONFIG_DIR = "configs"
 
@@ -235,9 +235,8 @@ class TestRunKinds:
         assert main([f"{CONFIG_DIR}/criterion04_gramian_interior.ini", "-o", str(tmp_path / "g")]) == 0
         assert calls == {"cascade_step_matrix": 0, "weighted_gram": 1}
 
-    def test_hum_run_marches_only_its_two_forward_sweeps(self, tmp_path, monkeypatch):
-        # the adjoint sweeps (control extraction, transposition probes) march only the
-        # driven block in their own loop; the full step is marched forward alone
+    @staticmethod
+    def _march_callers(monkeypatch, args):
         import sys
 
         from wavecascade import dynamics, hum
@@ -251,8 +250,26 @@ class TestRunKinds:
 
         for module in (dynamics, hum):
             monkeypatch.setattr(module, "march", counted)
-        assert main([f"{CONFIG_DIR}/criterion08_hum_boundary.ini", "-o", str(tmp_path / "h")]) == 0
-        assert callers == ["controlled_forward", "controlled_forward"]
+        assert main(args) == 0
+        return callers
+
+    def test_hum_run_marches_only_its_forward_sweep(self, tmp_path, monkeypatch):
+        # the adjoint sweeps (control extraction, transposition probes) march only the
+        # driven block in their own loop, and the source-free right-hand side reads
+        # P^-M from the Gramian's doubling: the full step is marched forward once
+        args = [f"{CONFIG_DIR}/criterion08_hum_boundary.ini", "-o", str(tmp_path / "h")]
+        assert self._march_callers(monkeypatch, args) == ["controlled_forward"]
+
+    def test_sourced_hum_run_marches_its_source_from_rest(self, tmp_path, monkeypatch):
+        # a source's terminal state is marched from rest for the right-hand side
+        args = [
+            f"{CONFIG_DIR}/criterion08_hum_boundary.ini",
+            "-o",
+            str(tmp_path / "h"),
+            "--set",
+            "source.kind=separable",
+        ]
+        assert self._march_callers(monkeypatch, args) == ["assemble_rhs", "controlled_forward"]
 
     def test_gramian_decoupled_expected_negative(self, tmp_path):
         result_code = main([f"{CONFIG_DIR}/criterion05_decoupled.ini", "-o", str(tmp_path / "g")])
@@ -479,6 +496,31 @@ class TestCsv:
     def test_empty_rows_write_the_header(self, tmp_path):
         write_csv(tmp_path / "t.csv", ["a", "b"], [])
         assert (tmp_path / "t.csv").read_text() == self.reference(["a", "b"], []) == "a,b\n"
+
+    def test_field_writer_matches_write_csv_on_an_interior_control(self, tmp_path):
+        # the interior control.csv: one row (t, x, v) per node and sample point, its
+        # t and x cells formatted once by _fmt as the writer had them before
+        from wavecascade.dynamics import CascadeState, CouplingOperator, Observer, TimeGrid
+        from wavecascade.hum import HUMProblem, solve_hum
+        from wavecascade.runner import _fmt
+        from wavecascade.spectral import CoefficientFunction, PlateauBump, SpectralSpace
+
+        space = SpectralSpace(8)
+        bump = lambda a, b: CoefficientFunction((PlateauBump(a, b, 0.05, 1.0),), core_region=(a, b))
+        problem = HUMProblem(
+            "interior",
+            CascadeState.from_vector(np.random.default_rng(3).standard_normal(32), space),
+            CouplingOperator(bump(0.2, 0.3), space),
+            Observer("interior", weight=bump(0.6, 0.7)),
+            TimeGrid.for_space(space, 4.0, 0.4),
+        )
+        times = problem.grid.times
+        points = np.linspace(0.0, 1.0, 33)
+        fields = [space.basis_matrix(points) @ node for node in solve_hum(problem).control.values]
+        rows = [[_fmt(t), _fmt(x), v] for t, field in zip(times, fields) for x, v in zip(points, field)]
+        write_csv(tmp_path / "rows.csv", ["t", "x", "v"], rows)
+        write_field_csv(tmp_path / "field.csv", ["t", "x", "v"], times, points, fields)
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestAuditLedger:
