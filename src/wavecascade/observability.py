@@ -33,6 +33,7 @@ from .dynamics import (
     CouplingOperator,
     Observer,
     TimeGrid,
+    _component_indices,
     cascade_step_matrix,
     forced_flow,
     free_flow,
@@ -98,74 +99,45 @@ def _dense_generator(space: SpectralSpace, coupling: CouplingOperator | None) ->
 
 # A cascade step in (free, driven) order is [[R, 0], [K, D]]: R and D rotate
 # mode by mode, the kick K of the free state on the driven one is a dense
-# 2N x 2N block.  A per-mode block, with r_ab (a, b = 0 position, 1 velocity)
-# the N entries carrying slot b of each mode into slot a, is kept as three
-# 2N vectors: diag [r00, r11], up [r01, r10] and down [r10, r01], so that
-# R x and x R are elementwise scalings of x and of x with its two slots
-# swapped.  A symmetric form is kept as its three blocks (free-free,
-# free-driven, driven-driven).
+# 2N x 2N block.  Within each component the 2N slots run in mode order, with
+# (position, velocity) within a mode, so R and D are (N, 2, 2) stacks of
+# per-mode blocks and every product with them is a batched matmul.  A
+# symmetric form, with any leading axes, is kept as its three blocks
+# (free-free, free-driven, driven-driven).
 
 
-def _mode_vectors(blocks: np.ndarray) -> np.ndarray:
-    """(diag, up, down) of the per-mode 2 x 2 blocks given as an (N, 2, 2) array."""
-    r00, r01, r10, r11 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
-    return np.array([np.r_[r00, r11], np.r_[r01, r10], np.r_[r10, r01]])
+def _mode_order(n_modes: int) -> np.ndarray:
+    """The free, then the driven component's slots of a 4N state, each in mode order."""
+    return np.concatenate([index.reshape(2, n_modes).T.ravel() for index in _component_indices(n_modes)])
 
 
 def _cascade_blocks(step: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R, K, D) of a 4N x 4N cascade step; any entry outside that pattern is a ValidationError."""
     n = step.shape[0] // 4
-    split = step.reshape(2, 2, n, 2, 2, n)  # (slot, component, mode) of the row, then of the column
+    order = _mode_order(n)
+    # (component, mode, slot) of the row, then of the column
+    split = step[np.ix_(order, order)].reshape(2, n, 2, 2, n, 2)
     modes = np.arange(n)
-    rest = split.copy()
-    rest[:, 1, :, :, 0, :] = 0.0
-    rest[:, 0, modes, :, 0, modes] = rest[:, 1, modes, :, 1, modes] = 0.0
-    if np.any(rest):
+    kick = split[1, :, :, 0].reshape(2 * n, 2 * n).copy()
+    blocks = split[0, modes, :, 0, modes], kick, split[1, modes, :, 1, modes]
+    split[1, :, :, 0] = 0.0
+    split[0, modes, :, 0, modes] = split[1, modes, :, 1, modes] = 0.0
+    if np.any(split):
         raise ValidationError(
             "step has a nonzero entry outside the cascade pattern: in the free<-driven block "
             "or between two modes of one component"
         )
-    return (
-        _mode_vectors(split[:, 0, modes, :, 0, modes]),
-        split[:, 1, :, :, 0, :].reshape(2 * n, 2 * n),
-        _mode_vectors(split[:, 1, modes, :, 1, modes]),
-    )
+    return blocks
 
 
-def _swap(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """x with the halves of ``axis`` (the position and velocity slots) exchanged."""
-    n = x.shape[axis] // 2
-    return np.concatenate((x[n:], x[:n]) if axis == 0 else (x[:, n:], x[:, :n]), axis=axis)
+def _left(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """R @ x for an (N, 2, 2) stack R and x of 2N rows in mode order, with any leading axes."""
+    return (r @ x.reshape(*x.shape[:-2], -1, 2, x.shape[-1])).reshape(x.shape)
 
 
-def _modes_left(r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """R @ x for the per-mode block R and x of 2N rows."""
-    out = _swap(x)
-    out *= r[1][:, None]
-    out += r[0][:, None] * x
-    return out
-
-
-def _modes_right(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """x @ R for x of 2N columns and the per-mode block R."""
-    out = _swap(x, axis=1)
-    out *= r[2]
-    out += x * r[0]
-    return out
-
-
-def _modes_transpose(r: np.ndarray) -> np.ndarray:
-    """R^T: its up and down vectors exchange."""
-    return r[[0, 2, 1]]
-
-
-def _modes_product(r: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """R @ Q for two per-mode blocks."""
-    out = np.empty_like(r)
-    out[0] = r[0] * q[0] + r[1] * q[2]
-    out[1] = r[0] * q[1] + r[1] * _swap(q[0])
-    out[2] = _swap(out[1])
-    return out
+def _right(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """x @ R, the transpose of R^T x^T."""
+    return _left(r.mT, x.mT).mT
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -176,8 +148,8 @@ def _compose(p: tuple, q: tuple) -> tuple:
     squaring and dominate the error of the whole doubling.
     """
     (rp, kp, dp), (rq, kq, dq) = p, q
-    kick = _modes_right(kp, rq.astype(float)) + _modes_left(dp.astype(float), kq)
-    return _modes_product(rp, rq), kick, _modes_product(dp, dq)
+    kick = _right(kp, rq.astype(float)) + _left(dp.astype(float), kq)
+    return rp @ rq, kick, dp @ dq
 
 
 def _congruence(p: tuple, form: tuple) -> tuple:
@@ -188,13 +160,13 @@ def _congruence(p: tuple, form: tuple) -> tuple:
     """
     r, k, d = (block.astype(float, copy=False) for block in p)
     ff, fd, dd = form
-    r_t = _modes_transpose(r)
+    r_t = r.mT
     gk = dd @ k
-    cross = _modes_left(r_t, fd @ k)
+    cross = _left(r_t, fd @ k)
     return (
-        _modes_left(r_t, _modes_right(ff, r)) + cross + cross.T + k.T @ gk,
-        _modes_right(_modes_left(r_t, fd) + gk.T, d),
-        _modes_left(_modes_transpose(d), _modes_right(dd, d)),
+        _left(r_t, _right(ff, r)) + cross + cross.mT + k.T @ gk,
+        _right(_left(r_t, fd) + gk.mT, d),
+        _left(d.mT, _right(dd, d)),
     )
 
 
@@ -202,16 +174,19 @@ def _doubling(form: np.ndarray, step: np.ndarray, grid: TimeGrid) -> tuple[np.nd
     """weighted_gram(form, step, grid) and step^M, M = grid.n_steps, from one doubling.
 
     The doubling of ``weighted_gram`` on the blocks of the cascade step: a
-    congruence p^T A p costs three 2N gemms and per-mode scalings, a power
-    product only per-mode scalings.  The form enters symmetrized, which
-    leaves the symmetrized sum unchanged.  Both results are dense 4N x 4N in
-    the state order.
+    congruence p^T A p costs three 2N gemms and batched per-mode 2 x 2
+    matmuls, a power product only the batched matmuls.  The form enters
+    symmetrized, which leaves the symmetrized sum unchanged.  A stack of
+    forms, shape (..., 4N, 4N), is summed in the same loop, each form as in
+    its own call, and gives a stack of Gramians; the power is one 4N x 4N
+    matrix.  Both results are dense in the state order.
     """
     n = step.shape[0] // 4
+    order = _mode_order(n)
     rotation, kick, driven = step = _cascade_blocks(step)
     exact = (rotation.astype(np.longdouble), kick, driven.astype(np.longdouble))
-    split = (0.5 * (form + form.T)).reshape(2, 2, n, 2, 2, n)
-    form = tuple(split[:, a, :, :, b, :].reshape(2 * n, 2 * n) for a, b in ((0, 0), (0, 1), (1, 1)))
+    form = (0.5 * (form + form.mT))[..., order[:, None], order]
+    form = (form[..., : 2 * n, : 2 * n], form[..., : 2 * n, 2 * n :], form[..., 2 * n :, 2 * n :])
     square = _compose(exact, exact)
     acc, power = form, square  # U_1 and A^1
     for bit in bin(grid.n_steps // 2)[3:]:
@@ -223,17 +198,15 @@ def _doubling(form: np.ndarray, step: np.ndarray, grid: TimeGrid) -> tuple[np.nd
     h3 = grid.dt / 3.0
     inner, ends = _congruence(step, acc), _congruence(power, form)
     ff, fd, dd = (h3 * (4.0 * i + 2.0 * a - f + e) for i, a, f, e in zip(inner, acc, form, ends))
-    gram = np.empty((2, 2, n, 2, 2, n))
-    gram[:, 0, :, :, 0, :] = (0.5 * (ff + ff.T)).reshape(2, n, 2, n)
-    gram[:, 0, :, :, 1, :] = fd.reshape(2, n, 2, n)
-    gram[:, 1, :, :, 0, :] = fd.T.reshape(2, n, 2, n)
-    gram[:, 1, :, :, 1, :] = (0.5 * (dd + dd.T)).reshape(2, n, 2, n)
-    dense = np.zeros((2, 2, n, 2, 2, n))
+    gram = np.block([[0.5 * (ff + ff.mT), fd], [fd.mT, 0.5 * (dd + dd.mT)]])
+    rotation, kick, driven = power
+    dense = np.zeros((2, n, 2, 2, n, 2))
     modes = np.arange(n)
-    for c, (diag, up, _) in enumerate((power[0], power[2])):
-        dense[:, c, modes, :, c, modes] = np.array([[diag[:n], up[:n]], [up[n:], diag[n:]]]).transpose(2, 0, 1)
-    dense[:, 1, :, :, 0, :] = power[1].reshape(2, n, 2, n)
-    return gram.reshape(4 * n, 4 * n), dense.reshape(4 * n, 4 * n)
+    dense[0, modes, :, 0, modes] = rotation
+    dense[1, :, :, 0] = kick.reshape(n, 2, n, 2)
+    dense[1, modes, :, 1, modes] = driven
+    back = np.argsort(order)  # from mode order back to the state order
+    return gram[..., back[:, None], back], dense.reshape(4 * n, 4 * n)[back[:, None], back]
 
 
 def weighted_gram(form: np.ndarray, step: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -249,9 +222,11 @@ def weighted_gram(form: np.ndarray, step: np.ndarray, grid: TimeGrid) -> np.ndar
     step^M come from one binary doubling over the bits of M/2 in the square
     A = step^2 (the squared Smith iteration): U_2n = U_n + (A^n)^T U_n A^n
     and U_n+1 = form + A^T U_n A.  The doubling runs on the blocks of the
-    cascade step (``_doubling``): two per-mode rotations and one dense 2N x
-    2N kick, at O(N^3 log M) in 2N gemms.  A step with a nonzero entry
-    outside that pattern is a ValidationError, not silently dropped.
+    cascade step (``_doubling``): two per-mode rotations, as (N, 2, 2) stacks
+    in batched matmuls, and one dense 2N x 2N kick, at O(N^3 log M) in 2N
+    gemms.  A stack of forms, shape (..., 4N, 4N), gives the stack of their
+    sums from one doubling.  A step with a nonzero entry outside that
+    pattern is a ValidationError, not silently dropped.
     """
     return _doubling(form, step, grid)[0]
 
@@ -768,16 +743,15 @@ def _audit_forms(
 ) -> dict[str, np.ndarray]:
     """Every functional of the audited chain as a 4N x 4N form of the initial data.
 
-    The stepper's forms (observation, driven energies, endpoint pairing and
-    node-weighted coupling work) propagate with the one-step matrix and its
-    M-th power, built once for all of them; the coupling, coupling-squared
-    and projection moments use the closed-form free flow of the first
-    component.
+    The stepper's forms propagate with the one-step matrix: the node-weighted
+    observation, driven energy and coupling work are one stack of forms in
+    one ``_doubling``, whose M-th power of the step also carries the
+    endpoint energy and pairing.  The coupling, coupling-squared and
+    projection moments use the closed-form free flow of the first component.
     """
     grid.validate_for(space)
     n = space.n_modes
     step = cascade_step_matrix(space, coupling.matrix, grid.dt)
-    power = np.linalg.matrix_power(step, grid.n_steps)  # initial data to final state
     rows = observation_block_rows(observer, space)
     weak_first, natural_second = _energy_metrics(space)
     position_gram = _free_flow_gram(space, grid.fine_times, grid.fine_weights)
@@ -790,17 +764,21 @@ def _audit_forms(
     work = np.zeros((4 * n, 4 * n))
     work[3 * n :, :n] = 0.5 * coupling.matrix
     work[:n, 3 * n :] = 0.5 * coupling.matrix.T
+    # the solver Gramian, the integrated driven energy, the integrated work, and
+    # the power that carries initial data to the final state
+    forms = np.array([rows.T @ rows, np.diag(natural_second), work])
+    (obs_int, e1_u2_int, balance_int), power = _doubling(forms, step, grid)
     return {
-        "obs_int": weighted_gram(rows.T @ rows, step, grid),  # the solver Gramian
+        "obs_int": obs_int,
         "e1_u2_0": np.diag(natural_second),
         "e1_u2_T": power.T @ (natural_second[:, None] * power),
-        "e1_u2_int": weighted_gram(np.diag(natural_second), step, grid),
+        "e1_u2_int": e1_u2_int,
         "e0_u1_0": np.diag(weak_first),
         "coupling_int": _free_moment_form(coupling.matrix, position_gram),
         "coupling_sq_int": _free_moment_form(coupling.matrix.T @ coupling.matrix, position_gram),
         "proj_int": _free_moment_form(coupling.projection_matrix, position_gram),
         "boundary_term": power.T @ pairing @ power - pairing,
-        "balance_int": weighted_gram(work, step, grid),
+        "balance_int": balance_int,
     }
 
 

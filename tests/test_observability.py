@@ -19,8 +19,10 @@ from wavecascade.dynamics import (
 )
 from wavecascade.observability import (
     ObservabilityConstants,
+    _audit_forms,
     _dense_generator,
     _doubling,
+    _energy_metrics,
     admissibility_constant,
     empirical_horizon,
     empirical_ratios,
@@ -165,6 +167,41 @@ class TestBlockDoubling:
             exact = np.linalg.matrix_power(step.astype(np.longdouble), n_steps)
             assert np.max(np.abs(power - exact)) <= 1e-13 * np.max(np.abs(exact)), name
             assert np.array_equal(weighted_gram(form, step, grid), gram), name
+
+    def test_a_stack_of_forms_sums_each_form_as_its_own_call(self):
+        space, coupling, grid = standard_setup(8)
+        rows = np.random.default_rng(3).standard_normal((3, 3, 4 * space.n_modes))
+        forms = rows.mT @ rows
+        for name, step in cascade_steps(space, coupling, grid.dt).items():
+            grams, power = _doubling(forms, step, grid)
+            assert grams.shape == forms.shape, name
+            for form, gram in zip(forms, grams):
+                single_gram, single_power = _doubling(form, step, grid)
+                assert np.array_equal(gram, single_gram), name
+                assert np.array_equal(power, single_power), name
+
+    def test_audit_endpoint_forms_match_the_long_double_power(self):
+        # criterion 6's grid (N = 16, M = 5866): the endpoint forms read step^M
+        # from the doubling, against a long-double matrix power
+        space = SpectralSpace(16)
+        n = space.n_modes
+        coupling = CouplingOperator(COUPLING_FN, space)
+        observer = interior_observer()
+        grid = TimeGrid.for_space(space, 1.25 * empirical_horizon(coupling, observer), 0.015)
+        assert grid.n_steps == 5866
+        forms = _audit_forms(coupling, observer, grid, space)
+        step = cascade_step_matrix(space, coupling.matrix, grid.dt).astype(np.longdouble)
+        power = np.linalg.matrix_power(step, grid.n_steps)
+        natural_second = _energy_metrics(space)[1]
+        pairing = np.zeros((4 * n, 4 * n))  # v1.u2 - v2.u1
+        pairing[2 * n : 3 * n, n : 2 * n] = pairing[n : 2 * n, 2 * n : 3 * n] = 0.5 * np.eye(n)
+        pairing[3 * n :, :n] = pairing[:n, 3 * n :] = -0.5 * np.eye(n)
+        references = {
+            "e1_u2_T": power.T @ (natural_second[:, None] * power),
+            "boundary_term": power.T @ pairing @ power - pairing,
+        }
+        for name, ref in references.items():
+            assert np.max(np.abs(forms[name] - ref)) <= 1e-14 * np.max(np.abs(ref)), name
 
     def test_refuses_a_step_it_cannot_represent(self):
         space, coupling, grid = standard_setup(8)

@@ -235,6 +235,25 @@ class TestRunKinds:
         assert main([f"{CONFIG_DIR}/criterion04_gramian_interior.ini", "-o", str(tmp_path / "g")]) == 0
         assert calls == {"cascade_step_matrix": 0, "weighted_gram": 1}
 
+    def test_audit_run_doubles_twice(self, tmp_path, monkeypatch):
+        # the audit's stepper forms and its step^M come from one doubling; the
+        # admissibility constant's solver Gramian is the other
+        import traceback
+
+        from wavecascade import observability
+
+        callers = []
+        original = observability._doubling
+
+        def counted(*args, **kwargs):
+            names = [frame.name for frame in traceback.extract_stack()]
+            callers.append(next(name for name in names if name in ("_audit_forms", "admissibility_constant")))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(observability, "_doubling", counted)
+        assert main([f"{CONFIG_DIR}/criterion06_audit.ini", "-o", str(tmp_path / "a")]) == 0
+        assert sorted(callers) == ["_audit_forms", "admissibility_constant"]
+
     @staticmethod
     def _march_callers(monkeypatch, args):
         import sys
