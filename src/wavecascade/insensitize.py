@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
@@ -63,6 +62,9 @@ __all__ = [
     "insensitize",
     "verify_converse",
 ]
+
+FD_STEPS = (1e-3, 1e-4)  # the two central-difference steps that are Richardson-extrapolated
+CONVERSE_TOL = 1e-6  # relative bound of both converse characterizations
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,20 +93,13 @@ class InsensitizeProblem:
     max_iterations: int = 2000
     observability_floor: float = 1e-8
     perturbation_count: int = 10
-    fd_steps: tuple[float, float] = (1e-3, 1e-4)
     seed: int = 0
 
     def __post_init__(self):
         if self.known_position.space is not self.known_velocity.space:
             raise ValidationError("known data must share one spectral space")
-        steps = self.fd_steps
-        if not (
-            isinstance(steps, tuple)
-            and len(steps) == 2
-            and all(isinstance(h, Real) and 0 < h < np.inf for h in steps)
-            and steps[0] != steps[1]
-        ):
-            raise ValidationError("fd_steps must be a tuple of two distinct, finite, positive steps")
+        if self.perturbation_count < 1:  # an empty pool would certify vacuously
+            raise ValidationError(f"perturbation_count must be at least 1, got {self.perturbation_count}")
 
     @property
     def space(self) -> SpectralSpace:
@@ -187,6 +182,8 @@ class InsensitizeCertificate:
     resolved.  ``response_stepper_gap`` is the relative gap between the
     marched and the closed-form fine positions of the robustness
     perturbation's response; without a measurement it reads inf.
+    ``converse`` is ``verify_converse``'s report on the constructed control,
+    read off the HUM trajectory.
     """
 
     phi_baseline: float
@@ -196,6 +193,7 @@ class InsensitizeCertificate:
     robustness_exponent: float
     cg_iterations: int
     final_residual: float
+    converse: ConverseReport
     fd_resolution: float = 0.0
     fd_reference: tuple[float, float] = (0.0, 0.0)
     response_stepper_gap: float = float("inf")
@@ -369,7 +367,7 @@ def _fd_derivative(problem: InsensitizeProblem, base: np.ndarray, response: np.n
     ``_free_response``, or marched); being linear in the node states, they
     are differenced directly.
     """
-    h1, h2 = problem.fd_steps
+    h1, h2 = FD_STEPS
 
     def central(h):
         step = h * response
@@ -392,8 +390,9 @@ def insensitize(problem: InsensitizeProblem):
     terminal norms of both cascade components, the analytic and finite
     difference sensitivity derivatives over the perturbation pool, the
     quadratic-robustness exponent of Phi, the finite-difference oracle at
-    the zero control along the robustness perturbation, and the gap between
-    that perturbation's marched response and its closed form.
+    the zero control along the robustness perturbation, the gap between
+    that perturbation's marched response and its closed form, and the
+    converse report of the constructed control.
     """
     checks = []
     if problem.observation_region is not None:
@@ -446,7 +445,8 @@ def insensitize(problem: InsensitizeProblem):
         robustness_exponent=exponent,
         cg_iterations=solution.cg_iterations,
         final_residual=solution.final_residual,
-        fd_resolution=1e3 * np.finfo(float).eps * phi0 / min(problem.fd_steps),
+        converse=_converse(problem, solution.trajectory, phi0, (per_position, per_velocity), solution.initial_norm),
+        fd_resolution=1e3 * np.finfo(float).eps * phi0 / min(FD_STEPS),
         fd_reference=fd_reference,
         response_stepper_gap=stepper_gap,
     )
@@ -463,12 +463,20 @@ def _first_component_norms(states: np.ndarray, space: SpectralSpace, case: str) 
     return np.sqrt(position + velocity)
 
 
-def verify_converse(
-    problem: InsensitizeProblem,
-    control: TimeSampledControl | None,
-    derivative_tol: float = 1e-6,
-    terminal_tol: float = 1e-6,
-) -> ConverseReport:
+def _converse(problem: InsensitizeProblem, states: np.ndarray, phi0: float, derivatives, data_scale: float):
+    """``ConverseReport`` of the controlled ``states`` from their Phi, modal derivatives and data norm."""
+    lam = problem.space.eigenvalues
+    k_pos, k_vel = problem.perturbation_spaces()
+    per_position, per_velocity = derivatives
+    # the spanning set: every mode in each slot, unit-normalized in the slot's space
+    spanning = np.concatenate([per_position / np.sqrt(lam**k_pos), per_velocity / np.sqrt(lam**k_vel)])
+    worst_rel = float(np.max(np.abs(spanning))) / max(phi0, 1e-300)
+    norms = _first_component_norms(states, problem.space, problem.hum.case)
+    terminal_rel = float(norms[-1]) / max(float(norms.max()), data_scale, 1e-300)
+    return ConverseReport(worst_rel <= CONVERSE_TOL, terminal_rel <= CONVERSE_TOL, worst_rel, terminal_rel)
+
+
+def verify_converse(problem: InsensitizeProblem, control: TimeSampledControl | None) -> ConverseReport:
     """Check the equivalence between vanishing sensitivities and cascade nulling.
 
     Evaluates the sensitivity derivatives over the spanning set of modal
@@ -476,29 +484,11 @@ def verify_converse(
     trajectory driven by the candidate control, and reports whether the two
     characterizations agree: all derivatives vanish relative to the scale of
     Phi exactly when the terminal data of the coupled component vanish
-    relative to the trajectory scale.
+    relative to the trajectory scale, both within ``CONVERSE_TOL``.
+    ``insensitize`` reads the same report off its own trajectory.
     """
     hum = problem.hum
     states = controlled_forward(hum, control)
-    space = problem.space
-    lam = space.eigenvalues
-    fine = fine_second_positions(states, space, problem.grid)
-    phi0 = _fine_phi(problem, fine)
-    scale = max(phi0, 1e-300)
-    k_pos, k_vel = problem.perturbation_spaces()
-
-    # the spanning set: every mode in each slot, unit-normalized in the slot's space
-    per_position, per_velocity = _modal_derivatives(problem, fine)
-    spanning = np.concatenate([per_position / np.sqrt(lam**k_pos), per_velocity / np.sqrt(lam**k_vel)])
-    worst_rel = float(np.max(np.abs(spanning))) / scale
-
-    norms = _first_component_norms(states, space, hum.case)
-    data_scale = control_space_norms(hum.initial_data.as_vector(), space, hum.case)["total"]
-    terminal_rel = float(norms[-1]) / max(float(norms.max()), data_scale, 1e-300)
-
-    return ConverseReport(
-        derivatives_vanish=worst_rel <= derivative_tol,
-        terminal_nulls=terminal_rel <= terminal_tol,
-        max_derivative_relative=worst_rel,
-        terminal_relative=terminal_rel,
-    )
+    fine = fine_second_positions(states, problem.space, problem.grid)
+    data_scale = control_space_norms(hum.initial_data.as_vector(), problem.space, hum.case)["total"]
+    return _converse(problem, states, _fine_phi(problem, fine), _modal_derivatives(problem, fine), data_scale)

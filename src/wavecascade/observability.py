@@ -615,8 +615,12 @@ def admissibility_constant(
     energy in the observation metric: the top eigenvalue of the
     metric-scaled Gramian.
     """
+    return _top_scaled_eigenvalue(gramian_matrix(coupling, observer, grid, space), space)
+
+
+def _top_scaled_eigenvalue(gram: np.ndarray, space: SpectralSpace) -> float:
+    """Top eigenvalue of the Gramian ``gram`` scaled by the observation metric on both sides."""
     metric = norm_weights(space)
-    gram = gramian_matrix(coupling, observer, grid, space)
     return float(np.linalg.eigvalsh(gram / np.sqrt(np.outer(metric, metric)))[-1])
 
 
@@ -789,7 +793,7 @@ def inequality_chain_audit(
     observer: Observer,
     constants: ObservabilityConstants,
     grid: TimeGrid,
-    admissibility_bound: float | None = None,
+    admissibility_inflation: float | None = None,
 ) -> list[list[AuditRow]]:
     """Evaluate both sides of every inequality in the two-level chain.
 
@@ -802,8 +806,10 @@ def inequality_chain_audit(
     pairing, the stepper's endpoint energies against its node-weighted
     coupling work).  Inequalities carry must_hold flags derived from the
     horizon thresholds in ``constants``; rows beyond their threshold are
-    reported with margins only.  Constants so large that a side leaves the
-    float range are a ValidationError naming the row.
+    reported with margins only.  ``admissibility_inflation`` times the
+    sharp constant of the chain's own solver Gramian (``admissibility_constant``)
+    bounds the direct inequality's row.  Constants so large that a side
+    leaves the float range are a ValidationError naming the row.
     """
     x = np.array([s.as_vector() for s in states])
     forms = _audit_forms(coupling, observer, grid, states[0].space)
@@ -866,10 +872,9 @@ def inequality_chain_audit(
             ("weak_state_recovery", e0_u1_0, constants.d1(T) * obs_int, beyond_t3, scale),
             ("driven_state_recovery", e1_u2_0, constants.d2(T) * obs_int, beyond_t3, scale),
         ]
-    if admissibility_bound is not None:
-        inequalities.append(
-            ("admissibility", obs_int, admissibility_bound * (e0_u1_0 + e1_u2_0), True, scale)
-        )
+    if admissibility_inflation is not None:
+        bound = admissibility_inflation * _top_scaled_eigenvalue(forms["obs_int"], states[0].space)
+        inequalities.append(("admissibility", obs_int, bound * (e0_u1_0 + e1_u2_0), True, scale))
     for name, lhs, rhs, *_ in identities + inequalities:
         if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
             raise ValidationError(f"audit row {name} leaves the float range")

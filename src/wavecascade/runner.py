@@ -29,7 +29,6 @@ from .dynamics import (
 from .observability import (
     ALPHA0_FLOOR,
     ObservabilityConstants,
-    admissibility_constant,
     empirical_horizon,
     empirical_ratios,
     estimate_uniform_constants,
@@ -39,7 +38,7 @@ from .observability import (
     random_cascade_states,
 )
 from .hum import HUMProblem, solve_hum
-from .insensitize import InsensitizeProblem, insensitize, verify_converse
+from .insensitize import InsensitizeProblem, insensitize
 
 __all__ = ["ExperimentConfig", "ConfigError", "run", "main", "SCHEMA_VERSION"]
 
@@ -268,6 +267,8 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     seed = _number(int, sections["experiment"].get("seed", "0"), "[experiment] seed")
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"[experiment] seed must be nonnegative, got {seed}")
     expect = sections["experiment"].get("expect", "pass")
     if expect not in ("pass", "fail"):
         raise ConfigError("expect must be 'pass' or 'fail'")
@@ -519,8 +520,8 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
     if config.has("grid", "n_steps"):
         kwargs["n_steps"] = config.get("grid", "n_steps", cast=int)
     problem = InsensitizeProblem(**kwargs)
-    control, certificate = insensitize(problem)
-    converse = verify_converse(problem, control)
+    _, certificate = insensitize(problem)
+    converse = certificate.converse
 
     cert_path = outdir / "certificate.csv"
     write_csv(
@@ -581,11 +582,12 @@ def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
 
     estimates = estimate_uniform_constants(coupling, observer, grid, space, ensemble=ensemble, seed=config.seed)
     gamma0, eta0, alpha0 = (inflation * v for v in estimates)
-    bound = inflation * admissibility_constant(coupling, observer, grid, space)
     states = random_cascade_states(space, samples, config.seed + 3)
     try:
         constants = ObservabilityConstants(coupling.alpha, coupling.beta, gamma0, eta0, alpha0, t0=geometric)
-        audited = inequality_chain_audit(states, coupling, observer, constants, grid, admissibility_bound=bound)
+        audited = inequality_chain_audit(
+            states, coupling, observer, constants, grid, admissibility_inflation=inflation
+        )
     except ValidationError as exc:
         raise ConfigError(f"[audit] inflation = {inflation:g} is too large: {exc}") from None
 

@@ -26,7 +26,6 @@ from wavecascade.dynamics import (
 )
 from wavecascade.observability import (
     ObservabilityConstants,
-    admissibility_constant,
     empirical_horizon,
     empirical_ratios,
     estimate_uniform_constants,
@@ -264,11 +263,10 @@ class TestCriterion6ConstantChain:
         grid = TimeGrid.for_space(space, 1.25 * horizon, 0.015)
         gamma0, eta0, alpha0 = estimate_uniform_constants(coupling, observer, grid, space, ensemble=32, seed=11)
         constants = ObservabilityConstants(coupling.alpha, coupling.beta, 2 * gamma0, 2 * eta0, 2 * alpha0, horizon)
-        bound = 2.0 * admissibility_constant(coupling, observer, grid, space)
         failures = []
         states = random_cascade_states(space, 100, seed=77)
         for rows in inequality_chain_audit(states, coupling, observer, constants, grid,
-                                           admissibility_bound=bound):
+                                           admissibility_inflation=2.0):
             for row in rows:
                 if row.must_hold and not row.satisfied:
                     failures.append(row.name)

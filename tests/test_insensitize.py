@@ -17,6 +17,8 @@ from wavecascade.spectral import (
 from wavecascade.dynamics import Observer, TimeGrid
 from wavecascade.hum import HUMProblem, TimeSampledControl, controlled_forward
 from wavecascade.insensitize import (
+    FD_STEPS,
+    ConverseReport,
     InsensitizeCertificate,
     InsensitizeProblem,
     fine_second_positions,
@@ -198,6 +200,21 @@ class TestConverse:
         assert report.derivatives_vanish
         assert report.terminal_nulls
 
+    @pytest.mark.parametrize("kind", ["interior", "boundary"])
+    def test_certificate_converse_is_verify_converse(self, kind):
+        # the certificate reads the report off solve_hum's trajectory; re-marching
+        # that control gives the same report field by field
+        space = SpectralSpace(12)
+        rng = np.random.default_rng(53)
+        data = (
+            ModalCoefficients(rng.standard_normal(12) / np.sqrt(space.eigenvalues), space),
+            ModalCoefficients(rng.standard_normal(12), space),
+        )
+        prob = make_problem(12, kind=kind, data=data, perturbation_count=1)
+        control, cert = insensitize(prob)
+        assert cert.converse.terminal_nulls
+        assert cert.converse == verify_converse(prob, control)
+
     def test_equivalence_over_constructed_instances(self):
         agree = []
         for seed in range(3):
@@ -227,20 +244,12 @@ class TestTrajectoryPhi:
 
 
 class TestProblemValidation:
-    @pytest.mark.parametrize(
-        "steps",
-        [(1e-3, 1e-3), (0.0, 1e-4), (-1e-3, 1e-4), (1e-3, float("nan")), (1e-3, float("inf")),
-         (1e-3,), (1e-3, 1e-4, 1e-5), ("1e-3", 1e-4), 1e-3],
-    )
-    def test_rejects_fd_steps_that_are_not_two_distinct_positive_numbers(self, steps):
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_rejects_a_perturbation_count_below_one(self, count):
+        # an empty pool had certified vacuously: no records, every derivative check 0.0
         space = SpectralSpace(8)
         with pytest.raises(ValidationError):
-            make_problem(8, data=(space.zero(), space.zero()), fd_steps=steps)
-
-    def test_accepts_either_step_order(self):
-        space = SpectralSpace(8)
-        prob = make_problem(8, data=(space.zero(), space.zero()), fd_steps=(1e-4, 1e-3))
-        assert prob.fd_steps == (1e-4, 1e-3)
+            make_problem(8, data=(space.zero(), space.zero()), perturbation_count=count)
 
 
 class TestReferenceOracle:
@@ -261,7 +270,8 @@ class TestReferenceOracle:
     def test_reference_below_resolution_never_passes(self):
         cert = InsensitizeCertificate(
             phi_baseline=1.0, terminal={}, initial_norm=1.0, records=[], robustness_exponent=2.0,
-            cg_iterations=1, final_residual=0.0, fd_resolution=1e-10, fd_reference=(3e-11, 3e-11),
+            cg_iterations=1, final_residual=0.0, converse=ConverseReport(True, True, 0.0, 0.0),
+            fd_resolution=1e-10, fd_reference=(3e-11, 3e-11),
         )
         assert cert.fd_reference_agreement == float("inf")
 
@@ -284,7 +294,7 @@ class TestFinePositionRoute:
         base = controlled_forward(hum, None)  # the zero control: the derivative is resolved
         response = _response(hum, z0, z1)
 
-        h1, h2 = prob.fd_steps
+        h1, h2 = FD_STEPS
         central = lambda h: (
             trajectory_phi(prob, base + h * response) - trajectory_phi(prob, base - h * response)
         ) / (2.0 * h)

@@ -595,9 +595,26 @@ class TestEmpiricalRatiosAndAudit:
         constants = ObservabilityConstants(
             coupling.alpha, coupling.beta, 2.0 * gamma0, 2.0 * eta0, 2.0 * alpha0, horizon
         )
-        bound = 2.0 * admissibility_constant(coupling, obs, grid, space)
         states = random_cascade_states(space, 25, seed=77)
-        for rows in inequality_chain_audit(states, coupling, obs, constants, grid, admissibility_bound=bound):
+        for rows in inequality_chain_audit(states, coupling, obs, constants, grid, admissibility_inflation=2.0):
             for row in rows:
                 if row.must_hold:
                     assert row.satisfied, row
+
+    @pytest.mark.parametrize("seed", [11, 1])
+    def test_audit_admissibility_reads_its_own_solver_gramian(self, seed):
+        # the audit's obs_int form is the solver Gramian: its bound is the
+        # assembled constant's, bit for bit (criterion 6's grid at two seeds)
+        space = SpectralSpace(16)
+        coupling = CouplingOperator(COUPLING_FN, space)
+        obs = interior_observer()
+        grid = TimeGrid.for_space(space, 1.25 * empirical_horizon(coupling, obs), 0.015)
+        constants = ObservabilityConstants(coupling.alpha, coupling.beta, 1.0, 1.0, 1.0, 1.4)
+        states = random_cascade_states(space, 5, seed=seed + 3)
+        x = np.array([s.as_vector() for s in states])
+        forms = _audit_forms(coupling, obs, grid, space)
+        e0_u1_0, e1_u2_0 = (np.einsum("si,si->s", x @ forms[name], x) for name in ("e0_u1_0", "e1_u2_0"))
+        expected = 2.0 * admissibility_constant(coupling, obs, grid, space) * (e0_u1_0 + e1_u2_0)
+        audited = inequality_chain_audit(states, coupling, obs, constants, grid, admissibility_inflation=2.0)
+        rhs = [row.rhs for rows in audited for row in rows if row.name == "admissibility"]
+        assert rhs == expected.tolist()

@@ -141,6 +141,12 @@ class TestParsing:
             ("criterion05_short_horizon", "checks.refinement_decay=0 checks.trends=1"),
             # an empty value list had returned before the axis was read, and passed
             ("criterion07_trends", "checks.trends=0 sweep.axis=frobnicate sweep.values="),
+            # a negative seed had escaped from numpy's generators as a traceback, exit 1
+            ("criterion08_hum_interior", "experiment.seed=-1"),
+            ("criterion02_conservation", "experiment.seed=-1"),
+            ("criterion06_audit", "experiment.seed=-1"),
+            ("criterion09_insensitize_interior", "experiment.seed=-1"),
+            ("criterion04_gramian_interior", "experiment.seed=-1"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, config, override):
@@ -235,24 +241,29 @@ class TestRunKinds:
         assert main([f"{CONFIG_DIR}/criterion04_gramian_interior.ini", "-o", str(tmp_path / "g")]) == 0
         assert calls == {"cascade_step_matrix": 0, "weighted_gram": 1}
 
-    def test_audit_run_doubles_twice(self, tmp_path, monkeypatch):
-        # the audit's stepper forms and its step^M come from one doubling; the
-        # admissibility constant's solver Gramian is the other
+    def test_audit_run_doubles_once(self, tmp_path, monkeypatch):
+        # the audit's stepper forms, its step^M and the admissibility constant's
+        # solver Gramian all come from one doubling of one step
         import traceback
 
         from wavecascade import observability
 
-        callers = []
-        original = observability._doubling
+        callers = {"_doubling": [], "cascade_step_matrix": []}
 
-        def counted(*args, **kwargs):
-            names = [frame.name for frame in traceback.extract_stack()]
-            callers.append(next(name for name in names if name in ("_audit_forms", "admissibility_constant")))
-            return original(*args, **kwargs)
+        def counted(name):
+            original = getattr(observability, name)
 
-        monkeypatch.setattr(observability, "_doubling", counted)
+            def wrapper(*args, **kwargs):
+                names = [frame.name for frame in traceback.extract_stack()]
+                callers[name].append(next(n for n in names if n in ("_audit_forms", "admissibility_constant")))
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in callers:
+            monkeypatch.setattr(observability, name, counted(name))
         assert main([f"{CONFIG_DIR}/criterion06_audit.ini", "-o", str(tmp_path / "a")]) == 0
-        assert sorted(callers) == ["_audit_forms", "admissibility_constant"]
+        assert callers == {"_doubling": ["_audit_forms"], "cascade_step_matrix": ["_audit_forms"]}
 
     @staticmethod
     def _march_callers(monkeypatch, args):
@@ -260,6 +271,7 @@ class TestRunKinds:
 
         from wavecascade import dynamics, hum
 
+        insensitize = sys.modules["wavecascade.insensitize"]  # the package re-exports the function
         callers = []
         original = dynamics.march
 
@@ -267,7 +279,7 @@ class TestRunKinds:
             callers.append(sys._getframe(1).f_code.co_name)
             return original(*args, **kwargs)
 
-        for module in (dynamics, hum):
+        for module in (dynamics, hum, insensitize):
             monkeypatch.setattr(module, "march", counted)
         assert main(args) == 0
         return callers
@@ -289,6 +301,20 @@ class TestRunKinds:
             "source.kind=separable",
         ]
         assert self._march_callers(monkeypatch, args) == ["assemble_rhs", "controlled_forward"]
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            ("criterion10_converse", ["controlled_forward", "_response", "controlled_forward"]),
+            ("criterion09_insensitize_interior",
+             ["assemble_rhs", "controlled_forward", "_response", "controlled_forward"]),
+        ],
+    )
+    def test_insensitize_run_marches_each_trajectory_once(self, tmp_path, monkeypatch, config, expected):
+        # the HUM trajectory, the robustness response and the zero-control reference;
+        # the converse reads the HUM trajectory, and a source is marched from rest once
+        args = [f"{CONFIG_DIR}/{config}.ini", "-o", str(tmp_path / "i")]
+        assert self._march_callers(monkeypatch, args) == expected
 
     def test_gramian_decoupled_expected_negative(self, tmp_path):
         result_code = main([f"{CONFIG_DIR}/criterion05_decoupled.ini", "-o", str(tmp_path / "g")])
