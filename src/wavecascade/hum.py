@@ -165,9 +165,12 @@ class HUMProblem:
         return _aligned(np.roll(self.step.T, 2 * self.space.n_modes, axis=(0, 1)))
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # a Gramian out of the float range is refused below
     def gramian_and_power(self) -> tuple[np.ndarray, np.ndarray]:
         """The control Gramian and P^-M, M = n_steps, read-only, from one doubling of ``step_back``."""
         gram, power = _doubling(self.obs_rows.T @ self.obs_rows, self.step_back, self.grid)
+        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(power))):
+            raise ValidationError("control Gramian out of the float range: the coupling or control weight is too large")
         return _read_only(gram), _read_only(power)
 
     @cached_property
@@ -451,7 +454,10 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
         )
 
     rhs = -assemble_rhs(problem)
-    rhs_scale = _certificate_norm(rhs, problem)
+    with np.errstate(over="ignore"):  # a norm out of the float range is refused next
+        rhs_scale = _certificate_norm(rhs, problem)
+    if not np.isfinite(rhs_scale):
+        raise ValidationError("[source] is too large: the right-hand side's certificate norm leaves the float range")
     initial_norm = control_space_norms(problem.initial_data.as_vector(), space, problem.case)["total"]
     trace = []
     x = np.zeros(4 * n)

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import RefusalError, ValidationError
 from .spectral import SpectralSpace
 from .dynamics import (
-    CascadeState,
     CascadeTrajectory,
     CouplingOperator,
     Observer,
@@ -356,13 +355,17 @@ def min_eigenvalue(
     (``_scaled_gramian_factor``) is built by QR doubling under the matrix
     exponential step, and the singular values of R and of its u1 columns
     give the full and u1-block spectra.  The report keeps R and the step.
+    A coupling so large that R leaves the float range is a ValidationError.
     """
     from scipy.linalg import expm
 
     grid.validate_for(space)
     n = space.n_modes
-    step = expm(grid.dt * _dense_generator(space, coupling))
-    r = _scaled_gramian_factor(step, observer, grid, space)
+    with np.errstate(over="ignore", invalid="ignore"):  # a factor out of the float range is refused next
+        step = expm(grid.dt * _dense_generator(space, coupling))
+        r = _scaled_gramian_factor(step, observer, grid, space)
+    if not np.all(np.isfinite(r)):
+        raise ValidationError("[coupling] is too large: the metric-scaled Gramian's square root leaves the float range")
     svals = _min_singular(r)
     first_idx = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
     return EigenReport(
@@ -516,9 +519,9 @@ def empirical_horizon(coupling: CouplingOperator, observer: Observer) -> float:
 ALPHA0_FLOOR = 1e-12  # estimate_uniform_constants' alpha0 when no forced sample sets it
 
 
-def random_cascade_states(space: SpectralSpace, count: int, seed: int) -> list[CascadeState]:
-    rng = np.random.default_rng(seed)
-    return [CascadeState.from_vector(rng.standard_normal(4 * space.n_modes), space) for _ in range(count)]
+def random_cascade_states(space: SpectralSpace, count: int, seed: int) -> np.ndarray:
+    """``count`` standard normal initial data from ``default_rng(seed)``, one 4N state vector per row."""
+    return np.random.default_rng(seed).standard_normal((count, 4 * space.n_modes))
 
 
 def _energy_metrics(space: SpectralSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -716,27 +719,27 @@ def estimate_uniform_constants(
 # audit of the inequality chain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuditRow:
+    """One functional of the chain with its sides on every sample, and each sample's scale of the tolerance."""
+
     name: str
-    lhs: float
-    rhs: float
-    margin: float
+    lhs: np.ndarray
+    rhs: np.ndarray
     must_hold: bool
-    satisfied: bool
+    scale: np.ndarray
     kind: str = "inequality"  # or "identity"
-    scale: float = 1.0  # the sample's magnitude that the tolerance is relative to
 
+    @property
+    @np.errstate(over="ignore")  # two finite sides of opposite signs may differ by more than the float range
+    def margin(self) -> np.ndarray:
+        return -abs(self.lhs - self.rhs) if self.kind == "identity" else self.rhs - self.lhs
 
-def _row(name, lhs, rhs, must_hold, scale, rtol=1e-9):
-    margin = rhs - lhs
-    return AuditRow(name, lhs, rhs, margin, must_hold, lhs <= rhs + rtol * scale, scale=scale)
-
-
-def _identity_row(name, lhs, rhs, scale, rtol=1e-6):
-    residual = abs(lhs - rhs)
-    scale = max(scale, 1e-300)
-    return AuditRow(name, lhs, rhs, -residual, True, residual <= rtol * scale, kind="identity", scale=scale)
+    @property
+    def satisfied(self) -> np.ndarray:
+        if self.kind == "identity":
+            return -self.margin <= 1e-6 * self.scale
+        return self.lhs <= self.rhs + 1e-9 * self.scale
 
 
 def _audit_forms(
@@ -788,18 +791,18 @@ def _audit_forms(
 
 @np.errstate(over="ignore", invalid="ignore")  # a side that leaves the float range is refused below
 def inequality_chain_audit(
-    states: list[CascadeState],
+    samples: np.ndarray,
     coupling: CouplingOperator,
     observer: Observer,
     constants: ObservabilityConstants,
     grid: TimeGrid,
     admissibility_inflation: float | None = None,
-) -> list[list[AuditRow]]:
+) -> list[AuditRow]:
     """Evaluate both sides of every inequality in the two-level chain.
 
-    Every functional of the chain is a quadratic form of the initial data:
-    each form is built once and evaluated on all ``states`` together, and
-    one row list is returned per state, in order.  Identities (the coupling
+    Every functional of the chain is a quadratic form of the initial data,
+    built once and evaluated on the whole (samples, 4N) block of initial
+    states on ``coupling.space``, into one ``AuditRow``.  Identities (the coupling
     duality identity and the driven energy balance) must hold at quadrature
     accuracy for any horizon; their two sides come from independently built
     forms (the closed-form free moment against the stepper's endpoint
@@ -811,8 +814,11 @@ def inequality_chain_audit(
     bounds the direct inequality's row.  Constants so large that a side
     leaves the float range are a ValidationError naming the row.
     """
-    x = np.array([s.as_vector() for s in states])
-    forms = _audit_forms(coupling, observer, grid, states[0].space)
+    space = coupling.space
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2 or not x.shape[0] or x.shape[1] != 4 * space.n_modes or not np.all(np.isfinite(x)):
+        raise ValidationError(f"audit samples must be a finite, nonempty (samples, 4N) block, got shape {x.shape}")
+    forms = _audit_forms(coupling, observer, grid, space)
     f = {name: np.einsum("si,si->s", x @ form, x) for name, form in forms.items()}
     obs_int, coupling_int, coupling_sq_int = f["obs_int"], f["coupling_int"], f["coupling_sq_int"]
     e1_u2_0, e1_u2_T, e1_u2_int, e0_u1_0 = f["e1_u2_0"], f["e1_u2_T"], f["e1_u2_int"], f["e0_u1_0"]
@@ -873,16 +879,10 @@ def inequality_chain_audit(
             ("driven_state_recovery", e1_u2_0, constants.d2(T) * obs_int, beyond_t3, scale),
         ]
     if admissibility_inflation is not None:
-        bound = admissibility_inflation * _top_scaled_eigenvalue(forms["obs_int"], states[0].space)
+        bound = admissibility_inflation * _top_scaled_eigenvalue(forms["obs_int"], space)
         inequalities.append(("admissibility", obs_int, bound * (e0_u1_0 + e1_u2_0), True, scale))
     for name, lhs, rhs, *_ in identities + inequalities:
         if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
             raise ValidationError(f"audit row {name} leaves the float range")
-    return [
-        [_identity_row(name, float(lhs[i]), float(rhs[i]), float(s[i])) for name, lhs, rhs, s in identities]
-        + [
-            _row(name, float(lhs[i]), float(rhs[i]), hold, float(s[i]))
-            for name, lhs, rhs, hold, s in inequalities
-        ]
-        for i in range(len(states))
-    ]
+    rows = [AuditRow(name, lhs, rhs, True, s, "identity") for name, lhs, rhs, s in identities]
+    return rows + [AuditRow(*row) for row in inequalities]

@@ -581,46 +581,37 @@ def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
     ensemble = config.count("audit", "ensemble", 32)
 
     estimates = estimate_uniform_constants(coupling, observer, grid, space, ensemble=ensemble, seed=config.seed)
+    try:  # a chain out of the float range before any inflation is the coupling's
+        ObservabilityConstants(coupling.alpha, coupling.beta, *estimates, t0=geometric)
+    except ValidationError as exc:
+        raise ConfigError(f"[coupling] is too large: {exc}") from None
     gamma0, eta0, alpha0 = (inflation * v for v in estimates)
-    states = random_cascade_states(space, samples, config.seed + 3)
+    x = random_cascade_states(space, samples, config.seed + 3)
     try:
         constants = ObservabilityConstants(coupling.alpha, coupling.beta, gamma0, eta0, alpha0, t0=geometric)
-        audited = inequality_chain_audit(
-            states, coupling, observer, constants, grid, admissibility_inflation=inflation
-        )
+        audited = inequality_chain_audit(x, coupling, observer, constants, grid, admissibility_inflation=inflation)
     except ValidationError as exc:
         raise ConfigError(f"[audit] inflation = {inflation:g} is too large: {exc}") from None
 
-    # the ledger keeps one row per name: the worst-margin sample of an
-    # inequality, and the largest-|lhs| sample of an identity, whose residuals
-    # are all quadrature and rounding noise; a check holds only when every
-    # sample's row holds against that sample's own scale
-    kept, failing, relative = {}, {}, {}
-    for sample_rows in audited:
-        for row in sample_rows:
-            prev = kept.get(row.name)
-            if row.kind == "identity":
-                relative[row.name] = max(relative.get(row.name, 0.0), abs(row.lhs - row.rhs) / row.scale)
-                if prev is None or abs(row.lhs) > abs(prev.lhs):
-                    kept[row.name] = row
-            elif prev is None or row.margin < prev.margin:
-                kept[row.name] = row
-            failing[row.name] = failing.get(row.name, 0) + (not row.satisfied)
-    rows = [[name, r.lhs, r.rhs, r.margin] for name, r in sorted(kept.items())]
+    # the ledger shows one sample per name, the first on ties: an inequality's worst margin, an identity's
+    # largest |lhs| (its residuals are quadrature and rounding noise); a check fails on any failing sample
+    ledger, checks = [], []
+    for row in sorted(audited, key=lambda row: row.name):
+        i = np.argmax(abs(row.lhs)) if row.kind == "identity" else np.argmin(row.margin)
+        ledger.append([row.name, row.lhs[i], row.rhs[i], row.margin[i]])
+        if not row.must_hold:
+            continue
+        detail = f"lhs {row.lhs[i]:.4e} rhs {row.rhs[i]:.4e}"
+        if row.kind == "identity":
+            detail += f", worst relative residual {np.max(abs(row.lhs - row.rhs) / row.scale):.3e}"
+        if row.name == "source_observability_driven" and estimates[2] == ALPHA0_FLOOR:
+            detail += f", alpha0 at its {ALPHA0_FLOOR:g} floor"  # no forced sample set it
+        failing = int(np.count_nonzero(~row.satisfied))
+        if failing:
+            detail += f", fails on {failing} of {samples} samples"
+        checks.append((row.name, not failing, detail))
     path = outdir / "audit_ledger.csv"
-    write_csv(path, ["inequality_name", "lhs", "rhs", "margin"], rows)
-
-    checks = []
-    for name, row in sorted(kept.items()):
-        if row.must_hold:
-            detail = f"lhs {row.lhs:.4e} rhs {row.rhs:.4e}"
-            if name in relative:
-                detail += f", worst relative residual {relative[name]:.3e}"
-            if name == "source_observability_driven" and estimates[2] == ALPHA0_FLOOR:
-                detail += f", alpha0 at its {ALPHA0_FLOOR:g} floor"  # no forced sample set it
-            if failing[name]:
-                detail += f", fails on {failing[name]} of {samples} samples"
-            checks.append((name, not failing[name], detail))
+    write_csv(path, ["inequality_name", "lhs", "rhs", "margin"], ledger)
     status = 0 if all(ok for _, ok, _ in checks) else 1
     return RunResult(status, [path], checks)
 

@@ -567,10 +567,26 @@ class TestEmpiricalRatiosAndAudit:
     def test_audit_zero_state_all_trivial(self):
         space, coupling, grid = standard_setup(8, horizon=2.0)
         constants = ObservabilityConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.4)
-        states = [CascadeState.zero(space)]
-        (rows,) = inequality_chain_audit(states, coupling, interior_observer(), constants, grid)
-        assert all(r.satisfied for r in rows)
-        assert all(r.lhs == 0.0 and r.rhs == 0.0 for r in rows)
+        rows = inequality_chain_audit(np.zeros((1, 4 * space.n_modes)), coupling, interior_observer(), constants, grid)
+        assert all(r.satisfied.all() for r in rows)
+        assert all(np.all(r.lhs == 0.0) and np.all(r.rhs == 0.0) for r in rows)
+
+    def test_audit_samples_are_the_state_by_state_draws(self):
+        # one (samples, 4N) draw is the same stream as one 4N draw per state
+        space = SpectralSpace(8)
+        rng = np.random.default_rng(80)
+        one_by_one = np.array([rng.standard_normal(4 * space.n_modes) for _ in range(7)])
+        assert random_cascade_states(space, 7, seed=80).tobytes() == one_by_one.tobytes()
+
+    @pytest.mark.parametrize(
+        "samples",
+        [np.ones((2, 33)), np.ones((2, 31)), np.ones(32), np.ones((0, 32)), np.ones((1, 2, 32)), np.full((2, 32), np.nan)],
+    )
+    def test_audit_refuses_anything_but_a_finite_block_of_states(self, samples):
+        space, coupling, grid = standard_setup(8, horizon=2.0)
+        constants = ObservabilityConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.4)
+        with pytest.raises(ValidationError, match="audit samples"):
+            inequality_chain_audit(samples, coupling, interior_observer(), constants, grid)
 
     def test_duality_identity_on_random_data(self):
         space = SpectralSpace(32)
@@ -578,12 +594,11 @@ class TestEmpiricalRatiosAndAudit:
         grid = TimeGrid.for_space(space, 4.0, 0.4)
         constants = ObservabilityConstants(coupling.alpha, coupling.beta, 1.0, 1.0, 1.0, 1.4)
         obs = interior_observer()
-        states = random_cascade_states(space, 5, seed=21)
-        for sample_rows in inequality_chain_audit(states, coupling, obs, constants, grid):
-            rows = {r.name: r for r in sample_rows}
-            identity = rows["coupling_duality_identity"]
-            scale = max(abs(identity.lhs), abs(identity.rhs))
-            assert abs(identity.lhs - identity.rhs) <= 1e-6 * scale
+        samples = random_cascade_states(space, 5, seed=21)
+        rows = {r.name: r for r in inequality_chain_audit(samples, coupling, obs, constants, grid)}
+        identity = rows["coupling_duality_identity"]
+        scale = np.maximum(abs(identity.lhs), abs(identity.rhs))
+        assert np.all(abs(identity.lhs - identity.rhs) <= 1e-6 * scale)
 
     def test_audit_with_estimated_constants_passes_must_hold(self):
         space = SpectralSpace(16)
@@ -595,11 +610,10 @@ class TestEmpiricalRatiosAndAudit:
         constants = ObservabilityConstants(
             coupling.alpha, coupling.beta, 2.0 * gamma0, 2.0 * eta0, 2.0 * alpha0, horizon
         )
-        states = random_cascade_states(space, 25, seed=77)
-        for rows in inequality_chain_audit(states, coupling, obs, constants, grid, admissibility_inflation=2.0):
-            for row in rows:
-                if row.must_hold:
-                    assert row.satisfied, row
+        samples = random_cascade_states(space, 25, seed=77)
+        for row in inequality_chain_audit(samples, coupling, obs, constants, grid, admissibility_inflation=2.0):
+            if row.must_hold:
+                assert row.satisfied.all(), row.name
 
     @pytest.mark.parametrize("seed", [11, 1])
     def test_audit_admissibility_reads_its_own_solver_gramian(self, seed):
@@ -610,11 +624,10 @@ class TestEmpiricalRatiosAndAudit:
         obs = interior_observer()
         grid = TimeGrid.for_space(space, 1.25 * empirical_horizon(coupling, obs), 0.015)
         constants = ObservabilityConstants(coupling.alpha, coupling.beta, 1.0, 1.0, 1.0, 1.4)
-        states = random_cascade_states(space, 5, seed=seed + 3)
-        x = np.array([s.as_vector() for s in states])
+        x = random_cascade_states(space, 5, seed=seed + 3)
         forms = _audit_forms(coupling, obs, grid, space)
         e0_u1_0, e1_u2_0 = (np.einsum("si,si->s", x @ forms[name], x) for name in ("e0_u1_0", "e1_u2_0"))
         expected = 2.0 * admissibility_constant(coupling, obs, grid, space) * (e0_u1_0 + e1_u2_0)
-        audited = inequality_chain_audit(states, coupling, obs, constants, grid, admissibility_inflation=2.0)
-        rhs = [row.rhs for rows in audited for row in rows if row.name == "admissibility"]
-        assert rhs == expected.tolist()
+        audited = inequality_chain_audit(x, coupling, obs, constants, grid, admissibility_inflation=2.0)
+        (rhs,) = [row.rhs for row in audited if row.name == "admissibility"]
+        assert rhs.tolist() == expected.tolist()

@@ -136,6 +136,10 @@ class TestParsing:
             ("criterion06_audit", "audit.inflation=nan"),
             ("criterion06_audit", "audit.inflation=1e300"),
             ("criterion06_audit", "audit.inflation=1e150"),
+            # a coupling far too large had been blamed on the inflation, or escaped as a traceback
+            ("criterion06_audit", "coupling.pieces=0.2,0.3,0.05,1e200"),
+            ("criterion08_hum_interior", "coupling.pieces=0.2,0.3,0.05,1e200"),
+            ("criterion09_insensitize_interior", "coupling.pieces=0.2,0.3,0.05,1e200"),
             # a must-hold switch of another sweep axis had run no check and passed
             ("criterion07_trends", "checks.trends=0 checks.refinement_decay=1"),
             ("criterion05_short_horizon", "checks.refinement_decay=0 checks.trends=1"),
@@ -207,6 +211,28 @@ class TestParsing:
         assert main([config, "-o", str(tmp_path / "out"), "--set", f"audit.inflation={inflation}"]) == 2
         (line,) = capsys.readouterr().out.splitlines()
         assert line.startswith("configuration error: [audit] inflation = ")
+
+    @pytest.mark.parametrize(
+        "config, override, start",
+        [
+            ("criterion06_audit", "coupling.pieces=0.2,0.3,0.05,1e200", "[coupling] is too large: constant chain"),
+            ("criterion04_gramian_interior", "coupling.pieces=0.2,0.3,0.05,1e30", "[coupling] is too large: "),
+            ("criterion09_insensitize_interior", "source.amplitude=1e308", "[source] is too large: "),
+        ],
+    )
+    def test_input_out_of_the_float_range_is_named(self, tmp_path, capsys, config, override, start):
+        # the gramian had escaped as an SVD traceback, the source as a line naming no key
+        out = tmp_path / "out"
+        assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", override]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"configuration error: {start}")
+        assert not list(out.glob("*.csv"))
+
+    def test_large_but_finite_coupling_still_refuses(self, tmp_path, capsys):
+        # the control Gramian of height 1e150 is in range and fails the observability floor
+        config = f"{CONFIG_DIR}/criterion08_hum_interior.ini"
+        assert main([config, "-o", str(tmp_path / "out"), "--set", "coupling.pieces=0.2,0.3,0.05,1e150"]) == 1
+        assert "[FAIL] refusal: control Gramian fails the observability floor" in capsys.readouterr().out
 
 
 class TestRunKinds:
@@ -485,13 +511,11 @@ max_iterations = 500
         # the worst-margin sample holds against its large scale, while a
         # small-scale sample with a milder margin fails against its own
         from wavecascade import runner
-        from wavecascade.observability import _row
+        from wavecascade.observability import AuditRow
 
         def two_samples(*args, **kwargs):
-            return [
-                [_row("crafted_bound", 1.0, 1.0 - 1e-6, True, 1e4)],
-                [_row("crafted_bound", 1e-9, 0.0, True, 1e-9)],
-            ]
+            lhs, rhs, scale = np.array([1.0, 1e-9]), np.array([1.0 - 1e-6, 0.0]), np.array([1e4, 1e-9])
+            return [AuditRow("crafted_bound", lhs, rhs, True, scale)]
 
         monkeypatch.setattr(runner, "inequality_chain_audit", two_samples)
         code = main([
@@ -577,27 +601,23 @@ class TestAuditLedger:
     def test_identity_rows_do_not_follow_rounding_noise(self, tmp_path, monkeypatch):
         # every identity residual is noise: moving the residuals of the samples
         # the ledger does not show by 1e-13 must leave the ledger as it was
+        from dataclasses import replace
+
         from wavecascade import runner
-        from wavecascade.observability import _identity_row
 
         audit = runner.inequality_chain_audit
         moved = {}
 
         def jittered(*args, **kwargs):
-            samples = audit(*args, **kwargs)
-            identities = {row.name for row in samples[0] if row.kind == "identity"}
-            for name in identities:
-                rows = [row for sample in samples for row in sample if row.name == name]
-                shown = max(range(len(rows)), key=lambda i: abs(rows[i].lhs))
-                before = max(range(len(rows)), key=lambda i: -rows[i].margin)
-                for i, sample in enumerate(samples):
-                    if i != shown:
-                        j = sample.index(rows[i])
-                        jitter = 1e-13 if i % 2 else -1e-13
-                        sample[j] = _identity_row(name, rows[i].lhs, rows[i].rhs + jitter, rows[i].scale)
-                rows = [row for sample in samples for row in sample if row.name == name]
-                moved[name] = max(range(len(rows)), key=lambda i: -rows[i].margin) != before
-            return samples
+            rows = audit(*args, **kwargs)
+            for j, row in enumerate(rows):
+                if row.kind == "identity":
+                    shown = np.argmax(abs(row.lhs))
+                    rhs = row.rhs + np.where(np.arange(row.rhs.size) % 2, 1e-13, -1e-13)
+                    rhs[shown] = row.rhs[shown]
+                    rows[j] = replace(row, rhs=rhs)
+                    moved[row.name] = np.argmin(rows[j].margin) != np.argmin(row.margin)
+            return rows
 
         assert main(self.SMALL + ["-o", str(tmp_path / "plain")]) == 0
         monkeypatch.setattr(runner, "inequality_chain_audit", jittered)
