@@ -33,8 +33,8 @@ from .dynamics import (
     Observer,
     TimeGrid,
     _component_indices,
+    _rotating_frame_sum,
     cascade_step_matrix,
-    forced_flow,
     free_flow,
     simpson_kick_weights,
     state_weights,
@@ -355,7 +355,8 @@ def min_eigenvalue(
     (``_scaled_gramian_factor``) is built by QR doubling under the matrix
     exponential step, and the singular values of R and of its u1 columns
     give the full and u1-block spectra.  The report keeps R and the step.
-    A coupling so large that R leaves the float range is a ValidationError.
+    A coupling so large that R leaves the float range, or an observation
+    weight so large that the top eigenvalue does, is a ValidationError.
     """
     from scipy.linalg import expm
 
@@ -367,10 +368,14 @@ def min_eigenvalue(
     if not np.all(np.isfinite(r)):
         raise ValidationError("[coupling] is too large: the metric-scaled Gramian's square root leaves the float range")
     svals = _min_singular(r)
+    with np.errstate(over="ignore"):  # a square out of the float range is refused next
+        max_eig = float(svals[0] ** 2)
+    if not np.isfinite(max_eig):
+        raise ValidationError("[observer] is too large: the metric-scaled Gramian's top eigenvalue leaves the float range")
     first_idx = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
     return EigenReport(
         min_eig=float(svals[-1] ** 2),
-        max_eig=float(svals[0] ** 2),
+        max_eig=max_eig,
         block_min={"u1": float(_min_singular(r[:, first_idx])[-1] ** 2)},
         factor=r,
         step=step,
@@ -645,13 +650,24 @@ def estimate_uniform_constants(
     of Rayleigh quotients evaluated on free-moment forms of (p0, v0): the
     node-weighted Gram of the closed-form free flow (``_free_flow_gram``)
     times the tiled projection, or observation, form, with no free wave
-    simulated.  The draws are the same as one wave at a time: the
-    coupling's free ensemble comes from ``default_rng(seed)``, the
-    observer's free and then forced ensembles from ``default_rng(seed +
-    1)``, each free wave's p0 then v0.  All three are heuristics:
-    maxima over finite ensembles, to be inflated by the caller before use in
-    proofs-by-audit.  An empty observation region, or a horizon at or below
-    the billiard control time of either region, is refused.
+    simulated.  alpha0 is the largest (E - eta0 O) / F over forced waves
+    from (p0, v0) under the forcing cos(freq t) g, with E, O and F the
+    node-integrated natural energy, squared observation and squared
+    forcing.  Each forced wave is summed in the rotating frame
+    (``dynamics._rotating_frame_sum``) into one buffer reused across the
+    ensemble and never rotated back whole: the exact rotation keeps each
+    mode's natural energy, so the energy is read off the rotating-frame
+    states, and only the observed component (velocity or position) is
+    turned back to the lab frame.  The draws are the same as one wave at a
+    time: the coupling's free ensemble comes from ``default_rng(seed)``,
+    the observer's free and then forced ensembles from ``default_rng(seed +
+    1)``, each free wave's p0 then v0, each forced wave's p0, v0, g, then
+    freq.  An observation weight so large that a free or forced wave's
+    observation leaves the float range is a ValidationError naming
+    ``[observer]``.  All three are heuristics: maxima over finite
+    ensembles, to be inflated by the caller before use in proofs-by-audit.
+    An empty observation region, or a horizon at or below the billiard
+    control time of either region, is refused.
     """
     if not observer.region:
         raise RefusalError("empty observation region", {"region": observer.region})
@@ -674,23 +690,28 @@ def estimate_uniform_constants(
         """Largest horizon-integrated natural energy per unit of the (p0, v0) form over free waves."""
         x = rng.standard_normal((ensemble, 2 * n))  # row s is the s-th wave's p0 then v0
         denom = np.einsum("si,si->s", x @ form, x)
+        if not np.all(np.isfinite(denom)):  # only the observation form can leave the float range
+            raise ValidationError("[observer] is too large: the observation of a free wave leaves the float range")
         if np.any(denom <= 0.0):
             raise RefusalError("degenerate ensemble: free solution invisible", {"ratio": np.inf})
         return float(np.max(grid.horizon * ((x * x) @ energy) / denom, initial=0.0))
 
     gamma0 = free_ratio(np.tile(coupling.projection_matrix, (2, 2)) * velocity_gram, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
-    eta0 = free_ratio(np.tile(rows.T @ rows, (2, 2)) * observed_gram, rng)
-
-    def observation_sq(positions, velocities):
-        component = velocities if observer.kind == "interior" else positions
-        return ((component @ rows.T) ** 2).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an observation out of the float range is refused in free_ratio
+        eta0 = free_ratio(np.tile(rows.T @ rows, (2, 2)) * observed_gram, rng)
 
     flow = free_flow(space, times)
+    c, s, m = flow
+    # x_k = R^k y_k: the observed velocity is m y_p + c y_v, the observed position c y_p + s y_v
+    turn_pos, turn_vel = (m, c) if observer.kind == "interior" else (c, s)
     # the forcing cos(freq t) g is separable: its kicks are the kicks of the
     # time profile cos(freq t) times g
     taus, kernel_pos, kernel_vel = simpson_kick_weights(space, grid.dt)
+    kernel = np.hstack((kernel_pos, kernel_vel))
     substeps = times[:-1, None] + taus
+    states = np.empty((grid.n_steps + 1, 2 * n))
+    observed = np.empty((grid.n_steps + 1, n))
     alpha0 = 0.0
     for _ in range(ensemble):
         p0 = rng.standard_normal(n)
@@ -698,16 +719,16 @@ def estimate_uniform_constants(
         g = rng.standard_normal(n)
         g /= np.linalg.norm(g)
         freq = rng.uniform(0.5, 3.0)
-        profile = np.cos(freq * substeps)
-        states = np.empty((grid.n_steps + 1, 2 * n))
         states[0, :n], states[0, n:] = p0, v0
-        states[1:, :n] = (profile @ kernel_pos) * g
-        states[1:, n:] = (profile @ kernel_vel) * g
-        forced_flow(flow, states)
-        positions, velocities = states[:, :n], states[:, n:]
-        e1_series = 0.5 * ((positions**2 * space.eigenvalues).sum(axis=1) + (velocities**2).sum(axis=1))
-        e1_int = float(w @ e1_series)
-        obs_int = float(w @ observation_sq(positions, velocities))
+        np.dot(np.cos(freq * substeps), kernel * np.tile(g, 2), out=states[1:])
+        y = _rotating_frame_sum(flow, states)
+        e1_int = float((w @ (y * y)) @ energy)
+        np.multiply(turn_pos, y[:, :n], out=observed)
+        observed += turn_vel * y[:, n:]
+        with np.errstate(over="ignore"):  # an observation out of the float range is refused next
+            obs_int = float((w @ np.square(observed @ rows.T)).sum())
+        if not math.isfinite(obs_int):
+            raise ValidationError("[observer] is too large: the observation of a forced wave leaves the float range")
         f_int = float(w @ (np.cos(freq * times) ** 2))  # |g| = 1
         deficit = e1_int - eta0 * obs_int
         if deficit > 0 and f_int > 0:

@@ -7,7 +7,8 @@ a trajectory's free component, the inverse of the first-order generator
 and the stepper of the pair with the roles swapped; the Gramian form along
 one simulated trajectory, its matrix-free application, the Simpson sum by
 doubling of dense matrices, the Gramian under the exponential propagator
-and the worst-case ratios by SciPy's generalized eigensolver; the ray
+and the worst-case ratios by SciPy's generalized eigensolver; the forced
+waves of the alpha0 ensemble marched one at a time in the lab frame; the ray
 tracing that cross-checks ``gcc_min_time``; and Phi and its sensitivity
 derivatives straight from a controlled trajectory.
 """
@@ -26,6 +27,7 @@ from wavecascade.dynamics import (
     TimeGrid,
     cascade_step_matrix,
     evolve_cascade,
+    forced_flow,
     free_flow,
     simpson_kick_weights,
 )
@@ -232,6 +234,51 @@ def generalized_ratios(
     ratios.setdefault("r2_emp", 0.0)
     ratios["admissibility"] = float(eigh(gram, np.diag(norm_weights(space)), eigvals_only=True)[-1])
     return ratios
+
+
+def forced_wave_integrals(
+    observer: Observer,
+    grid: TimeGrid,
+    space: SpectralSpace,
+    rng: np.random.Generator,
+    ensemble: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per forced wave of ``estimate_uniform_constants``' alpha0 ensemble, its three integrals.
+
+    Draws each wave as the package does (p0, v0, g normalized, then freq
+    from ``rng``), marches it with ``forced_flow`` back in the lab frame, and
+    integrates over the nodes its natural energy, its squared observation
+    and the squared forcing profile cos(freq t)^2 (|g| = 1).  Returns the
+    arrays (e1_int, obs_int, f_int), one entry per wave.
+    """
+    n = space.n_modes
+    times, w = grid.times, grid.node_weights
+    rows = observer.observation_rows(space)
+    flow = free_flow(space, times)
+    taus, kernel_pos, kernel_vel = simpson_kick_weights(space, grid.dt)
+    substeps = times[:-1, None] + taus
+    integrals = []
+    for _ in range(ensemble):
+        p0 = rng.standard_normal(n)
+        v0 = rng.standard_normal(n)
+        g = rng.standard_normal(n)
+        g /= np.linalg.norm(g)
+        freq = rng.uniform(0.5, 3.0)
+        profile = np.cos(freq * substeps)
+        states = np.empty((grid.n_steps + 1, 2 * n))
+        states[0, :n], states[0, n:] = p0, v0
+        states[1:, :n] = (profile @ kernel_pos) * g
+        states[1:, n:] = (profile @ kernel_vel) * g
+        forced_flow(flow, states)
+        positions, velocities = states[:, :n], states[:, n:]
+        e1_series = 0.5 * ((positions**2 * space.eigenvalues).sum(axis=1) + (velocities**2).sum(axis=1))
+        component = velocities if observer.kind == "interior" else positions
+        integrals.append((
+            float(w @ e1_series),
+            float(w @ ((component @ rows.T) ** 2).sum(axis=1)),
+            float(w @ (np.cos(freq * times) ** 2)),
+        ))
+    return tuple(np.array(column) for column in zip(*integrals))
 
 
 def ray_hit_time(x0: float, direction: int, region) -> float:

@@ -13,7 +13,6 @@ from wavecascade.dynamics import (
     TimeGrid,
     cascade_step_matrix,
     evolve_cascade,
-    forced_flow,
     free_flow,
     reversed_step,
 )
@@ -41,6 +40,7 @@ from oracles import (
     apply_gramian,
     dense_weighted_gram,
     exponential_gramian,
+    forced_wave_integrals,
     generalized_ratios,
     gramian_form,
     ray_hit_time,
@@ -307,6 +307,15 @@ class TestMinEigenvalue:
             tracemalloc.stop()
         assert peak < 32 * (4 * space.n_modes) ** 2 * 8
 
+    @pytest.mark.parametrize("kind", ["interior", "boundary"])
+    def test_top_eigenvalue_out_of_the_float_range_names_the_observer(self, kind):
+        # R is finite, but its top singular value squared had overflowed to an inf spectrum
+        space, coupling, grid = standard_setup(8)
+        weight = CoefficientFunction((PlateauBump(0.6, 0.7, 0.05, 1e200),), core_region=(0.6, 0.7))
+        obs = Observer("interior", weight=weight) if kind == "interior" else Observer("boundary", b_left=1e200)
+        with pytest.raises(ValidationError, match=r"^\[observer\] is too large"):
+            min_eigenvalue(coupling, obs, grid, space)
+
 
 class TestTheoreticalConstants:
     def test_unit_inputs_reproduce_closed_forms(self):
@@ -460,19 +469,54 @@ class TestEstimateUniformConstants:
         gamma0, _, _ = estimate_uniform_constants(coupling, interior_observer(), grid, space, ensemble=8, seed=3)
         assert gamma0 > 0
 
-    def test_one_call_marches_one_forced_ensemble(self, monkeypatch):
-        from wavecascade import observability
+    @pytest.mark.parametrize(
+        "kind, ensemble, seed, expected",
+        [("interior", 32, 0, 408.91), ("interior", 32, 11, 240.68), ("boundary", 32, 0, 0.797), ("boundary", 8, 1, 0.04065)],
+    )
+    def test_forced_ensemble_matches_the_lab_frame_oracle(self, kind, ensemble, seed, expected):
+        # the rotating-frame alpha0 against each forced wave marched back to the lab frame, at cases above the floor
+        space, coupling, grid = standard_setup(16, horizon=4.0)
+        obs = interior_observer() if kind == "interior" else Observer("boundary", b_left=1.0)
+        _, eta0, alpha0 = estimate_uniform_constants(coupling, obs, grid, space, ensemble=ensemble, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        rng.standard_normal((ensemble, 2 * space.n_modes))  # eta0's free waves come first
+        e1_int, obs_int, f_int = forced_wave_integrals(obs, grid, space, rng, ensemble)
+        deficit = e1_int - eta0 * obs_int
+        reference = np.max(deficit / f_int, where=(deficit > 0) & (f_int > 0), initial=0.0)
+        assert reference == pytest.approx(expected, rel=1e-3)
+        # deficit = e1_int - eta0 obs_int cancels, so its roundoff is measured in units of each wave's e1_int
+        assert abs(alpha0 - reference) <= 1e-12 * np.max(e1_int / f_int)
 
-        calls = []
+    def test_peak_memory_stays_below_five_state_tables(self):
+        # criterion 6's grid, M = 5866 steps and N = 16: one (M + 1) x 2N table is 1.50 MB; the
+        # wave-by-wave lab-frame loop peaked at 5.3 tables, a table per forced wave would add 32
+        import tracemalloc
 
-        def counted(flow, states):
-            calls.append(1)
-            return forced_flow(flow, states)
+        space = SpectralSpace(16)
+        coupling, obs = CouplingOperator(COUPLING_FN, space), interior_observer()
+        grid = TimeGrid.for_space(space, 1.25 * empirical_horizon(coupling, obs), 0.015)
+        assert grid.n_steps == 5866
+        estimate_uniform_constants(coupling, obs, grid, space, ensemble=1, seed=11)  # fills the caches
+        tracemalloc.start()
+        try:
+            estimate_uniform_constants(coupling, obs, grid, space, ensemble=4, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.0 * (grid.n_steps + 1) * 2 * space.n_modes * 8
 
-        monkeypatch.setattr(observability, "forced_flow", counted)
-        space, coupling, grid = standard_setup(8, horizon=2.0, step_phase=0.2)
-        estimate_uniform_constants(coupling, interior_observer(), grid, space, ensemble=5, seed=3)
-        assert len(calls) == 5
+    @pytest.mark.parametrize(
+        "kind, height, wave",
+        [("interior", 1e160, "free"), ("interior", 1e200, "free"), ("interior", 1e300, "free"), ("boundary", 10**151.5, "forced")],
+    )
+    def test_observation_out_of_the_float_range_names_the_observer(self, kind, height, wave):
+        # the observation form had overflowed to a NaN eta0, which the runner blamed on the coupling;
+        # a boundary weight of 10^151.5 keeps the free waves' observation in range but not the forced ones'
+        space, coupling, grid = standard_setup(16, horizon=4.0)
+        weight = CoefficientFunction((PlateauBump(0.6, 0.7, 0.05, height),), core_region=(0.6, 0.7))
+        obs = Observer("interior", weight=weight) if kind == "interior" else Observer("boundary", b_left=height)
+        with pytest.raises(ValidationError, match=rf"^\[observer\] is too large: the observation of a {wave} wave"):
+            estimate_uniform_constants(coupling, obs, grid, space)
 
 
 class TestEmpiricalRatiosAndAudit:

@@ -151,6 +151,15 @@ class TestParsing:
             ("criterion06_audit", "experiment.seed=-1"),
             ("criterion09_insensitize_interior", "experiment.seed=-1"),
             ("criterion04_gramian_interior", "experiment.seed=-1"),
+            # an observation weight out of the float range had failed a check with an inf spectrum, exit 1,
+            # or, in the audit, been blamed on the coupling
+            ("criterion04_gramian_interior", "observer.pieces=0.6,0.7,0.05,1e160"),
+            ("criterion04_gramian_interior", "observer.pieces=0.6,0.7,0.05,1e200"),
+            ("criterion04_gramian_interior", "observer.pieces=0.6,0.7,0.05,1e300"),
+            ("criterion04_gramian_boundary", "observer.b_left=1e200"),
+            ("criterion07_trends", "observer.pieces=0.6,0.7,0.05,1e200"),
+            ("criterion05_short_horizon", "observer.pieces=0.6,0.7,0.05,1e200"),
+            ("criterion06_audit", "observer.pieces=0.6,0.7,0.05,1e200"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, config, override):
