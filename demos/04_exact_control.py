@@ -31,15 +31,14 @@ grid = TimeGrid.for_space(space, 4.0, 0.4)
 rng = np.random.default_rng(42)
 initial = CascadeState.from_vector(rng.standard_normal(4 * space.n_modes), space)
 
-for case, observer in (
-    ("interior", Observer("interior", weight=CoefficientFunction(
-        (PlateauBump(0.6, 0.7, 0.05, 1.0),), core_region=(0.6, 0.7)))),
-    ("boundary", Observer("boundary", b_left=1.0)),
+# the observer's kind is the case: it fixes the data space of the terminal norms
+for observer in (
+    Observer("interior", weight=CoefficientFunction((PlateauBump(0.6, 0.7, 0.05, 1.0),), core_region=(0.6, 0.7))),
+    Observer("boundary", b_left=1.0),
 ):
-    problem = HUMProblem(case, initial, coupling, observer, grid,
-                         cg_tolerance=1e-10, max_iterations=500)
+    problem = HUMProblem(initial, coupling, observer, grid, cg_tolerance=1e-10, max_iterations=500)
     solution = solve_hum(problem)
-    print(f"{case} control:")
+    print(f"{observer.kind} control:")
     print(f"  conjugate gradient iterations: {solution.cg_iterations}")
     print(f"  control time-squared norm: {solution.control.squared_time_norm():.4f}")
     print(f"  transposition identity residual: {solution.duality_residual:.2e}")

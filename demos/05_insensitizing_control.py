@@ -20,6 +20,7 @@ from wavecascade import (
     Observer,
     PlateauBump,
     SpectralSpace,
+    TimeGrid,
     insensitize,
     verify_converse,
 )
@@ -37,7 +38,7 @@ problem = InsensitizeProblem(
     observation_weight=CoefficientFunction(
         (PlateauBump(0.2, 0.3, 0.05, 1.0),), core_region=(0.2, 0.3)
     ),
-    horizon=4.0,
+    grid=TimeGrid.for_space(space, 4.0, 0.4),
     control_operator=Observer(
         "interior", weight=CoefficientFunction((PlateauBump(0.6, 0.7, 0.05, 1.0),), core_region=(0.6, 0.7))
     ),

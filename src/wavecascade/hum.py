@@ -69,6 +69,7 @@ __all__ = [
     "HUMProblem",
     "HUMSolution",
     "TimeSampledControl",
+    "DATA_ORDERS",
     "adjoint_observation_rows",
     "adjoint_space_weights",
     "control_space_norms",
@@ -89,14 +90,14 @@ __all__ = [
 class HUMProblem:
     """One exact-control problem for the cascade pair.
 
-    ``case`` is 'interior' (bounded control operator, data measured in the
-    strong product space) or 'boundary' (Dirichlet control, weak product
-    space).  ``initial_data`` is the state (y1, y2, y1', y2') to drive to
-    rest; ``source`` an optional forcing of the controlled equation given as
-    a callable t -> modal coefficients, called once on the column of grid
-    times (shape (n_steps + 1, 1)) with its result broadcast to
-    (n_steps + 1, N).  The observer doubles as the control operator: its
-    weight is the control profile.
+    The observer's kind is the case: 'interior' (bounded control operator,
+    data in the strong product space) or 'boundary' (Dirichlet control, weak
+    product space; ``DATA_ORDERS``).  ``initial_data`` is the state (y1, y2,
+    y1', y2') to drive to rest; ``source`` an optional forcing of the
+    controlled equation given as a callable t -> modal coefficients, called
+    once on the column of grid times (shape (n_steps + 1, 1)) with its result
+    broadcast to (n_steps + 1, N).  The observer doubles as the control
+    operator: its weight is the control profile.
 
     The problem owns the operators derived from it (the steppers, the
     observation rows, the adjoint metric, the source samples, the control
@@ -105,7 +106,6 @@ class HUMProblem:
     (``dynamics._aligned``).
     """
 
-    case: str
     initial_data: CascadeState
     coupling: CouplingOperator | None
     observer: Observer
@@ -116,12 +116,6 @@ class HUMProblem:
     observability_floor: float = 1e-8
 
     def __post_init__(self):
-        if self.case not in ("interior", "boundary"):
-            raise ValidationError("case must be 'interior' or 'boundary'")
-        if self.case == "interior" and self.observer.kind != "interior":
-            raise ValidationError("interior case needs an interior observer/control weight")
-        if self.case == "boundary" and self.observer.kind != "boundary":
-            raise ValidationError("boundary case needs a boundary observer/control weight")
         if not (np.isfinite(self.cg_tolerance) and self.cg_tolerance > 0):
             raise ValidationError(f"cg_tolerance must be finite and positive, got {self.cg_tolerance}")
         if self.max_iterations < 1:
@@ -181,7 +175,7 @@ class HUMProblem:
     @cached_property
     def xd(self) -> np.ndarray:
         """Diagonal weights of the adjoint space metric."""
-        return adjoint_space_weights(self.space, self.case)
+        return adjoint_space_weights(self.space, self.observer.kind)
 
     @cached_property
     def source_nodes(self) -> np.ndarray | None:
@@ -204,7 +198,6 @@ class TimeSampledControl:
     """
 
     values: np.ndarray
-    kind: str
     grid: TimeGrid
 
     def squared_time_norm(self) -> float:
@@ -227,6 +220,11 @@ class HUMSolution:
 # ---------------------------------------------------------------------------
 # case-dependent geometry
 
+# Sobolev orders of the data space of (y1, y2, y1', y2') per observer kind, the
+# case: by HUM duality the observation operator fixes them.  Every other order
+# set (adjoint metric, insensitizing perturbation slots) is read from here.
+DATA_ORDERS = {"interior": (2, 1, 1, 0), "boundary": (1, 0, 0, -1)}
+
 
 def adjoint_observation_rows(observer: Observer, space: SpectralSpace) -> np.ndarray:
     """Control-dual observation on the adjoint trajectory (full-state rows).
@@ -242,23 +240,29 @@ def adjoint_observation_rows(observer: Observer, space: SpectralSpace) -> np.nda
     return out
 
 
-def adjoint_space_weights(space: SpectralSpace, case: str) -> np.ndarray:
-    """Diagonal weights of the adjoint solution space norm."""
-    return state_weights(space, (-1, 0, -2, -1) if case == "interior" else (0, 1, -1, 0))
+def adjoint_space_weights(space: SpectralSpace, kind: str) -> np.ndarray:
+    """Diagonal weights of the adjoint space norm for the observer kind ``kind``, the case.
 
-
-def control_space_norms(vector: np.ndarray, space: SpectralSpace, case: str) -> dict:
-    """Component norms of a controlled state in the case's data space.
-
-    Interior case: (y1, y2, y1', y2') measured in H2 x H1 x H1 x H0;
-    boundary case: H1 x H0 x H0 x H-1.
+    The dual of the data space in the wave pairing: ``DATA_ORDERS`` negated, position and velocity halves swapped.
     """
-    n = space.n_modes
-    weighted = state_weights(space, (2, 1, 1, 0) if case == "interior" else (1, 0, 0, -1)) * vector**2
-    out = {}
-    for i, name in enumerate(("y1", "y2", "dy1", "dy2")):
-        out[name] = float(np.sqrt(np.sum(weighted[i * n : (i + 1) * n])))
-    out["total"] = float(np.sqrt(sum(v**2 for k, v in out.items() if k != "total")))
+    y1, y2, dy1, dy2 = DATA_ORDERS[kind]
+    return state_weights(space, (-dy1, -dy2, -y1, -y2))
+
+
+def _squared_component_norms(states: np.ndarray, space: SpectralSpace, kind: str) -> np.ndarray:
+    """Squared norms of (y1, y2, y1', y2') of each 4N state along the last axis, in ``kind``'s data space."""
+    weighted = state_weights(space, DATA_ORDERS[kind]) * states**2
+    return weighted.reshape(weighted.shape[:-1] + (4, space.n_modes)).sum(axis=-1)
+
+
+def control_space_norms(vector: np.ndarray, space: SpectralSpace, kind: str) -> dict:
+    """Component norms of a controlled state in the data space of the observer kind ``kind``, the case.
+
+    Interior: (y1, y2, y1', y2') measured in H2 x H1 x H1 x H0; boundary:
+    H1 x H0 x H0 x H-1 (``DATA_ORDERS``).
+    """
+    out = dict(zip(("y1", "y2", "dy1", "dy2"), np.sqrt(_squared_component_norms(vector, space, kind)).tolist()))
+    out["total"] = float(np.sqrt(sum(v**2 for v in out.values())))
     return out
 
 
@@ -413,7 +417,7 @@ def _certificate_norm(residual: np.ndarray, problem: HUMProblem) -> float:
     """Terminal-state norm the residual would produce, in the data space."""
     n = problem.space.n_modes
     terminal = _pairing_matrix_apply(residual, n)
-    return control_space_norms(terminal, problem.space, problem.case)["total"]
+    return control_space_norms(terminal, problem.space, problem.observer.kind)["total"]
 
 
 def solve_hum(problem: HUMProblem) -> HUMSolution:
@@ -458,7 +462,7 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
         rhs_scale = _certificate_norm(rhs, problem)
     if not np.isfinite(rhs_scale):
         raise ValidationError("[source] is too large: the right-hand side's certificate norm leaves the float range")
-    initial_norm = control_space_norms(problem.initial_data.as_vector(), space, problem.case)["total"]
+    initial_norm = control_space_norms(problem.initial_data.as_vector(), space, problem.observer.kind)["total"]
     trace = []
     x = np.zeros(4 * n)
     iterations = 0
@@ -494,9 +498,9 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
 
     # the control observes the driven position of the adjoint trajectory from x
     swept, _ = _sweep_from(x, problem)
-    control = TimeSampledControl(swept[::-1, :n] @ problem.obs_rows[:, n : 2 * n].T, problem.case, grid)
+    control = TimeSampledControl(swept[::-1, :n] @ problem.obs_rows[:, n : 2 * n].T, grid)
     trajectory = controlled_forward(problem, control)
-    terminal_norms = control_space_norms(trajectory[-1], space, problem.case)
+    terminal_norms = control_space_norms(trajectory[-1], space, problem.observer.kind)
     duality = verify_transposition(problem, control, trajectory=trajectory, n_probes=5, seed=1)
     return HUMSolution(
         minimizer=CascadeState.from_vector(x, space),

@@ -45,10 +45,12 @@ from .spectral import CoefficientFunction, ModalCoefficients, SpectralSpace, ass
 from .dynamics import CascadeState, CouplingOperator, Observer, TimeGrid, _read_only, free_flow, march
 from .observability import gcc_min_time
 from .hum import (
+    DATA_ORDERS,
     HUMProblem,
     TimeSampledControl,
     control_space_norms,
     controlled_forward,
+    _squared_component_norms,
     solve_hum,
 )
 
@@ -74,21 +76,22 @@ class InsensitizeProblem:
     ``known_position``/``known_velocity`` are the known initial data of the
     controlled wave; the perturbations enter the same slots with small
     amplitudes.  ``observation_weight`` is the nonnegative weight of Phi
-    (its core region is the observation set); ``control_operator`` is the
-    observer through which the control acts, an interior weight or boundary
-    endpoint weights.  ``source`` is an optional forcing of the controlled
-    equation with the contract of ``HUMProblem.source``: a callable
-    t -> modal coefficients, called once on the column of grid times and
-    broadcast to one vector per node.
+    (its core region is the observation set); ``grid`` the time grid, whose
+    horizon is the control time; ``control_operator`` is the observer
+    through which the control acts, an interior weight or boundary endpoint
+    weights.  Its kind is the case: the perturbations are unit-normalized in
+    the controlled entries (y2, y2') of ``hum.DATA_ORDERS``.  ``source`` is
+    an optional forcing of the controlled equation with the contract of
+    ``HUMProblem.source``: a callable t -> modal coefficients, called once
+    on the column of grid times and broadcast to one vector per node.
     """
 
     known_position: ModalCoefficients
     known_velocity: ModalCoefficients
     observation_weight: CoefficientFunction
-    horizon: float
+    grid: TimeGrid
     control_operator: Observer
     source: object = None  # callable t -> modal coefficients (broadcast per time), or None
-    n_steps: int | None = None
     cg_tolerance: float = 1e-10
     max_iterations: int = 2000
     observability_floor: float = 1e-8
@@ -109,12 +112,6 @@ class InsensitizeProblem:
     def weight_matrix(self) -> np.ndarray:
         """Multiplication matrix of the observation weight, assembled once."""
         return assemble_multiplication_matrix(self.observation_weight, self.space)
-
-    @cached_property
-    def grid(self) -> TimeGrid:
-        if self.n_steps is not None:
-            return TimeGrid(self.horizon, self.n_steps)
-        return TimeGrid.for_space(self.space, self.horizon, 0.4)
 
     @cached_property
     def fine_flow(self) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +139,6 @@ class InsensitizeProblem:
         initial = CascadeState(space.zero(), self.known_position, space.zero(), self.known_velocity)
         coupling = None if self.observation_region is None else CouplingOperator(self.observation_weight, space)
         return HUMProblem(
-            self.control_operator.kind,
             initial,
             coupling,
             self.control_operator,
@@ -152,10 +148,6 @@ class InsensitizeProblem:
             max_iterations=self.max_iterations,
             observability_floor=self.observability_floor,
         )
-
-    def perturbation_spaces(self) -> tuple[int, int]:
-        """Sobolev orders of the (position, velocity) perturbation slots."""
-        return (1, 0) if self.control_operator.kind == "interior" else (0, -1)
 
 
 @dataclass(frozen=True)
@@ -312,7 +304,7 @@ def _modal_derivatives(problem: InsensitizeProblem, fine: np.ndarray) -> tuple[n
 def _unit_perturbations(problem: InsensitizeProblem, count: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
     """Random perturbation pairs, unit-normalized in their slots' spaces."""
     lam = problem.space.eigenvalues
-    k_pos, k_vel = problem.perturbation_spaces()
+    _, k_pos, _, k_vel = DATA_ORDERS[problem.control_operator.kind]
     out = []
     for _ in range(count):
         z0 = rng.standard_normal(problem.space.n_modes)
@@ -400,10 +392,10 @@ def insensitize(problem: InsensitizeProblem):
     checks.append(("control region", problem.control_operator.region))
     for label, reg in checks:
         minimal = gcc_min_time(reg)
-        if problem.horizon <= minimal:
+        if problem.grid.horizon <= minimal:
             raise RefusalError(
                 f"{label} fails the geometric control time check",
-                {"region": reg, "minimal_horizon": minimal, "horizon": problem.horizon},
+                {"region": reg, "minimal_horizon": minimal, "horizon": problem.grid.horizon},
             )
 
     hum = problem.hum
@@ -453,25 +445,22 @@ def insensitize(problem: InsensitizeProblem):
     return control, certificate
 
 
-def _first_component_norms(states: np.ndarray, space: SpectralSpace, case: str) -> np.ndarray:
-    """Norm of the first cascade component in every row of ``states``, in the case's space."""
-    n = space.n_modes
-    lam = space.eigenvalues
-    orders = (2, 1) if case == "interior" else (1, 0)
-    position = np.sum(lam ** orders[0] * states[:, :n] ** 2, axis=1)
-    velocity = np.sum(lam ** orders[1] * states[:, 2 * n : 3 * n] ** 2, axis=1)
-    return np.sqrt(position + velocity)
+def _first_component_norms(states: np.ndarray, space: SpectralSpace, kind: str) -> np.ndarray:
+    """Norm of the first cascade component (y1, y1') in every row of ``states``, in the data space of ``kind``."""
+    squared = _squared_component_norms(states, space, kind)
+    return np.sqrt(squared[:, 0] + squared[:, 2])
 
 
 def _converse(problem: InsensitizeProblem, states: np.ndarray, phi0: float, derivatives, data_scale: float):
     """``ConverseReport`` of the controlled ``states`` from their Phi, modal derivatives and data norm."""
     lam = problem.space.eigenvalues
-    k_pos, k_vel = problem.perturbation_spaces()
+    kind = problem.control_operator.kind
+    _, k_pos, _, k_vel = DATA_ORDERS[kind]
     per_position, per_velocity = derivatives
     # the spanning set: every mode in each slot, unit-normalized in the slot's space
     spanning = np.concatenate([per_position / np.sqrt(lam**k_pos), per_velocity / np.sqrt(lam**k_vel)])
     worst_rel = float(np.max(np.abs(spanning))) / max(phi0, 1e-300)
-    norms = _first_component_norms(states, problem.space, problem.hum.case)
+    norms = _first_component_norms(states, problem.space, kind)
     terminal_rel = float(norms[-1]) / max(float(norms.max()), data_scale, 1e-300)
     return ConverseReport(worst_rel <= CONVERSE_TOL, terminal_rel <= CONVERSE_TOL, worst_rel, terminal_rel)
 
@@ -490,5 +479,5 @@ def verify_converse(problem: InsensitizeProblem, control: TimeSampledControl | N
     hum = problem.hum
     states = controlled_forward(hum, control)
     fine = fine_second_positions(states, problem.space, problem.grid)
-    data_scale = control_space_norms(hum.initial_data.as_vector(), problem.space, hum.case)["total"]
+    data_scale = control_space_norms(hum.initial_data.as_vector(), problem.space, hum.observer.kind)["total"]
     return _converse(problem, states, _fine_phi(problem, fine), _modal_derivatives(problem, fine), data_scale)

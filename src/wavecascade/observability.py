@@ -776,6 +776,8 @@ def _audit_forms(
     one ``_doubling``, whose M-th power of the step also carries the
     endpoint energy and pairing.  The coupling, coupling-squared and
     projection moments use the closed-form free flow of the first component.
+    An observation weight so large that the solver Gramian leaves the float
+    range is a ValidationError naming ``[observer]``.
     """
     grid.validate_for(space)
     n = space.n_modes
@@ -795,7 +797,10 @@ def _audit_forms(
     # the solver Gramian, the integrated driven energy, the integrated work, and
     # the power that carries initial data to the final state
     forms = np.array([rows.T @ rows, np.diag(natural_second), work])
-    (obs_int, e1_u2_int, balance_int), power = _doubling(forms, step, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # a solver Gramian out of the float range is refused next
+        (obs_int, e1_u2_int, balance_int), power = _doubling(forms, step, grid)
+    if not np.all(np.isfinite(obs_int)):
+        raise ValidationError("[observer] is too large: the audit's solver Gramian leaves the float range")
     return {
         "obs_int": obs_int,
         "e1_u2_0": np.diag(natural_second),

@@ -195,13 +195,14 @@ class ExperimentConfig:
             if weight is None:
                 raise ConfigError("[observer] needs pieces for the interior kind")
             return Observer("interior", weight=weight)
-        if kind == "boundary":
-            return Observer(
-                "boundary",
-                b_left=self.get("observer", "b_left", default=0.0, cast=float),
-                b_right=self.get("observer", "b_right", default=0.0, cast=float),
-            )
-        raise ConfigError(f"unknown observer kind {kind!r}")
+        if kind != "boundary":
+            raise ConfigError(f"unknown observer kind {kind!r}")
+        b_left = self.get("observer", "b_left", default=0.0, cast=float)
+        b_right = self.get("observer", "b_right", default=0.0, cast=float)
+        try:
+            return Observer("boundary", b_left=b_left, b_right=b_right)
+        except ValidationError as exc:
+            raise ConfigError(f"[observer] {exc}") from None
 
     def grid(self, space: SpectralSpace, horizon: float | None = None) -> TimeGrid:
         T = horizon if horizon is not None else self.get("grid", "horizon", cast=float)
@@ -438,7 +439,6 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> RunResult:
     rng = np.random.default_rng(config.seed)
     state = config.random_state(space, rng)
     problem = HUMProblem(
-        config.get("hum", "case", default=observer.kind),
         state,
         coupling,
         observer,
@@ -452,7 +452,7 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> RunResult:
     solution = solve_hum(problem)
 
     artifacts = []
-    if problem.case == "interior":
+    if observer.kind == "interior":
         x_points = np.linspace(0.0, 1.0, x_samples)
         basis = space.basis_matrix(x_points)
         control_path = outdir / "control.csv"
@@ -461,7 +461,7 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> RunResult:
     else:
         # control columns are the active endpoints in left, right order
         sides = np.zeros((grid.n_steps + 1, 2))
-        sides[:, [problem.observer.b_left > 0, problem.observer.b_right > 0]] = solution.control.values
+        sides[:, [observer.b_left > 0, observer.b_right > 0]] = solution.control.values
         rows = [[t, v_left, v_right] for t, (v_left, v_right) in zip(grid.times, sides)]
         control_path = outdir / "control.csv"
         write_csv(control_path, ["t", "v_left", "v_right"], rows)
@@ -472,7 +472,7 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> RunResult:
     artifacts.append(trace_path)
 
     manifest = [
-        f"case {problem.case}",
+        f"case {observer.kind}",
         f"n_modes {space.n_modes}",
         f"horizon {_fmt(grid.horizon)}",
         f"cg_iterations {solution.cg_iterations}",
@@ -504,11 +504,11 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
     lam = space.eigenvalues
     y0 = ModalCoefficients(rng.standard_normal(space.n_modes) / np.sqrt(lam), space)
     y1 = ModalCoefficients(rng.standard_normal(space.n_modes), space)
-    kwargs = dict(
+    problem = InsensitizeProblem(
         known_position=y0,
         known_velocity=y1,
         observation_weight=observation,
-        horizon=config.get("grid", "horizon", cast=float),
+        grid=config.grid(space),
         control_operator=observer,
         source=config.source(space, rng),
         cg_tolerance=config.get("hum", "cg_tolerance", default=1e-10, cast=float),
@@ -517,9 +517,6 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
         perturbation_count=config.count("insensitize", "perturbations", 10),
         seed=config.seed + 1,
     )
-    if config.has("grid", "n_steps"):
-        kwargs["n_steps"] = config.get("grid", "n_steps", cast=int)
-    problem = InsensitizeProblem(**kwargs)
     _, certificate = insensitize(problem)
     converse = certificate.converse
 
@@ -575,6 +572,7 @@ def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
     geometric = empirical_horizon(coupling, observer)
     horizon = config.get("grid", "horizon", default=horizon_factor * geometric, cast=float)
     grid = config.grid(space, horizon)
+    grid.validate_for(space)  # before the try below, which blames what it catches on the inflation
     inflation = config.get("audit", "inflation", default=2.0, cast=float)
     if not (np.isfinite(inflation) and inflation > 0):
         raise ConfigError(f"[audit] inflation must be finite and positive, got {inflation}")
@@ -591,6 +589,8 @@ def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
         constants = ObservabilityConstants(coupling.alpha, coupling.beta, gamma0, eta0, alpha0, t0=geometric)
         audited = inequality_chain_audit(x, coupling, observer, constants, grid, admissibility_inflation=inflation)
     except ValidationError as exc:
+        if str(exc).startswith("["):  # it names its own key: the observer's solver Gramian left the float range
+            raise
         raise ConfigError(f"[audit] inflation = {inflation:g} is too large: {exc}") from None
 
     # the ledger shows one sample per name, the first on ties: an inequality's worst margin, an identity's

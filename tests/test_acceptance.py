@@ -154,10 +154,10 @@ class TestCriterion3Identities:
                 space.zero(), data.u2, space.zero(), data.v2
             )
             control = TimeSampledControl(
-                rng.standard_normal((grid.n_steps + 1, n)), "interior", grid
+                rng.standard_normal((grid.n_steps + 1, n)), grid
             )
-            scalar_problem = HUMProblem("interior", scalar_data, None, interior_observer(), grid)
-            cascade_problem = HUMProblem("interior", data, coupling, interior_observer(), grid)
+            scalar_problem = HUMProblem(scalar_data, None, interior_observer(), grid)
+            cascade_problem = HUMProblem(data, coupling, interior_observer(), grid)
             worst_scalar = max(
                 worst_scalar,
                 verify_transposition(scalar_problem, control, n_probes=3, seed=i)["max_residual"],
@@ -298,7 +298,6 @@ class TestCriterion8ExactControl:
         coupling = CouplingOperator(COUPLING_FN, space)
         rng = np.random.default_rng(42)
         problem = HUMProblem(
-            "interior",
             CascadeState.from_vector(rng.standard_normal(128), space),
             coupling,
             interior_observer(),
@@ -317,7 +316,6 @@ class TestCriterion8ExactControl:
         coupling = CouplingOperator(COUPLING_FN, space)
         rng = np.random.default_rng(43)
         problem = HUMProblem(
-            "boundary",
             CascadeState.from_vector(rng.standard_normal(128), space),
             coupling,
             Observer("boundary", b_left=1.0),
@@ -336,7 +334,6 @@ class TestCriterion8ExactControl:
         coupling = CouplingOperator(COUPLING_FN, space)
         rng = np.random.default_rng(44)
         problem = HUMProblem(
-            "interior",
             CascadeState.from_vector(rng.standard_normal(32), space),
             coupling,
             interior_observer(),
@@ -364,7 +361,7 @@ class TestCriterion9Insensitizing:
             known_position=y0,
             known_velocity=y1,
             observation_weight=COUPLING_FN,
-            horizon=4.0,
+            grid=TimeGrid.for_space(space, 4.0, 0.4),
             control_operator=control,
             source=lambda t: np.sin(np.pi * t) * g,
             cg_tolerance=1e-10,
@@ -409,7 +406,7 @@ class TestCriterion10Equivalence:
                 known_position=y0,
                 known_velocity=y1,
                 observation_weight=COUPLING_FN,
-                horizon=4.0,
+                grid=TimeGrid.for_space(space, 4.0, 0.4),
                 control_operator=Observer("interior", weight=OBS_FN),
                 cg_tolerance=1e-10,
                 max_iterations=500,

@@ -1,6 +1,7 @@
 """Public-surface hygiene: every exported name resolves and is used by a run or a demo, and SciPy loads only where it is used."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import wavecascade
+from wavecascade.hum import HUMProblem, TimeSampledControl
+from wavecascade.insensitize import InsensitizeProblem
 
 MODULES = ("errors", "spectral", "dynamics", "observability", "hum", "insensitize", "runner")
 
@@ -35,6 +38,20 @@ def test_no_public_callable_takes_a_private_parameter():
                 continue
             private += [f"{module_name}.{name}({p})" for p in parameters if p.startswith("_")]
     assert private == []
+
+
+def test_control_problems_pin_their_fields():
+    # the observer's kind is the case and one TimeGrid the time grid; a change that adds a settable value edits this pin
+    names = lambda cls: [field.name for field in dataclasses.fields(cls)]
+    assert names(HUMProblem) == [
+        "initial_data", "coupling", "observer", "grid", "source", "cg_tolerance", "max_iterations",
+        "observability_floor",
+    ]
+    assert names(InsensitizeProblem) == [
+        "known_position", "known_velocity", "observation_weight", "grid", "control_operator", "source",
+        "cg_tolerance", "max_iterations", "observability_floor", "perturbation_count", "seed",
+    ]
+    assert names(TimeSampledControl) == ["values", "grid"]
 
 
 def test_package_reexports_resolve():

@@ -47,7 +47,6 @@ def interior_problem(n_modes=16, horizon=4.0, data=None, coupling=True, source=N
     if data is None:
         data = CascadeState.from_vector(RNG.standard_normal(4 * n_modes), space)
     return HUMProblem(
-        "interior",
         data,
         CouplingOperator(COUPLING_FN, space) if coupling else None,
         Observer("interior", weight=CONTROL_FN),
@@ -62,7 +61,6 @@ def boundary_problem(n_modes=16, horizon=4.0, data=None, **kw):
     if data is None:
         data = CascadeState.from_vector(RNG.standard_normal(4 * n_modes), space)
     return HUMProblem(
-        "boundary",
         data,
         CouplingOperator(COUPLING_FN, space),
         Observer("boundary", b_left=1.0),
@@ -102,7 +100,6 @@ class TestGramianOperator:
         grid = TimeGrid.for_space(space, 4.0, 0.05)
         coupling = CouplingOperator(COUPLING_FN, space)
         prob = HUMProblem(
-            "interior",
             CascadeState.zero(space),
             coupling,
             Observer("interior", weight=CONTROL_FN),
@@ -289,17 +286,6 @@ class TestSolve:
             solve_hum(interior_problem(8, max_iterations=2))
         assert len(err.value.trace) >= 2
 
-    def test_case_observer_mismatch_rejected(self):
-        space = SpectralSpace(8)
-        with pytest.raises(ValidationError):
-            HUMProblem(
-                "interior",
-                CascadeState.zero(space),
-                None,
-                Observer("boundary", b_left=1.0),
-                TimeGrid.for_space(space, 4.0, 0.4),
-            )
-
 
 def _probe_by_probe_residuals(problem, control, trajectory, n_probes, seed):
     """Transposition residuals from one backward march per probe, node sums over the whole trajectory."""
@@ -327,7 +313,7 @@ def _probe_by_probe_residuals(problem, control, trajectory, n_probes, seed):
 
 def _random_control(problem, rng):
     samples = rng.standard_normal((problem.grid.n_steps + 1, problem.obs_rows.shape[0]))
-    return TimeSampledControl(samples, problem.case, problem.grid)
+    return TimeSampledControl(samples, problem.grid)
 
 
 class TestTransposition:
@@ -349,7 +335,7 @@ class TestTransposition:
         )
         prob = interior_problem(16, data=data, coupling=False)
         control = TimeSampledControl(
-            RNG.standard_normal((prob.grid.n_steps + 1, 16)), "interior", prob.grid
+            RNG.standard_normal((prob.grid.n_steps + 1, 16)), prob.grid
         )
         report = verify_transposition(prob, control, n_probes=20, seed=5)
         assert report["max_residual"] < 1e-6
@@ -357,7 +343,7 @@ class TestTransposition:
     def test_cascade_case_with_random_control(self):
         prob = interior_problem(16)
         control = TimeSampledControl(
-            RNG.standard_normal((prob.grid.n_steps + 1, 16)), "interior", prob.grid
+            RNG.standard_normal((prob.grid.n_steps + 1, 16)), prob.grid
         )
         report = verify_transposition(prob, control, n_probes=20, seed=6)
         assert report["max_residual"] < 1e-6
@@ -365,7 +351,7 @@ class TestTransposition:
     def test_boundary_case_with_random_control(self):
         prob = boundary_problem(16)
         control = TimeSampledControl(
-            RNG.standard_normal((prob.grid.n_steps + 1, 1)), "boundary", prob.grid
+            RNG.standard_normal((prob.grid.n_steps + 1, 1)), prob.grid
         )
         report = verify_transposition(prob, control, n_probes=20, seed=7)
         assert report["max_residual"] < 1e-6
@@ -374,7 +360,7 @@ class TestTransposition:
         g = RNG.standard_normal(8)
         prob = interior_problem(8, source=lambda t: np.cos(2.0 * t) * g)
         control = TimeSampledControl(
-            RNG.standard_normal((prob.grid.n_steps + 1, 8)), "interior", prob.grid
+            RNG.standard_normal((prob.grid.n_steps + 1, 8)), prob.grid
         )
         report = verify_transposition(prob, control, n_probes=10, seed=8)
         assert report["max_residual"] < 1e-6
@@ -394,7 +380,7 @@ class TestTransposition:
         assert prob.grid.n_steps % 3 and prob.grid.n_steps % 7  # the last chunk is a partial one
         control = _random_control(prob, rng)
         trajectory = controlled_forward(prob, control)
-        wrong = TimeSampledControl(1.001 * control.values, prob.case, prob.grid)
+        wrong = TimeSampledControl(1.001 * control.values, prob.grid)
         report = verify_transposition(prob, wrong, trajectory=trajectory, n_probes=n_probes, seed=3)
         reference = _probe_by_probe_residuals(prob, wrong, trajectory, n_probes, seed=3)
         assert len(report["residuals"]) == n_probes
@@ -580,6 +566,8 @@ class TestSpaces:
         w = adjoint_space_weights(space, "boundary")
         assert np.allclose(w[:4], 1.0)
         assert np.allclose(w[4:8], lam)
+        assert np.allclose(w[8:12], 1.0 / lam)
+        assert np.allclose(w[12:], 1.0)
 
     def test_control_space_norms_orders(self):
         space = SpectralSpace(4)

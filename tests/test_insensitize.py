@@ -41,7 +41,7 @@ OBSERVATION_FN = CoefficientFunction((PlateauBump(0.2, 0.3, 0.05, 1.0),), core_r
 CONTROL_FN = CoefficientFunction((PlateauBump(0.6, 0.7, 0.05, 1.0),), core_region=(0.6, 0.7))
 
 
-def make_problem(n_modes=16, horizon=4.0, kind="interior", weight=OBSERVATION_FN, data=None, **kw):
+def make_problem(n_modes=16, horizon=4.0, kind="interior", weight=OBSERVATION_FN, data=None, n_steps=None, **kw):
     space = SpectralSpace(n_modes)
     if data is None:
         y0 = ModalCoefficients(RNG.standard_normal(n_modes) / np.sqrt(space.eigenvalues), space)
@@ -53,7 +53,7 @@ def make_problem(n_modes=16, horizon=4.0, kind="interior", weight=OBSERVATION_FN
         known_position=y0,
         known_velocity=y1,
         observation_weight=weight,
-        horizon=horizon,
+        grid=TimeGrid.for_space(space, horizon, 0.4) if n_steps is None else TimeGrid(horizon, n_steps),
         control_operator=control,
         **kw,
     )
@@ -99,7 +99,7 @@ class TestSensitivityDerivatives:
         prob = make_problem(12)
         hum = prob.hum
         control = TimeSampledControl(
-            0.1 * RNG.standard_normal((prob.grid.n_steps + 1, 12)), "interior", prob.grid
+            0.1 * RNG.standard_normal((prob.grid.n_steps + 1, 12)), prob.grid
         )
         space = prob.space
         z0 = RNG.standard_normal(12)
@@ -117,7 +117,7 @@ class TestSensitivityDerivatives:
     def test_derivative_is_linear_in_perturbation(self):
         prob = make_problem(8)
         control = TimeSampledControl(
-            0.1 * RNG.standard_normal((prob.grid.n_steps + 1, 8)), "interior", prob.grid
+            0.1 * RNG.standard_normal((prob.grid.n_steps + 1, 8)), prob.grid
         )
         za = RNG.standard_normal(8)
         zb = RNG.standard_normal(8)

@@ -84,7 +84,7 @@ def test_backward_evolution_undoes_forward_evolution(case):
 @given(geometry())
 def test_duality_pairing_is_constant_along_controlled_and_adjoint_trajectories(case):
     space, coupling, observer, grid, x, w = case
-    problem = HUMProblem("interior", CascadeState.from_vector(x, space), coupling, observer, grid)
+    problem = HUMProblem(CascadeState.from_vector(x, space), coupling, observer, grid)
     forward = controlled_forward(problem, None)
     adjoint = _backward_states(w, problem)
     n = space.n_modes
@@ -194,13 +194,13 @@ def test_controlled_solve_is_affine_in_the_known_data(case, tau, freq, seed):
     n = space.n_modes
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(n)
-    control = TimeSampledControl(rng.standard_normal((grid.n_steps + 1, n)), "interior", grid)
+    control = TimeSampledControl(rng.standard_normal((grid.n_steps + 1, n)), grid)
 
     def data(v):  # known position and velocity of the controlled component
         return CascadeState(space.zero(), ModalCoefficients(v[:n], space), space.zero(),
                             ModalCoefficients(v[n : 2 * n], space))
 
-    problem = HUMProblem("interior", data(x), coupling, observer, grid, source=lambda t: np.cos(freq * t) * g)
+    problem = HUMProblem(data(x), coupling, observer, grid, source=lambda t: np.cos(freq * t) * g)
     base = controlled_forward(problem, control)
     response = _response(problem, w[:n], w[n : 2 * n])
     perturbed = controlled_forward(replace(problem, initial_data=data(x + tau * w)), control)
@@ -228,7 +228,7 @@ def hum_case(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x, w = rng.standard_normal((2, 4 * space.n_modes))
     grid = TimeGrid.for_space(space, horizon)
-    return HUMProblem(observer.kind, CascadeState.from_vector(x, space), coupling, observer, grid), w
+    return HUMProblem(CascadeState.from_vector(x, space), coupling, observer, grid), w
 
 
 @PROPERTY_SETTINGS

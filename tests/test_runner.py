@@ -160,6 +160,11 @@ class TestParsing:
             ("criterion07_trends", "observer.pieces=0.6,0.7,0.05,1e200"),
             ("criterion05_short_horizon", "observer.pieces=0.6,0.7,0.05,1e200"),
             ("criterion06_audit", "observer.pieces=0.6,0.7,0.05,1e200"),
+            # the audit's solver Gramian had overflowed into an eigvalsh traceback
+            ("criterion06_audit", "observer.pieces=0.6,0.7,0.05,1e152"),
+            # the insensitize kind had built its own grid at a fixed step phase, and passed
+            ("criterion09_insensitize_interior", "grid.step_phase=nan"),
+            ("criterion09_insensitize_interior", "grid.step_phase=-1"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, config, override):
@@ -204,6 +209,13 @@ class TestParsing:
         assert line.startswith(f"configuration error: [checks] {key} must be 1/true/yes/on or 0/false/no/off")
         assert not list(out.glob("*"))
 
+    def test_coarse_audit_grid_is_not_blamed_on_the_inflation(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        overrides = ["--set", "grid.horizon=20", "--set", "grid.n_steps=100"]
+        assert main([f"{CONFIG_DIR}/criterion06_audit.ini", "-o", str(out), *overrides]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("configuration error: time step resolves the fastest mode poorly")
+
     @pytest.mark.parametrize("step_phase", ["0", "-1"])
     def test_non_positive_step_phase_exits_2_naming_it(self, tmp_path, capsys, step_phase):
         out = tmp_path / "out"
@@ -227,6 +239,7 @@ class TestParsing:
             ("criterion06_audit", "coupling.pieces=0.2,0.3,0.05,1e200", "[coupling] is too large: constant chain"),
             ("criterion04_gramian_interior", "coupling.pieces=0.2,0.3,0.05,1e30", "[coupling] is too large: "),
             ("criterion09_insensitize_interior", "source.amplitude=1e308", "[source] is too large: "),
+            ("criterion06_audit", "observer.pieces=0.6,0.7,0.05,1e152", "[observer] is too large: the audit's solver"),
         ],
     )
     def test_input_out_of_the_float_range_is_named(self, tmp_path, capsys, config, override, start):
@@ -236,6 +249,34 @@ class TestParsing:
         (line,) = capsys.readouterr().out.splitlines()
         assert line.startswith(f"configuration error: {start}")
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("override", ["observer.b_left=nan", "observer.b_right=inf"])
+    def test_boundary_weight_refusal_names_the_observer(self, tmp_path, capsys, override):
+        # the observer's own refusal had reached the line naming no key
+        out = tmp_path / "out"
+        assert main([f"{CONFIG_DIR}/criterion08_hum_boundary.ini", "-o", str(out), "--set", override]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("configuration error: [observer] boundary weights must be finite")
+
+    def test_insensitize_grid_follows_the_step_phase(self, tmp_path, monkeypatch):
+        # the insensitize kind had built its own grid at a fixed step phase of 0.4
+        from wavecascade import runner
+        from wavecascade.dynamics import TimeGrid
+        from wavecascade.errors import RefusalError
+
+        steps = []
+
+        def record(problem):  # stops the run before the solve
+            steps.append(problem.grid.n_steps)
+            raise RefusalError("grid recorded")
+
+        monkeypatch.setattr(runner, "insensitize", record)
+        config = f"{CONFIG_DIR}/criterion09_insensitize_interior.ini"
+        for phase in (0.4, 0.3):
+            run(parse_config(config, [f"grid.step_phase={phase}"]), tmp_path / str(phase))
+        space = parse_config(config).spectral_space()
+        assert steps == [TimeGrid.for_space(space, 4.0, phase).n_steps for phase in (0.4, 0.3)]
+        assert steps[1] > steps[0]
 
     def test_large_but_finite_coupling_still_refuses(self, tmp_path, capsys):
         # the control Gramian of height 1e150 is in range and fails the observability floor
@@ -501,7 +542,7 @@ max_iterations = 500
         def poisoned(problem, control, **kwargs):
             values = control.values.copy()
             values[3, 0] = np.nan
-            return checked(problem, hum.TimeSampledControl(values, control.kind, control.grid), **kwargs)
+            return checked(problem, hum.TimeSampledControl(values, control.grid), **kwargs)
 
         monkeypatch.setattr(hum, "verify_transposition", poisoned)
         code = main([
@@ -586,7 +627,6 @@ class TestCsv:
         space = SpectralSpace(8)
         bump = lambda a, b: CoefficientFunction((PlateauBump(a, b, 0.05, 1.0),), core_region=(a, b))
         problem = HUMProblem(
-            "interior",
             CascadeState.from_vector(np.random.default_rng(3).standard_normal(32), space),
             CouplingOperator(bump(0.2, 0.3), space),
             Observer("interior", weight=bump(0.6, 0.7)),
