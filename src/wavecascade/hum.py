@@ -81,6 +81,8 @@ __all__ = [
     "verify_transposition",
 ]
 
+OBSERVABILITY_FLOOR = 1e-8  # smallest metric-scaled eigenvalue contrast of a control Gramian that solve_hum accepts
+
 
 # ---------------------------------------------------------------------------
 # problem definition
@@ -113,15 +115,12 @@ class HUMProblem:
     source: object = None  # callable t -> modal coefficients (broadcast per time), or None
     cg_tolerance: float = 1e-10
     max_iterations: int = 2000
-    observability_floor: float = 1e-8
 
     def __post_init__(self):
         if not (np.isfinite(self.cg_tolerance) and self.cg_tolerance > 0):
             raise ValidationError(f"cg_tolerance must be finite and positive, got {self.cg_tolerance}")
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if not (np.isfinite(self.observability_floor) and self.observability_floor >= 0):
-            raise ValidationError(f"observability_floor must be finite and nonnegative, got {self.observability_floor}")
         self.grid.validate_for(self.space)
 
     @property
@@ -424,12 +423,12 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
     """Synthesize the null control by conjugate gradients on adjoint data.
 
     The control Gramian is assembled once (dense_hum_matrix) and serves both
-    the refusal check and every CG product.  Refuses when it fails the
-    observability floor (its metric-scaled eigenvalue contrast), since
-    coercivity is exactly what the variational problem needs.  On success
-    the control is the observation of the minimizing adjoint trajectory, the
-    controlled system is re-simulated with it, and the terminal norms are
-    certified in the case's data space.
+    the refusal check and every CG product.  Refuses when its metric-scaled
+    eigenvalue contrast is below ``OBSERVABILITY_FLOOR``, since coercivity is
+    exactly what the variational problem needs.  On success the control is
+    the observation of the minimizing adjoint trajectory, the controlled
+    system is re-simulated with it, and the terminal norms are certified in
+    the case's data space.
     """
     grid = problem.grid
     space = problem.space
@@ -441,11 +440,11 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
     if problem.coupling is None:
         # without coupling the first component is beyond reach; only the
         # controlled component's sub-block must be coercive
-        idx = np.concatenate([np.arange(n, 2 * n), np.arange(3 * n, 4 * n)])
-        scaled = scaled[np.ix_(idx, idx)]
+        _, driven = _component_indices(n)
+        scaled = scaled[np.ix_(driven, driven)]
     spectrum = np.linalg.eigvalsh(scaled)
     contrast = spectrum[0] / spectrum[-1] if spectrum[-1] > 0 else 0.0
-    if contrast < problem.observability_floor:
+    if contrast < OBSERVABILITY_FLOOR:
         raise RefusalError(
             "control Gramian fails the observability floor; increase the horizon "
             "or enlarge the control region",
@@ -453,7 +452,7 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
                 "min_eig": float(spectrum[0]),
                 "max_eig": float(spectrum[-1]),
                 "contrast": float(contrast),
-                "floor": problem.observability_floor,
+                "floor": OBSERVABILITY_FLOOR,
             },
         )
 

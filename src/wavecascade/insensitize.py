@@ -94,7 +94,6 @@ class InsensitizeProblem:
     source: object = None  # callable t -> modal coefficients (broadcast per time), or None
     cg_tolerance: float = 1e-10
     max_iterations: int = 2000
-    observability_floor: float = 1e-8
     perturbation_count: int = 10
     seed: int = 0
 
@@ -146,7 +145,6 @@ class InsensitizeProblem:
             source=self.source,
             cg_tolerance=self.cg_tolerance,
             max_iterations=self.max_iterations,
-            observability_floor=self.observability_floor,
         )
 
 

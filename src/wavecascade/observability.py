@@ -361,7 +361,6 @@ def min_eigenvalue(
     from scipy.linalg import expm
 
     grid.validate_for(space)
-    n = space.n_modes
     with np.errstate(over="ignore", invalid="ignore"):  # a factor out of the float range is refused next
         step = expm(grid.dt * _dense_generator(space, coupling))
         r = _scaled_gramian_factor(step, observer, grid, space)
@@ -372,11 +371,11 @@ def min_eigenvalue(
         max_eig = float(svals[0] ** 2)
     if not np.isfinite(max_eig):
         raise ValidationError("[observer] is too large: the metric-scaled Gramian's top eigenvalue leaves the float range")
-    first_idx = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
+    free, _ = _component_indices(space.n_modes)
     return EigenReport(
         min_eig=float(svals[-1] ** 2),
         max_eig=max_eig,
-        block_min={"u1": float(_min_singular(r[:, first_idx])[-1] ** 2)},
+        block_min={"u1": float(_min_singular(r[:, free])[-1] ** 2)},
         factor=r,
         step=step,
     )
@@ -560,9 +559,9 @@ def _free_moment_form(quad: np.ndarray, position_gram: np.ndarray) -> np.ndarray
     grid.fine_weights)``, placed on the first component of the 4N state.
     """
     n = quad.shape[0]
-    first = np.r_[0:n, 2 * n : 3 * n]
+    free, _ = _component_indices(n)
     form = np.zeros((4 * n, 4 * n))
-    form[np.ix_(first, first)] = np.tile(quad, (2, 2)) * position_gram
+    form[np.ix_(free, free)] = np.tile(quad, (2, 2)) * position_gram
     return 0.5 * (form + form.T)
 
 

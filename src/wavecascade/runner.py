@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConvergenceError, RefusalError, ValidationError
 from .spectral import CoefficientFunction, ModalCoefficients, PlateauBump, SpectralSpace
 from .dynamics import (
+    MAX_STEP_PHASE,
     CascadeState,
     CouplingOperator,
     Observer,
@@ -44,6 +45,13 @@ __all__ = ["ExperimentConfig", "ConfigError", "run", "main", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 KINDS = ("simulate", "gramian", "sweep", "hum", "insensitize", "audit")
+
+# Fixed check bounds and run settings: no config key loosens a verdict.
+COERCIVITY_FLOOR = 1e-6  # gramian_coercive: min eig over max eig of the metric-scaled Gramian
+TERMINAL_TOL = 1e-6  # terminal_state_null: worst terminal component norm over the initial norm
+AUDIT_INFLATION = 2.0  # the audit's estimated constants and admissibility bound, inflated
+AUDIT_HORIZON_FACTOR = 1.25  # the audit's default horizon, in units of the geometric horizon
+X_SAMPLES = 33  # points per time of the interior hum control.csv
 
 
 class ConfigError(ValidationError):
@@ -205,10 +213,17 @@ class ExperimentConfig:
             raise ConfigError(f"[observer] {exc}") from None
 
     def grid(self, space: SpectralSpace, horizon: float | None = None) -> TimeGrid:
+        """The [grid] time grid, refused as a ConfigError when it resolves the space's fastest mode poorly."""
         T = horizon if horizon is not None else self.get("grid", "horizon", cast=float)
         if self.has("grid", "n_steps"):
-            return TimeGrid(T, self.get("grid", "n_steps", cast=int))
-        return TimeGrid.for_space(space, T, self.get("grid", "step_phase", default=0.4, cast=float))
+            grid = TimeGrid(T, self.get("grid", "n_steps", cast=int))
+        else:
+            grid = TimeGrid.for_space(space, T, self.get("grid", "step_phase", default=0.4, cast=float))
+        phase = grid.dt * space.frequencies[-1]
+        if phase > MAX_STEP_PHASE:  # TimeGrid.validate_for's guard, naming the keys that set dt
+            raise ConfigError(f"[grid] time step resolves the fastest mode poorly (dt*sqrt(lambda_N) = {phase:.3f} > "
+                              f"{MAX_STEP_PHASE}); raise n_steps or lower step_phase")
+        return grid
 
     def random_state(self, space: SpectralSpace, rng) -> CascadeState:
         data_kind = self.get("data", "kind", default="random")
@@ -295,7 +310,7 @@ class RunResult:
         return "\n".join(lines)
 
 
-def _run_simulate(config: ExperimentConfig, outdir: Path) -> RunResult:
+def _run_simulate(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     tol = config.tolerance("checks", "conservation_tol", 1e-10)
     space = config.spectral_space()
     coupling = config.coupling(space)
@@ -323,8 +338,7 @@ def _run_simulate(config: ExperimentConfig, outdir: Path) -> RunResult:
     drift0 = float(np.max(np.abs(e0_u1 - e0_u1[0]))) / scale0
     checks.append(("first_component_energy_conserved", drift1 <= tol, f"drift {drift1:.3e}"))
     checks.append(("first_component_weak_energy_conserved", drift0 <= tol, f"drift {drift0:.3e}"))
-    status = 0 if all(ok for _, ok, _ in checks) else 1
-    return RunResult(status, [path], checks)
+    return [path], checks
 
 
 _GRAMIAN_HEADER = ["T", "N", "min_eig_full", "min_eig_u1block", "d1_emp", "d2_emp", "admissibility", "k2_emp", "r2_emp"]
@@ -349,21 +363,18 @@ def _gramian_row(config, horizon, n_modes):
     return report, row
 
 
-def _run_gramian(config: ExperimentConfig, outdir: Path) -> RunResult:
+def _run_gramian(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     space = config.spectral_space()
     horizon = config.get("grid", "horizon", cast=float)
-    floor = config.tolerance("checks", "floor", 1e-6)
     report, row = _gramian_row(config, horizon, space.n_modes)
     path = outdir / "gramian_report.csv"
     write_csv(path, _GRAMIAN_HEADER, [row])
-    observable = report.min_eig > floor * report.max_eig
     checks = [(
         "gramian_coercive",
-        observable,
-        f"min {report.min_eig:.3e} vs floor {floor:.1e} x max {report.max_eig:.3e}",
+        report.min_eig > COERCIVITY_FLOOR * report.max_eig,
+        f"min {report.min_eig:.3e} vs floor {COERCIVITY_FLOOR:.1e} x max {report.max_eig:.3e}",
     )]
-    status = 0 if observable else 1
-    return RunResult(status, [path], checks)
+    return [path], checks
 
 
 def _shift_observer(config: ExperimentConfig, offset: float) -> ExperimentConfig:
@@ -382,7 +393,7 @@ def _shift_observer(config: ExperimentConfig, offset: float) -> ExperimentConfig
     return ExperimentConfig(kind=config.kind, seed=config.seed, expect=config.expect, sections=sections)
 
 
-def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
+def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     axis = config.get("sweep", "axis")
     if axis not in ("horizon", "n_modes", "region_offset"):  # checked before an empty value list returns
         raise ConfigError(f"unknown sweep axis {axis!r}; the axes are horizon, n_modes and region_offset")
@@ -396,7 +407,7 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
     path = outdir / "sweep.csv"
     if not values:
         write_csv(path, _GRAMIAN_HEADER, [])
-        return RunResult(0, [path], [("sweep_nonempty", True, "empty axis, empty table")])
+        return [path], [("sweep_nonempty", True, "empty axis, empty table")]
     base_n = config.spectral_space().n_modes
     base_t = config.get("grid", "horizon", cast=float)
     for value in values:
@@ -426,12 +437,10 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> RunResult:
         if zero_at:
             detail += "; exactly 0 at N = " + ", ".join(map(str, zero_at))
         checks.append(("min_eig_decays_per_doubling", ok, detail))
-    status = 0 if all(ok for _, ok, _ in checks) else 1
-    return RunResult(status, [path], checks)
+    return [path], checks
 
 
-def _run_hum(config: ExperimentConfig, outdir: Path) -> RunResult:
-    tol = config.tolerance("checks", "terminal_tol", 1e-6)
+def _run_hum(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     space = config.spectral_space()
     coupling = config.coupling(space)
     observer = config.observer()
@@ -446,14 +455,12 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> RunResult:
         source=config.source(space, rng),
         cg_tolerance=config.get("hum", "cg_tolerance", default=1e-10, cast=float),
         max_iterations=config.get("hum", "max_iterations", default=2000, cast=int),
-        observability_floor=config.get("hum", "observability_floor", default=1e-8, cast=float),
     )
-    x_samples = config.count("output", "x_samples", 33)
     solution = solve_hum(problem)
 
     artifacts = []
     if observer.kind == "interior":
-        x_points = np.linspace(0.0, 1.0, x_samples)
+        x_points = np.linspace(0.0, 1.0, X_SAMPLES)
         basis = space.basis_matrix(x_points)
         control_path = outdir / "control.csv"
         fields = (basis @ node for node in solution.control.values)
@@ -489,14 +496,13 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> RunResult:
     scale = max(solution.initial_norm, 1e-300)
     worst = max(v for k, v in solution.terminal_norms.items() if k != "total") / scale
     checks = [
-        ("terminal_state_null", worst <= tol, f"worst relative terminal {worst:.3e}"),
+        ("terminal_state_null", worst <= TERMINAL_TOL, f"worst relative terminal {worst:.3e}"),
         ("transposition_identity", solution.duality_residual <= 1e-6, f"{solution.duality_residual:.3e}"),
     ]
-    status = 0 if all(ok for _, ok, _ in checks) else 1
-    return RunResult(status, artifacts, checks)
+    return artifacts, checks
 
 
-def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
+def _run_insensitize(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     space = config.spectral_space()
     rng = np.random.default_rng(config.seed)
     observation = config.coefficient_function("coupling") or CoefficientFunction(())
@@ -513,7 +519,6 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
         source=config.source(space, rng),
         cg_tolerance=config.get("hum", "cg_tolerance", default=1e-10, cast=float),
         max_iterations=config.get("hum", "max_iterations", default=2000, cast=int),
-        observability_floor=config.get("hum", "observability_floor", default=1e-8, cast=float),
         perturbation_count=config.count("insensitize", "perturbations", 10),
         seed=config.seed + 1,
     )
@@ -543,7 +548,7 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
     report_path.write_text("\n".join(report_lines) + "\n")
 
     checks = [
-        ("terminal_state_null", certificate.max_terminal_relative <= 1e-6,
+        ("terminal_state_null", certificate.max_terminal_relative <= TERMINAL_TOL,
          f"{certificate.max_terminal_relative:.3e}"),
         ("sensitivity_derivatives_null", certificate.max_derivative_relative <= 1e-6,
          f"{certificate.max_derivative_relative:.3e}"),
@@ -557,41 +562,33 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> RunResult:
          f"exponent {certificate.robustness_exponent:.3f}"),
         ("converse_agrees", converse.directions_agree, f"terminal {converse.terminal_relative:.3e}"),
     ]
-    status = 0 if all(ok for _, ok, _ in checks) else 1
-    return RunResult(status, [cert_path, report_path], checks)
+    return [cert_path, report_path], checks
 
 
-def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
+def _run_audit(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     samples = config.count("audit", "samples", 50)
     space = config.spectral_space()
     coupling = config.coupling(space)
     if coupling is None:
         raise ConfigError("audit needs a coupling with a core region")
     observer = config.observer()
-    horizon_factor = config.get("audit", "horizon_factor", default=1.25, cast=float)
     geometric = empirical_horizon(coupling, observer)
-    horizon = config.get("grid", "horizon", default=horizon_factor * geometric, cast=float)
+    horizon = config.get("grid", "horizon", default=AUDIT_HORIZON_FACTOR * geometric, cast=float)
     grid = config.grid(space, horizon)
-    grid.validate_for(space)  # before the try below, which blames what it catches on the inflation
-    inflation = config.get("audit", "inflation", default=2.0, cast=float)
-    if not (np.isfinite(inflation) and inflation > 0):
-        raise ConfigError(f"[audit] inflation must be finite and positive, got {inflation}")
     ensemble = config.count("audit", "ensemble", 32)
 
     estimates = estimate_uniform_constants(coupling, observer, grid, space, ensemble=ensemble, seed=config.seed)
-    try:  # a chain out of the float range before any inflation is the coupling's
-        ObservabilityConstants(coupling.alpha, coupling.beta, *estimates, t0=geometric)
-    except ValidationError as exc:
-        raise ConfigError(f"[coupling] is too large: {exc}") from None
-    gamma0, eta0, alpha0 = (inflation * v for v in estimates)
+    gamma0, eta0, alpha0 = (AUDIT_INFLATION * v for v in estimates)
     x = random_cascade_states(space, samples, config.seed + 3)
     try:
         constants = ObservabilityConstants(coupling.alpha, coupling.beta, gamma0, eta0, alpha0, t0=geometric)
-        audited = inequality_chain_audit(x, coupling, observer, constants, grid, admissibility_inflation=inflation)
+        audited = inequality_chain_audit(
+            x, coupling, observer, constants, grid, admissibility_inflation=AUDIT_INFLATION
+        )
     except ValidationError as exc:
         if str(exc).startswith("["):  # it names its own key: the observer's solver Gramian left the float range
             raise
-        raise ConfigError(f"[audit] inflation = {inflation:g} is too large: {exc}") from None
+        raise ConfigError(f"[coupling] is too large: {exc}") from None
 
     # the ledger shows one sample per name, the first on ties: an inequality's worst margin, an identity's
     # largest |lhs| (its residuals are quadrature and rounding noise); a check fails on any failing sample
@@ -612,10 +609,10 @@ def _run_audit(config: ExperimentConfig, outdir: Path) -> RunResult:
         checks.append((row.name, not failing, detail))
     path = outdir / "audit_ledger.csv"
     write_csv(path, ["inequality_name", "lhs", "rhs", "margin"], ledger)
-    status = 0 if all(ok for _, ok, _ in checks) else 1
-    return RunResult(status, [path], checks)
+    return [path], checks
 
 
+# each runner writes its artifacts and returns their paths and its checks; run() decides the status
 _RUNNERS = {
     "simulate": _run_simulate,
     "gramian": _run_gramian,
@@ -631,16 +628,16 @@ def run(config: ExperimentConfig, outdir: str | Path) -> RunResult:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        result = _RUNNERS[config.kind](config, outdir)
+        artifacts, checks = _RUNNERS[config.kind](config, outdir)
     except RefusalError as exc:
         detail = "; ".join(f"{k}={v}" for k, v in exc.diagnostic.items())
-        result = RunResult(1, [], [("refusal", False, f"{exc} ({detail})")])
+        artifacts, checks = [], [("refusal", False, f"{exc} ({detail})")]
     except ConvergenceError as exc:
-        result = RunResult(1, [], [("convergence", False, str(exc))])
-    if config.expect == "fail":
-        flipped = 0 if result.status == 1 else 1
-        result = RunResult(flipped, result.artifacts, result.checks)
-    return result
+        artifacts, checks = [], [("convergence", False, str(exc))]
+    passed = all(ok for _, ok, _ in checks)
+    if config.expect == "fail":  # an expected negative succeeds exactly when a check fails
+        passed = not passed
+    return RunResult(0 if passed else 1, artifacts, checks)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,6 +1,7 @@
 """Public-surface hygiene: every exported name resolves and is used by a run or a demo, and SciPy loads only where it is used."""
 
 import ast
+import configparser
 import dataclasses
 import importlib
 import inspect
@@ -45,11 +46,10 @@ def test_control_problems_pin_their_fields():
     names = lambda cls: [field.name for field in dataclasses.fields(cls)]
     assert names(HUMProblem) == [
         "initial_data", "coupling", "observer", "grid", "source", "cg_tolerance", "max_iterations",
-        "observability_floor",
     ]
     assert names(InsensitizeProblem) == [
         "known_position", "known_velocity", "observation_weight", "grid", "control_operator", "source",
-        "cg_tolerance", "max_iterations", "observability_floor", "perturbation_count", "seed",
+        "cg_tolerance", "max_iterations", "perturbation_count", "seed",
     ]
     assert names(TimeSampledControl) == ["values", "grid"]
 
@@ -128,25 +128,56 @@ def test_the_only_scipy_import_is_expm():
     assert found == ["scipy.linalg.expm"]
 
 
-def test_every_config_section_the_runner_reads_is_documented():
-    # a section read by the runner but missing from the README's config block is a knob no one can find
+def _runner_reads():
+    """(section, key) pairs the runner names literally, and the sections it reads plateaus ('pieces', 'core') from.
+
+    The key of a plateau section is None.
+    """
     tree = ast.parse((ROOT / "src" / "wavecascade" / "runner.py").read_text())
-    read = {
-        node.args[0].value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("get", "count", "tolerance", "has", "coefficient_function")
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id in ("config", "self")
-        and node.args
-        and isinstance(node.args[0], ast.Constant)
-        and isinstance(node.args[0].value, str)
-    }
+    read = set()
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("get", "count", "tolerance", "has", "coefficient_function")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("config", "self")
+        ):
+            continue
+        names = []
+        for arg in node.args[:2]:  # a leading literal section, then a literal key
+            if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)):
+                break
+            names.append(arg.value)
+        if names:
+            read.add((names[0], names[1] if len(names) == 2 else None))
+    return read
+
+
+def test_every_config_section_the_runner_reads_is_documented():
+    # a section or key read by the runner but missing from its line of the README's config block is a knob
+    # no one can find
+    read = _runner_reads()
     block = (ROOT / "README.md").read_text().split("Config sections (schema 1):", 1)[1].split("```")[1]
-    documented = set(re.findall(r"^\[(\w+)\]", block, re.MULTILINE))
-    assert {"spectral", "grid", "audit"} <= read
-    assert read - documented == set()
+    lines = dict(re.findall(r"^\[(\w+)\](.*)$", block, re.MULTILINE))
+    assert {"spectral", "grid", "audit"} <= {section for section, _ in read}
+    assert {section for section, _ in read} - set(lines) == set()
+    undocumented = [(s, k) for s, k in read if k is not None and not re.search(rf"\b{k}\b", lines.get(s, ""))]
+    assert undocumented == []
+
+
+def test_shipped_configs_carry_only_keys_the_runner_reads():
+    # a key no code reads (a stale bound, say) would look like a setting and change nothing
+    read = _runner_reads()
+    known = {pair for pair in read if pair[1] is not None}
+    known |= {("experiment", key) for key in ("schema", "kind", "seed", "expect")}
+    known |= {(section, key) for section, k in read if k is None for key in ("pieces", "core")}
+    unread = []
+    for path in sorted((ROOT / "configs").glob("*.ini")):
+        parser = configparser.ConfigParser()
+        parser.read(path)
+        unread += [f"{path.name}: [{s}] {k}" for s in parser.sections() for k in parser[s] if (s, k) not in known]
+    assert unread == []
 
 
 # Runs configs in a fresh interpreter (this one has SciPy loaded already) and
