@@ -1,11 +1,18 @@
 """Tests for the config-driven batch front-end."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wavecascade.runner import ConfigError, main, parse_config, run, write_csv, write_field_csv
 
 CONFIG_DIR = "configs"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, text):
@@ -726,6 +733,23 @@ class TestDeterminism:
             (csv,) = (tmp_path / label).glob("*.csv")
             artifacts.append(csv.read_bytes())
         assert artifacts[0] == artifacts[1]
+
+    @pytest.mark.parametrize("config", ["criterion04_gramian_boundary", "criterion06_audit", "criterion07_trends"])
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path, config):
+        # a BLAS reduction over the time nodes had rounded with the thread partition in these three configs
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+            out = tmp_path / threads
+            result = subprocess.run(
+                [sys.executable, "-m", "wavecascade", f"{CONFIG_DIR}/{config}.ini", "-o", str(out)],
+                cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+            digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()})
+        assert digests[0] and digests[0] == digests[1]
 
     def test_different_seed_changes_bytes(self, tmp_path):
         base = [f"{CONFIG_DIR}/criterion11_determinism.ini"]
