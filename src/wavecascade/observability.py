@@ -535,19 +535,62 @@ def _energy_metrics(space: SpectralSpace) -> tuple[np.ndarray, np.ndarray]:
     return np.where(first, weights, 0.0), np.where(first, 0.0, weights)
 
 
-def _free_flow_gram(space: SpectralSpace, times: np.ndarray, weights: np.ndarray, velocity: bool = False) -> np.ndarray:
-    """Weighted Gram sum over the times of w_m B_m^T B_m, B = [b0 | b1] the free flow's map from (p0, v0).
+_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def _simpson_trig_sums(theta: np.ndarray, intervals: int, h) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Simpson sums of cos(k theta) and sin(k theta) over k = 0..intervals, node spacing h.
+
+    The weights (h/3)(1, 4, 2, ..., 4, 1) pair the terms into M = intervals/2
+    geometric series in e^{2i theta}, so sum_k w_k e^{ik theta} = (h/3)
+    (4 + 2 cos theta) e^{iM theta} sin(M theta) / sin theta (Davis &
+    Rabinowitz, *Methods of Numerical Integration*, 1984).  With theta = k pi
+    + phi, phi in [-pi/2, pi/2], the sum is (h/3)(4 (-1)^k + 2 cos phi)
+    e^{iM phi} sin(M phi) / sin phi, whose ratio is M at phi = 0: the limit
+    at every multiple of pi, not only at theta = 0.  Evaluated in the
+    precision of ``theta``.
+    """
+    pi = theta.dtype.type(_PI)
+    turns = np.rint(theta / pi)
+    phi = theta - turns * pi
+    half = intervals // 2
+    sin = np.sin(phi)
+    ratio = np.divide(np.sin(half * phi), sin, out=np.full_like(phi, half), where=sin != 0)
+    amplitude = (h / 3) * (np.where(turns.astype(int) % 2, -4, 4) + 2 * np.cos(phi)) * ratio
+    return amplitude * np.cos(half * phi), amplitude * np.sin(half * phi)
+
+
+def _free_flow_gram(space: SpectralSpace, grid: TimeGrid, fine: bool = False, velocity: bool = False) -> np.ndarray:
+    """Simpson-weighted Gram sum over the grid of B(t)^T B(t), B = [b0 | b1] the free flow's map from (p0, v0).
 
     The blocks are (cos wt, sin wt / w) for the position, or (-w sin wt,
-    cos wt) for the velocity, ``velocity=True``.  With Q a form on one
-    component, tile(Q, (2, 2)) * Gram is the (p0, v0) form of the weighted
-    sum of its values along the free wave.  The flow blocks are dropped
-    once stacked, so only the stack lives through the product.
+    cos wt) for the velocity, ``velocity=True``, summed on the step nodes or,
+    ``fine=True``, on the half-step grid.  With Q a form on one component,
+    tile(Q, (2, 2)) * Gram is the (p0, v0) form of the weighted sum of its
+    values along the free wave.  Every entry is a sum of cos or sin of
+    (w_i +- w_j)t on a uniform grid, in closed form (``_simpson_trig_sums``):
+    cos cos = (C(-) + C(+))/2, sin sin = (C(-) - C(+))/2 and sin_i cos_j =
+    (S(+) + S(-))/2.  Work and memory are O(N^2), with no time table and no
+    reduction over time, so the result does not depend on the BLAS thread
+    count.  A grid that puts (w_N + w_N) h past pi/2 (dt w_N > pi/4 on the
+    nodes, which the runner refuses) can alias a mode onto the nodes'
+    zeros, where a sin sin entry is far smaller than the two cosine sums it
+    is the difference of; such grids are summed in np.longdouble and
+    rounded once.
     """
-    cos, sin_over, minus_sin = free_flow(space, times)
-    trig = np.hstack((minus_sin, cos) if velocity else (cos, sin_over))
-    del cos, sin_over, minus_sin
-    return trig.T @ (weights[:, None] * trig)
+    intervals = 2 * grid.n_steps if fine else grid.n_steps
+    om = space.frequencies
+    dtype = np.float64 if 2 * om[-1] * grid.horizon / intervals <= np.pi / 2 else np.longdouble
+    h = dtype(grid.horizon) / intervals
+    om = om.astype(dtype)
+    c_plus, s_plus = _simpson_trig_sums(np.add.outer(om, om) * h, intervals, h)
+    c_minus, s_minus = _simpson_trig_sums(np.subtract.outer(om, om) * h, intervals, h)
+    cos_cos, sin_sin, sin_cos = (c_minus + c_plus) / 2, (c_minus - c_plus) / 2, (s_plus + s_minus) / 2
+    if velocity:
+        gram = np.block([[np.outer(om, om) * sin_sin, -om[:, None] * sin_cos], [-sin_cos.T * om, cos_cos]])
+    else:
+        gram = np.block([[cos_cos, sin_cos.T / om], [sin_cos / om[:, None], sin_sin / np.outer(om, om)]])
+    return gram.astype(float)
 
 
 def _free_moment_form(quad: np.ndarray, position_gram: np.ndarray) -> np.ndarray:
@@ -555,8 +598,9 @@ def _free_moment_form(quad: np.ndarray, position_gram: np.ndarray) -> np.ndarray
 
     The first component is free and known in closed form, u1(t) = cos(wt)
     u1(0) + sin(wt)/w v1(0), so the time moments reduce to its position Gram
-    on the fine grid, ``_free_flow_gram(space, grid.fine_times,
-    grid.fine_weights)``, placed on the first component of the 4N state.
+    on the half-step grid, ``_free_flow_gram(space, grid, fine=True)``, a
+    closed form with no time table, placed on the first component of the
+    4N state.
     """
     n = quad.shape[0]
     free, _ = _component_indices(n)
@@ -599,7 +643,7 @@ def empirical_ratios(
     if coupling is None:
         r2_emp = 0.0
     else:
-        position_gram = _free_flow_gram(space, grid.fine_times, grid.fine_weights)
+        position_gram = _free_flow_gram(space, grid, fine=True)
         r2_emp = sup_ratio(_free_moment_form(coupling.matrix, position_gram))
     return {
         "d1_emp": sup_ratio(np.diag(weak_first)),
@@ -647,7 +691,7 @@ def estimate_uniform_constants(
     absorbs the source term of the observation inequality on forced
     solutions and is floored at 1e-12.  gamma0 and eta0 are ensemble maxima
     of Rayleigh quotients evaluated on free-moment forms of (p0, v0): the
-    node-weighted Gram of the closed-form free flow (``_free_flow_gram``)
+    closed-form Simpson moments of the free flow (``_free_flow_gram``)
     times the tiled projection, or observation, form, with no free wave
     simulated.  alpha0 is the largest (E - eta0 O) / F over forced waves
     from (p0, v0) under the forcing cos(freq t) g, with E, O and F the
@@ -682,8 +726,8 @@ def estimate_uniform_constants(
     times, w = grid.times, grid.node_weights
     rows = observer.observation_rows(space)
     energy = 0.5 * np.r_[space.eigenvalues, np.ones(n)]  # natural energy of (p0, v0)
-    velocity_gram = _free_flow_gram(space, times, w, velocity=True)
-    observed_gram = velocity_gram if observer.kind == "interior" else _free_flow_gram(space, times, w)
+    velocity_gram = _free_flow_gram(space, grid, velocity=True)
+    observed_gram = velocity_gram if observer.kind == "interior" else _free_flow_gram(space, grid)
 
     def free_ratio(form, rng) -> float:
         """Largest horizon-integrated natural energy per unit of the (p0, v0) form over free waves."""
@@ -783,7 +827,7 @@ def _audit_forms(
     step = cascade_step_matrix(space, coupling.matrix, grid.dt)
     rows = observation_block_rows(observer, space)
     weak_first, natural_second = _energy_metrics(space)
-    position_gram = _free_flow_gram(space, grid.fine_times, grid.fine_weights)
+    position_gram = _free_flow_gram(space, grid, fine=True)
     # first-component pairing v1.u2 - v2.u1 of the duality identity
     eye = np.eye(n)
     pairing = np.zeros((4 * n, 4 * n))

@@ -171,24 +171,29 @@ class ExperimentConfig:
     def spectral_space(self, n_modes: int | None = None) -> SpectralSpace:
         n = n_modes if n_modes is not None else self.get("spectral", "n_modes", cast=int)
         panels = self.get("spectral", "quadrature_panels", default=0, cast=int)
-        return SpectralSpace(n, panels)
+        try:
+            return SpectralSpace(n, panels)
+        except ValidationError as exc:
+            raise ConfigError(f"[spectral] {exc}") from None
 
     def coefficient_function(self, section: str) -> CoefficientFunction | None:
         if not self.has(section, "pieces"):
             return None
-        pieces = []
-        for lo, hi, margin, height in _pieces(self.sections[section]["pieces"], section):
+        plateaus = _pieces(self.sections[section]["pieces"], section)
+        for lo, hi, _, _ in plateaus:
             if not (0.0 <= lo < hi <= 1.0):
                 raise ConfigError(f"[{section}] plateau ({lo}, {hi}) not inside (0, 1)")
-            pieces.append(PlateauBump(lo, hi, margin, height))
         core = None
         if self.has(section, "core"):
             core = tuple(_floats(self.sections[section]["core"], f"[{section}] core"))
             if len(core) != 2 or not (0.0 <= core[0] < core[1] <= 1.0):
                 raise ConfigError(f"[{section}] core must be 'lo,hi' inside (0, 1)")
-        if not pieces and core is None:
+        if not plateaus and core is None:
             return CoefficientFunction(())
-        return CoefficientFunction(tuple(pieces), core_region=core)
+        try:  # a negative margin or height, or a core where the function vanishes
+            return CoefficientFunction(tuple(PlateauBump(*p) for p in plateaus), core_region=core)
+        except ValidationError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
 
     def coupling(self, space: SpectralSpace) -> CouplingOperator | None:
         fn = self.coefficient_function("coupling")
@@ -416,6 +421,8 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
             horizon, n_modes = _number(float, value, "[sweep] values"), base_n
         elif axis == "n_modes":
             horizon, n_modes = base_t, _number(int, value, "[sweep] values")
+            if n_modes < 1:  # else refused as [spectral] n_modes, which the sweep overrides
+                raise ConfigError(f"[sweep] values must be positive mode counts, got {value!r}")
         else:  # region_offset
             horizon, n_modes = base_t, base_n
             shifted = _shift_observer(config, _number(float, value, "[sweep] values"))

@@ -4,13 +4,15 @@ No config run or demo reaches these functions, so they live with the tests
 and not in ``wavecascade``: component energies, pointwise observation, the
 free evolution of one component and the closed-form fine-grid positions of
 a trajectory's free component, the inverse of the first-order generator
-and the stepper of the pair with the roles swapped; the Gramian form along
-one simulated trajectory, its matrix-free application, the Simpson sum by
-doubling of dense matrices, the Gramian under the exponential propagator
-and the worst-case ratios by SciPy's generalized eigensolver; the forced
-waves of the alpha0 ensemble marched one at a time in the lab frame; the ray
-tracing that cross-checks ``gcc_min_time``; and Phi and its sensitivity
-derivatives straight from a controlled trajectory.
+and the stepper of the pair with the roles swapped; the free flow's Simpson
+moments from a time table, by one gemm and node by node in long double;
+the Gramian form along one simulated trajectory, its matrix-free
+application, the Simpson sum by doubling of dense matrices, the Gramian
+under the exponential propagator and the worst-case ratios by SciPy's
+generalized eigensolver; the forced waves of the alpha0 ensemble marched
+one at a time in the lab frame; the ray tracing that cross-checks
+``gcc_min_time``; and Phi and its sensitivity derivatives straight from a
+controlled trajectory.
 """
 
 import numpy as np
@@ -141,6 +143,39 @@ def first_driven_step_matrix(space: SpectralSpace, coupling_matrix: np.ndarray |
 # observability
 
 
+def free_flow_gram_table(space: SpectralSpace, times: np.ndarray, weights: np.ndarray, velocity: bool = False) -> np.ndarray:
+    """``_free_flow_gram`` on a table of the free flow at ``times``, reduced with one weighted gemm.
+
+    The (K + 1) x 2N table of (cos wt, sin wt / w), or of (-w sin wt, cos wt)
+    with ``velocity=True``, and its weighted copy: the form the package used
+    before its closed form.  The gemm sums over the time nodes in the BLAS
+    library's blocked order, so its last bits follow the thread count.
+    """
+    cos, sin_over, minus_sin = free_flow(space, times)
+    trig = np.hstack((minus_sin, cos) if velocity else (cos, sin_over))
+    return trig.T @ (weights[:, None] * trig)
+
+
+def free_flow_gram_long_double(space: SpectralSpace, grid: TimeGrid, fine: bool = False, velocity: bool = False) -> np.ndarray:
+    """The Simpson sum of ``_free_flow_gram`` node by node in np.longdouble, returned in np.longdouble.
+
+    The nodes are k T / K and the weights (T / 3K)(1, 4, 2, ..., 4, 1),
+    both formed in long double from the grid's horizon and interval count K,
+    and the frequencies are the space's doubles.
+    """
+    intervals = 2 * grid.n_steps if fine else grid.n_steps
+    horizon = np.longdouble(grid.horizon)
+    times = np.arange(intervals + 1, dtype=np.longdouble) * horizon / intervals
+    weights = np.ones(intervals + 1, dtype=np.longdouble)
+    weights[1:-1:2], weights[2:-1:2] = 4, 2
+    weights *= horizon / (3 * intervals)
+    om = space.frequencies.astype(np.longdouble)
+    phase = np.multiply.outer(times, om)
+    cos, sin = np.cos(phase), np.sin(phase)
+    trig = np.hstack((-om * sin, cos) if velocity else (cos, sin / om))
+    return (trig.T * weights) @ trig
+
+
 def gramian_form(
     initial: CascadeState,
     coupling: CouplingOperator | None,
@@ -228,7 +263,7 @@ def generalized_ratios(
         "k2_emp": weighted_gram(np.diag(natural_second), step, grid),
     }
     if coupling is not None:
-        position_gram = _free_flow_gram(space, grid.fine_times, grid.fine_weights)
+        position_gram = _free_flow_gram(space, grid, fine=True)
         forms["r2_emp"] = _free_moment_form(coupling.matrix, position_gram)
     ratios = {name: float(eigh(form, gram, eigvals_only=True)[-1]) for name, form in forms.items()}
     ratios.setdefault("r2_emp", 0.0)

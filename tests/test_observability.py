@@ -20,8 +20,11 @@ from wavecascade.observability import (
     ObservabilityConstants,
     _audit_forms,
     _dense_generator,
+    _PI,
     _doubling,
     _energy_metrics,
+    _free_flow_gram,
+    _simpson_trig_sums,
     admissibility_constant,
     empirical_horizon,
     empirical_ratios,
@@ -41,6 +44,8 @@ from oracles import (
     dense_weighted_gram,
     exponential_gramian,
     forced_wave_integrals,
+    free_flow_gram_long_double,
+    free_flow_gram_table,
     generalized_ratios,
     gramian_form,
     ray_hit_time,
@@ -417,6 +422,89 @@ def _free_ratios_one_wave_at_a_time(coupling, observer, grid, space, ensemble, s
 
     gamma0 = free_ratio(projection_sq, np.random.default_rng(seed))
     return gamma0, free_ratio(observation_sq, np.random.default_rng(seed + 1))
+
+
+def _audit_grid(space):
+    """Criterion 6's grid at N = 16: 1.25 geometric horizons at step phase 0.015, 5866 steps."""
+    grid = TimeGrid.for_space(space, 1.25 * empirical_horizon(CouplingOperator(COUPLING_FN, space), interior_observer()), 0.015)
+    assert grid.n_steps == 5866
+    return grid
+
+
+def _gram_error(gram, reference) -> float:
+    """Largest entry error against the long-double reference, relative to its largest entry."""
+    return float(np.max(np.abs(gram - reference)) / np.max(np.abs(reference)))
+
+
+class TestFreeFlowGram:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize(
+        "n_modes, horizon, step_phase, fine",
+        [
+            (16, None, 0.015, False),  # the audit's nodes, K = 5866: gamma0 and eta0
+            (16, None, 0.015, True),  # its half-step grid, K = 11,732: the free moments
+            (16, 16.0, 0.25, True),  # criterion07_trends' r2 at T = 16
+            (32, 4.0, 0.5, True),  # the gramian configs' r2
+            (64, 4.0, 0.5, True),
+        ],
+    )
+    @pytest.mark.parametrize("velocity", [False, True])
+    def test_closed_form_is_no_less_accurate_than_the_table(self, n_modes, horizon, step_phase, fine, velocity):
+        space = SpectralSpace(n_modes)
+        grid = _audit_grid(space) if horizon is None else TimeGrid.for_space(space, horizon, step_phase)
+        times, weights = (grid.fine_times, grid.fine_weights) if fine else (grid.times, grid.node_weights)
+        reference = free_flow_gram_long_double(space, grid, fine, velocity)
+        closed = _gram_error(_free_flow_gram(space, grid, fine, velocity), reference)
+        table = _gram_error(free_flow_gram_table(space, times, weights, velocity), reference)
+        assert closed <= table
+        assert closed <= 4 * self.EPS
+
+    @pytest.mark.parametrize(
+        "horizon, n_steps",
+        [
+            (2.0, 2),  # h = 1 on the nodes: every (w_i +- w_j) h is a multiple of pi
+            (4.0, 4),
+            (2.0 * (1 + 1e-9 / np.pi), 2),  # within 1e-9 of a multiple of pi, above and below
+            (2.0 * (1 - 1e-9 / np.pi), 2),
+            (3.0, 2),  # a coarse step off the multiples
+        ],
+    )
+    @pytest.mark.parametrize("fine", [False, True])
+    @pytest.mark.parametrize("velocity", [False, True])
+    def test_takes_the_limit_at_multiples_of_pi_on_coarse_grids(self, horizon, n_steps, fine, velocity):
+        # only grids the runner refuses put a phase past pi/2; there sin(theta) vanishes again at k pi
+        space = SpectralSpace(16)
+        grid = TimeGrid(horizon, n_steps, allow_coarse=True)
+        reference = free_flow_gram_long_double(space, grid, fine, velocity)
+        assert _gram_error(_free_flow_gram(space, grid, fine, velocity), reference) <= 4 * self.EPS
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9])
+    def test_trig_sums_at_and_near_multiples_of_pi(self, offset):
+        intervals, h = 6, np.longdouble(0.25)
+        theta = np.arange(-3, 5, dtype=np.longdouble) * _PI + np.longdouble(offset)
+        c, s = _simpson_trig_sums(theta, intervals, h)
+        weights = np.ones(intervals + 1, dtype=np.longdouble)
+        weights[1:-1:2], weights[2:-1:2] = 4, 2
+        k_theta = np.multiply.outer(np.arange(intervals + 1, dtype=np.longdouble), theta)
+        scale = h * intervals
+        assert np.max(np.abs(c - (h / 3) * weights @ np.cos(k_theta))) <= 4 * self.EPS * scale
+        assert np.max(np.abs(s - (h / 3) * weights @ np.sin(k_theta))) <= 4 * self.EPS * scale
+
+    def test_peak_memory_stays_below_one_time_table(self):
+        # the gemm form held a (K + 1) x 2N table and its weighted copy: 3.0 MB each here
+        import tracemalloc
+
+        space = SpectralSpace(16)
+        grid = _audit_grid(space)
+        _free_flow_gram(space, grid, fine=True)
+        tracemalloc.start()
+        try:
+            _free_flow_gram(space, grid, fine=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * grid.n_steps + 1) * space.n_modes * 8
 
 
 class TestEstimateUniformConstants:

@@ -178,6 +178,26 @@ class TestParsing:
         assert line.startswith("configuration error: ")
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "config, override, section",
+        [
+            ("criterion08_hum_interior", "coupling.pieces=0.2,0.3,0.05,-1", "coupling"),
+            ("criterion09_insensitize_interior", "source.pieces=0.3,0.6,0.05,-1", "source"),
+            ("criterion08_hum_interior", "coupling.pieces=0.2,0.3,-0.05,1", "coupling"),
+            ("criterion04_gramian_interior", "observer.core=0.9,0.95", "observer"),
+            ("criterion04_gramian_interior", "spectral.n_modes=0", "spectral"),
+            ("criterion04_gramian_interior", "spectral.quadrature_panels=-3", "spectral"),
+            ("criterion05_short_horizon", "sweep.values=16,0", "sweep"),
+        ],
+    )
+    def test_coefficient_and_space_refusals_name_the_section(self, tmp_path, capsys, config, override, section):
+        # these lines had named no section
+        out = tmp_path / "out"
+        assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", override]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"configuration error: [{section}] ")
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize("config, override", [("criterion02_conservation", "checks.conservation_tol=nan")])
     def test_malformed_check_tolerance_names_the_key(self, tmp_path, capsys, config, override):
         out = tmp_path / "out"
