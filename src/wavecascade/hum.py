@@ -75,6 +75,7 @@ __all__ = [
     "control_space_norms",
     "apply_hum_gramian",
     "assemble_rhs",
+    "data_norm",
     "dense_hum_matrix",
     "solve_hum",
     "controlled_forward",
@@ -102,10 +103,10 @@ class HUMProblem:
     operator: its weight is the control profile.
 
     The problem owns the operators derived from it (the steppers, the
-    observation rows, the adjoint metric, the source samples, the control
-    Gramian and P^-M); each is built on first use and kept for the life of
-    the problem, the steppers in 64-byte-aligned buffers
-    (``dynamics._aligned``).
+    observation rows, the adjoint metric, the source samples and terminal
+    state, the control Gramian and P^-M); each is built on first use and
+    kept for the life of the problem, the steppers in 64-byte-aligned
+    buffers (``dynamics._aligned``).
     """
 
     initial_data: CascadeState
@@ -163,7 +164,7 @@ class HUMProblem:
         """The control Gramian and P^-M, M = n_steps, read-only, from one doubling of ``step_back``."""
         gram, power = _doubling(self.obs_rows.T @ self.obs_rows, self.step_back, self.grid)
         if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(power))):
-            raise ValidationError("control Gramian out of the float range: the coupling or control weight is too large")
+            raise ValidationError("[coupling] or [observer] is too large: the control Gramian leaves the float range")
         return _read_only(gram), _read_only(power)
 
     @cached_property
@@ -175,6 +176,12 @@ class HUMProblem:
     def xd(self) -> np.ndarray:
         """Diagonal weights of the adjoint space metric."""
         return adjoint_space_weights(self.space, self.observer.kind)
+
+    @cached_property
+    def source_terminal(self) -> np.ndarray | None:
+        """The source's terminal state from rest, (4N,), marched once; None without a source."""
+        # a copy, so that the marched trajectory is freed
+        return None if self.source is None else march(self.step_controlled, _injections(self, None))[-1].copy()
 
     @cached_property
     def source_nodes(self) -> np.ndarray | None:
@@ -205,6 +212,8 @@ class TimeSampledControl:
 
 @dataclass(eq=False)
 class HUMSolution:
+    """The null control, its CG record and its certificate; ``initial_norm`` is ``data_norm``."""
+
     minimizer: CascadeState
     control: TimeSampledControl
     cg_iterations: int
@@ -350,13 +359,19 @@ def assemble_rhs(problem: HUMProblem) -> np.ndarray:
     The data's part of y(T) is Pc^M y0, and the controlled stepper is
     Pc = J^-1 (P^-1)^T J, so it is read as -(P^-M)^T J y0 from the problem's
     P^-M (``HUMProblem.gramian_and_power``), with no march.  A source adds
-    its own terminal state, marched from rest.
+    its own terminal state, marched from rest (``HUMProblem.source_terminal``).
     """
     n = problem.space.n_modes
     ell = -(problem.gramian_and_power[1].T @ _pairing_matrix_apply(problem.initial_data.as_vector(), n))
     if problem.source is not None:
-        ell -= _pairing_matrix_apply(march(problem.step_controlled, _injections(problem, None))[-1], n)
+        ell -= _pairing_matrix_apply(problem.source_terminal, n)
     return ell
+
+
+def data_norm(problem: HUMProblem) -> float:
+    """Norm of the data that drive the terminal state: the initial data plus the source's terminal state from rest."""
+    driving = [problem.initial_data.as_vector()] + ([] if problem.source is None else [problem.source_terminal])
+    return sum(control_space_norms(v, problem.space, problem.observer.kind)["total"] for v in driving)
 
 
 def dense_hum_matrix(problem: HUMProblem) -> np.ndarray:
@@ -459,9 +474,9 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
     rhs = -assemble_rhs(problem)
     with np.errstate(over="ignore"):  # a norm out of the float range is refused next
         rhs_scale = _certificate_norm(rhs, problem)
-    if not np.isfinite(rhs_scale):
+        initial_norm = data_norm(problem)
+    if not (np.isfinite(rhs_scale) and np.isfinite(initial_norm)):
         raise ValidationError("[source] is too large: the right-hand side's certificate norm leaves the float range")
-    initial_norm = control_space_norms(problem.initial_data.as_vector(), space, problem.observer.kind)["total"]
     trace = []
     x = np.zeros(4 * n)
     iterations = 0

@@ -12,29 +12,30 @@ an exact-control solve: the controlled equation carries the known data and
 the source, the cascade coupling weight is the observation weight c, and
 the control acts through the weight b (interior) or the boundary.
 
-The verification is double: analytic sensitivity pairings against the
-closed-form free waves, and finite differences of Phi along perturbation
-responses.  For a fixed control the controlled solve is affine in the known
-data, so the trajectory at data + tau z is the base trajectory plus tau
-times the response to z alone (no control, no source).  The cascade's first
-component never feeds the controlled one, so that response's controlled
-component is the free wave cos(w t) z0 + sin(w t) / w z1, read off one
-half-step trig table per problem.  Phi reads only the half-step positions
-of the controlled component, which are linear in the node states, so each
-trajectory is reduced to those fine positions once and Phi along each
-perturbation is differenced on fine_base + tau * fine_response, without
-re-simulating.  One response, along the robustness perturbation, is still
-marched through the controlled stepper; its gap to the closed form ties the
-two together, and it drives the robustness sweep and the finite-difference
-oracle.  Both sides run through the same discrete model, in which the
-analytic pairing is the exact derivative of the discrete functional.  At the
-constructed control both derivatives vanish below the finite-difference
-resolution, so the two sides are also compared at the zero control, where
-the derivative is resolved.
+Phi reads only the half-step positions of the controlled component, where
+it is exactly quadratic, Phi(b) = 1/2 sum_k w_k b_k^T W b_k; its derivative
+at b along a response a is the bilinear form Q(b, a) = sum_k w_k b_k^T W a_k
+(Lions 1992; Bodart & Fabre 1995).  The verification is double: analytic
+pairings of Q against the closed-form free waves, and one polarization,
+(Phi(b + h a) - Phi(b - h a)) / 2h, exact for every h.  At h = sqrt(Phi(b) /
+Phi(a)) its roundoff is about eps times the Cauchy-Schwarz bound
+2 sqrt(Phi(b) Phi(a)) >= |Q(b, a)|, the one scale of every derivative
+reported; the robustness exponent follows on it from Phi(b + tau a) =
+Phi(b) + tau Q(b, a) + tau^2 Phi(a).  At the constructed control both
+derivatives vanish on that scale, so the two sides are also compared at the
+zero control, where the derivative is resolved.
+
+The trajectory at data + tau z under a fixed control is the base trajectory
+plus tau times the response to z alone, whose controlled component is the
+free wave cos(w t) z0 + sin(w t) / w z1 (the cascade's first component never
+feeds it), read off one half-step trig table per problem.  One response is
+still marched through the controlled stepper, and its gap to the closed
+form ties the two together.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,11 +46,10 @@ from .spectral import CoefficientFunction, ModalCoefficients, SpectralSpace, ass
 from .dynamics import CascadeState, CouplingOperator, Observer, TimeGrid, _read_only, free_flow, march
 from .observability import gcc_min_time
 from .hum import (
-    DATA_ORDERS,
     HUMProblem,
     TimeSampledControl,
-    control_space_norms,
     controlled_forward,
+    data_norm,
     _squared_component_norms,
     solve_hum,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "verify_converse",
 ]
 
-FD_STEPS = (1e-3, 1e-4)  # the two central-difference steps that are Richardson-extrapolated
 CONVERSE_TOL = 1e-6  # relative bound of both converse characterizations
 
 
@@ -79,8 +78,7 @@ class InsensitizeProblem:
     (its core region is the observation set); ``grid`` the time grid, whose
     horizon is the control time; ``control_operator`` is the observer
     through which the control acts, an interior weight or boundary endpoint
-    weights.  Its kind is the case: the perturbations are unit-normalized in
-    the controlled entries (y2, y2') of ``hum.DATA_ORDERS``.  ``source`` is
+    weights; its kind is the case (``hum.DATA_ORDERS``).  ``source`` is
     an optional forcing of the controlled equation with the contract of
     ``HUMProblem.source``: a callable t -> modal coefficients, called once
     on the column of grid times and broadcast to one vector per node.
@@ -150,30 +148,31 @@ class InsensitizeProblem:
 
 @dataclass(frozen=True)
 class PerturbationRecord:
+    """Analytic and polarized derivatives in one perturbation's two slots, and their Cauchy-Schwarz scales."""
+
     index: int
     dphi_tau0_analytic: float
     dphi_tau0_fd: float
     dphi_tau1_analytic: float
     dphi_tau1_fd: float
+    scale_tau0: float
+    scale_tau1: float
 
 
 @dataclass(eq=False)
 class InsensitizeCertificate:
     """Everything needed to judge the constructed control.
 
-    Relative quantities are measured against the total initial data norm in
-    the case's space (terminal entries) and against the baseline value of
-    Phi (derivative entries).  ``fd_agreement`` is the worst relative gap
-    between analytic and Richardson-extrapolated central differences, with
-    the relative floor 1e-6 * phi_baseline guarding the insensitized regime
-    where both derivatives vanish.  ``fd_reference`` holds the analytic and
-    finite-difference derivatives along the robustness perturbation at the
-    zero control, where Phi is not insensitized and the derivative is
-    resolved.  ``response_stepper_gap`` is the relative gap between the
-    marched and the closed-form fine positions of the robustness
-    perturbation's response; without a measurement it reads inf.
-    ``converse`` is ``verify_converse``'s report on the constructed control,
-    read off the HUM trajectory.
+    Terminal entries are measured against ``initial_norm``, the norm of the
+    data that drive the terminal state (``hum.data_norm``), and every
+    derivative against its Cauchy-Schwarz scale (0 where that scale is 0).
+    ``fd_reference`` holds the analytic and polarized derivatives along the
+    robustness perturbation at the zero control, where Phi is not
+    insensitized and the derivative is resolved, and their scale.
+    ``response_stepper_gap`` is the relative gap between the marched and the
+    closed-form fine positions of that perturbation's response; without a
+    measurement it reads inf.  ``converse`` is ``verify_converse``'s report
+    on the constructed control, read off the HUM trajectory.
     """
 
     phi_baseline: float
@@ -184,8 +183,7 @@ class InsensitizeCertificate:
     cg_iterations: int
     final_residual: float
     converse: ConverseReport
-    fd_resolution: float = 0.0
-    fd_reference: tuple[float, float] = (0.0, 0.0)
+    fd_reference: tuple[float, float, float] = (0.0, 0.0, 0.0)
     response_stepper_gap: float = float("inf")
 
     @property
@@ -193,43 +191,33 @@ class InsensitizeCertificate:
         scale = max(self.initial_norm, 1e-300)
         return max(v for k, v in self.terminal.items() if k != "total") / scale
 
+    def _slots(self) -> list[tuple[float, float, float]]:
+        """(analytic, polarized, scale) of both slots of every record."""
+        return [(r.dphi_tau0_analytic, r.dphi_tau0_fd, r.scale_tau0) for r in self.records] + [
+            (r.dphi_tau1_analytic, r.dphi_tau1_fd, r.scale_tau1) for r in self.records
+        ]
+
     @property
     def max_derivative_relative(self) -> float:
-        scale = max(self.phi_baseline, 1e-300)
-        worst = 0.0
-        for r in self.records:
-            worst = max(worst, abs(r.dphi_tau0_analytic), abs(r.dphi_tau1_analytic))
-        return worst / scale
+        return max((abs(a) / scale for a, _, scale in self._slots() if scale > 0), default=0.0)
 
     @property
     def fd_agreement(self) -> float:
-        """Worst relative gap between analytic and central-difference values.
-
-        Derivatives below the finite-difference resolution (the roundoff of
-        differencing the functional at the smallest step) are
-        indistinguishable from zero and count as agreeing exactly.
-        """
-        worst = 0.0
-        for r in self.records:
-            for a, f in (
-                (r.dphi_tau0_analytic, r.dphi_tau0_fd),
-                (r.dphi_tau1_analytic, r.dphi_tau1_fd),
-            ):
-                if max(abs(a), abs(f)) <= self.fd_resolution:
-                    continue
-                worst = max(worst, abs(a - f) / max(abs(a), abs(f)))
-        return worst
+        """Worst gap between the analytic and the polarized derivatives, each on its scale."""
+        return max((abs(a - f) / scale for a, f, scale in self._slots() if scale > 0), default=0.0)
 
     @property
     def fd_reference_agreement(self) -> float:
         """Relative gap between the two reference derivatives.
 
-        A reference derivative below the finite-difference resolution reads
-        inf: the oracle has nothing to compare, so it must not pass.
+        A reference derivative within 1e3 eps of its scale (the roundoff of
+        the polarization) or of scale 0 reads inf: the oracle has nothing to
+        compare, so it must not pass.
         """
-        a, f = self.fd_reference
+        a, f, scale = self.fd_reference
         size = max(abs(a), abs(f))
-        return abs(a - f) / size if size > self.fd_resolution else float("inf")
+        resolved = scale > 0 and size > 1e3 * np.finfo(float).eps * scale
+        return abs(a - f) / size if resolved else float("inf")
 
 
 @dataclass(frozen=True)
@@ -299,28 +287,17 @@ def _modal_derivatives(problem: InsensitizeProblem, fine: np.ndarray) -> tuple[n
     return (weighted * cos_t).sum(axis=0), (weighted * sin_t).sum(axis=0)
 
 
-def _unit_perturbations(problem: InsensitizeProblem, count: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Random perturbation pairs, unit-normalized in their slots' spaces."""
-    lam = problem.space.eigenvalues
-    _, k_pos, _, k_vel = DATA_ORDERS[problem.control_operator.kind]
-    out = []
-    for _ in range(count):
-        z0 = rng.standard_normal(problem.space.n_modes)
-        z1 = rng.standard_normal(problem.space.n_modes)
-        z0 /= np.sqrt(np.sum(lam**k_pos * z0**2))
-        z1 /= np.sqrt(np.sum(lam**k_vel * z1**2))
-        out.append((z0, z1))
-    return out
+def _perturbations(problem: InsensitizeProblem, count: int, rng) -> list[np.ndarray]:
+    """Random perturbation pairs (z0, z1); every derivative is read on its own scale, so their size is immaterial."""
+    return [rng.standard_normal((2, problem.space.n_modes)) for _ in range(count)]
 
 
 def _response(hum: HUMProblem, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
     """Controlled states from the perturbation (z0, z1) alone: no control, no source.
 
-    The trajectory at known data + tau (z0, z1) under any fixed control is
-    the base trajectory plus tau times this response, the free march of the
-    controlled stepper from the data row.  Its controlled component is the
-    free wave of ``_free_response``; the certificate marches only the
-    robustness direction, to measure the stepper against that closed form.
+    Its controlled component is the free wave of ``_free_response``; the
+    certificate marches only the robustness direction, to measure the
+    stepper against that closed form.
     """
     n = hum.space.n_modes
     states = np.zeros((hum.grid.n_steps + 1, 4 * n))
@@ -349,22 +326,34 @@ def _stepper_gap(problem: InsensitizeProblem, z0: np.ndarray, z1: np.ndarray, ma
     return float(np.max(np.abs(marched - closed))) / max(float(np.max(np.abs(closed))), 1e-300)
 
 
-def _fd_derivative(problem: InsensitizeProblem, base: np.ndarray, response: np.ndarray) -> float:
-    """Central difference of Phi along ``base + h * response``, Richardson-extrapolated over two steps.
+def _polarized(problem: InsensitizeProblem, base: np.ndarray, phi_base: float, response: np.ndarray):
+    """Q(base, response) by one polarization, and its Cauchy-Schwarz scale 2 sqrt(Phi(base) Phi(response)).
 
-    ``base`` and ``response`` are fine positions of a controlled trajectory
-    (``fine_second_positions``) and of a perturbation response (closed form,
-    ``_free_response``, or marched); being linear in the node states, they
-    are differenced directly.
+    ``base`` and ``response`` are fine positions, ``phi_base`` the Phi of
+    ``base``; h = sqrt(Phi(b) / Phi(a)) keeps the roundoff near eps times the
+    scale.  A scale of 0 bounds Q by 0.
     """
-    h1, h2 = FD_STEPS
+    phi_response = _fine_phi(problem, response)
+    scale = 2.0 * math.sqrt(phi_base * phi_response)
+    if scale == 0.0:
+        return 0.0, 0.0
+    h = math.sqrt(phi_base / phi_response)
+    step = h * response
+    return (_fine_phi(problem, base + step) - _fine_phi(problem, base - step)) / (2.0 * h), scale
 
-    def central(h):
-        step = h * response
-        return (_fine_phi(problem, base + step) - _fine_phi(problem, base - step)) / (2.0 * h)
 
-    d1, d2 = central(h1), central(h2)
-    return (h1**2 * d2 - h2**2 * d1) / (h1**2 - h2**2)
+def _robustness_exponent(q: float) -> float:
+    """Slope of log |Phi(b + tau h a) - Phi(b)| in log tau from tau = 1e-4 to 1e-1, h = sqrt(Phi(b) / Phi(a)).
+
+    With q = Q(b, a) on its scale, the change is tau (2q + tau) Phi(b): the
+    slope is 2 where Phi is insensitized along a (q = 0).  A change that
+    vanishes, or a nan q, leaves it unresolved: nan, which fails.
+    """
+    taus = (1e-1, 1e-4)
+    changes = [abs(tau * (2.0 * q + tau)) for tau in taus]
+    if not changes[0] * changes[1] > 0:
+        return float("nan")
+    return math.log(changes[0] / changes[1]) / math.log(taus[0] / taus[1])
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +366,12 @@ def insensitize(problem: InsensitizeProblem):
     Refuses when either geometric region fails its control-time check for
     the given horizon; the underlying exact-control solve additionally
     enforces the Gramian observability floor.  The certificate carries the
-    terminal norms of both cascade components, the analytic and finite
-    difference sensitivity derivatives over the perturbation pool, the
-    quadratic-robustness exponent of Phi, the finite-difference oracle at
-    the zero control along the robustness perturbation, the gap between
-    that perturbation's marched response and its closed form, and the
-    converse report of the constructed control.
+    terminal norms of both cascade components, the analytic and polarized
+    sensitivity derivatives over the perturbation pool with their
+    Cauchy-Schwarz scales, the quadratic-robustness exponent of Phi, the
+    polarization oracle at the zero control along the robustness
+    perturbation, the gap between that perturbation's marched response and
+    its closed form, and the converse report of the constructed control.
     """
     checks = []
     if problem.observation_region is not None:
@@ -408,36 +397,35 @@ def insensitize(problem: InsensitizeProblem):
 
     records = []
     per_position, per_velocity = _modal_derivatives(problem, fine)
-    for i, (z0, z1) in enumerate(_unit_perturbations(problem, problem.perturbation_count, rng)):
-        f0 = _fd_derivative(problem, fine, _free_response(problem, z0, zero))
-        f1 = _fd_derivative(problem, fine, _free_response(problem, zero, z1))
-        records.append(PerturbationRecord(i, float(per_position @ z0), f0, float(per_velocity @ z1), f1))
+    for i, (z0, z1) in enumerate(_perturbations(problem, problem.perturbation_count, rng)):
+        f0, s0 = _polarized(problem, fine, phi0, _free_response(problem, z0, zero))
+        f1, s1 = _polarized(problem, fine, phi0, _free_response(problem, zero, z1))
+        records.append(PerturbationRecord(i, float(per_position @ z0), f0, float(per_velocity @ z1), f1, s0, s1))
 
-    z0, z1 = _unit_perturbations(problem, 1, rng)[0]
+    z0, z1 = _perturbations(problem, 1, rng)[0]
     along = fine_second_positions(_response(hum, z0, z1), space, grid)
     stepper_gap = _stepper_gap(problem, z0, z1, along)
-    taus = np.array([1e-1, 1e-2, 1e-3, 1e-4])
-    deltas = np.array([abs(_fine_phi(problem, fine + tau * along) - phi0) for tau in taus])
-    if np.all(deltas > 0):
-        exponent = float(np.polyfit(np.log(taus), np.log(deltas), 1)[0])
+    phi_along = _fine_phi(problem, along)
+    if phi_along == 0.0:
+        q = float("nan")  # a perturbation invisible to Phi leaves the exponent unresolved
     else:
-        exponent = float("inf")  # perturbations invisible to Phi
+        scale = 2.0 * math.sqrt(phi0 * phi_along)
+        q = float(per_position @ z0 + per_velocity @ z1) / scale if scale > 0 else 0.0
 
     reference = fine_second_positions(controlled_forward(hum, None), space, grid)
     ref_pos, ref_vel = _modal_derivatives(problem, reference)
-    fd_reference = (float(ref_pos @ z0 + ref_vel @ z1), _fd_derivative(problem, reference, along))
+    ref_polarized, ref_scale = _polarized(problem, reference, _fine_phi(problem, reference), along)
 
     certificate = InsensitizeCertificate(
         phi_baseline=phi0,
         terminal=solution.terminal_norms,
         initial_norm=solution.initial_norm,
         records=records,
-        robustness_exponent=exponent,
+        robustness_exponent=_robustness_exponent(q),
         cg_iterations=solution.cg_iterations,
         final_residual=solution.final_residual,
         converse=_converse(problem, solution.trajectory, phi0, (per_position, per_velocity), solution.initial_norm),
-        fd_resolution=1e3 * np.finfo(float).eps * phi0 / min(FD_STEPS),
-        fd_reference=fd_reference,
+        fd_reference=(float(ref_pos @ z0 + ref_vel @ z1), ref_polarized, ref_scale),
         response_stepper_gap=stepper_gap,
     )
     return control, certificate
@@ -450,15 +438,18 @@ def _first_component_norms(states: np.ndarray, space: SpectralSpace, kind: str) 
 
 
 def _converse(problem: InsensitizeProblem, states: np.ndarray, phi0: float, derivatives, data_scale: float):
-    """``ConverseReport`` of the controlled ``states`` from their Phi, modal derivatives and data norm."""
-    lam = problem.space.eigenvalues
-    kind = problem.control_operator.kind
-    _, k_pos, _, k_vel = DATA_ORDERS[kind]
-    per_position, per_velocity = derivatives
-    # the spanning set: every mode in each slot, unit-normalized in the slot's space
-    spanning = np.concatenate([per_position / np.sqrt(lam**k_pos), per_velocity / np.sqrt(lam**k_vel)])
-    worst_rel = float(np.max(np.abs(spanning))) / max(phi0, 1e-300)
-    norms = _first_component_norms(states, problem.space, kind)
+    """``ConverseReport`` of the controlled ``states`` from their Phi, modal derivatives and data norm.
+
+    The spanning set is every mode in each slot.  A unit mode's response is
+    cos(w_j t) e_j or sin(w_j t) / w_j e_j, whose Phi, 1/2 W_jj sum_k w_k
+    cos^2(w_j t_k) or the same with the sine, gives its Cauchy-Schwarz scale.
+    """
+    weights = problem.grid.fine_weights
+    diagonal = 0.5 * np.diag(problem.weight_matrix)
+    scales = 2.0 * np.sqrt(phi0 * np.concatenate([diagonal * (weights @ block**2) for block in problem.fine_flow]))
+    spanning = np.abs(np.concatenate(derivatives))
+    worst_rel = float(np.max(np.divide(spanning, scales, out=np.zeros_like(spanning), where=scales > 0)))
+    norms = _first_component_norms(states, problem.space, problem.control_operator.kind)
     terminal_rel = float(norms[-1]) / max(float(norms.max()), data_scale, 1e-300)
     return ConverseReport(worst_rel <= CONVERSE_TOL, terminal_rel <= CONVERSE_TOL, worst_rel, terminal_rel)
 
@@ -466,16 +457,13 @@ def _converse(problem: InsensitizeProblem, states: np.ndarray, phi0: float, deri
 def verify_converse(problem: InsensitizeProblem, control: TimeSampledControl | None) -> ConverseReport:
     """Check the equivalence between vanishing sensitivities and cascade nulling.
 
-    Evaluates the sensitivity derivatives over the spanning set of modal
-    perturbations (every mode in each slot), reconstructs the cascade
-    trajectory driven by the candidate control, and reports whether the two
-    characterizations agree: all derivatives vanish relative to the scale of
-    Phi exactly when the terminal data of the coupled component vanish
-    relative to the trajectory scale, both within ``CONVERSE_TOL``.
-    ``insensitize`` reads the same report off its own trajectory.
+    Reports whether the derivatives over every mode in each slot vanish on
+    their Cauchy-Schwarz scales exactly when the first component's terminal
+    data vanish relative to its trajectory and ``hum.data_norm``, both within
+    ``CONVERSE_TOL``.  ``insensitize`` reads the same report off its own
+    trajectory.
     """
     hum = problem.hum
     states = controlled_forward(hum, control)
     fine = fine_second_positions(states, problem.space, problem.grid)
-    data_scale = control_space_norms(hum.initial_data.as_vector(), problem.space, hum.observer.kind)["total"]
-    return _converse(problem, states, _fine_phi(problem, fine), _modal_derivatives(problem, fine), data_scale)
+    return _converse(problem, states, _fine_phi(problem, fine), _modal_derivatives(problem, fine), data_norm(hum))

@@ -402,7 +402,10 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     axis = config.get("sweep", "axis")
     if axis not in ("horizon", "n_modes", "region_offset"):  # checked before an empty value list returns
         raise ConfigError(f"unknown sweep axis {axis!r}; the axes are horizon, n_modes and region_offset")
-    values = [v.strip() for v in config.get("sweep", "values").split(",") if v.strip()]
+    cast = int if axis == "n_modes" else float  # the whole list, before any row is computed
+    values = [_number(cast, v, "[sweep] values") for v in map(str.strip, config.get("sweep", "values").split(",")) if v]
+    if axis == "n_modes" and min(values, default=1) < 1:  # not [spectral] n_modes, which the sweep overrides
+        raise ConfigError(f"[sweep] values must be positive mode counts, got {min(values)}")
     trends = config.get("checks", "trends", default=False, cast=bool)
     refinement_decay = config.get("checks", "refinement_decay", default=False, cast=bool)
     for key, on, own_axis in (("trends", trends, "horizon"), ("refinement_decay", refinement_decay, "n_modes")):
@@ -416,17 +419,9 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     base_n = config.spectral_space().n_modes
     base_t = config.get("grid", "horizon", cast=float)
     for value in values:
-        shifted = config
-        if axis == "horizon":
-            horizon, n_modes = _number(float, value, "[sweep] values"), base_n
-        elif axis == "n_modes":
-            horizon, n_modes = base_t, _number(int, value, "[sweep] values")
-            if n_modes < 1:  # else refused as [spectral] n_modes, which the sweep overrides
-                raise ConfigError(f"[sweep] values must be positive mode counts, got {value!r}")
-        else:  # region_offset
-            horizon, n_modes = base_t, base_n
-            shifted = _shift_observer(config, _number(float, value, "[sweep] values"))
-        rows.append(_gramian_row(shifted, horizon, n_modes)[1])
+        shifted = _shift_observer(config, value) if axis == "region_offset" else config
+        horizon = value if axis == "horizon" else base_t
+        rows.append(_gramian_row(shifted, horizon, value if axis == "n_modes" else base_n)[1])
     write_csv(path, _GRAMIAN_HEADER, rows)
     checks = []
     if trends:
@@ -562,7 +557,7 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> tuple[list, list
         ("fd_agreement", certificate.fd_agreement <= 1e-5, f"{certificate.fd_agreement:.3e}"),
         ("fd_reference_agreement", certificate.fd_reference_agreement <= 1e-5,
          f"{certificate.fd_reference_agreement:.3e} at derivative {certificate.fd_reference[0]:.3e}"),
-        # measured 1.65e-14 to 5.15e-14 over the criterion 9 and 10 configs; the bound is 194x the worst
+        # measured 2.47e-14 to 7.35e-14 over the criterion 9 and 10 configs; the bound is 136x the worst
         ("response_stepper_gap", certificate.response_stepper_gap <= 1e-11,
          f"{certificate.response_stepper_gap:.3e}"),
         ("robustness_quadratic", certificate.robustness_exponent >= 1.9,

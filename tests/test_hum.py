@@ -27,6 +27,7 @@ from wavecascade.hum import (
     adjoint_space_weights,
     control_space_norms,
     controlled_forward,
+    data_norm,
     dense_hum_matrix,
     solve_hum,
     verify_transposition,
@@ -577,3 +578,31 @@ class TestSpaces:
         assert norms["y1"] == pytest.approx(np.pi**2)  # H2 norm of phi_1
         norms = control_space_norms(vec, space, "boundary")
         assert norms["y1"] == pytest.approx(np.pi)  # H1 norm
+
+
+class TestDataNorm:
+    def test_source_free_norm_is_the_initial_data_norm_bit_for_bit(self):
+        space = SpectralSpace(8)
+        data = CascadeState.from_vector(np.random.default_rng(71).standard_normal(32), space)
+        prob = interior_problem(8, data=data)
+        expected = control_space_norms(data.as_vector(), space, "interior")["total"]
+        assert data_norm(prob) == expected
+        assert solve_hum(prob).initial_norm == expected
+
+    def test_a_source_adds_its_terminal_state_from_rest(self):
+        space = SpectralSpace(8)
+        rng = np.random.default_rng(72)
+        data = CascadeState.from_vector(rng.standard_normal(32), space)
+        g = rng.standard_normal(8)
+        source = lambda t: 1e6 * np.sin(np.pi * t) * g
+        prob = interior_problem(8, data=data, source=source)
+        from_rest = controlled_forward(interior_problem(8, data=CascadeState.zero(space), source=source), None)[-1]
+        expected = (
+            control_space_norms(data.as_vector(), space, "interior")["total"]
+            + control_space_norms(from_rest, space, "interior")["total"]
+        )
+        assert data_norm(prob) == pytest.approx(expected, rel=1e-12)
+        assert prob.source_terminal.base is None  # a copy: the marched trajectory is not kept
+        sol = solve_hum(prob)
+        assert sol.initial_norm == data_norm(prob)
+        assert max(v for k, v in sol.terminal_norms.items() if k != "total") <= 1e-6 * sol.initial_norm

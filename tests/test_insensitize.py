@@ -17,7 +17,6 @@ from wavecascade.spectral import (
 from wavecascade.dynamics import Observer, TimeGrid
 from wavecascade.hum import HUMProblem, TimeSampledControl, controlled_forward
 from wavecascade.insensitize import (
-    FD_STEPS,
     ConverseReport,
     InsensitizeCertificate,
     InsensitizeProblem,
@@ -26,10 +25,19 @@ from wavecascade.insensitize import (
     phi_functional,
     verify_converse,
 )
-from wavecascade.insensitize import _fd_derivative, _first_component_norms, _free_response, _response
+from wavecascade.insensitize import (
+    _converse,
+    _fine_phi,
+    _first_component_norms,
+    _free_response,
+    _modal_derivatives,
+    _polarized,
+    _response,
+    _robustness_exponent,
+)
 from wavecascade.runner import parse_config, run
 
-from oracles import sensitivity_derivatives, trajectory_phi
+from oracles import richardson_derivative, sensitivity_derivatives, trajectory_phi
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # the package re-exports the function insensitize under the submodule's name
@@ -109,8 +117,8 @@ class TestSensitivityDerivatives:
         a0, a1 = sensitivity_derivatives(prob, control, z0, z1)
         fine = lambda states: fine_second_positions(states, space, prob.grid)
         base = fine(controlled_forward(hum, control))
-        f0 = _fd_derivative(prob, base, fine(_response(hum, z0, np.zeros(12))))
-        f1 = _fd_derivative(prob, base, fine(_response(hum, np.zeros(12), z1)))
+        f0 = richardson_derivative(prob, base, fine(_response(hum, z0, np.zeros(12))))
+        f1 = richardson_derivative(prob, base, fine(_response(hum, np.zeros(12), z1)))
         assert f0 == pytest.approx(a0, rel=1e-5)
         assert f1 == pytest.approx(a1, rel=1e-5)
 
@@ -263,21 +271,33 @@ class TestReferenceOracle:
             ModalCoefficients(rng.standard_normal(12), space),
         )
         _, cert = insensitize(make_problem(12, kind=kind, data=data, perturbation_count=1, seed=3))
-        analytic, _ = cert.fd_reference
-        assert abs(analytic) > cert.fd_resolution
+        analytic, _, scale = cert.fd_reference
+        assert abs(analytic) > 1e3 * np.finfo(float).eps * scale
         assert 0.0 < cert.fd_reference_agreement <= 1e-5
 
-    def test_reference_below_resolution_never_passes(self):
+    @staticmethod
+    def _reference_agreement(reference):
         cert = InsensitizeCertificate(
             phi_baseline=1.0, terminal={}, initial_norm=1.0, records=[], robustness_exponent=2.0,
             cg_iterations=1, final_residual=0.0, converse=ConverseReport(True, True, 0.0, 0.0),
-            fd_resolution=1e-10, fd_reference=(3e-11, 3e-11),
+            fd_reference=reference,
         )
-        assert cert.fd_reference_agreement == float("inf")
+        return cert.fd_reference_agreement
+
+    def test_reference_below_resolution_never_passes(self):
+        # within the polarization's roundoff of its Cauchy-Schwarz scale
+        assert self._reference_agreement((1e-14, 1e-14, 1.0)) == float("inf")
+
+    @pytest.mark.parametrize("reference", [(0.0, 0.0, 0.0), (3e-11, 3e-11, 0.0)])
+    def test_reference_invisible_to_phi_never_passes(self, reference):
+        assert self._reference_agreement(reference) == float("inf")
+
+    def test_a_reference_above_resolution_is_compared(self):
+        assert self._reference_agreement((1e-10, 1.1e-10, 1.0)) == pytest.approx(1.0 / 11.0)
 
 
 class TestFinePositionRoute:
-    # the certificate differences Phi on fine positions; these pin it to the node-state route
+    # the certificate polarizes Phi on fine positions; these pin it to the node-state route
     @pytest.mark.parametrize("kind", ["interior", "boundary"])
     def test_fd_on_fine_positions_matches_node_state_route(self, kind):
         space = SpectralSpace(12)
@@ -294,16 +314,17 @@ class TestFinePositionRoute:
         base = controlled_forward(hum, None)  # the zero control: the derivative is resolved
         response = _response(hum, z0, z1)
 
-        h1, h2 = FD_STEPS
-        central = lambda h: (
-            trajectory_phi(prob, base + h * response) - trajectory_phi(prob, base - h * response)
-        ) / (2.0 * h)
-        nodes = (h1**2 * central(h2) - h2**2 * central(h1)) / (h1**2 - h2**2)
+        phi_base, phi_response = trajectory_phi(prob, base), trajectory_phi(prob, response)
+        h = np.sqrt(phi_base / phi_response)
+        nodes = (trajectory_phi(prob, base + h * response) - trajectory_phi(prob, base - h * response)) / (2.0 * h)
 
         fine = lambda states: fine_second_positions(states, space, prob.grid)
-        fine_route = _fd_derivative(prob, fine(base), fine(response))
-        assert abs(nodes) > 1e-6 * trajectory_phi(prob, base)
-        assert fine_route == pytest.approx(nodes, rel=1e-9)
+        fine_route, scale = _polarized(prob, fine(base), phi_base, fine(response))
+        assert scale == 2.0 * np.sqrt(phi_base * phi_response)
+        assert abs(nodes) > 1e-3 * scale
+        assert fine_route == pytest.approx(nodes, rel=1e-12)
+        # the two-step Richardson difference, the reference the polarization replaced
+        assert fine_route == pytest.approx(richardson_derivative(prob, fine(base), fine(response)), rel=1e-9)
 
     @pytest.mark.parametrize("kind", ["interior", "boundary"])
     def test_closed_form_response_matches_the_marched_one(self, kind):
@@ -398,3 +419,116 @@ class TestSharedOperators:
         assert prob.hum is prob.hum
         assert prob.hum.observer is prob.control_operator
         assert prob.hum.coupling.function is prob.observation_weight
+
+
+def _resolved_pair(kind, seed):
+    """A problem with the zero control's fine positions b and one perturbation's response a."""
+    space = SpectralSpace(12)
+    rng = np.random.default_rng(seed)
+    data = (
+        ModalCoefficients(rng.standard_normal(12) / np.sqrt(space.eigenvalues), space),
+        ModalCoefficients(rng.standard_normal(12), space),
+    )
+    prob = make_problem(12, kind=kind, data=data)
+    base = fine_second_positions(controlled_forward(prob.hum, None), space, prob.grid)
+    response = _free_response(prob, rng.standard_normal(12) / np.sqrt(space.eigenvalues), rng.standard_normal(12))
+    return prob, base, response
+
+
+class TestQuadraticAlgebra:
+    # the module RNG is left alone so that earlier draws stay put
+    @pytest.mark.parametrize("kind", ["interior", "boundary"])
+    def test_polarization_is_the_bilinear_form_at_every_step(self, kind):
+        prob, base, response = _resolved_pair(kind, 61)
+        bilinear = float(prob.grid.fine_weights @ np.einsum("ki,ki->k", base @ prob.weight_matrix, response))
+        polarized, scale = _polarized(prob, base, _fine_phi(prob, base), response)
+        assert abs(bilinear) <= scale  # Cauchy-Schwarz
+        assert abs(polarized - bilinear) <= 1e-14 * scale
+        for h in (1e-2, 1.0, 1e2):
+            other = (_fine_phi(prob, base + h * response) - _fine_phi(prob, base - h * response)) / (2.0 * h)
+            assert other == pytest.approx(bilinear, rel=1e-10)
+
+    def test_a_perturbation_invisible_to_phi_has_zero_derivative_and_scale(self):
+        prob, base, response = _resolved_pair("interior", 62)
+        assert _polarized(prob, base, _fine_phi(prob, base), np.zeros_like(response)) == (0.0, 0.0)
+        assert _polarized(prob, base, 0.0, response) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["interior", "boundary"])
+    def test_robustness_exponent_is_the_slope_of_phi_differences(self, kind):
+        # at the zero control q is resolved, so the expansion is tied to Phi itself
+        prob, base, response = _resolved_pair(kind, 63)
+        phi_base, phi_response = _fine_phi(prob, base), _fine_phi(prob, response)
+        bilinear, scale = _polarized(prob, base, phi_base, response)
+        q = bilinear / scale
+        assert abs(q) > 1e-2
+        h = np.sqrt(phi_base / phi_response)
+        changes = [abs(_fine_phi(prob, base + tau * h * response) - phi_base) for tau in (1e-1, 1e-4)]
+        slope = np.log(changes[0] / changes[1]) / np.log(1e3)
+        assert _robustness_exponent(q) == pytest.approx(slope, rel=1e-6)
+
+    def test_robustness_exponent_edges(self):
+        assert _robustness_exponent(0.0) == pytest.approx(2.0, rel=1e-15)
+        assert 1.0 < _robustness_exponent(0.3) < 1.1
+        assert np.isnan(_robustness_exponent(float("nan")))  # the perturbation is invisible to Phi
+        assert np.isnan(_robustness_exponent(-5e-5))  # no change at tau = 1e-4
+
+    @pytest.mark.parametrize("kind", ["interior", "boundary"])
+    def test_converse_scales_are_those_of_each_unit_mode(self, kind):
+        # the spanning set's scales come from column sums of the trig table; here each
+        # unit mode's response is formed and its Phi evaluated
+        prob, base, _ = _resolved_pair(kind, 64)
+        phi_base = _fine_phi(prob, base)
+        per_position, per_velocity = _modal_derivatives(prob, base)
+        states = np.zeros((prob.grid.n_steps + 1, 4 * 12))
+        report = _converse(prob, states, phi_base, (per_position, per_velocity), 1.0)
+        zero, worst = np.zeros(12), 0.0
+        for j in range(12):
+            unit = np.eye(12)[j]
+            for derivative, response in (
+                (per_position[j], _free_response(prob, unit, zero)),
+                (per_velocity[j], _free_response(prob, zero, unit)),
+            ):
+                worst = max(worst, abs(derivative) / (2.0 * np.sqrt(phi_base * _fine_phi(prob, response))))
+        assert report.max_derivative_relative == pytest.approx(worst, rel=1e-12)
+        assert not report.derivatives_vanish
+
+
+class TestLargeSources:
+    # a large source had failed terminal_state_null and fd_reference_agreement on a correct
+    # control, and had passed robustness_quadratic with exponent inf
+    @pytest.mark.parametrize(
+        "config, amplitude",
+        [
+            ("criterion09_insensitize_interior", "1e8"),
+            ("criterion09_insensitize_boundary", "1e8"),
+            ("criterion09_insensitize_interior", "1e6"),
+        ],
+    )
+    def test_run_passes_with_a_finite_quadratic_exponent(self, tmp_path, config, amplitude):
+        result = run(parse_config(CONFIG_DIR / f"{config}.ini", [f"source.amplitude={amplitude}"]), tmp_path)
+        assert result.status == 0, [c for c in result.checks if not c[1]]
+        report = dict(line.split() for line in (tmp_path / "report.txt").read_text().splitlines())
+        exponent = float(report["robustness_exponent"])
+        assert np.isfinite(exponent) and 1.9 <= exponent <= 2.1
+
+    def test_zero_control_converse_agrees(self):
+        space = SpectralSpace(16)
+        rng = np.random.default_rng(65)
+        data = (
+            ModalCoefficients(rng.standard_normal(16) / np.sqrt(space.eigenvalues), space),
+            ModalCoefficients(rng.standard_normal(16), space),
+        )
+        g = rng.standard_normal(16)
+        g /= np.linalg.norm(g)
+        prob = make_problem(16, data=data, source=lambda t: 1e8 * np.sin(np.pi * t) * g, perturbation_count=1)
+        report = verify_converse(prob, None)
+        assert not report.terminal_nulls
+        assert not report.derivatives_vanish
+        assert report.directions_agree
+
+    def test_fd_agreement_compares_something(self, tmp_path):
+        # it had read 0.0 on every run: every record lay below the finite-difference resolution
+        result = run(parse_config(CONFIG_DIR / "criterion09_insensitize_interior.ini"), tmp_path)
+        assert result.status == 0
+        report = dict(line.split() for line in (tmp_path / "report.txt").read_text().splitlines())
+        assert 0.0 < float(report["fd_agreement"]) <= 1e-12

@@ -287,6 +287,11 @@ class TestParsing:
             ("criterion04_gramian_interior", "coupling.pieces=0.2,0.3,0.05,1e30", "[coupling] is too large: "),
             ("criterion09_insensitize_interior", "source.amplitude=1e308", "[source] is too large: "),
             ("criterion06_audit", "observer.pieces=0.6,0.7,0.05,1e152", "[observer] is too large: the audit's solver"),
+            # the control Gramian's line had named no section
+            ("criterion08_hum_interior", "coupling.pieces=0.2,0.3,0.05,1e200",
+             "[coupling] or [observer] is too large: the control Gramian"),
+            ("criterion09_insensitize_interior", "coupling.pieces=0.2,0.3,0.05,1e308",
+             "[coupling] or [observer] is too large: the control Gramian"),
         ],
     )
     def test_input_out_of_the_float_range_is_named(self, tmp_path, capsys, config, override, start):
@@ -409,7 +414,7 @@ class TestRunKinds:
         assert self._march_callers(monkeypatch, args) == ["controlled_forward"]
 
     def test_sourced_hum_run_marches_its_source_from_rest(self, tmp_path, monkeypatch):
-        # a source's terminal state is marched from rest for the right-hand side
+        # a source's terminal state is marched from rest once, for the right-hand side and the data norm
         args = [
             f"{CONFIG_DIR}/criterion08_hum_boundary.ini",
             "-o",
@@ -417,14 +422,14 @@ class TestRunKinds:
             "--set",
             "source.kind=separable",
         ]
-        assert self._march_callers(monkeypatch, args) == ["assemble_rhs", "controlled_forward"]
+        assert self._march_callers(monkeypatch, args) == ["source_terminal", "controlled_forward"]
 
     @pytest.mark.parametrize(
         "config, expected",
         [
             ("criterion10_converse", ["controlled_forward", "_response", "controlled_forward"]),
             ("criterion09_insensitize_interior",
-             ["assemble_rhs", "controlled_forward", "_response", "controlled_forward"]),
+             ["source_terminal", "controlled_forward", "_response", "controlled_forward"]),
         ],
     )
     def test_insensitize_run_marches_each_trajectory_once(self, tmp_path, monkeypatch, config, expected):
@@ -480,6 +485,45 @@ class TestRunKinds:
         assert lines[1].startswith("  [FAIL] min_eig_decays_per_doubling: 0.000e+00, 0.000e+00")
         assert lines[1].endswith("; exactly 0 at N = 32")
         assert lines[2:] == [f"  wrote {tmp_path / 'sweep' / 'sweep.csv'}"]
+
+    def test_sweep_values_are_parsed_before_the_first_row(self, tmp_path, capsys, monkeypatch):
+        # a bad value late in the list had been refused only after every earlier row was computed
+        from wavecascade import runner
+
+        def never(*args):
+            raise AssertionError("a Gramian row was computed")
+
+        monkeypatch.setattr(runner, "_gramian_row", never)
+        args = [f"{CONFIG_DIR}/criterion07_trends.ini", "-o", str(tmp_path / "s"), "--set", "sweep.values=4,8,16,x"]
+        assert main(args) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line == "configuration error: bad value for [sweep] values: 'x'"
+
+    def test_large_source_hum_run_passes(self, tmp_path):
+        # the terminal residual had been scaled by the known data alone: 4.8e-6 at this amplitude, a failure
+        overrides = ["source.kind=separable", "source.amplitude=1e8", "source.pieces=0.3,0.6,0.05,1"]
+        result = run(parse_config(f"{CONFIG_DIR}/criterion08_hum_boundary.ini", overrides), tmp_path)
+        assert result.status == 0, result.checks
+
+    @pytest.mark.parametrize(
+        "config, artifact, keys",
+        [
+            ("criterion08_hum_interior", "manifest.txt", ["cg_iterations", "initial_norm", "duality_residual"]),
+            ("criterion09_insensitize_interior", "report.txt",
+             ["cg_iterations", "fd_agreement", "max_derivative_relative"]),
+        ],
+    )
+    def test_artifacts_carry_the_benchmark_health_keys(self, tmp_path, config, artifact, keys):
+        # perfbench's health metrics read these keys; a rename would break its trace pass silently
+        result = run(parse_config(f"{CONFIG_DIR}/{config}.ini", ["spectral.n_modes=8"]), tmp_path)
+        assert result.status == 0
+        pairs = dict(line.split(None, 1) for line in (tmp_path / artifact).read_text().splitlines())
+        if artifact == "manifest.txt":
+            terminal = [k for k in pairs if k.startswith("terminal_")]
+            assert sorted(terminal) == ["terminal_dy1", "terminal_dy2", "terminal_total", "terminal_y1", "terminal_y2"]
+            keys = keys + terminal
+        for key in keys:
+            assert np.isfinite(float(pairs[key])), key
 
     @pytest.mark.parametrize("config", ["criterion08_hum_interior", "criterion09_insensitize_interior"])
     def test_observability_floor_refuses_with_one_line(self, tmp_path, capsys, config):
