@@ -36,7 +36,7 @@ for observer in (
     Observer("interior", weight=CoefficientFunction((PlateauBump(0.6, 0.7, 0.05, 1.0),), core_region=(0.6, 0.7))),
     Observer("boundary", b_left=1.0),
 ):
-    problem = HUMProblem(initial, coupling, observer, grid, cg_tolerance=1e-10, max_iterations=500)
+    problem = HUMProblem(initial, coupling, observer, grid)
     solution = solve_hum(problem)
     print(f"{observer.kind} control:")
     print(f"  conjugate gradient iterations: {solution.cg_iterations}")

@@ -83,6 +83,8 @@ __all__ = [
 ]
 
 OBSERVABILITY_FLOOR = 1e-8  # smallest metric-scaled eigenvalue contrast of a control Gramian that solve_hum accepts
+CG_TOLERANCE = 1e-10  # conjugate gradients stop at this certificate residual, relative to the right-hand side's
+MAX_ITERATIONS = 500  # conjugate-gradient iterations before solve_hum reports a stall
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +108,9 @@ class HUMProblem:
     observation rows, the adjoint metric, the source samples and terminal
     state, the control Gramian and P^-M); each is built on first use and
     kept for the life of the problem, the steppers in 64-byte-aligned
-    buffers (``dynamics._aligned``).
+    buffers (``dynamics._aligned``).  ``solve_hum`` stops conjugate
+    gradients at ``CG_TOLERANCE`` and reports a stall after
+    ``MAX_ITERATIONS``, the same for every problem.
     """
 
     initial_data: CascadeState
@@ -114,14 +118,8 @@ class HUMProblem:
     observer: Observer
     grid: TimeGrid
     source: object = None  # callable t -> modal coefficients (broadcast per time), or None
-    cg_tolerance: float = 1e-10
-    max_iterations: int = 2000
 
     def __post_init__(self):
-        if not (np.isfinite(self.cg_tolerance) and self.cg_tolerance > 0):
-            raise ValidationError(f"cg_tolerance must be finite and positive, got {self.cg_tolerance}")
-        if self.max_iterations < 1:
-            raise ValidationError(f"max_iterations must be at least 1, got {self.max_iterations}")
         self.grid.validate_for(self.space)
 
     @property
@@ -489,14 +487,14 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
         rz = float(r @ z)
         final_residual = _certificate_norm(r, problem) / rhs_scale
         trace.append(final_residual)
-        for iterations in range(1, problem.max_iterations + 1):
+        for iterations in range(1, MAX_ITERATIONS + 1):
             ap = gram @ p
             alpha = rz / float(p @ ap)
             x += alpha * p
             r -= alpha * ap
             final_residual = _certificate_norm(r, problem) / rhs_scale
             trace.append(final_residual)
-            if final_residual <= problem.cg_tolerance:
+            if final_residual <= CG_TOLERANCE:
                 break
             z = r / problem.xd
             rz_new = float(r @ z)
@@ -505,7 +503,7 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
         else:
             raise ConvergenceError(
                 f"conjugate gradient stalled at residual {final_residual:.3e} after "
-                f"{problem.max_iterations} iterations",
+                f"{MAX_ITERATIONS} iterations (hum.MAX_ITERATIONS)",
                 trace=trace,
                 partial=CascadeState.from_vector(x, space),
             )

@@ -81,7 +81,8 @@ class InsensitizeProblem:
     weights; its kind is the case (``hum.DATA_ORDERS``).  ``source`` is
     an optional forcing of the controlled equation with the contract of
     ``HUMProblem.source``: a callable t -> modal coefficients, called once
-    on the column of grid times and broadcast to one vector per node.
+    on the column of grid times and broadcast to one vector per node.  The
+    solve's settings are ``hum.CG_TOLERANCE`` and ``hum.MAX_ITERATIONS``.
     """
 
     known_position: ModalCoefficients
@@ -90,8 +91,6 @@ class InsensitizeProblem:
     grid: TimeGrid
     control_operator: Observer
     source: object = None  # callable t -> modal coefficients (broadcast per time), or None
-    cg_tolerance: float = 1e-10
-    max_iterations: int = 2000
     perturbation_count: int = 10
     seed: int = 0
 
@@ -135,15 +134,7 @@ class InsensitizeProblem:
         space = self.space
         initial = CascadeState(space.zero(), self.known_position, space.zero(), self.known_velocity)
         coupling = None if self.observation_region is None else CouplingOperator(self.observation_weight, space)
-        return HUMProblem(
-            initial,
-            coupling,
-            self.control_operator,
-            self.grid,
-            source=self.source,
-            cg_tolerance=self.cg_tolerance,
-            max_iterations=self.max_iterations,
-        )
+        return HUMProblem(initial, coupling, self.control_operator, self.grid, source=self.source)
 
 
 @dataclass(frozen=True)
@@ -152,9 +143,9 @@ class PerturbationRecord:
 
     index: int
     dphi_tau0_analytic: float
-    dphi_tau0_fd: float
+    dphi_tau0_polarized: float
     dphi_tau1_analytic: float
-    dphi_tau1_fd: float
+    dphi_tau1_polarized: float
     scale_tau0: float
     scale_tau1: float
 
@@ -181,7 +172,6 @@ class InsensitizeCertificate:
     records: list
     robustness_exponent: float
     cg_iterations: int
-    final_residual: float
     converse: ConverseReport
     fd_reference: tuple[float, float, float] = (0.0, 0.0, 0.0)
     response_stepper_gap: float = float("inf")
@@ -193,8 +183,8 @@ class InsensitizeCertificate:
 
     def _slots(self) -> list[tuple[float, float, float]]:
         """(analytic, polarized, scale) of both slots of every record."""
-        return [(r.dphi_tau0_analytic, r.dphi_tau0_fd, r.scale_tau0) for r in self.records] + [
-            (r.dphi_tau1_analytic, r.dphi_tau1_fd, r.scale_tau1) for r in self.records
+        return [(r.dphi_tau0_analytic, r.dphi_tau0_polarized, r.scale_tau0) for r in self.records] + [
+            (r.dphi_tau1_analytic, r.dphi_tau1_polarized, r.scale_tau1) for r in self.records
         ]
 
     @property
@@ -423,7 +413,6 @@ def insensitize(problem: InsensitizeProblem):
         records=records,
         robustness_exponent=_robustness_exponent(q),
         cg_iterations=solution.cg_iterations,
-        final_residual=solution.final_residual,
         converse=_converse(problem, solution.trajectory, phi0, (per_position, per_velocity), solution.initial_norm),
         fd_reference=(float(ref_pos @ z0 + ref_vel @ z1), ref_polarized, ref_scale),
         response_stepper_gap=stepper_gap,

@@ -52,6 +52,7 @@ TERMINAL_TOL = 1e-6  # terminal_state_null: worst terminal component norm over t
 AUDIT_INFLATION = 2.0  # the audit's estimated constants and admissibility bound, inflated
 AUDIT_HORIZON_FACTOR = 1.25  # the audit's default horizon, in units of the geometric horizon
 X_SAMPLES = 33  # points per time of the interior hum control.csv
+MAX_STEPS = 2**17  # time steps of the largest grid a run builds, about 10x criterion03's 13,406
 
 
 class ConfigError(ValidationError):
@@ -170,9 +171,8 @@ class ExperimentConfig:
 
     def spectral_space(self, n_modes: int | None = None) -> SpectralSpace:
         n = n_modes if n_modes is not None else self.get("spectral", "n_modes", cast=int)
-        panels = self.get("spectral", "quadrature_panels", default=0, cast=int)
         try:
-            return SpectralSpace(n, panels)
+            return SpectralSpace(n)
         except ValidationError as exc:
             raise ConfigError(f"[spectral] {exc}") from None
 
@@ -218,25 +218,22 @@ class ExperimentConfig:
             raise ConfigError(f"[observer] {exc}") from None
 
     def grid(self, space: SpectralSpace, horizon: float | None = None) -> TimeGrid:
-        """The [grid] time grid, refused as a ConfigError when it resolves the space's fastest mode poorly."""
+        """The [grid] time grid; a ConfigError over ``MAX_STEPS`` steps or when it resolves the fastest mode poorly."""
         T = horizon if horizon is not None else self.get("grid", "horizon", cast=float)
         if self.has("grid", "n_steps"):
             grid = TimeGrid(T, self.get("grid", "n_steps", cast=int))
         else:
             grid = TimeGrid.for_space(space, T, self.get("grid", "step_phase", default=0.4, cast=float))
+        if grid.n_steps > MAX_STEPS:  # before dt: an integer count too large for a float overflows it
+            digits = str(grid.n_steps)
+            count = digits if len(digits) <= 12 else f"at least 10^{len(digits) - 1}"
+            raise ConfigError(f"[grid] takes {count} time steps, over the budget of {MAX_STEPS}; "
+                              "lower horizon or n_steps, or raise step_phase")
         phase = grid.dt * space.frequencies[-1]
         if phase > MAX_STEP_PHASE:  # TimeGrid.validate_for's guard, naming the keys that set dt
             raise ConfigError(f"[grid] time step resolves the fastest mode poorly (dt*sqrt(lambda_N) = {phase:.3f} > "
                               f"{MAX_STEP_PHASE}); raise n_steps or lower step_phase")
         return grid
-
-    def random_state(self, space: SpectralSpace, rng) -> CascadeState:
-        data_kind = self.get("data", "kind", default="random")
-        if data_kind == "zero":
-            return CascadeState.zero(space)
-        if data_kind == "random":
-            return CascadeState.from_vector(rng.standard_normal(4 * space.n_modes), space)
-        raise ConfigError(f"unknown data kind {data_kind!r}")
 
     def source(self, space: SpectralSpace, rng):
         if not self.has("source", "kind"):
@@ -321,7 +318,7 @@ def _run_simulate(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     coupling = config.coupling(space)
     grid = config.grid(space)
     rng = np.random.default_rng(config.seed)
-    state = config.random_state(space, rng)
+    state = CascadeState.from_vector(rng.standard_normal(4 * space.n_modes), space)
     traj = evolve_cascade(state, coupling, grid)
     observer = config.observer()
     obs = observation_history(traj, observer)
@@ -382,26 +379,10 @@ def _run_gramian(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     return [path], checks
 
 
-def _shift_observer(config: ExperimentConfig, offset: float) -> ExperimentConfig:
-    """Copy of the config with the interior observer region translated."""
-    if config.get("observer", "kind", default="interior") != "interior":
-        raise ConfigError("region_offset sweeps need an interior observer")
-    sections = {name: dict(vals) for name, vals in config.sections.items()}
-    pieces = [
-        f"{lo + offset},{hi + offset},{margin},{height}"
-        for lo, hi, margin, height in _pieces(sections["observer"]["pieces"], "observer")
-    ]
-    sections["observer"]["pieces"] = "; ".join(pieces)
-    if "core" in sections["observer"]:
-        core = _floats(sections["observer"]["core"], "[observer] core")
-        sections["observer"]["core"] = ",".join(f"{v + offset}" for v in core)
-    return ExperimentConfig(kind=config.kind, seed=config.seed, expect=config.expect, sections=sections)
-
-
 def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     axis = config.get("sweep", "axis")
-    if axis not in ("horizon", "n_modes", "region_offset"):  # checked before an empty value list returns
-        raise ConfigError(f"unknown sweep axis {axis!r}; the axes are horizon, n_modes and region_offset")
+    if axis not in ("horizon", "n_modes"):  # checked before an empty value list returns
+        raise ConfigError(f"unknown sweep axis {axis!r}; the axes are horizon and n_modes")
     cast = int if axis == "n_modes" else float  # the whole list, before any row is computed
     values = [_number(cast, v, "[sweep] values") for v in map(str.strip, config.get("sweep", "values").split(",")) if v]
     if axis == "n_modes" and min(values, default=1) < 1:  # not [spectral] n_modes, which the sweep overrides
@@ -419,9 +400,8 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     base_n = config.spectral_space().n_modes
     base_t = config.get("grid", "horizon", cast=float)
     for value in values:
-        shifted = _shift_observer(config, value) if axis == "region_offset" else config
-        horizon = value if axis == "horizon" else base_t
-        rows.append(_gramian_row(shifted, horizon, value if axis == "n_modes" else base_n)[1])
+        horizon, n_modes = (value, base_n) if axis == "horizon" else (base_t, value)
+        rows.append(_gramian_row(config, horizon, n_modes)[1])
     write_csv(path, _GRAMIAN_HEADER, rows)
     checks = []
     if trends:
@@ -448,16 +428,8 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     observer = config.observer()
     grid = config.grid(space)
     rng = np.random.default_rng(config.seed)
-    state = config.random_state(space, rng)
-    problem = HUMProblem(
-        state,
-        coupling,
-        observer,
-        grid,
-        source=config.source(space, rng),
-        cg_tolerance=config.get("hum", "cg_tolerance", default=1e-10, cast=float),
-        max_iterations=config.get("hum", "max_iterations", default=2000, cast=int),
-    )
+    state = CascadeState.from_vector(rng.standard_normal(4 * space.n_modes), space)  # drawn before the source
+    problem = HUMProblem(state, coupling, observer, grid, source=config.source(space, rng))
     solution = solve_hum(problem)
 
     artifacts = []
@@ -519,8 +491,6 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> tuple[list, list
         grid=config.grid(space),
         control_operator=observer,
         source=config.source(space, rng),
-        cg_tolerance=config.get("hum", "cg_tolerance", default=1e-10, cast=float),
-        max_iterations=config.get("hum", "max_iterations", default=2000, cast=int),
         perturbation_count=config.count("insensitize", "perturbations", 10),
         seed=config.seed + 1,
     )
@@ -530,8 +500,8 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> tuple[list, list
     cert_path = outdir / "certificate.csv"
     write_csv(
         cert_path,
-        ["perturbation_id", "dphi_tau0_analytic", "dphi_tau0_fd", "dphi_tau1_analytic", "dphi_tau1_fd"],
-        [[r.index, r.dphi_tau0_analytic, r.dphi_tau0_fd, r.dphi_tau1_analytic, r.dphi_tau1_fd]
+        ["perturbation_id", "dphi_tau0_analytic", "dphi_tau0_polarized", "dphi_tau1_analytic", "dphi_tau1_polarized"],
+        [[r.index, r.dphi_tau0_analytic, r.dphi_tau0_polarized, r.dphi_tau1_analytic, r.dphi_tau1_polarized]
          for r in certificate.records],
     )
     report_lines = [
@@ -659,16 +629,9 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SECTION.KEY=VALUE",
         help="override a config value (repeatable)",
     )
-    parser.add_argument(
-        "--expect-fail",
-        action="store_true",
-        help="negative test mode: succeed exactly when the checks fail",
-    )
     args = parser.parse_args(argv)
     try:
         config = parse_config(args.config, args.overrides)
-        if args.expect_fail:
-            config.expect = "fail"
         result = run(config, args.output_dir)
     except (ConfigError, ValidationError) as exc:
         print(f"configuration error: {exc}")

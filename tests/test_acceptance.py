@@ -302,8 +302,6 @@ class TestCriterion8ExactControl:
             coupling,
             interior_observer(),
             TimeGrid.for_space(space, 4.0, 0.4),
-            cg_tolerance=1e-10,
-            max_iterations=500,
         )
         solution = solve_hum(problem)
         worst = max(v for k, v in solution.terminal_norms.items() if k != "total") / solution.initial_norm
@@ -320,8 +318,6 @@ class TestCriterion8ExactControl:
             coupling,
             Observer("boundary", b_left=1.0),
             TimeGrid.for_space(space, 4.0, 0.4),
-            cg_tolerance=1e-10,
-            max_iterations=500,
         )
         solution = solve_hum(problem)
         worst = max(v for k, v in solution.terminal_norms.items() if k != "total") / solution.initial_norm
@@ -338,8 +334,6 @@ class TestCriterion8ExactControl:
             coupling,
             interior_observer(),
             TimeGrid.for_space(space, 4.0, 0.4),
-            cg_tolerance=1e-10,
-            max_iterations=500,
         )
         solution = solve_hum(problem)
         gram = dense_hum_matrix(problem)
@@ -364,8 +358,6 @@ class TestCriterion9Insensitizing:
             grid=TimeGrid.for_space(space, 4.0, 0.4),
             control_operator=control,
             source=lambda t: np.sin(np.pi * t) * g,
-            cg_tolerance=1e-10,
-            max_iterations=500,
             perturbation_count=10,
             seed=seed + 1,
         )
@@ -408,8 +400,6 @@ class TestCriterion10Equivalence:
                 observation_weight=COUPLING_FN,
                 grid=TimeGrid.for_space(space, 4.0, 0.4),
                 control_operator=Observer("interior", weight=OBS_FN),
-                cg_tolerance=1e-10,
-                max_iterations=500,
                 perturbation_count=3,
                 seed=seed,
             )

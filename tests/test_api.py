@@ -44,12 +44,10 @@ def test_no_public_callable_takes_a_private_parameter():
 def test_control_problems_pin_their_fields():
     # the observer's kind is the case and one TimeGrid the time grid; a change that adds a settable value edits this pin
     names = lambda cls: [field.name for field in dataclasses.fields(cls)]
-    assert names(HUMProblem) == [
-        "initial_data", "coupling", "observer", "grid", "source", "cg_tolerance", "max_iterations",
-    ]
+    assert names(HUMProblem) == ["initial_data", "coupling", "observer", "grid", "source"]
     assert names(InsensitizeProblem) == [
         "known_position", "known_velocity", "observation_weight", "grid", "control_operator", "source",
-        "cg_tolerance", "max_iterations", "perturbation_count", "seed",
+        "perturbation_count", "seed",
     ]
     assert names(TimeSampledControl) == ["values", "grid"]
 
@@ -152,6 +150,22 @@ def _runner_reads():
         if names:
             read.add((names[0], names[1] if len(names) == 2 else None))
     return read
+
+
+def test_runner_reads_a_pinned_key_set():
+    # a change that adds a config key edits this pin, as a new problem field edits the fields' pin
+    read = _runner_reads()
+    assert sorted(pair for pair in read if pair[1] is not None) == [
+        ("audit", "ensemble"), ("audit", "samples"),
+        ("checks", "conservation_tol"), ("checks", "refinement_decay"), ("checks", "trends"),
+        ("grid", "horizon"), ("grid", "n_steps"), ("grid", "step_phase"),
+        ("insensitize", "perturbations"),
+        ("observer", "b_left"), ("observer", "b_right"), ("observer", "kind"),
+        ("source", "amplitude"), ("source", "frequency"), ("source", "kind"),
+        ("spectral", "n_modes"),
+        ("sweep", "axis"), ("sweep", "values"),
+    ]
+    assert sorted(section for section, key in read if key is None) == ["coupling", "observer", "source"]
 
 
 def test_every_config_section_the_runner_reads_is_documented():

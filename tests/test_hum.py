@@ -19,6 +19,7 @@ from wavecascade.dynamics import (
     TimeGrid,
     duality_pairing,
 )
+from wavecascade import hum
 from wavecascade.hum import (
     HUMProblem,
     TimeSampledControl,
@@ -43,7 +44,7 @@ COUPLING_FN = CoefficientFunction((PlateauBump(0.2, 0.3, 0.05, 1.0),), core_regi
 CONTROL_FN = CoefficientFunction((PlateauBump(0.6, 0.7, 0.05, 1.0),), core_region=(0.6, 0.7))
 
 
-def interior_problem(n_modes=16, horizon=4.0, data=None, coupling=True, source=None, **kw):
+def interior_problem(n_modes=16, horizon=4.0, data=None, coupling=True, source=None):
     space = SpectralSpace(n_modes)
     if data is None:
         data = CascadeState.from_vector(RNG.standard_normal(4 * n_modes), space)
@@ -53,11 +54,10 @@ def interior_problem(n_modes=16, horizon=4.0, data=None, coupling=True, source=N
         Observer("interior", weight=CONTROL_FN),
         TimeGrid.for_space(space, horizon, 0.4),
         source=source,
-        **kw,
     )
 
 
-def boundary_problem(n_modes=16, horizon=4.0, data=None, **kw):
+def boundary_problem(n_modes=16, horizon=4.0, data=None, source=None):
     space = SpectralSpace(n_modes)
     if data is None:
         data = CascadeState.from_vector(RNG.standard_normal(4 * n_modes), space)
@@ -66,7 +66,7 @@ def boundary_problem(n_modes=16, horizon=4.0, data=None, **kw):
         CouplingOperator(COUPLING_FN, space),
         Observer("boundary", b_left=1.0),
         TimeGrid.for_space(space, horizon, 0.4),
-        **kw,
+        source=source,
     )
 
 
@@ -199,19 +199,20 @@ class TestSolve:
         assert sol.terminal_norms["total"] <= 1e-6 * sol.initial_norm
 
     def test_interior_terminal_nulling(self):
-        sol = solve_hum(interior_problem(16, cg_tolerance=1e-10))
+        sol = solve_hum(interior_problem(16))
         for name in ("y1", "y2", "dy1", "dy2"):
             assert sol.terminal_norms[name] <= 1e-6 * sol.initial_norm
         assert sol.final_residual <= 1e-10
         assert sol.duality_residual < 1e-6
 
     def test_boundary_terminal_nulling(self):
-        sol = solve_hum(boundary_problem(16, cg_tolerance=1e-10))
+        sol = solve_hum(boundary_problem(16))
         for name in ("y1", "y2", "dy1", "dy2"):
             assert sol.terminal_norms[name] <= 1e-6 * sol.initial_norm
 
-    def test_cg_matches_dense_solve(self):
-        prob = interior_problem(8, cg_tolerance=1e-12)
+    def test_cg_matches_dense_solve(self, monkeypatch):
+        monkeypatch.setattr(hum, "CG_TOLERANCE", 1e-12)
+        prob = interior_problem(8)
         sol = solve_hum(prob)
         gram = dense_hum_matrix(prob)
         dense = np.linalg.solve(
@@ -220,33 +221,34 @@ class TestSolve:
         rel = np.linalg.norm(sol.minimizer.as_vector() - dense) / np.linalg.norm(dense)
         assert rel < 1e-6
 
-    def test_cg_matches_solve_on_matrix_free_gramian(self):
-        prob = interior_problem(8, cg_tolerance=1e-12)
+    def test_cg_matches_solve_on_matrix_free_gramian(self, monkeypatch):
+        monkeypatch.setattr(hum, "CG_TOLERANCE", 1e-12)
+        prob = interior_problem(8)
         sol = solve_hum(prob)
         gram = np.column_stack([apply_hum_gramian(e, prob) for e in np.eye(32)])
         oracle = np.linalg.solve(gram, -assemble_rhs(prob))
         rel = np.linalg.norm(sol.minimizer.as_vector() - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-6
 
-    def test_solution_map_is_linear(self):
+    def test_solution_map_is_linear(self, monkeypatch):
+        monkeypatch.setattr(hum, "CG_TOLERANCE", 1e-13)
+        monkeypatch.setattr(hum, "MAX_ITERATIONS", 4000)
         space = SpectralSpace(8)
         da = CascadeState.from_vector(RNG.standard_normal(32), space)
         db = CascadeState.from_vector(RNG.standard_normal(32), space)
         mix = CascadeState.from_vector(0.7 * da.as_vector() - 1.3 * db.as_vector(), space)
-        sols = [
-            solve_hum(interior_problem(8, data=d, cg_tolerance=1e-13, max_iterations=4000))
-            for d in (da, db, mix)
-        ]
+        sols = [solve_hum(interior_problem(8, data=d)) for d in (da, db, mix)]
         combo = 0.7 * sols[0].control.values - 1.3 * sols[1].control.values
         scale = np.max(np.abs(combo))
         assert np.max(np.abs(sols[2].control.values - combo)) <= 1e-8 * scale
 
-    def test_control_is_minimum_norm(self):
+    def test_control_is_minimum_norm(self, monkeypatch):
         # the extracted control must be quadrature-orthogonal to the kernel
         # of the control-to-terminal-state map (Lagrange condition)
         from wavecascade.hum import _pairing_matrix_apply
 
-        prob = interior_problem(8, horizon=2.0, cg_tolerance=1e-12)
+        monkeypatch.setattr(hum, "CG_TOLERANCE", 1e-12)
+        prob = interior_problem(8, horizon=2.0)
         sol = solve_hum(prob)
         grid = prob.grid
         n = 8
@@ -282,9 +284,10 @@ class TestSolve:
             solve_hum(boundary_problem(80, horizon=1.5))
         assert "contrast" in err.value.diagnostic
 
-    def test_stagnation_reports_trace(self):
+    def test_stagnation_reports_trace(self, monkeypatch):
+        monkeypatch.setattr(hum, "MAX_ITERATIONS", 2)
         with pytest.raises(ConvergenceError) as err:
-            solve_hum(interior_problem(8, max_iterations=2))
+            solve_hum(interior_problem(8))
         assert len(err.value.trace) >= 2
 
 
