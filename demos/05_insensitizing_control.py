@@ -49,7 +49,6 @@ problem = InsensitizeProblem(
 
 control, certificate = insensitize(problem)
 print(f"baseline observation Phi = {certificate.phi_baseline:.6f}")
-print(f"conjugate gradient iterations: {certificate.cg_iterations}")
 print(f"worst relative terminal norm: {certificate.max_terminal_relative:.2e}")
 print(f"worst |dPhi/dtau| on its Cauchy-Schwarz scale over {len(certificate.records)} perturbations: "
       f"{certificate.max_derivative_relative:.2e}")

@@ -4,12 +4,12 @@ The package represents scalar fields in the Dirichlet sine eigenbasis and
 provides, on top of an exactly reversible cascade solver: observability
 Gramians and their spectra, the closed-form constant chain of the two-level
 energy argument with an inequality-by-inequality audit, exact control
-synthesis by duality (conjugate gradients on adjoint data), and the
-construction and verification of insensitizing controls for the scalar wave
-equation.
+synthesis by duality (one dense solve of the control Gramian on adjoint
+data), and the construction and verification of insensitizing controls for
+the scalar wave equation.
 """
 
-from .errors import ConvergenceError, RefusalError, ValidationError
+from .errors import RefusalError, ValidationError
 from .spectral import (
     CoefficientFunction,
     IndicatorFunction,

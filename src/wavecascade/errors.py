@@ -16,15 +16,3 @@ class RefusalError(RuntimeError):
         super().__init__(message)
         self.diagnostic = dict(diagnostic or {})
 
-
-class ConvergenceError(RuntimeError):
-    """Raised when an iterative solver stops without reaching its tolerance.
-
-    The partial result and the iteration trace are attached so callers can
-    inspect stagnation instead of receiving a silent wrong answer.
-    """
-
-    def __init__(self, message: str, trace=None, partial=None):
-        super().__init__(message)
-        self.trace = trace
-        self.partial = partial

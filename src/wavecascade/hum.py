@@ -9,8 +9,9 @@ datum through endpoint weights) while the first component is coupled to it:
 
 Null controls are built by minimizing the control energy over final data of
 the adjoint cascade (the same triangular pair with the coupling on the
-second equation), a coercive problem solved by conjugate gradients in the
-appropriate weak metric.
+second equation), a coercive problem whose Hessian is the control Gramian:
+it is solved by one dense solve of that Gramian in the appropriate weak
+metric.
 
 The discretization is chosen so that the duality bookkeeping is exact: the
 adjoint trajectory is stepped with the reversible one-step propagator, the
@@ -19,7 +20,7 @@ time-quadrature weights, and the controlled stepper is derived from the
 adjoint stepper as its dual under the wave duality pairing (the transpose
 with position and velocity halves swapped).  As a result the
 discrete transposition identity holds to roundoff and terminal nulling is
-limited only by the conjugate-gradient tolerance, not by the time step.
+limited only by roundoff in the solve, not by the time step.
 
 Adjoint trajectories are swept, not marched whole.  The adjoint's first
 component is a free wave that only drives the second, so it rotates back in
@@ -44,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, RefusalError, ValidationError
+from .errors import RefusalError, ValidationError
 from .spectral import SpectralSpace
 from .dynamics import (
     CascadeState,
@@ -83,8 +84,6 @@ __all__ = [
 ]
 
 OBSERVABILITY_FLOOR = 1e-8  # smallest metric-scaled eigenvalue contrast of a control Gramian that solve_hum accepts
-CG_TOLERANCE = 1e-10  # conjugate gradients stop at this certificate residual, relative to the right-hand side's
-MAX_ITERATIONS = 500  # conjugate-gradient iterations before solve_hum reports a stall
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +107,7 @@ class HUMProblem:
     observation rows, the adjoint metric, the source samples and terminal
     state, the control Gramian and P^-M); each is built on first use and
     kept for the life of the problem, the steppers in 64-byte-aligned
-    buffers (``dynamics._aligned``).  ``solve_hum`` stops conjugate
-    gradients at ``CG_TOLERANCE`` and reports a stall after
-    ``MAX_ITERATIONS``, the same for every problem.
+    buffers (``dynamics._aligned``).
     """
 
     initial_data: CascadeState
@@ -210,16 +207,14 @@ class TimeSampledControl:
 
 @dataclass(eq=False)
 class HUMSolution:
-    """The null control, its CG record and its certificate; ``initial_norm`` is ``data_norm``."""
+    """The null control, its solve residual and its certificate; ``initial_norm`` is ``data_norm``."""
 
     minimizer: CascadeState
     control: TimeSampledControl
-    cg_iterations: int
-    final_residual: float
+    final_residual: float  # certificate norm of the solve's residual, relative to the right-hand side's
     terminal_norms: dict
     initial_norm: float
     duality_residual: float
-    cg_trace: list
     trajectory: np.ndarray  # controlled node states, (n_steps + 1, 4N)
 
 
@@ -433,12 +428,15 @@ def _certificate_norm(residual: np.ndarray, problem: HUMProblem) -> float:
 
 
 def solve_hum(problem: HUMProblem) -> HUMSolution:
-    """Synthesize the null control by conjugate gradients on adjoint data.
+    """Synthesize the null control by one dense solve on adjoint data.
 
-    The control Gramian is assembled once (dense_hum_matrix) and serves both
-    the refusal check and every CG product.  Refuses when its metric-scaled
-    eigenvalue contrast is below ``OBSERVABILITY_FLOOR``, since coercivity is
-    exactly what the variational problem needs.  On success the control is
+    The control Gramian is assembled once (dense_hum_matrix) and scaled by
+    the adjoint metric; that one matrix serves both the refusal check and
+    the solve.  Refuses when its metric-scaled eigenvalue contrast is below
+    ``OBSERVABILITY_FLOOR``, since coercivity is exactly what the variational
+    problem needs; past the refusal the scaled matrix is symmetric positive
+    definite with condition number at most 1 / ``OBSERVABILITY_FLOOR``, so
+    ``np.linalg.solve`` is exact to roundoff.  On success the control is
     the observation of the minimizing adjoint trajectory, the controlled
     system is re-simulated with it, and the terminal norms are certified in
     the case's data space.
@@ -448,13 +446,11 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
     n = space.n_modes
 
     gram = dense_hum_matrix(problem)
-    scale = 1.0 / np.sqrt(problem.xd)
-    scaled = gram * np.outer(scale, scale)
-    if problem.coupling is None:
-        # without coupling the first component is beyond reach; only the
-        # controlled component's sub-block must be coercive
-        _, driven = _component_indices(n)
-        scaled = scaled[np.ix_(driven, driven)]
+    # without coupling the first component is beyond reach; only the
+    # controlled component's sub-block must be coercive, and it alone is solved
+    slots = np.arange(4 * n) if problem.coupling is not None else _component_indices(n)[1]
+    scale = 1.0 / np.sqrt(problem.xd[slots])
+    scaled = gram[np.ix_(slots, slots)] * np.outer(scale, scale)
     spectrum = np.linalg.eigvalsh(scaled)
     contrast = spectrum[0] / spectrum[-1] if spectrum[-1] > 0 else 0.0
     if contrast < OBSERVABILITY_FLOOR:
@@ -475,38 +471,12 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
         initial_norm = data_norm(problem)
     if not (np.isfinite(rhs_scale) and np.isfinite(initial_norm)):
         raise ValidationError("[source] is too large: the right-hand side's certificate norm leaves the float range")
-    trace = []
     x = np.zeros(4 * n)
-    iterations = 0
     if rhs_scale == 0.0:
         final_residual = 0.0
     else:
-        r = rhs.copy()
-        z = r / problem.xd
-        p = z.copy()
-        rz = float(r @ z)
-        final_residual = _certificate_norm(r, problem) / rhs_scale
-        trace.append(final_residual)
-        for iterations in range(1, MAX_ITERATIONS + 1):
-            ap = gram @ p
-            alpha = rz / float(p @ ap)
-            x += alpha * p
-            r -= alpha * ap
-            final_residual = _certificate_norm(r, problem) / rhs_scale
-            trace.append(final_residual)
-            if final_residual <= CG_TOLERANCE:
-                break
-            z = r / problem.xd
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        else:
-            raise ConvergenceError(
-                f"conjugate gradient stalled at residual {final_residual:.3e} after "
-                f"{MAX_ITERATIONS} iterations (hum.MAX_ITERATIONS)",
-                trace=trace,
-                partial=CascadeState.from_vector(x, space),
-            )
+        x[slots] = scale * np.linalg.solve(scaled, scale * rhs[slots])
+        final_residual = _certificate_norm(rhs - gram @ x, problem) / rhs_scale
 
     # the control observes the driven position of the adjoint trajectory from x
     swept, _ = _sweep_from(x, problem)
@@ -517,12 +487,10 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
     return HUMSolution(
         minimizer=CascadeState.from_vector(x, space),
         control=control,
-        cg_iterations=iterations,
         final_residual=final_residual,
         terminal_norms=terminal_norms,
         initial_norm=initial_norm,
         duality_residual=duality["max_residual"],
-        cg_trace=trace,
         trajectory=trajectory,
     )
 

@@ -81,8 +81,7 @@ class InsensitizeProblem:
     weights; its kind is the case (``hum.DATA_ORDERS``).  ``source`` is
     an optional forcing of the controlled equation with the contract of
     ``HUMProblem.source``: a callable t -> modal coefficients, called once
-    on the column of grid times and broadcast to one vector per node.  The
-    solve's settings are ``hum.CG_TOLERANCE`` and ``hum.MAX_ITERATIONS``.
+    on the column of grid times and broadcast to one vector per node.
     """
 
     known_position: ModalCoefficients
@@ -171,7 +170,6 @@ class InsensitizeCertificate:
     initial_norm: float
     records: list
     robustness_exponent: float
-    cg_iterations: int
     converse: ConverseReport
     fd_reference: tuple[float, float, float] = (0.0, 0.0, 0.0)
     response_stepper_gap: float = float("inf")
@@ -412,7 +410,6 @@ def insensitize(problem: InsensitizeProblem):
         initial_norm=solution.initial_norm,
         records=records,
         robustness_exponent=_robustness_exponent(q),
-        cg_iterations=solution.cg_iterations,
         converse=_converse(problem, solution.trajectory, phi0, (per_position, per_velocity), solution.initial_norm),
         fd_reference=(float(ref_pos @ z0 + ref_vel @ z1), ref_polarized, ref_scale),
         response_stepper_gap=stepper_gap,

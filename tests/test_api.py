@@ -137,7 +137,7 @@ def _runner_reads():
         if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("get", "count", "tolerance", "has", "coefficient_function")
+            and node.func.attr in ("get", "count", "has", "coefficient_function")
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id in ("config", "self")
         ):
@@ -157,7 +157,7 @@ def test_runner_reads_a_pinned_key_set():
     read = _runner_reads()
     assert sorted(pair for pair in read if pair[1] is not None) == [
         ("audit", "ensemble"), ("audit", "samples"),
-        ("checks", "conservation_tol"), ("checks", "refinement_decay"), ("checks", "trends"),
+        ("checks", "refinement_decay"), ("checks", "trends"),
         ("grid", "horizon"), ("grid", "n_steps"), ("grid", "step_phase"),
         ("insensitize", "perturbations"),
         ("observer", "b_left"), ("observer", "b_right"), ("observer", "kind"),

@@ -279,8 +279,7 @@ class TestReferenceOracle:
     def _reference_agreement(reference):
         cert = InsensitizeCertificate(
             phi_baseline=1.0, terminal={}, initial_norm=1.0, records=[], robustness_exponent=2.0,
-            cg_iterations=1, converse=ConverseReport(True, True, 0.0, 0.0),
-            fd_reference=reference,
+            converse=ConverseReport(True, True, 0.0, 0.0), fd_reference=reference,
         )
         return cert.fd_reference_agreement
 

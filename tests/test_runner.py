@@ -112,6 +112,8 @@ class TestParsing:
         [
             ("criterion08_hum_interior", ["source.kind=separable", "source.amplitude=nan"], "amplitude"),
             ("criterion09_insensitize_interior", ["source.frequency=inf"], "frequency"),
+            # frequency * t had overflowed into a line that named no section, with numpy warnings
+            ("criterion08_hum_boundary", ["source.kind=separable", "source.frequency=1e308"], "frequency"),
         ],
     )
     def test_non_finite_source_exits_2_naming_the_key(self, tmp_path, capsys, config, overrides, key):
@@ -166,6 +168,10 @@ class TestParsing:
             ("criterion06_audit", "grid.horizon=1e300"),
             ("criterion02_conservation", "grid.n_steps=100000000000"),
             ("criterion08_hum_interior", "grid.n_steps=1" + "0" * 400),
+            # a driven energy or an observation out of the float range had been written as inf rows, exit 0
+            ("criterion02_conservation", "coupling.pieces=0.2,0.3,0.05,1e200"),
+            ("criterion02_conservation", "observer.pieces=0.6,0.7,0.05,1e200"),
+            ("criterion01_solver", "coupling.pieces=0.2,0.3,0.05,1e300"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, config, override):
@@ -196,15 +202,6 @@ class TestParsing:
         (line,) = capsys.readouterr().out.splitlines()
         assert line.startswith(f"configuration error: [{section}] ")
         assert not list(out.glob("*.csv"))
-
-    @pytest.mark.parametrize("config, override", [("criterion02_conservation", "checks.conservation_tol=nan")])
-    def test_malformed_check_tolerance_names_the_key(self, tmp_path, capsys, config, override):
-        out = tmp_path / "out"
-        assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", override]) == 2
-        (line,) = capsys.readouterr().out.splitlines()
-        key = override.split("=")[0].split(".")[1]
-        assert line.startswith(f"configuration error: [checks] {key} must be finite and nonnegative")
-        assert not list(out.glob("*"))
 
     @pytest.mark.parametrize(
         "config, override",
@@ -465,17 +462,6 @@ class TestRunKinds:
         path = write_config(tmp_path, MINIMAL_SIMULATE)
         assert main([str(path), "-o", str(tmp_path / "a")]) == 0
         assert main([str(path), "-o", str(tmp_path / "b"), "--set", "experiment.expect=fail"]) == 1
-
-    def test_cg_stall_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
-        from wavecascade import hum
-
-        monkeypatch.setattr(hum, "MAX_ITERATIONS", 3)
-        code = main([f"{CONFIG_DIR}/criterion08_hum_interior.ini", "-o", str(tmp_path / "hum")])
-        assert code == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "status 1"
-        assert lines[1].startswith("  [FAIL] convergence: conjugate gradient stalled")
-        assert len(lines) == 2
 
     def test_refinement_decay_fails_on_an_exact_zero(self, tmp_path, capsys):
         # one boundary row per node, 13 and 23 nodes against 4N = 64 and 128
