@@ -60,9 +60,9 @@ space = SpectralSpace(16)
 coupling = CouplingOperator(coupling_fn, space)
 horizon = empirical_horizon(coupling, observer)
 grid = TimeGrid.for_space(space, 1.25 * horizon, 0.05)
-gamma0, eta0, alpha0 = estimate_uniform_constants(coupling, observer, grid, space, ensemble=16, seed=1)
+gamma0, eta0, alpha0 = estimate_uniform_constants(coupling, observer, grid, space, seed=1)
 constants = ObservabilityConstants(coupling.alpha, coupling.beta, 2 * gamma0, 2 * eta0, 2 * alpha0, horizon)
-print(f"\nestimated uniform constants (inflated 2x): gamma0 = {2 * gamma0:.2f}, eta0 = {2 * eta0:.2f}")
+print(f"\nuniform constants (inflated 2x): gamma0 = {2 * gamma0:.2f}, eta0 = {2 * eta0:.2f}")
 print(f"derived chain: a = {constants.a:.2f}, b = {constants.b:.2f}, "
       f"mean-energy factor = {constants.m_factor:.3e}, horizon threshold t3 = {constants.t3:.2f}")
 T = 4.0

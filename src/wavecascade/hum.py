@@ -217,6 +217,11 @@ class HUMSolution:
     duality_residual: float
     trajectory: np.ndarray  # controlled node states, (n_steps + 1, 4N)
 
+    @property
+    def max_terminal_relative(self) -> float:
+        """Worst terminal component norm, the total aside, over ``initial_norm``."""
+        return max(v for k, v in self.terminal_norms.items() if k != "total") / max(self.initial_norm, 1e-300)
+
 
 # ---------------------------------------------------------------------------
 # case-dependent geometry

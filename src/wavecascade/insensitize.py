@@ -153,9 +153,10 @@ class PerturbationRecord:
 class InsensitizeCertificate:
     """Everything needed to judge the constructed control.
 
-    Terminal entries are measured against ``initial_norm``, the norm of the
-    data that drive the terminal state (``hum.data_norm``), and every
-    derivative against its Cauchy-Schwarz scale (0 where that scale is 0).
+    ``max_terminal_relative`` is the HUM solution's worst terminal
+    component over the norm of the data that drive the terminal state
+    (``hum.data_norm``), and every derivative is measured against its
+    Cauchy-Schwarz scale (0 where that scale is 0).
     ``fd_reference`` holds the analytic and polarized derivatives along the
     robustness perturbation at the zero control, where Phi is not
     insensitized and the derivative is resolved, and their scale.
@@ -166,18 +167,12 @@ class InsensitizeCertificate:
     """
 
     phi_baseline: float
-    terminal: dict
-    initial_norm: float
+    max_terminal_relative: float
     records: list
     robustness_exponent: float
     converse: ConverseReport
     fd_reference: tuple[float, float, float] = (0.0, 0.0, 0.0)
     response_stepper_gap: float = float("inf")
-
-    @property
-    def max_terminal_relative(self) -> float:
-        scale = max(self.initial_norm, 1e-300)
-        return max(v for k, v in self.terminal.items() if k != "total") / scale
 
     def _slots(self) -> list[tuple[float, float, float]]:
         """(analytic, polarized, scale) of both slots of every record."""
@@ -406,8 +401,7 @@ def insensitize(problem: InsensitizeProblem):
 
     certificate = InsensitizeCertificate(
         phi_baseline=phi0,
-        terminal=solution.terminal_norms,
-        initial_norm=solution.initial_norm,
+        max_terminal_relative=solution.max_terminal_relative,
         records=records,
         robustness_exponent=_robustness_exponent(q),
         converse=_converse(problem, solution.trajectory, phi0, (per_position, per_velocity), solution.initial_norm),

@@ -13,8 +13,8 @@ oracles, in ``tests/oracles.py``.
 SciPy is used only for ``expm``, the one-step propagator of
 ``min_eigenvalue``'s square-root factor, and is imported inside that
 function, so that simulate, hum, insensitize and audit runs never load it.
-Every worst-case ratio is the top eigenvalue of a symmetric-definite
-pencil, reduced with numpy alone by ``min_eigenvalue``'s square root.
+Every worst-case ratio and sharp constant is the top eigenvalue of a
+symmetric-definite pencil, reduced with numpy alone by ``_top_whitened``.
 """
 
 from __future__ import annotations
@@ -392,7 +392,7 @@ class ObservabilityConstants:
     alpha/beta are the coupling coercivity and sup-norm; gamma0 the uniform
     observability constant of the localized projection and eta0/alpha0 the
     source-observability pair of the observation operator
-    (``estimate_uniform_constants`` samples all three); t0 the horizon from
+    (``estimate_uniform_constants`` gives all three); t0 the horizon from
     which the geometric inequalities are asserted.  c1..c4 are the chain
     constants obtained by walking the proof with Young parameter eta = T
     alpha / (4 gamma0); the derived quantities (a, b, nu, m_factor, t1..t3)
@@ -521,6 +521,7 @@ def empirical_horizon(coupling: CouplingOperator, observer: Observer) -> float:
 # empirical constants
 
 ALPHA0_FLOOR = 1e-12  # estimate_uniform_constants' alpha0 when no forced sample sets it
+FORCED_WAVES = 32  # forced waves over which estimate_uniform_constants samples alpha0
 
 
 def random_cascade_states(space: SpectralSpace, count: int, seed: int) -> np.ndarray:
@@ -635,20 +636,16 @@ def empirical_ratios(
             {"min_eig": report.min_eig, "max_eig": report.max_eig},
         )
     whiten = np.linalg.inv(report.factor).T / np.sqrt(norm_weights(space))  # R^-T S
-
-    def sup_ratio(form):
-        return float(np.linalg.eigvalsh(whiten @ form @ whiten.T)[-1])
-
     weak_first, natural_second = _energy_metrics(space)
     if coupling is None:
         r2_emp = 0.0
     else:
         position_gram = _free_flow_gram(space, grid, fine=True)
-        r2_emp = sup_ratio(_free_moment_form(coupling.matrix, position_gram))
+        r2_emp = _top_whitened(_free_moment_form(coupling.matrix, position_gram), whiten)
     return {
-        "d1_emp": sup_ratio(np.diag(weak_first)),
-        "d2_emp": sup_ratio(np.diag(natural_second)),
-        "k2_emp": sup_ratio(weighted_gram(np.diag(natural_second), report.step, grid)),
+        "d1_emp": _top_whitened(np.diag(weak_first), whiten),
+        "d2_emp": _top_whitened(np.diag(natural_second), whiten),
+        "k2_emp": _top_whitened(weighted_gram(np.diag(natural_second), report.step, grid), whiten),
         "r2_emp": r2_emp,
         "admissibility": report.max_eig,
     }
@@ -666,13 +663,17 @@ def admissibility_constant(
     energy in the observation metric: the top eigenvalue of the
     metric-scaled Gramian.
     """
-    return _top_scaled_eigenvalue(gramian_matrix(coupling, observer, grid, space), space)
+    return _top_whitened(gramian_matrix(coupling, observer, grid, space), np.diag(norm_weights(space) ** -0.5))
 
 
-def _top_scaled_eigenvalue(gram: np.ndarray, space: SpectralSpace) -> float:
-    """Top eigenvalue of the Gramian ``gram`` scaled by the observation metric on both sides."""
-    metric = norm_weights(space)
-    return float(np.linalg.eigvalsh(gram / np.sqrt(np.outer(metric, metric)))[-1])
+def _top_whitened(form: np.ndarray, whiten: np.ndarray) -> float:
+    """Top eigenvalue of the pencil (form, B), whiten^-1 a factor of B: the largest x^T form x / x^T B x.
+
+    It is that of whiten @ form @ whiten.T (Golub & Van Loan, *Matrix
+    Computations*, 8.7): ``min_eigenvalue``'s square root, a Cholesky or a
+    diagonal factor.
+    """
+    return float(np.linalg.eigvalsh(whiten @ form @ whiten.T)[-1])
 
 
 def estimate_uniform_constants(
@@ -680,37 +681,34 @@ def estimate_uniform_constants(
     observer: Observer,
     grid: TimeGrid,
     space: SpectralSpace,
-    ensemble: int = 32,
     seed: int = 0,
 ) -> tuple[float, float, float]:
-    """Sampled lower-bound estimates (gamma0, eta0, alpha0) of the uniform constants.
+    """The uniform constants (gamma0, eta0, alpha0): gamma0 and eta0 sharp, alpha0 sampled.
 
     gamma0 bounds the integrated natural energy of free solutions per unit
     of their localized projection (the sharp indicator of the coupling's
-    core region), eta0 the same per unit of their observation; alpha0
-    absorbs the source term of the observation inequality on forced
-    solutions and is floored at 1e-12.  gamma0 and eta0 are ensemble maxima
-    of Rayleigh quotients evaluated on free-moment forms of (p0, v0): the
-    closed-form Simpson moments of the free flow (``_free_flow_gram``)
-    times the tiled projection, or observation, form, with no free wave
-    simulated.  alpha0 is the largest (E - eta0 O) / F over forced waves
-    from (p0, v0) under the forcing cos(freq t) g, with E, O and F the
-    node-integrated natural energy, squared observation and squared
-    forcing.  Each forced wave is summed in the rotating frame
-    (``dynamics._rotating_frame_sum``) into one buffer reused across the
-    ensemble and never rotated back whole: the exact rotation keeps each
-    mode's natural energy, so the energy is read off the rotating-frame
-    states, and only the observed component (velocity or position) is
-    turned back to the lab frame.  The draws are the same as one wave at a
-    time: the coupling's free ensemble comes from ``default_rng(seed)``,
-    the observer's free and then forced ensembles from ``default_rng(seed +
-    1)``, each free wave's p0 then v0, each forced wave's p0, v0, g, then
-    freq.  An observation weight so large that a free or forced wave's
-    observation leaves the float range is a ValidationError naming
-    ``[observer]``.  All three are heuristics: maxima over finite
-    ensembles, to be inflated by the caller before use in proofs-by-audit.
-    An empty observation region, or a horizon at or below the billiard
-    control time of either region, is refused.
+    core region), eta0 the same per unit of their observation: each is the
+    top eigenvalue of the pencil (T E, F) over all free data (p0, v0), E
+    their natural energy and F the closed-form Simpson moments of the free
+    flow (``_free_flow_gram``) times the tiled projection, or observation,
+    form, whitened by its Cholesky factor.  A free wave invisible to F makes
+    it singular, which is refused.  alpha0 absorbs the source term of the
+    observation inequality on forced solutions and is floored at 1e-12: the
+    largest (E - eta0 O) / F over ``FORCED_WAVES`` forced waves from (p0,
+    v0) under the forcing cos(freq t) g, with E, O and F the node-integrated
+    natural energy, squared observation and squared forcing, drawn from
+    ``default_rng(seed)``, each wave's p0, v0, g, then freq.  Each forced
+    wave is summed in the rotating frame (``dynamics._rotating_frame_sum``)
+    into one buffer reused across the waves and never rotated back whole:
+    the exact rotation keeps each mode's natural energy, so the energy is
+    read off the rotating-frame states, and only the observed component
+    (velocity or position) is turned back to the lab frame.  alpha0 is a
+    heuristic, a maximum over a finite sample, to be inflated by the caller
+    before use in proofs-by-audit.  An observation weight so large that the
+    free moments or a forced wave's observation leave the float range is a
+    ValidationError naming ``[observer]``.  An empty observation region, or
+    a horizon at or below the billiard control time of either region, is
+    refused.
     """
     if not observer.region:
         raise RefusalError("empty observation region", {"region": observer.region})
@@ -728,21 +726,22 @@ def estimate_uniform_constants(
     energy = 0.5 * np.r_[space.eigenvalues, np.ones(n)]  # natural energy of (p0, v0)
     velocity_gram = _free_flow_gram(space, grid, velocity=True)
     observed_gram = velocity_gram if observer.kind == "interior" else _free_flow_gram(space, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # an observation out of the float range is refused next
+        observation = np.tile(rows.T @ rows, (2, 2)) * observed_gram
+    if not np.all(np.isfinite(observation)):
+        raise ValidationError("[observer] is too large: the observation of a free wave leaves the float range")
 
-    def free_ratio(form, rng) -> float:
-        """Largest horizon-integrated natural energy per unit of the (p0, v0) form over free waves."""
-        x = rng.standard_normal((ensemble, 2 * n))  # row s is the s-th wave's p0 then v0
-        denom = np.einsum("si,si->s", x @ form, x)
-        if not np.all(np.isfinite(denom)):  # only the observation form can leave the float range
-            raise ValidationError("[observer] is too large: the observation of a free wave leaves the float range")
-        if np.any(denom <= 0.0):
-            raise RefusalError("degenerate ensemble: free solution invisible", {"ratio": np.inf})
-        return float(np.max(grid.horizon * ((x * x) @ energy) / denom, initial=0.0))
+    def sharp(name: str, moments: np.ndarray) -> float:
+        """Top eigenvalue of the pencil (T E, moments)."""
+        try:
+            factor = np.linalg.cholesky(moments)
+        except np.linalg.LinAlgError:
+            raise RefusalError(f"a free wave is invisible to the {name}: its free-moment form is singular",
+                               {"form": name}) from None
+        return _top_whitened(np.diag(grid.horizon * energy), np.linalg.inv(factor))
 
-    gamma0 = free_ratio(np.tile(coupling.projection_matrix, (2, 2)) * velocity_gram, np.random.default_rng(seed))
-    rng = np.random.default_rng(seed + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # an observation out of the float range is refused in free_ratio
-        eta0 = free_ratio(np.tile(rows.T @ rows, (2, 2)) * observed_gram, rng)
+    gamma0 = sharp("projection", np.tile(coupling.projection_matrix, (2, 2)) * velocity_gram)
+    eta0 = sharp("observation", observation)
 
     flow = free_flow(space, times)
     c, s, m = flow
@@ -756,7 +755,8 @@ def estimate_uniform_constants(
     states = np.empty((grid.n_steps + 1, 2 * n))
     observed = np.empty((grid.n_steps + 1, n))
     alpha0 = 0.0
-    for _ in range(ensemble):
+    rng = np.random.default_rng(seed)
+    for _ in range(FORCED_WAVES):
         p0 = rng.standard_normal(n)
         v0 = rng.standard_normal(n)
         g = rng.standard_normal(n)
@@ -865,7 +865,7 @@ def inequality_chain_audit(
     observer: Observer,
     constants: ObservabilityConstants,
     grid: TimeGrid,
-    admissibility_inflation: float | None = None,
+    admissibility_inflation: float,
 ) -> list[AuditRow]:
     """Evaluate both sides of every inequality in the two-level chain.
 
@@ -880,7 +880,7 @@ def inequality_chain_audit(
     horizon thresholds in ``constants``; rows beyond their threshold are
     reported with margins only.  ``admissibility_inflation`` times the
     sharp constant of the chain's own solver Gramian (``admissibility_constant``)
-    bounds the direct inequality's row.  Constants so large that a side
+    bounds the direct inequality's row, which is always audited.  Constants so large that a side
     leaves the float range are a ValidationError naming the row.
     """
     space = coupling.space
@@ -947,9 +947,8 @@ def inequality_chain_audit(
             ("weak_state_recovery", e0_u1_0, constants.d1(T) * obs_int, beyond_t3, scale),
             ("driven_state_recovery", e1_u2_0, constants.d2(T) * obs_int, beyond_t3, scale),
         ]
-    if admissibility_inflation is not None:
-        bound = admissibility_inflation * _top_scaled_eigenvalue(forms["obs_int"], space)
-        inequalities.append(("admissibility", obs_int, bound * (e0_u1_0 + e1_u2_0), True, scale))
+    bound = admissibility_inflation * _top_whitened(forms["obs_int"], np.diag(norm_weights(space) ** -0.5))
+    inequalities.append(("admissibility", obs_int, bound * (e0_u1_0 + e1_u2_0), True, scale))
     for name, lhs, rhs, *_ in identities + inequalities:
         if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
             raise ValidationError(f"audit row {name} leaves the float range")

@@ -380,11 +380,13 @@ def _run_gramian(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
 
 def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     axis = config.get("sweep", "axis")
-    if axis not in ("horizon", "n_modes"):  # checked before an empty value list returns
+    if axis not in ("horizon", "n_modes"):
         raise ConfigError(f"unknown sweep axis {axis!r}; the axes are horizon and n_modes")
     cast = int if axis == "n_modes" else float  # the whole list, before any row is computed
     values = [_number(cast, v, "[sweep] values") for v in map(str.strip, config.get("sweep", "values").split(",")) if v]
-    if axis == "n_modes" and min(values, default=1) < 1:  # not [spectral] n_modes, which the sweep overrides
+    if not values:  # an empty table would run no check and pass
+        raise ConfigError("[sweep] values is empty")
+    if axis == "n_modes" and min(values) < 1:  # not [spectral] n_modes, which the sweep overrides
         raise ConfigError(f"[sweep] values must be positive mode counts, got {min(values)}")
     trends = config.get("checks", "trends", default=False, cast=bool)
     refinement_decay = config.get("checks", "refinement_decay", default=False, cast=bool)
@@ -393,9 +395,6 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
             raise ConfigError(f"[checks] {key} checks the {own_axis} axis, not the {axis} axis")
     rows = []
     path = outdir / "sweep.csv"
-    if not values:
-        write_csv(path, _GRAMIAN_HEADER, [])
-        return [path], [("sweep_nonempty", True, "empty axis, empty table")]
     base_n = config.spectral_space().n_modes
     base_t = config.get("grid", "horizon", cast=float)
     for value in values:
@@ -462,8 +461,7 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     manifest_path.write_text("\n".join(manifest) + "\n")
     artifacts.append(manifest_path)
 
-    scale = max(solution.initial_norm, 1e-300)
-    worst = max(v for k, v in solution.terminal_norms.items() if k != "total") / scale
+    worst = solution.max_terminal_relative
     checks = [
         ("terminal_state_null", worst <= TERMINAL_TOL, f"worst relative terminal {worst:.3e}"),
         ("transposition_identity", solution.duality_residual <= 1e-6, f"{solution.duality_residual:.3e}"),
@@ -543,20 +541,18 @@ def _run_audit(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     geometric = empirical_horizon(coupling, observer)
     horizon = config.get("grid", "horizon", default=AUDIT_HORIZON_FACTOR * geometric, cast=float)
     grid = config.grid(space, horizon)
-    ensemble = config.count("audit", "ensemble", 32)
 
-    estimates = estimate_uniform_constants(coupling, observer, grid, space, ensemble=ensemble, seed=config.seed)
+    estimates = estimate_uniform_constants(coupling, observer, grid, space, seed=config.seed)
     gamma0, eta0, alpha0 = (AUDIT_INFLATION * v for v in estimates)
     x = random_cascade_states(space, samples, config.seed + 3)
     try:
         constants = ObservabilityConstants(coupling.alpha, coupling.beta, gamma0, eta0, alpha0, t0=geometric)
-        audited = inequality_chain_audit(
-            x, coupling, observer, constants, grid, admissibility_inflation=AUDIT_INFLATION
-        )
+        audited = inequality_chain_audit(x, coupling, observer, constants, grid, AUDIT_INFLATION)
     except ValidationError as exc:
         if str(exc).startswith("["):  # it names its own key: the observer's solver Gramian left the float range
             raise
-        raise ConfigError(f"[coupling] is too large: {exc}") from None
+        end = "small" if coupling.alpha < 1.0 else "large"  # a tiny alpha, squared in the chain, underflows to 0
+        raise ConfigError(f"[coupling] is too {end}: {exc}") from None
 
     # the ledger shows one sample per name, the first on ties: an inequality's worst margin, an identity's
     # largest |lhs| (its residuals are quadrature and rounding noise); a check fails on any failing sample

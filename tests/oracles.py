@@ -9,8 +9,9 @@ moments from a time table, by one gemm and node by node in long double;
 the Gramian form along one simulated trajectory, its matrix-free
 application, the Simpson sum by doubling of dense matrices, the Gramian
 under the exponential propagator and the worst-case ratios by SciPy's
-generalized eigensolver; the forced waves of the alpha0 ensemble marched
-one at a time in the lab frame; the ray tracing that cross-checks
+generalized eigensolver, and the sharp gamma0 and eta0 by the same solver
+on free moments from a time table; the forced waves of the alpha0 ensemble
+marched one at a time in the lab frame; the ray tracing that cross-checks
 ``gcc_min_time``; and Phi, its sensitivity derivatives straight from a
 controlled trajectory, and its Richardson-extrapolated central difference.
 """
@@ -269,6 +270,30 @@ def generalized_ratios(
     ratios.setdefault("r2_emp", 0.0)
     ratios["admissibility"] = float(eigh(gram, np.diag(norm_weights(space)), eigvals_only=True)[-1])
     return ratios
+
+
+def sharp_free_constants(
+    coupling: CouplingOperator,
+    observer: Observer,
+    grid: TimeGrid,
+    space: SpectralSpace,
+) -> tuple[float, float]:
+    """``estimate_uniform_constants``' gamma0 and eta0 by SciPy's generalized symmetric-definite eigensolver.
+
+    Each is the top eigenvalue of the pencil (T E, F) on the free data (p0,
+    v0): E the natural energy and F the free-moment form of the projection
+    of the velocity (gamma0), or of the observation (eta0), summed over the
+    step nodes from a time table of the free flow (``free_flow_gram_table``),
+    not from the package's closed form, and with no whitening of its own.
+    """
+    energy = grid.horizon * np.diag(0.5 * np.r_[space.eigenvalues, np.ones(space.n_modes)])
+    rows = observer.observation_rows(space)
+
+    def moments(quad, velocity):
+        return np.tile(quad, (2, 2)) * free_flow_gram_table(space, grid.times, grid.node_weights, velocity)
+
+    forms = (moments(coupling.projection_matrix, True), moments(rows.T @ rows, observer.kind == "interior"))
+    return tuple(float(eigh(energy, form, eigvals_only=True)[-1]) for form in forms)
 
 
 def forced_wave_integrals(

@@ -26,6 +26,7 @@ from wavecascade.dynamics import (
 )
 from wavecascade.observability import (
     ObservabilityConstants,
+    _dense_generator,
     empirical_horizon,
     empirical_ratios,
     estimate_uniform_constants,
@@ -61,15 +62,6 @@ def verdict(number, name, ok, detail):
     assert ok, f"criterion {number} {name}: {detail}"
 
 
-def dense_generator(space, coupling):
-    n = space.n_modes
-    lam = np.diag(space.eigenvalues)
-    z = np.zeros((n, n))
-    eye = np.eye(n)
-    cmat = z if coupling is None else coupling.matrix
-    return np.block([[z, z, eye, z], [z, z, z, eye], [-lam, z, z, z], [-cmat, -lam, z, z]])
-
-
 def interior_observer():
     return Observer("interior", weight=OBS_FN)
 
@@ -84,7 +76,7 @@ class TestCriterion1SolverOracle:
         grid = TimeGrid(2.0, 512)
         traj = evolve_cascade(CascadeState.from_vector(u0, space), coupling, grid)
         elapsed = time.perf_counter() - started
-        reference = expm(2.0 * dense_generator(space, coupling)) @ u0
+        reference = expm(2.0 * _dense_generator(space, coupling)) @ u0
         rel = np.linalg.norm(traj.states[-1] - reference) / np.linalg.norm(reference)
         verdict(1, "solver_oracle_equivalence", rel < 1e-6 and elapsed < 5.0,
                 f"relative error {rel:.3e}, runtime {elapsed:.2f}s")
@@ -94,7 +86,7 @@ class TestCriterion1SolverOracle:
         for n_steps in (256, 512):
             grid_n = TimeGrid(2.0, n_steps)
             traj_n = evolve_cascade(CascadeState.from_vector(u0, space), coupling, grid_n)
-            step = expm(grid_n.dt * dense_generator(space, coupling))
+            step = expm(grid_n.dt * _dense_generator(space, coupling))
             ref = u0.copy()
             worst = 0.0
             for k in range(n_steps):
@@ -261,7 +253,7 @@ class TestCriterion6ConstantChain:
         observer = interior_observer()
         horizon = empirical_horizon(coupling, observer)
         grid = TimeGrid.for_space(space, 1.25 * horizon, 0.015)
-        gamma0, eta0, alpha0 = estimate_uniform_constants(coupling, observer, grid, space, ensemble=32, seed=11)
+        gamma0, eta0, alpha0 = estimate_uniform_constants(coupling, observer, grid, space, seed=11)
         constants = ObservabilityConstants(coupling.alpha, coupling.beta, 2 * gamma0, 2 * eta0, 2 * alpha0, horizon)
         samples = random_cascade_states(space, 100, seed=77)
         rows = inequality_chain_audit(samples, coupling, observer, constants, grid, admissibility_inflation=2.0)

@@ -156,7 +156,7 @@ def test_runner_reads_a_pinned_key_set():
     # a change that adds a config key edits this pin, as a new problem field edits the fields' pin
     read = _runner_reads()
     assert sorted(pair for pair in read if pair[1] is not None) == [
-        ("audit", "ensemble"), ("audit", "samples"),
+        ("audit", "samples"),
         ("checks", "refinement_decay"), ("checks", "trends"),
         ("grid", "horizon"), ("grid", "n_steps"), ("grid", "step_phase"),
         ("insensitize", "perturbations"),

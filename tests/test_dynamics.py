@@ -31,6 +31,7 @@ from wavecascade.dynamics import (
     march,
     reversed_step,
 )
+from wavecascade.observability import _dense_generator
 
 from oracles import energy, first_driven_step_matrix, free_evolve, invert_generator, observe
 
@@ -40,16 +41,6 @@ RNG = np.random.default_rng(20240812)
 def standard_coupling(space):
     c21 = CoefficientFunction((PlateauBump(0.2, 0.3, 0.05, 1.0),), core_region=(0.2, 0.3))
     return CouplingOperator(c21, space)
-
-
-def dense_generator(space, coupling):
-    """Dense first-order generator used by the matrix-exponential oracle."""
-    n = space.n_modes
-    lam = np.diag(space.eigenvalues)
-    z = np.zeros((n, n))
-    i = np.eye(n)
-    cmat = z if coupling is None else coupling.matrix
-    return np.block([[z, z, i, z], [z, z, z, i], [-lam, z, z, z], [-cmat, -lam, z, z]])
 
 
 def random_state(space, rng=RNG):
@@ -100,7 +91,7 @@ class TestEvolveCascade:
         state = random_state(space)
         grid = TimeGrid(2.0, 512)
         traj = evolve_cascade(state, coupling, grid)
-        ref = expm(2.0 * dense_generator(space, coupling)) @ state.as_vector()
+        ref = expm(2.0 * _dense_generator(space, coupling)) @ state.as_vector()
         rel = np.linalg.norm(traj.states[-1] - ref) / np.linalg.norm(ref)
         assert rel < 1e-6
 
@@ -159,7 +150,7 @@ class TestBackwardEvolution:
         grid = TimeGrid(2.0, 512)
         final = random_state(space)
         traj = evolve_cascade_backward(final, coupling, grid)
-        ref = expm(-2.0 * dense_generator(space, coupling)) @ final.as_vector()
+        ref = expm(-2.0 * _dense_generator(space, coupling)) @ final.as_vector()
         rel = np.linalg.norm(traj.states[0] - ref) / np.linalg.norm(ref)
         assert rel < 1e-6
 

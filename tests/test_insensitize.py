@@ -278,7 +278,7 @@ class TestReferenceOracle:
     @staticmethod
     def _reference_agreement(reference):
         cert = InsensitizeCertificate(
-            phi_baseline=1.0, terminal={}, initial_norm=1.0, records=[], robustness_exponent=2.0,
+            phi_baseline=1.0, max_terminal_relative=0.0, records=[], robustness_exponent=2.0,
             converse=ConverseReport(True, True, 0.0, 0.0), fd_reference=reference,
         )
         return cert.fd_reference_agreement

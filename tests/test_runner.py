@@ -172,6 +172,8 @@ class TestParsing:
             ("criterion02_conservation", "coupling.pieces=0.2,0.3,0.05,1e200"),
             ("criterion02_conservation", "observer.pieces=0.6,0.7,0.05,1e200"),
             ("criterion01_solver", "coupling.pieces=0.2,0.3,0.05,1e300"),
+            # an empty sweep had written a header-only table and passed, its trends switch checking nothing
+            ("criterion07_trends", "sweep.values="),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, config, override):
@@ -307,6 +309,9 @@ class TestParsing:
         "config, override, start",
         [
             ("criterion06_audit", "coupling.pieces=0.2,0.3,0.05,1e200", "[coupling] is too large: constant chain"),
+            # a tiny coupling's alpha**2 underflows in the chain; the line had named the large end
+            ("criterion06_audit", "coupling.pieces=0.2,0.3,0.05,1e-200",
+             "[coupling] is too small: constant chain leaves the float range"),
             ("criterion04_gramian_interior", "coupling.pieces=0.2,0.3,0.05,1e30", "[coupling] is too large: "),
             ("criterion09_insensitize_interior", "source.amplitude=1e308", "[source] is too large: "),
             ("criterion06_audit", "observer.pieces=0.6,0.7,0.05,1e152", "[observer] is too large: the audit's solver"),
@@ -544,15 +549,14 @@ class TestRunKinds:
     def test_config_error_exit_code(self, tmp_path):
         assert main([str(tmp_path / "missing.ini")]) == 2
 
-    def test_sweep_empty_axis_writes_empty_table(self, tmp_path):
+    def test_sweep_empty_axis_is_refused_naming_the_values(self, tmp_path):
         text = MINIMAL_SIMULATE.replace("kind = simulate", "kind = sweep") + (
             "\n[sweep]\naxis = horizon\nvalues =\n"
         )
         config = parse_config(write_config(tmp_path, text))
-        result = run(config, tmp_path / "out")
-        assert result.status == 0
-        lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
-        assert len(lines) == 1  # header only
+        with pytest.raises(ConfigError, match=r"^\[sweep\] values is empty"):
+            run(config, tmp_path / "out")
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_hum_run_produces_control_and_manifest(self, tmp_path):
         text = """
@@ -643,8 +647,6 @@ core = 0.6, 0.7
             "--set",
             "spectral.n_modes=4",
             "--set",
-            "audit.ensemble=2",
-            "--set",
             "audit.samples=2",
         ])
         assert code == 1
@@ -712,7 +714,7 @@ class TestCsv:
 class TestAuditLedger:
     SMALL = [
         f"{CONFIG_DIR}/criterion06_audit.ini", "--set", "spectral.n_modes=6", "--set", "grid.step_phase=0.2",
-        "--set", "audit.ensemble=2", "--set", "audit.samples=8",
+        "--set", "audit.samples=8",
     ]
 
     def test_identity_rows_do_not_follow_rounding_noise(self, tmp_path, monkeypatch):
@@ -753,9 +755,10 @@ class TestAuditLedger:
 
 
     def test_alpha0_at_its_floor_is_named_in_the_check_detail(self, tmp_path, capsys):
-        # at criterion 6's seed no forced sample lifts alpha0 off its floor, so
-        # the check that uses it says so; on the small lab one does, and it does not
-        for args, floored in (([f"{CONFIG_DIR}/criterion06_audit.ini"], True), (self.SMALL, False)):
+        # at criterion 6's seed no forced sample lifts alpha0 off its floor, so the check that uses it says
+        # so; on the small lab observed at one end up to T = 4 one does (alpha0 1.10), and it does not
+        boundary = ["--set", "observer.kind=boundary", "--set", "observer.b_left=1.0", "--set", "grid.horizon=4"]
+        for args, floored in (([f"{CONFIG_DIR}/criterion06_audit.ini"], True), (self.SMALL + boundary, False)):
             assert main(args + ["-o", str(tmp_path / "audit")]) == 0
             out = capsys.readouterr().out
             line = next(line for line in out.splitlines() if "] source_observability_driven:" in line)
