@@ -565,26 +565,6 @@ def _sample_forcing(forcing, times: np.ndarray, n_modes: int, name: str = "forci
         raise ValidationError(message) from None
 
 
-def _rotating_frame_sum(flow, states: np.ndarray) -> np.ndarray:
-    """The rotating-frame states y_k = x_0 + sum_{1 <= j <= k} R^{-j} b_j, in place.
-
-    ``flow`` and ``states`` are as in ``forced_flow``, whose states are
-    x_k = R^k y_k: each kick is turned back by its node's rotation (the
-    ``flow`` blocks with their sine terms negated), then all are summed by
-    one prefix sum.  The exact rotation keeps the natural energy
-    0.5 (lambda p^2 + v^2) of each mode, so y_k carries the energy of x_k.
-    """
-    c, s, m = flow
-    n = c.shape[1]
-    pos, vel = states[:, :n], states[:, n:]
-    turned = m * pos
-    pos *= c
-    pos -= s * vel
-    vel *= c
-    vel -= turned
-    return np.cumsum(states, axis=0, out=states)
-
-
 def forced_flow(flow, states: np.ndarray) -> np.ndarray:
     """Closed form of x_k = R x_{k-1} + b_k for the exact free rotation R, in place.
 
@@ -596,13 +576,19 @@ def forced_flow(flow, states: np.ndarray) -> np.ndarray:
 
         x_k = R^k (x_0 + sum_{j <= k} R^{-j} b_j),
 
-    with R^{-j} the blocks at t_j with their sine terms negated: the sum is
-    ``_rotating_frame_sum``, and R^k turns it back.
+    with R^{-j} the blocks at t_j with their sine terms negated: each kick
+    is turned back by its node's rotation in place, all are summed by one
+    prefix sum, and R^k turns the sums forward.
     """
     c, s, m = flow
     n = c.shape[1]
-    _rotating_frame_sum(flow, states)
     pos, vel = states[:, :n], states[:, n:]
+    turned = m * pos
+    pos *= c
+    pos -= s * vel
+    vel *= c
+    vel -= turned
+    np.cumsum(states, axis=0, out=states)
     pos[:], vel[:] = c * pos + s * vel, m * pos + c * vel
     return states
 

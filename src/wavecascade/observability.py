@@ -33,9 +33,7 @@ from .dynamics import (
     Observer,
     TimeGrid,
     _component_indices,
-    _rotating_frame_sum,
     cascade_step_matrix,
-    free_flow,
     simpson_kick_weights,
     state_weights,
 )
@@ -676,6 +674,89 @@ def _top_whitened(form: np.ndarray, whiten: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(whiten @ form @ whiten.T)[-1])
 
 
+def _forced_wave_integrals(
+    rows: np.ndarray,
+    observation: np.ndarray,
+    velocity: bool,
+    grid: TimeGrid,
+    space: SpectralSpace,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node-integrated natural energy, squared observation and squared forcing of alpha0's forced waves.
+
+    ``FORCED_WAVES`` waves are drawn from ``rng``, each wave's p0, v0, g
+    (normalized), then freq, and driven by cos(f t) g, f = freq.  In a
+    mode's amplitude z = w p + i v the exact rotation is z -> e^{-iw dt} z,
+    and the Simpson kick of the profile e^{+-ift} is K+- e^{+-ift_{k-1}},
+    K+- = (g/2) sum_j e^{+-if tau_j} (w pos_j + i vel_j) over the three
+    sub-node kernels of ``simpson_kick_weights``.  Summed as a geometric
+    series, the kicks give Q+- e^{+-ift_k}, Q+- = K+- / (e^{+-if dt} -
+    e^{-iw dt}), which never resonates (f in [0.5, 3] lies below w_1 = pi,
+    and (w + f) dt < 2 pi on any grid ``validate_for`` admits), so the
+    marched wave is exactly
+
+        z_k = e^{-iw t_k} A + Q+ e^{ift_k} + Q- e^{-ift_k},  A = z0 - Q+ - Q-.
+
+    E, O and F are then Simpson sums of exponentials, in closed form
+    (``_simpson_trig_sums``): E = sum_k w_k |z_k|^2 / 2 is diagonal in the
+    modes; the part of O from A alone is the free wave of (Re A / w, Im A)
+    under ``observation``, the free observation form; the parts with Q go
+    through the observation rows first, where the forced part of the
+    observed field is Re(c e^{ift}), c = rows (d Q+) + conj(rows (d Q-)),
+    and d = -i (velocity) or 1/w (position) reads the observed component
+    as Re(d z).  Work and memory are O(N^2) per wave, with no time table.
+    Each node's observed component is bounded entrywise by r = |d| (|A| +
+    |Q+| + |Q-|), so its squared observation by r^T |rows^T rows| r.  A wave
+    whose observation, or that bound, leaves the float range is a
+    ValidationError naming ``[observer]``.  Returns the arrays (E, O, F),
+    one entry per wave.
+    """
+    n, dt, horizon = space.n_modes, grid.dt, grid.horizon
+    om = space.frequencies
+    waves = []
+    for _ in range(FORCED_WAVES):
+        p0 = rng.standard_normal(n)
+        v0 = rng.standard_normal(n)
+        g = rng.standard_normal(n)
+        g /= np.linalg.norm(g)
+        waves.append((p0, v0, g, rng.uniform(0.5, 3.0)))
+    p0, v0, g, freq = (np.array(column) for column in zip(*waves))
+    f = freq[:, None]
+
+    def simpson(nu: np.ndarray) -> np.ndarray:
+        """sum_k w_k e^{i nu t_k} over the step nodes."""
+        cos, sin = _simpson_trig_sums(nu * dt, grid.n_steps, dt)
+        return cos + 1j * sin
+
+    taus, kernel_pos, kernel_vel = simpson_kick_weights(space, dt)
+    kicks = om * kernel_pos + 1j * kernel_vel  # each sub-node's kick amplitude per unit forcing
+    # e^{+-if dt} - e^{-iw dt} = 2i sin((w +- f) dt/2) e^{i(+-f - w) dt/2}, free of cancellation
+    q_plus, q_minus = (
+        0.5 * g * (np.exp(1j * sign * f * taus) @ kicks)
+        / (2j * np.sin(0.5 * (om + sign * f) * dt) * np.exp(0.5j * (sign * f - om) * dt))
+        for sign in (1, -1)
+    )
+    a = om * p0 + 1j * v0 - q_plus - q_minus
+    s_minus, s_plus, s_double = simpson(f - om), simpson(-(f + om)), simpson(2 * f)
+    cross = a * q_plus.conj() * s_plus + a * q_minus.conj() * s_minus + q_plus * q_minus.conj() * s_double
+    e1_int = 0.5 * ((abs(a) ** 2 + abs(q_plus) ** 2 + abs(q_minus) ** 2) * horizon + 2 * cross.real).sum(axis=1)
+
+    read = -1j if velocity else 1 / om  # the observed component is Re(read z)
+    c = (read * q_plus) @ rows.T + ((read * q_minus) @ rows.T).conj()
+    free = np.hstack((a.real / om, a.imag))
+    with np.errstate(over="ignore", invalid="ignore"):  # an observation out of the float range is refused next
+        obs_int = (
+            np.einsum("wi,ij,wj->w", free, observation, free)
+            + (read * a * ((c @ rows) * s_minus + (c.conj() @ rows) * s_plus)).real.sum(axis=1)
+            + 0.5 * ((abs(c) ** 2).sum(axis=1) * horizon + ((c * c).sum(axis=1) * s_double[:, 0]).real)
+        )
+        reach = abs(read) * (abs(a) + abs(q_plus) + abs(q_minus))  # bounds every node's |observed component|
+        bound = np.einsum("wi,ij,wj->w", reach, abs(rows.T @ rows), reach)
+    if not (np.all(np.isfinite(bound)) and np.all(np.isfinite(obs_int))):
+        raise ValidationError("[observer] is too large: the observation of a forced wave leaves the float range")
+    return e1_int, obs_int, 0.5 * (horizon + s_double[:, 0].real)
+
+
 def estimate_uniform_constants(
     coupling: CouplingOperator,
     observer: Observer,
@@ -698,17 +779,14 @@ def estimate_uniform_constants(
     v0) under the forcing cos(freq t) g, with E, O and F the node-integrated
     natural energy, squared observation and squared forcing, drawn from
     ``default_rng(seed)``, each wave's p0, v0, g, then freq.  Each forced
-    wave is summed in the rotating frame (``dynamics._rotating_frame_sum``)
-    into one buffer reused across the waves and never rotated back whole:
-    the exact rotation keeps each mode's natural energy, so the energy is
-    read off the rotating-frame states, and only the observed component
-    (velocity or position) is turned back to the lab frame.  alpha0 is a
+    wave's three integrals are taken in closed form
+    (``_forced_wave_integrals``), with no time table.  alpha0 is a
     heuristic, a maximum over a finite sample, to be inflated by the caller
     before use in proofs-by-audit.  An observation weight so large that the
-    free moments or a forced wave's observation leave the float range is a
-    ValidationError naming ``[observer]``.  An empty observation region, or
-    a horizon at or below the billiard control time of either region, is
-    refused.
+    free moments, or a forced wave's observation or its bound on every
+    node's squared observation, leave the float range is a ValidationError
+    naming ``[observer]``.  An empty observation region, or a horizon at or
+    below the billiard control time of either region, is refused.
     """
     if not observer.region:
         raise RefusalError("empty observation region", {"region": observer.region})
@@ -721,7 +799,6 @@ def estimate_uniform_constants(
             )
 
     n = space.n_modes
-    times, w = grid.times, grid.node_weights
     rows = observer.observation_rows(space)
     energy = 0.5 * np.r_[space.eigenvalues, np.ones(n)]  # natural energy of (p0, v0)
     velocity_gram = _free_flow_gram(space, grid, velocity=True)
@@ -743,39 +820,10 @@ def estimate_uniform_constants(
     gamma0 = sharp("projection", np.tile(coupling.projection_matrix, (2, 2)) * velocity_gram)
     eta0 = sharp("observation", observation)
 
-    flow = free_flow(space, times)
-    c, s, m = flow
-    # x_k = R^k y_k: the observed velocity is m y_p + c y_v, the observed position c y_p + s y_v
-    turn_pos, turn_vel = (m, c) if observer.kind == "interior" else (c, s)
-    # the forcing cos(freq t) g is separable: its kicks are the kicks of the
-    # time profile cos(freq t) times g
-    taus, kernel_pos, kernel_vel = simpson_kick_weights(space, grid.dt)
-    kernel = np.hstack((kernel_pos, kernel_vel))
-    substeps = times[:-1, None] + taus
-    states = np.empty((grid.n_steps + 1, 2 * n))
-    observed = np.empty((grid.n_steps + 1, n))
-    alpha0 = 0.0
-    rng = np.random.default_rng(seed)
-    for _ in range(FORCED_WAVES):
-        p0 = rng.standard_normal(n)
-        v0 = rng.standard_normal(n)
-        g = rng.standard_normal(n)
-        g /= np.linalg.norm(g)
-        freq = rng.uniform(0.5, 3.0)
-        states[0, :n], states[0, n:] = p0, v0
-        np.dot(np.cos(freq * substeps), kernel * np.tile(g, 2), out=states[1:])
-        y = _rotating_frame_sum(flow, states)
-        e1_int = float((w @ (y * y)) @ energy)
-        np.multiply(turn_pos, y[:, :n], out=observed)
-        observed += turn_vel * y[:, n:]
-        with np.errstate(over="ignore"):  # an observation out of the float range is refused next
-            obs_int = float((w @ np.square(observed @ rows.T)).sum())
-        if not math.isfinite(obs_int):
-            raise ValidationError("[observer] is too large: the observation of a forced wave leaves the float range")
-        f_int = float(w @ (np.cos(freq * times) ** 2))  # |g| = 1
-        deficit = e1_int - eta0 * obs_int
-        if deficit > 0 and f_int > 0:
-            alpha0 = max(alpha0, deficit / f_int)
+    e1_int, obs_int, f_int = _forced_wave_integrals(
+        rows, observation, observer.kind == "interior", grid, space, np.random.default_rng(seed)
+    )
+    alpha0 = float(np.max((e1_int - eta0 * obs_int) / f_int))  # F >= the first node's weight > 0
     return gamma0, eta0, max(alpha0, ALPHA0_FLOOR)
 
 

@@ -230,9 +230,9 @@ class ExperimentConfig:
         return grid
 
     def source(self, space: SpectralSpace, rng, horizon: float):
-        if not self.has("source", "kind"):
+        if not self.sections.get("source"):
             return None
-        kind = self.get("source", "kind")
+        kind = self.get("source", "kind")  # a [source] without a kind would go unread
         if kind == "none":
             return None
         if kind == "separable":

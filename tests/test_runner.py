@@ -174,6 +174,8 @@ class TestParsing:
             ("criterion01_solver", "coupling.pieces=0.2,0.3,0.05,1e300"),
             # an empty sweep had written a header-only table and passed, its trends switch checking nothing
             ("criterion07_trends", "sweep.values="),
+            # a [source] without a kind had gone unread, and the run had passed without its source
+            ("criterion10_converse", "source.amplitude=1e8"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, config, override):
