@@ -416,10 +416,6 @@ class CascadeTrajectory:
         return CascadeState.from_vector(self.states[k], self.space)
 
     @property
-    def initial_state(self) -> CascadeState:
-        return self.state(0)
-
-    @property
     def final_state(self) -> CascadeState:
         return self.state(self.grid.n_steps)
 

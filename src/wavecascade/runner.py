@@ -138,15 +138,9 @@ class ExperimentConfig:
         try:
             raw = self.sections[section][key]
         except KeyError:
-            if default is None and cast is not bool:
+            if default is None:
                 raise ConfigError(f"missing required key [{section}] {key}")
             return default
-        if cast is bool:
-            switch = {"1": True, "true": True, "yes": True, "on": True,
-                      "0": False, "false": False, "no": False, "off": False}.get(raw.strip().lower())
-            if switch is None:  # never a silent False: that would switch checks off
-                raise ConfigError(f"[{section}] {key} must be 1/true/yes/on or 0/false/no/off, got {raw!r}")
-            return switch
         return _number(cast, raw, f"[{section}] {key}")
 
     def count(self, section: str, key: str, default: int) -> int:
@@ -280,6 +274,8 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
     kind = sections["experiment"].get("kind")
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
+    if "source" in sections and kind not in ("hum", "insensitize"):  # it would go unread, and the run pass
+        raise ConfigError(f"[source] is read only by the hum and insensitize kinds, not by {kind}")
     seed = _number(int, sections["experiment"].get("seed", "0"), "[experiment] seed")
     if seed < 0:  # numpy's generators take no negative seed
         raise ConfigError(f"[experiment] seed must be nonnegative, got {seed}")
@@ -386,13 +382,10 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
     values = [_number(cast, v, "[sweep] values") for v in map(str.strip, config.get("sweep", "values").split(",")) if v]
     if not values:  # an empty table would run no check and pass
         raise ConfigError("[sweep] values is empty")
+    if len(values) < 2:  # a trend or a decay over one value compares nothing, and passes
+        raise ConfigError(f"[sweep] values needs at least two values, got {len(values)}")
     if axis == "n_modes" and min(values) < 1:  # not [spectral] n_modes, which the sweep overrides
         raise ConfigError(f"[sweep] values must be positive mode counts, got {min(values)}")
-    trends = config.get("checks", "trends", default=False, cast=bool)
-    refinement_decay = config.get("checks", "refinement_decay", default=False, cast=bool)
-    for key, on, own_axis in (("trends", trends, "horizon"), ("refinement_decay", refinement_decay, "n_modes")):
-        if on and axis != own_axis:  # it would run no check, and the sweep would pass
-            raise ConfigError(f"[checks] {key} checks the {own_axis} axis, not the {axis} axis")
     rows = []
     path = outdir / "sweep.csv"
     base_n = config.spectral_space().n_modes
@@ -401,22 +394,21 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
         horizon, n_modes = (value, base_n) if axis == "horizon" else (base_t, value)
         rows.append(_gramian_row(config, horizon, n_modes)[1])
     write_csv(path, _GRAMIAN_HEADER, rows)
-    checks = []
-    if trends:
-        for key, idx, power in (("d1_emp", 4, 3.0), ("d2_emp", 5, 1.0), ("r2_emp", 8, 2.0)):
-            series = [row[idx] * row[0] ** power for row in rows]
-            ok = all(series[i + 1] <= 2.0 * series[i] for i in range(len(series) - 1))
-            checks.append((f"trend_{key}_T{power:g}", ok, ", ".join(f"{s:.3g}" for s in series)))
-        k2 = [row[7] for row in rows]
-        checks.append(("trend_k2_bounded", max(k2) <= 2.0 * min(k2), ", ".join(f"{s:.3g}" for s in k2)))
-    if refinement_decay:
+    if axis == "n_modes":
         eigs = [row[2] for row in rows]
         zero_at = [row[1] for row in rows[1:] if row[2] == 0.0]  # a ratio over 0 decides nothing
         ok = not zero_at and all(eigs[i] / eigs[i + 1] >= 2.0 for i in range(len(eigs) - 1))
         detail = ", ".join(f"{e:.3e}" for e in eigs)
         if zero_at:
             detail += "; exactly 0 at N = " + ", ".join(map(str, zero_at))
-        checks.append(("min_eig_decays_per_doubling", ok, detail))
+        return [path], [("min_eig_decays_per_doubling", ok, detail)]
+    checks = []
+    for key, idx, power in (("d1_emp", 4, 3.0), ("d2_emp", 5, 1.0), ("r2_emp", 8, 2.0)):
+        series = [row[idx] * row[0] ** power for row in rows]
+        ok = all(series[i + 1] <= 2.0 * series[i] for i in range(len(series) - 1))
+        checks.append((f"trend_{key}_T{power:g}", ok, ", ".join(f"{s:.3g}" for s in series)))
+    k2 = [row[7] for row in rows]
+    checks.append(("trend_k2_bounded", max(k2) <= 2.0 * min(k2), ", ".join(f"{s:.3g}" for s in k2)))
     return [path], checks
 
 
@@ -485,7 +477,6 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> tuple[list, list
         grid=grid,
         control_operator=observer,
         source=config.source(space, rng, grid.horizon),
-        perturbation_count=config.count("insensitize", "perturbations", 10),
         seed=config.seed + 1,
     )
     _, certificate = insensitize(problem)

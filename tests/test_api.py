@@ -157,9 +157,7 @@ def test_runner_reads_a_pinned_key_set():
     read = _runner_reads()
     assert sorted(pair for pair in read if pair[1] is not None) == [
         ("audit", "samples"),
-        ("checks", "refinement_decay"), ("checks", "trends"),
         ("grid", "horizon"), ("grid", "n_steps"), ("grid", "step_phase"),
-        ("insensitize", "perturbations"),
         ("observer", "b_left"), ("observer", "b_right"), ("observer", "kind"),
         ("source", "amplitude"), ("source", "frequency"), ("source", "kind"),
         ("spectral", "n_modes"),

@@ -98,10 +98,7 @@ class TestParsing:
         assert not list(out.glob("*.csv"))
 
 
-    @pytest.mark.parametrize(
-        "config, override",
-        [("criterion06_audit", "audit.samples=0"), ("criterion10_converse", "insensitize.perturbations=0")],
-    )
+    @pytest.mark.parametrize("config, override", [("criterion06_audit", "audit.samples=0")])
     def test_empty_certificate_pool_exits_2(self, tmp_path, config, override):
         out = tmp_path / "out"
         assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", override]) == 2
@@ -133,11 +130,8 @@ class TestParsing:
             ("criterion06_audit", "coupling.pieces=0.2,0.3,0.05,1e200"),
             ("criterion08_hum_interior", "coupling.pieces=0.2,0.3,0.05,1e200"),
             ("criterion09_insensitize_interior", "coupling.pieces=0.2,0.3,0.05,1e200"),
-            # a must-hold switch of another sweep axis had run no check and passed
-            ("criterion07_trends", "checks.trends=0 checks.refinement_decay=1"),
-            ("criterion05_short_horizon", "checks.refinement_decay=0 checks.trends=1"),
             # an empty value list had returned before the axis was read, and passed
-            ("criterion07_trends", "checks.trends=0 sweep.axis=frobnicate sweep.values="),
+            ("criterion07_trends", "sweep.axis=frobnicate sweep.values="),
             # a negative seed had escaped from numpy's generators as a traceback, exit 1
             ("criterion08_hum_interior", "experiment.seed=-1"),
             ("criterion02_conservation", "experiment.seed=-1"),
@@ -159,7 +153,7 @@ class TestParsing:
             ("criterion09_insensitize_interior", "grid.step_phase=nan"),
             ("criterion09_insensitize_interior", "grid.step_phase=-1"),
             # an axis no sweep computes
-            ("criterion07_trends", "checks.trends=0 sweep.axis=region_offset"),
+            ("criterion07_trends", "sweep.axis=region_offset"),
             # a grid over the step budget had escaped as a traceback: numpy refused the array size, an
             # allocation of 46.6 TiB failed, or T / n_steps overflowed
             ("criterion06_audit", "grid.step_phase=1e-300"),
@@ -176,6 +170,9 @@ class TestParsing:
             ("criterion07_trends", "sweep.values="),
             # a [source] without a kind had gone unread, and the run had passed without its source
             ("criterion10_converse", "source.amplitude=1e8"),
+            # a [source] given to a kind that never reads it had gone unread, and the run had passed
+            ("criterion06_audit", "source.amplitude=1e8"),
+            ("criterion04_gramian_interior", "source.kind=separable"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, config, override):
@@ -207,17 +204,13 @@ class TestParsing:
         assert line.startswith(f"configuration error: [{section}] ")
         assert not list(out.glob("*.csv"))
 
-    @pytest.mark.parametrize(
-        "config, override",
-        [("criterion07_trends", "checks.trends=maybe"), ("criterion05_short_horizon", "checks.refinement_decay=ture")],
-    )
-    def test_malformed_switch_exits_2_naming_the_key(self, tmp_path, capsys, config, override):
-        # a switch outside 1/true/yes/on and 0/false/no/off had read as False and run no check
+    @pytest.mark.parametrize("config, values", [("criterion05_short_horizon", "64"), ("criterion07_trends", "4")])
+    def test_one_value_sweep_exits_2_naming_the_values(self, tmp_path, capsys, config, values):
+        # one value had run its axis's check over nothing to compare, and passed
         out = tmp_path / "out"
-        assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", override]) == 2
+        assert main([f"{CONFIG_DIR}/{config}.ini", "-o", str(out), "--set", f"sweep.values={values}"]) == 2
         (line,) = capsys.readouterr().out.splitlines()
-        key = override.split("=")[0].split(".")[1]
-        assert line.startswith(f"configuration error: [checks] {key} must be 1/true/yes/on or 0/false/no/off")
+        assert line.startswith("configuration error: [sweep] values ")
         assert not list(out.glob("*"))
 
     @pytest.mark.parametrize(
@@ -283,11 +276,16 @@ class TestParsing:
             ("criterion08_hum_interior", "output.x_samples=-2"),
             ("criterion06_audit", "audit.inflation=1e300"),
             ("criterion06_audit", "audit.horizon_factor=100"),
+            # a sweep's [checks] switch set to 0 had run no check, and the sweep had passed
+            ("criterion05_short_horizon", "checks.refinement_decay=0"),
+            ("criterion07_trends", "checks.trends=0"),
+            # one perturbation direction had shrunk the certificate to a single random draw
+            ("criterion10_converse", "insensitize.perturbations=1"),
         ],
     )
     def test_a_fixed_bound_ignores_its_old_key(self, tmp_path, capsys, config, override):
-        # each key had set a check's bound or a sampling setting; the run, its verdict and its artifacts
-        # are now those of the config as shipped
+        # each key had set a check's bound, switched checks off or set a sampling setting; the run, its
+        # verdict and its artifacts are now those of the config as shipped
         path = f"{CONFIG_DIR}/{config}.ini"
         code = main([path, "-o", str(tmp_path / "plain")])
         plain = capsys.readouterr().out.replace(str(tmp_path / "plain"), "OUT")
