@@ -10,8 +10,8 @@ datum through endpoint weights) while the first component is coupled to it:
 Null controls are built by minimizing the control energy over final data of
 the adjoint cascade (the same triangular pair with the coupling on the
 second equation), a coercive problem whose Hessian is the control Gramian:
-it is solved by one dense solve of that Gramian in the appropriate weak
-metric.
+it is solved by one symmetric eigendecomposition of that Gramian in the
+appropriate weak metric, plus one refinement step with the same factors.
 
 The discretization is chosen so that the duality bookkeeping is exact: the
 adjoint trajectory is stepped with the reversible one-step propagator, the
@@ -26,7 +26,10 @@ Adjoint trajectories are swept, not marched whole.  The adjoint's first
 component is a free wave that only drives the second, so it rotates back in
 closed form, its kicks on the driven component are one matrix product, and
 only the driven block of the backward step is marched
-(``dynamics.march_driven``).  Forward solves march the full controlled step
+(``dynamics.march_driven``).  A solve sweeps back once: the minimizer rides
+as one more row in the block of the transposition probes, and its observed
+driven positions are the control samples, so the control extraction is no
+sweep of its own.  Forward solves march the full controlled step
 (``dynamics.march``), so the transposition check compares two different
 algorithms.
 
@@ -216,6 +219,7 @@ class HUMSolution:
     initial_norm: float
     duality_residual: float
     trajectory: np.ndarray  # controlled node states, (n_steps + 1, 4N)
+    gramian_contrast: float  # smallest over largest eigenvalue of the metric-scaled control Gramian
 
     @property
     def max_terminal_relative(self) -> float:
@@ -392,19 +396,18 @@ def _injections(problem: HUMProblem, control: TimeSampledControl | None) -> np.n
     """Node injections of the control and source into the controlled system, (n_steps + 1, 4N).
 
     Velocity injections with the quadrature weights: the node-quadrature
-    discretization of their forcing integrals.
+    discretization of their forcing integrals.  The observation rows and the
+    source act on the driven position, which the pairing matrix carries to
+    the driven velocity, so only that block is written.
     """
     n = problem.space.n_modes
-    shape = (problem.grid.n_steps + 1, 4 * n)
-    source = problem.source_nodes
-    if control is None and source is None:
-        return np.zeros(shape)  # free flow: nothing is injected
-    # control through the transposed observation rows, source in the driven position block
-    forcing = np.zeros(shape) if control is None else control.values @ problem.obs_rows
-    if source is not None:
-        forcing[:, n : 2 * n] += source
-    states = _pairing_matrix_apply(forcing, n)
-    states *= problem.grid.node_weights[:, None]
+    states = np.zeros((problem.grid.n_steps + 1, 4 * n))
+    kicks = states[:, 3 * n :]
+    if control is not None:
+        kicks[...] = control.values @ problem.obs_rows[:, n : 2 * n]
+    if problem.source_nodes is not None:
+        kicks += problem.source_nodes
+    kicks *= problem.grid.node_weights[:, None]
     return states
 
 
@@ -436,15 +439,23 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
     """Synthesize the null control by one dense solve on adjoint data.
 
     The control Gramian is assembled once (dense_hum_matrix) and scaled by
-    the adjoint metric; that one matrix serves both the refusal check and
-    the solve.  Refuses when its metric-scaled eigenvalue contrast is below
-    ``OBSERVABILITY_FLOOR``, since coercivity is exactly what the variational
-    problem needs; past the refusal the scaled matrix is symmetric positive
-    definite with condition number at most 1 / ``OBSERVABILITY_FLOOR``, so
-    ``np.linalg.solve`` is exact to roundoff.  On success the control is
-    the observation of the minimizing adjoint trajectory, the controlled
-    system is re-simulated with it, and the terminal norms are certified in
-    the case's data space.
+    the adjoint metric; one symmetric eigendecomposition of that matrix
+    serves both the refusal check and the solve.  Refuses when its
+    metric-scaled eigenvalue contrast is below ``OBSERVABILITY_FLOOR``, since
+    coercivity is exactly what the variational problem needs; past the
+    refusal the scaled matrix is symmetric positive definite with condition
+    number at most 1 / ``OBSERVABILITY_FLOOR``, and the solve applies its
+    inverse from the eigenpairs, x = V (V^T b / lambda), then takes one
+    refinement step with the same factors.  Unlike an LU solve, which
+    OpenBLAS factors with threads, this reads the same bits at every BLAS
+    thread count on the shipped sizes.
+
+    On success the minimizer is swept back once, as row 0 of the
+    transposition probes' block (``_swept_pairings``): its observation at
+    each node is the control sample there.  The controlled system is then
+    re-simulated with that control, the terminal norms are certified in the
+    case's data space, and the probes' end pairings against the simulated
+    terminal state close the transposition identity.
     """
     grid = problem.grid
     space = problem.space
@@ -456,8 +467,8 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
     slots = np.arange(4 * n) if problem.coupling is not None else _component_indices(n)[1]
     scale = 1.0 / np.sqrt(problem.xd[slots])
     scaled = gram[np.ix_(slots, slots)] * np.outer(scale, scale)
-    spectrum = np.linalg.eigvalsh(scaled)
-    contrast = spectrum[0] / spectrum[-1] if spectrum[-1] > 0 else 0.0
+    spectrum, vectors = np.linalg.eigh(scaled)
+    contrast = float(spectrum[0] / spectrum[-1]) if spectrum[-1] > 0 else 0.0
     if contrast < OBSERVABILITY_FLOOR:
         raise RefusalError(
             "control Gramian fails the observability floor; increase the horizon "
@@ -465,7 +476,7 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
             {
                 "min_eig": float(spectrum[0]),
                 "max_eig": float(spectrum[-1]),
-                "contrast": float(contrast),
+                "contrast": contrast,
                 "floor": OBSERVABILITY_FLOOR,
             },
         )
@@ -480,15 +491,18 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
     if rhs_scale == 0.0:
         final_residual = 0.0
     else:
-        x[slots] = scale * np.linalg.solve(scaled, scale * rhs[slots])
+        target = scale * rhs[slots]
+        scaled_x = vectors @ ((vectors.T @ target) / spectrum)
+        scaled_x += vectors @ ((vectors.T @ (target - scaled @ scaled_x)) / spectrum)  # one refinement step
+        x[slots] = scale * scaled_x
         final_residual = _certificate_norm(rhs - gram @ x, problem) / rhs_scale
 
-    # the control observes the driven position of the adjoint trajectory from x
-    swept, _ = _sweep_from(x, problem)
-    control = TimeSampledControl(swept[::-1, :n] @ problem.obs_rows[:, n : 2 * n].T, grid)
+    probes = np.random.default_rng(1).standard_normal((5, 4 * n))
+    samples, sums, starts = _swept_pairings(problem, probes, minimizer=x)
+    control = TimeSampledControl(samples, grid)
     trajectory = controlled_forward(problem, control)
     terminal_norms = control_space_norms(trajectory[-1], space, problem.observer.kind)
-    duality = verify_transposition(problem, control, trajectory=trajectory, n_probes=5, seed=1)
+    duality = _transposition_residuals(problem, probes, starts, sums, trajectory[-1])
     return HUMSolution(
         minimizer=CascadeState.from_vector(x, space),
         control=control,
@@ -497,6 +511,7 @@ def solve_hum(problem: HUMProblem) -> HUMSolution:
         initial_norm=initial_norm,
         duality_residual=duality["max_residual"],
         trajectory=trajectory,
+        gramian_contrast=contrast,
     )
 
 
@@ -516,65 +531,128 @@ def verify_transposition(
     code paths: a forward injected solve with the full controlled step and
     endpoint pairings, against a backward adjoint sweep with node quadrature
     that rotates the free component in closed form and marches only the
-    driven block (``_sweep_back``).
-
-    The probes are drawn as one (n_probes, 4N) array and swept back
-    together, their driven components as one (n_probes, 2N) block per node,
-    so each step is one matrix product.  The block is reused chunk by chunk:
-    it holds ceil(n_steps / n_probes) + 1 nodes, about half of one probe's
-    trajectory; each chunk's nodes are reduced into per-probe quadrature and
-    magnitude sums at once, and its earliest node starts the next chunk.  The
-    last node reached, time zero, gives the start pairing.  ``n_probes``
-    below 1 is a ``ValidationError``: a check without a probe checks nothing.
+    driven block (``_swept_pairings``, the sweep ``solve_hum`` extracts its
+    control in).  ``n_probes`` below 1 is a ``ValidationError``: a check
+    without a probe checks nothing.
     """
     if n_probes < 1:
         raise ValidationError(f"n_probes must be at least 1, got {n_probes}")
+    if trajectory is None:
+        trajectory = controlled_forward(problem, control)
+    probes = np.random.default_rng(seed).standard_normal((n_probes, 4 * problem.space.n_modes))
+    _, sums, starts = _swept_pairings(problem, probes, values=None if control is None else control.values)
+    return _transposition_residuals(problem, probes, starts, sums, trajectory[-1])
+
+
+def _swept_pairings(
+    problem: HUMProblem,
+    probes: np.ndarray,
+    values: np.ndarray | None = None,
+    minimizer: np.ndarray | None = None,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Sweep adjoint final data back from T and reduce the identity's node sums on the way.
+
+    ``probes`` (k, 4N) are swept together, their driven components as one
+    block per node, so each step is one matrix product.  With ``minimizer``
+    (4N,) given, it is swept as row 0 of the same block and its observation
+    at each node is the control sample there; otherwise ``values`` holds the
+    control samples, (n_steps + 1, q), or None without a control.
+
+    The block is reused chunk by chunk: it holds ceil(n_steps / k) + 1
+    nodes, about half of one state trajectory; each chunk's nodes are
+    reduced at once (``_node_sums``) into per-probe quadrature and magnitude
+    sums, and its earliest node starts the next chunk.  Returns the control
+    samples extracted from the minimizer (None without one), the sums
+    (2, k) and the probes' adjoint states at time zero (k, 4N).
+    """
     grid = problem.grid
     n = problem.space.n_modes
     n_steps = grid.n_steps
-    source = problem.source_nodes
-    if trajectory is None:
-        trajectory = controlled_forward(problem, control)
-    probes = np.random.default_rng(seed).standard_normal((n_probes, 4 * n))
     free, driven = _component_indices(n)
     positions = problem.obs_rows[:, n : 2 * n]  # the rows read only the driven position
+    finals = probes if minimizer is None else np.vstack([minimizer, probes])
+    rows_per_node = len(finals)  # the probes, and the minimizer ahead of them
+    probe_rows = slice(rows_per_node - len(probes), rows_per_node)
+    samples = None
+    if minimizer is not None:
+        samples = values = np.empty((n_steps + 1, len(positions)))
     # node samples read from T back: row j of each is node n_steps - j
     weights = grid.node_weights[::-1]
-    values = None if control is None else control.values[::-1]
-    sources = None if source is None else source[::-1]
-    rows = -(-n_steps // n_probes) + 1
-    block = np.empty((rows, n_probes, 2 * n))
-    block[0] = probes[:, driven]
-    free_final = probes[:, free]
-    quadrature = np.zeros(n_probes)
-    magnitude = np.zeros(n_probes)  # scale of the terms before cancellation
+    back = None if values is None else values[::-1]
+    sources = None if problem.source_nodes is None else problem.source_nodes[::-1]
+    rows = -(-n_steps // len(probes)) + 1
+    block = np.empty((rows, rows_per_node, 2 * n))
+    block[0] = finals[:, driven]
+    free_final = finals[:, free]
+    sums = np.zeros((2, len(probes)))
     top, reduced = 0, 0  # steps back from T to the chunk's first row, and whether that row is reduced
     while True:
         chunk = block[: min(rows, n_steps + 1 - top)]  # row r lies top + r steps back from T
         start_free = _sweep_back(problem, free_final, chunk, top)[-1].copy()  # drops the free table
-        fresh = chunk[reduced:, :, :n]  # driven positions of the nodes not yet reduced
+        fresh = chunk[reduced:]  # driven states of the nodes not yet reduced
         steps = slice(top + reduced, top + len(chunk))
-        if control is not None:
-            terms = np.matmul(fresh, positions.T)
-            terms *= values[steps, None, :]
-            quadrature += weights[steps] @ terms.sum(axis=2)
-            magnitude += weights[steps] @ np.abs(terms, out=terms).sum(axis=2)
-            del terms  # the next chunk's sweep needs the room
-        if source is not None:
-            paired = np.matmul(fresh, sources[steps, :, None])[..., 0]
-            quadrature += weights[steps] @ paired
-            magnitude += weights[steps] @ np.abs(paired)
+        observed = None
+        if back is not None:
+            observed = np.dot(fresh.reshape(-1, 2 * n)[:, :n], positions.T).reshape(len(fresh), rows_per_node, -1)
+            if samples is not None:
+                back[steps] = observed[:, 0]
+            observed = observed[:, probe_rows]
+        _node_sums(
+            sums,
+            observed,
+            None if back is None else back[steps],
+            fresh[:, probe_rows, :n],
+            None if sources is None else sources[steps],
+            weights[steps],
+        )
+        del observed  # the next chunk's sweep needs the room
         if top + len(chunk) == n_steps + 1:
             break
         top, reduced = top + len(chunk) - 1, 1
         block[0] = chunk[-1]
-    starts = np.empty((n_probes, 4 * n))
-    starts[:, free] = start_free
-    starts[:, driven] = chunk[-1]
+    starts = np.empty((len(probes), 4 * n))
+    starts[:, free] = start_free[probe_rows]
+    starts[:, driven] = chunk[-1, probe_rows]
+    return samples, sums, starts
+
+
+def _node_sums(
+    sums: np.ndarray,
+    observed: np.ndarray | None,
+    samples: np.ndarray | None,
+    positions: np.ndarray,
+    sources: np.ndarray | None,
+    weights: np.ndarray,
+) -> None:
+    """Add one chunk's nodes to the probes' quadrature and magnitude sums, ``sums`` (2, k), in place.
+
+    ``observed`` (nodes, k, q) holds the probes' adjoint observations, read
+    against the control ``samples`` (nodes, q), or both are None without a
+    control; ``positions`` (nodes, k, N) the probes' driven positions, read
+    against the ``sources`` (nodes, N) or None; ``weights`` the nodes'
+    quadrature weights.  ``observed`` is overwritten.  The magnitude is the
+    scale of the terms before cancellation.
+    """
+    quadrature, magnitude = sums
+    if samples is not None:
+        observed *= samples[:, None, :]
+        quadrature += weights @ observed.sum(axis=2)
+        magnitude += weights @ np.abs(observed, out=observed).sum(axis=2)
+    if sources is not None:
+        paired = np.matmul(positions, sources[:, :, None])[..., 0]
+        quadrature += weights @ paired
+        magnitude += weights @ np.abs(paired)
+
+
+def _transposition_residuals(
+    problem: HUMProblem, probes: np.ndarray, starts: np.ndarray, sums: np.ndarray, terminal: np.ndarray
+) -> dict:
+    """Relative residuals of the identity per probe from its node sums and its end and start pairings."""
+    n = problem.space.n_modes
     initial = problem.initial_data.as_vector()
     residuals = []
-    for probe, start, quad, mag in zip(probes, starts, quadrature.tolist(), magnitude.tolist()):
-        end_pair = duality_pairing(trajectory[-1], probe, n)
+    for probe, start, quad, mag in zip(probes, starts, *sums.tolist()):
+        end_pair = duality_pairing(terminal, probe, n)
         start_pair = duality_pairing(initial, start, n)
         lhs = end_pair - start_pair
         scale = max(abs(lhs), abs(quad), mag, abs(end_pair), abs(start_pair), 1e-300)

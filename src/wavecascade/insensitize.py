@@ -43,14 +43,14 @@ import numpy as np
 
 from .errors import RefusalError, ValidationError
 from .spectral import CoefficientFunction, ModalCoefficients, SpectralSpace, assemble_multiplication_matrix
-from .dynamics import CascadeState, CouplingOperator, Observer, TimeGrid, _read_only, free_flow, march
+from .dynamics import CascadeState, CouplingOperator, Observer, TimeGrid, _read_only, free_flow, march, state_weights
 from .observability import gcc_min_time
 from .hum import (
+    DATA_ORDERS,
     HUMProblem,
     TimeSampledControl,
     controlled_forward,
     data_norm,
-    _squared_component_norms,
     solve_hum,
 )
 
@@ -164,6 +164,9 @@ class InsensitizeCertificate:
     closed-form fine positions of that perturbation's response; without a
     measurement it reads inf.  ``converse`` is ``verify_converse``'s report
     on the constructed control, read off the HUM trajectory.
+    ``gramian_contrast`` is the HUM solve's metric-scaled eigenvalue contrast
+    of the control Gramian (``HUMSolution.gramian_contrast``); without a
+    solve it reads nan.
     """
 
     phi_baseline: float
@@ -173,6 +176,7 @@ class InsensitizeCertificate:
     converse: ConverseReport
     fd_reference: tuple[float, float, float] = (0.0, 0.0, 0.0)
     response_stepper_gap: float = float("inf")
+    gramian_contrast: float = float("nan")
 
     def _slots(self) -> list[tuple[float, float, float]]:
         """(analytic, polarized, scale) of both slots of every record."""
@@ -243,7 +247,8 @@ def fine_second_positions(states: np.ndarray, space: SpectralSpace, grid: TimeGr
     vel = states[:, 3 * n : 4 * n]
     fine = np.empty((2 * grid.n_steps + 1, n))
     fine[0::2] = pos
-    fine[1::2] = c * pos[:-1] + s * vel[:-1]
+    np.multiply(c, pos[:-1], out=fine[1::2])
+    fine[1::2] += s * vel[:-1]
     return fine
 
 
@@ -407,14 +412,21 @@ def insensitize(problem: InsensitizeProblem):
         converse=_converse(problem, solution.trajectory, phi0, (per_position, per_velocity), solution.initial_norm),
         fd_reference=(float(ref_pos @ z0 + ref_vel @ z1), ref_polarized, ref_scale),
         response_stepper_gap=stepper_gap,
+        gramian_contrast=solution.gramian_contrast,
     )
     return control, certificate
 
 
 def _first_component_norms(states: np.ndarray, space: SpectralSpace, kind: str) -> np.ndarray:
-    """Norm of the first cascade component (y1, y1') in every row of ``states``, in the data space of ``kind``."""
-    squared = _squared_component_norms(states, space, kind)
-    return np.sqrt(squared[:, 0] + squared[:, 2])
+    """Norm of the first cascade component (y1, y1') in every row of ``states``, in the data space of ``kind``.
+
+    Only the first component's two blocks are squared: a trajectory-sized
+    temporary of all four would set the peak memory of a certificate.
+    """
+    n = space.n_modes
+    weights = state_weights(space, DATA_ORDERS[kind])
+    y1, dy1 = ((weights[k : k + n] * states[:, k : k + n] ** 2).sum(axis=-1) for k in (0, 2 * n))
+    return np.sqrt(y1 + dy1)
 
 
 def _converse(problem: InsensitizeProblem, states: np.ndarray, phi0: float, derivatives, data_scale: float):

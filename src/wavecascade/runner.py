@@ -446,6 +446,7 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
         f"final_residual {_fmt(solution.final_residual)}",
         f"duality_residual {_fmt(solution.duality_residual)}",
         f"initial_norm {_fmt(solution.initial_norm)}",
+        f"gramian_contrast {_fmt(solution.gramian_contrast)}",
     ]
     for name, value in solution.terminal_norms.items():
         manifest.append(f"terminal_{name} {_fmt(value)}")
@@ -492,6 +493,7 @@ def _run_insensitize(config: ExperimentConfig, outdir: Path) -> tuple[list, list
     report_lines = [
         f"phi_baseline {_fmt(certificate.phi_baseline)}",
         f"max_terminal_relative {_fmt(certificate.max_terminal_relative)}",
+        f"gramian_contrast {_fmt(certificate.gramian_contrast)}",
         f"max_derivative_relative {_fmt(certificate.max_derivative_relative)}",
         f"fd_agreement {_fmt(certificate.fd_agreement)}",
         f"fd_reference_agreement {_fmt(certificate.fd_reference_agreement)}",

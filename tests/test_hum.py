@@ -20,6 +20,7 @@ from wavecascade.dynamics import (
     duality_pairing,
 )
 from wavecascade.hum import (
+    OBSERVABILITY_FLOOR,
     HUMProblem,
     TimeSampledControl,
     apply_hum_gramian,
@@ -278,6 +279,89 @@ class TestSolve:
         with pytest.raises(RefusalError) as err:
             solve_hum(boundary_problem(80, horizon=1.5))
         assert "contrast" in err.value.diagnostic
+
+
+class TestSolveSweep:
+    # the solve sweeps its minimizer back as row 0 of the transposition probes' block
+
+    @staticmethod
+    def _problem(make, with_source, n_modes=16):
+        rng = np.random.default_rng(43)
+        data = CascadeState.from_vector(rng.standard_normal(4 * n_modes), SpectralSpace(n_modes))
+        g = rng.standard_normal(n_modes)
+        return make(n_modes, data=data, source=(lambda t: np.cos(2.0 * t) * g) if with_source else None)
+
+    @pytest.mark.parametrize("with_source", [False, True])
+    @pytest.mark.parametrize("make", [interior_problem, boundary_problem])
+    def test_control_matches_the_one_vector_sweep(self, make, with_source):
+        prob = self._problem(make, with_source)
+        sol = solve_hum(prob)
+        swept, _ = _sweep_from(sol.minimizer.as_vector(), prob)
+        expected = swept[::-1, :16] @ prob.obs_rows[:, 16:32].T
+        assert np.max(np.abs(sol.control.values - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert sol.control.values.flags.c_contiguous
+
+    @pytest.mark.parametrize("make", [interior_problem, boundary_problem])
+    def test_the_solve_sweeps_back_only_in_the_probe_chunks(self, make, monkeypatch):
+        import wavecascade.hum as hum_module
+
+        prob = self._problem(make, with_source=True)
+        sol = solve_hum(prob)  # builds the problem's cached operators
+        logs = {"march_driven": [], "free_flow": []}
+        for name, log in logs.items():
+            original = getattr(hum_module, name)
+
+            def counted(*args, _original=original, _log=log):
+                _log.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(hum_module, name, counted)
+        solve_hum(prob)
+        solved = {name: list(log) for name, log in logs.items()}
+        for log in logs.values():
+            log.clear()
+        verify_transposition(prob, sol.control, trajectory=sol.trajectory, n_probes=5, seed=1)
+        # a separate extraction sweep would add one march_driven call and n_steps + 1 free-flow times
+        assert len(solved["march_driven"]) == len(logs["march_driven"]) > 1
+        times = [len(args[1]) for args in solved["free_flow"]]
+        assert times == [len(args[1]) for args in logs["free_flow"]]
+        assert sum(times) == prob.grid.n_steps + len(times)  # consecutive chunks share one node
+        assert all(args[-1].shape[1] == 6 for args in solved["march_driven"])  # the minimizer and 5 probes
+
+    @pytest.mark.parametrize("case", ["boundary_n80", "interior_n32_source"])
+    def test_peak_memory_after_the_linear_solve(self, case, monkeypatch):
+        import wavecascade.hum as hum_module
+
+        if case == "boundary_n80":
+            prob = self._problem(boundary_problem, with_source=False, n_modes=80)
+        else:
+            prob = self._problem(interior_problem, with_source=True, n_modes=32)
+        trajectory = solve_hum(prob).trajectory  # builds the problem's cached operators
+        sweep = hum_module._swept_pairings
+
+        def after_the_solve(*args, **kwargs):
+            tracemalloc.reset_peak()
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(hum_module, "_swept_pairings", after_the_solve)
+        tracemalloc.start()
+        try:
+            solve_hum(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 1.95 (boundary) and 2.39 (interior) trajectories; a separate
+        # extraction sweep, whose (n_steps + 1, 2N) buffer lived through the
+        # forward solve, read 3.6 and 4.0
+        assert peak <= 2.75 * trajectory.nbytes
+
+    def test_the_solution_carries_the_refusal_contrast(self):
+        prob = self._problem(boundary_problem, with_source=False)
+        scale = 1.0 / np.sqrt(prob.xd)
+        spectrum = np.linalg.eigvalsh(dense_hum_matrix(prob) * np.outer(scale, scale))
+        contrast = solve_hum(prob).gramian_contrast
+        assert contrast == pytest.approx(spectrum[0] / spectrum[-1], rel=1e-9)
+        assert contrast >= OBSERVABILITY_FLOOR
 
 
 def _probe_by_probe_residuals(problem, control, trajectory, n_probes, seed):

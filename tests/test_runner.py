@@ -529,6 +529,19 @@ class TestRunKinds:
         for key in keys:
             assert np.isfinite(float(pairs[key])), key
 
+    @pytest.mark.parametrize(
+        "config, artifact", [("criterion08_hum_interior", "manifest.txt"), ("criterion09_insensitize_interior", "report.txt")]
+    )
+    def test_artifacts_carry_the_gramian_contrast(self, tmp_path, config, artifact):
+        # the contrast the refusal reads; not a terminal_* key, which the benchmark sums
+        from wavecascade.hum import OBSERVABILITY_FLOOR
+
+        result = run(parse_config(f"{CONFIG_DIR}/{config}.ini", ["spectral.n_modes=8"]), tmp_path)
+        assert result.status == 0
+        pairs = dict(line.split(None, 1) for line in (tmp_path / artifact).read_text().splitlines())
+        contrast = float(pairs["gramian_contrast"])
+        assert np.isfinite(contrast) and contrast >= OBSERVABILITY_FLOOR
+
     @pytest.mark.parametrize("config", ["criterion08_hum_interior", "criterion09_insensitize_interior"])
     def test_observability_floor_refuses_with_one_line(self, tmp_path, capsys, config):
         # a coupling of height 1e150 keeps both control Gramians in range but drives their contrast below the floor
@@ -609,14 +622,15 @@ core = 0.6, 0.7
         # the identity is checked on a control with one NaN sample
         from wavecascade import hum
 
-        checked = hum.verify_transposition
+        checked = hum._node_sums
 
-        def poisoned(problem, control, **kwargs):
-            values = control.values.copy()
-            values[3, 0] = np.nan
-            return checked(problem, hum.TimeSampledControl(values, control.grid), **kwargs)
+        def poisoned(sums, observed, samples, *args):
+            # the identity reads a copy: the control the forward solve runs on stays finite
+            samples = samples.copy()
+            samples[-1, 0] = np.nan
+            return checked(sums, observed, samples, *args)
 
-        monkeypatch.setattr(hum, "verify_transposition", poisoned)
+        monkeypatch.setattr(hum, "_node_sums", poisoned)
         code = main([
             f"{CONFIG_DIR}/criterion08_hum_boundary.ini",
             "-o",
@@ -784,9 +798,19 @@ class TestDeterminism:
             artifacts.append(csv.read_bytes())
         assert artifacts[0] == artifacts[1]
 
-    @pytest.mark.parametrize("config", ["criterion04_gramian_boundary", "criterion06_audit", "criterion07_trends"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "criterion04_gramian_boundary",
+            "criterion06_audit",
+            "criterion07_trends",
+            "criterion08_hum_boundary",
+            "criterion09_insensitize_interior",
+        ],
+    )
     def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path, config):
-        # a BLAS reduction over the time nodes had rounded with the thread partition in these three configs
+        # a BLAS reduction over the time nodes had rounded with the thread partition in the first three
+        # configs, and OpenBLAS's threaded LU factor of the control Gramian in the hum and insensitize ones
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         digests = []
