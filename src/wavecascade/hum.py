@@ -31,7 +31,9 @@ as one more row in the block of the transposition probes, and its observed
 driven positions are the control samples, so the control extraction is no
 sweep of its own.  Forward solves march the full controlled step
 (``dynamics.march``), so the transposition check compares two different
-algorithms.
+algorithms.  Lions' HUM operator (``apply_hum_gramian``), the matrix-free
+oracle of the assembled Gramian, is the same two halves: a sweep with no
+probe, whose observation is the control, then one forward march from rest.
 
 The control Gramian and the M-step backward propagator P^-M come from one
 doubling on the blocks of the backward step (``observability._doubling``),
@@ -67,7 +69,7 @@ from .dynamics import (
     reversed_step,
     state_weights,
 )
-from .observability import _doubling, adjoint_sweep
+from .observability import _doubling
 
 __all__ = [
     "HUMProblem",
@@ -260,9 +262,14 @@ def adjoint_space_weights(space: SpectralSpace, kind: str) -> np.ndarray:
 
 
 def _squared_component_norms(states: np.ndarray, space: SpectralSpace, kind: str) -> np.ndarray:
-    """Squared norms of (y1, y2, y1', y2') of each 4N state along the last axis, in ``kind``'s data space."""
-    weighted = state_weights(space, DATA_ORDERS[kind]) * states**2
-    return weighted.reshape(weighted.shape[:-1] + (4, space.n_modes)).sum(axis=-1)
+    """Squared norms of (y1, y2, y1', y2') of each 4N state along the last axis, in ``kind``'s data space.
+
+    One component block is squared at a time, so a trajectory of states forms no 4N-wide temporary.
+    """
+    n = space.n_modes
+    weights = state_weights(space, DATA_ORDERS[kind])
+    blocks = [(weights[k : k + n] * states[..., k : k + n] ** 2).sum(axis=-1) for k in range(0, 4 * n, n)]
+    return np.stack(blocks, axis=-1)
 
 
 def control_space_norms(vector: np.ndarray, space: SpectralSpace, kind: str) -> dict:
@@ -299,51 +306,28 @@ def _sweep_back(problem: HUMProblem, free_final: np.ndarray, states: np.ndarray,
     return march_driven(problem.driven_back_t, problem.kick_back_t, (c, s, m), free_final, states)
 
 
-def _sweep_from(final: np.ndarray, problem: HUMProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint driven states and free table from final data ``final`` (..., 4N) back to time zero.
-
-    Both have shape (n_steps + 1, ..., 2N); row j lies j steps back from T.
-    """
-    free, driven = _component_indices(problem.space.n_modes)
-    driven_final = final[..., driven]
-    swept = np.empty((problem.grid.n_steps + 1,) + driven_final.shape)
-    swept[0] = driven_final
-    return swept, _sweep_back(problem, final[..., free], swept)
-
-
-def _backward_states(final_vector: np.ndarray, problem: HUMProblem) -> np.ndarray:
-    """Adjoint node states from final data, shape (n_steps + 1, 4N).
-
-    The free component rotates back in closed form and only the driven one
-    is marched (``_sweep_back``).
-    """
-    free, driven = _component_indices(problem.space.n_modes)
-    swept, table = _sweep_from(final_vector, problem)
-    states = np.empty((problem.grid.n_steps + 1, final_vector.size))
-    states[::-1, free] = table
-    states[::-1, driven] = swept
-    return states
-
-
 # ---------------------------------------------------------------------------
 # the HUM operator and right-hand side
 
 
 def apply_hum_gramian(final_data, problem: HUMProblem):
-    """Apply the control Gramian to adjoint final data (matrix-free).
+    """Lions' HUM operator: the control Gramian applied to adjoint final data, matrix-free.
 
-    The independent oracle for dense_hum_matrix, which solve_hum uses.
-    Backward-evolves the adjoint cascade, observes at the nodes, and carries
-    the weighted observations back through the adjoint of the solve.  The
-    operator is symmetric; its quadratic form is the time-integrated squared
-    control sample.
+    The independent oracle for dense_hum_matrix, which solve_hum uses.  The
+    final data are swept back alone (``_swept_pairings`` with no probe),
+    their observation at each node is the control sample there, and the
+    controlled system is marched once from rest under that control, with
+    neither the initial data nor the source; the result is -J y(T), the
+    terminal state in the duality pairing.  The operator is symmetric; its
+    quadratic form is the time-integrated squared control sample.
     """
     as_state = isinstance(final_data, CascadeState)
     vec = final_data.as_vector() if as_state else np.asarray(final_data, dtype=float)
-    states = _backward_states(vec, problem)
-    contributions = (states @ problem.obs_rows.T) * problem.grid.node_weights[:, None]
-    # node n_steps - j lies j backward steps from the final data
-    acc = adjoint_sweep(contributions[::-1], problem.obs_rows, problem.step_back)
+    n = problem.space.n_modes
+    samples, _, _ = _swept_pairings(problem, np.empty((0, 4 * n)), minimizer=vec)
+    states = np.zeros((problem.grid.n_steps + 1, 4 * n))
+    states[:, 3 * n :] = (samples @ problem.obs_rows[:, n : 2 * n]) * problem.grid.node_weights[:, None]
+    acc = -_pairing_matrix_apply(march(problem.step_controlled, states)[-1], n)
     return CascadeState.from_vector(acc, problem.space) if as_state else acc
 
 
@@ -556,7 +540,8 @@ def _swept_pairings(
     block per node, so each step is one matrix product.  With ``minimizer``
     (4N,) given, it is swept as row 0 of the same block and its observation
     at each node is the control sample there; otherwise ``values`` holds the
-    control samples, (n_steps + 1, q), or None without a control.
+    control samples, (n_steps + 1, q), or None without a control.  With no
+    probe (k = 0) it is a plain sweep of the minimizer, in one chunk.
 
     The block is reused chunk by chunk: it holds ceil(n_steps / k) + 1
     nodes, about half of one state trajectory; each chunk's nodes are
@@ -580,7 +565,7 @@ def _swept_pairings(
     weights = grid.node_weights[::-1]
     back = None if values is None else values[::-1]
     sources = None if problem.source_nodes is None else problem.source_nodes[::-1]
-    rows = -(-n_steps // len(probes)) + 1
+    rows = -(-n_steps // max(len(probes), 1)) + 1
     block = np.empty((rows, rows_per_node, 2 * n))
     block[0] = finals[:, driven]
     free_final = finals[:, free]

@@ -43,12 +43,12 @@ import numpy as np
 
 from .errors import RefusalError, ValidationError
 from .spectral import CoefficientFunction, ModalCoefficients, SpectralSpace, assemble_multiplication_matrix
-from .dynamics import CascadeState, CouplingOperator, Observer, TimeGrid, _read_only, free_flow, march, state_weights
+from .dynamics import CascadeState, CouplingOperator, Observer, TimeGrid, _read_only, free_flow, march
 from .observability import gcc_min_time
 from .hum import (
-    DATA_ORDERS,
     HUMProblem,
     TimeSampledControl,
+    _squared_component_norms,
     controlled_forward,
     data_norm,
     solve_hum,
@@ -418,15 +418,9 @@ def insensitize(problem: InsensitizeProblem):
 
 
 def _first_component_norms(states: np.ndarray, space: SpectralSpace, kind: str) -> np.ndarray:
-    """Norm of the first cascade component (y1, y1') in every row of ``states``, in the data space of ``kind``.
-
-    Only the first component's two blocks are squared: a trajectory-sized
-    temporary of all four would set the peak memory of a certificate.
-    """
-    n = space.n_modes
-    weights = state_weights(space, DATA_ORDERS[kind])
-    y1, dy1 = ((weights[k : k + n] * states[:, k : k + n] ** 2).sum(axis=-1) for k in (0, 2 * n))
-    return np.sqrt(y1 + dy1)
+    """Norm of the first cascade component (y1, y1') in every row of ``states``, in the data space of ``kind``."""
+    squared = _squared_component_norms(states, space, kind)
+    return np.sqrt(squared[..., 0] + squared[..., 2])
 
 
 def _converse(problem: InsensitizeProblem, states: np.ndarray, phi0: float, derivatives, data_scale: float):

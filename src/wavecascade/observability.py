@@ -45,7 +45,6 @@ __all__ = [
     "observation_history",
     "gramian_matrix",
     "weighted_gram",
-    "adjoint_sweep",
     "norm_weights",
     "min_eigenvalue",
     "estimate_uniform_constants",
@@ -226,20 +225,6 @@ def weighted_gram(form: np.ndarray, step: np.ndarray, grid: TimeGrid) -> np.ndar
     pattern is a ValidationError, not silently dropped.
     """
     return _doubling(form, step, grid)[0]
-
-
-def adjoint_sweep(weighted_obs: np.ndarray, rows: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Horner back-sweep: the sum over m of (step^T)^m rows^T weighted_obs[m].
-
-    When weighted_obs[m] = w_m rows step^m x, the Simpson-weighted samples of
-    the trajectory from x, this is weighted_gram(rows.T @ rows, step, grid)
-    applied to x without assembling it.
-    """
-    step_t = step.T
-    acc = rows.T @ weighted_obs[-1]
-    for sample in weighted_obs[-2::-1]:
-        acc = step_t @ acc + rows.T @ sample
-    return acc
 
 
 def gramian_matrix(

@@ -250,7 +250,7 @@ class ExperimentConfig:
 
 
 def parse_config(path: str | Path, overrides: list[str] | None = None) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a '%' in a value is read as written
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -258,13 +258,14 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for override in overrides or []:
-        if "=" not in override or "." not in override.split("=", 1)[0]:
+        target, equals, value = override.partition("=")
+        section, dot, key = (part.strip() for part in target.partition("."))
+        # configparser's default section is no section an override can name
+        if not (equals and dot and section and key) or section == parser.default_section:
             raise ConfigError(f"overrides take the form section.key=value, got {override!r}")
-        target, value = override.split("=", 1)
-        section, key = target.split(".", 1)
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section.strip(), key.strip(), value.strip())
+        parser.set(section, key, value.strip())
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     if "experiment" not in sections:
         raise ConfigError("missing [experiment] section")

@@ -7,13 +7,15 @@ a trajectory's free component, the inverse of the first-order generator
 and the stepper of the pair with the roles swapped; the free flow's Simpson
 moments from a time table, by one gemm and node by node in long double;
 the Gramian form along one simulated trajectory, its matrix-free
-application, the Simpson sum by doubling of dense matrices, the Gramian
-under the exponential propagator and the worst-case ratios by SciPy's
-generalized eigensolver, and the sharp gamma0 and eta0 by the same solver
-on free moments from a time table; the forced waves of the alpha0 ensemble
-marched one at a time in the lab frame; the ray tracing that cross-checks
-``gcc_min_time``; and Phi, its sensitivity derivatives straight from a
-controlled trajectory, and its Richardson-extrapolated central difference.
+application by a Horner back-sweep, the adjoint trajectory of a control
+problem by the full backward step, the Simpson sum by doubling of dense
+matrices, the Gramian under the exponential propagator and the worst-case
+ratios by SciPy's generalized eigensolver, and the sharp gamma0 and eta0 by
+the same solver on free moments from a time table; the forced waves of the
+alpha0 ensemble marched one at a time in the lab frame; the ray tracing that
+cross-checks ``gcc_min_time``; and Phi, its sensitivity derivatives straight
+from a controlled trajectory, and its Richardson-extrapolated central
+difference.
 """
 
 import numpy as np
@@ -32,6 +34,7 @@ from wavecascade.dynamics import (
     evolve_cascade,
     forced_flow,
     free_flow,
+    march,
     simpson_kick_weights,
 )
 from wavecascade.observability import (
@@ -40,13 +43,12 @@ from wavecascade.observability import (
     _energy_metrics,
     _free_flow_gram,
     _free_moment_form,
-    adjoint_sweep,
     norm_weights,
     observation_block_rows,
     observation_history,
     weighted_gram,
 )
-from wavecascade.hum import TimeSampledControl, controlled_forward
+from wavecascade.hum import HUMProblem, TimeSampledControl, controlled_forward
 from wavecascade.insensitize import (
     InsensitizeProblem,
     _fine_phi,
@@ -203,8 +205,24 @@ def apply_gramian(
     traj = evolve_cascade(CascadeState.from_vector(state_vector, space), coupling, grid)
     rows = observation_block_rows(observer, space)
     contributions = (traj.states @ rows.T) * grid.node_weights[:, None]  # sigma_m g_m
-    step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
-    return adjoint_sweep(contributions, rows, step)
+    step_t = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt).T
+    # Horner back-sweep: the sum over m of (step^T)^m rows^T contributions[m]
+    acc = rows.T @ contributions[-1]
+    for sample in contributions[-2::-1]:
+        acc = step_t @ acc + rows.T @ sample
+    return acc
+
+
+def adjoint_march(final: np.ndarray, problem: HUMProblem) -> np.ndarray:
+    """Adjoint node states of a HUM problem from final data, by the full backward step marched from T.
+
+    ``final`` is one state (4N,) or a stack of k states (k, 4N); the states
+    come back in time order, shape (n_steps + 1, 4N) or (n_steps + 1, k, 4N).
+    """
+    states = np.zeros((problem.grid.n_steps + 1,) + np.shape(final)[::-1])
+    states[-1] = np.transpose(final)
+    march(problem.step_back, states[::-1])
+    return np.moveaxis(states, 1, -1)
 
 
 def dense_weighted_gram(form: np.ndarray, step: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -74,18 +74,14 @@ def test_every_traced_layer_resolves_to_a_wavecascade_function(monkeypatch):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_every_reexported_callable_is_used_by_the_package_or_a_demo(monkeypatch):
-    # a function that only tests call is an oracle for tests/oracles.py, not package surface;
-    # the traced layers stay until the harness stops tracing them
+def _used_names(monkeypatch):
+    """Names referenced by the package modules or a demo, and the names of the traced layers.
+
+    A function that only tests call is an oracle for tests/oracles.py, not package surface; the traced
+    layers stay until the harness stops tracing them.
+    """
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spans = {span.split(".", 1)[1] for span in importlib.import_module("layers").LAYERS}
-    exported = {
-        alias.name
-        for node in ast.parse(Path(wavecascade.__file__).read_text()).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if callable(getattr(wavecascade, alias.name))
-    }
     sources = [path for path in (ROOT / "src" / "wavecascade").glob("*.py") if path.name != "__init__.py"]
     referenced = set()
     for path in sources + sorted((ROOT / "demos").glob("*.py")):
@@ -94,7 +90,26 @@ def test_every_reexported_callable_is_used_by_the_package_or_a_demo(monkeypatch)
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    assert sorted(exported - referenced - spans) == []
+    return referenced | spans
+
+
+def test_every_reexported_callable_is_used_by_the_package_or_a_demo(monkeypatch):
+    exported = {
+        alias.name
+        for node in ast.parse(Path(wavecascade.__file__).read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if callable(getattr(wavecascade, alias.name))
+    }
+    assert sorted(exported - _used_names(monkeypatch)) == []
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_module_exported_callable_is_used_by_the_package_or_a_demo(monkeypatch, module_name):
+    # a module's surface, re-exported or not: an export only tests call belongs in tests/oracles.py
+    module = importlib.import_module(f"wavecascade.{module_name}")
+    exported = {name for name in getattr(module, "__all__", ()) if callable(getattr(module, name))}
+    assert sorted(exported - _used_names(monkeypatch)) == []
 
 
 def test_no_module_imports_scipy_sparse():

@@ -33,10 +33,10 @@ from wavecascade.hum import (
     solve_hum,
     verify_transposition,
 )
-from wavecascade.dynamics import _component_indices, march
-from wavecascade.hum import _backward_states, _sweep_from
+from wavecascade.dynamics import _component_indices
+from wavecascade.hum import _sweep_back
 
-from oracles import first_driven_step_matrix, gramian_form, invert_generator
+from oracles import adjoint_march, first_driven_step_matrix, gramian_form, invert_generator
 
 RNG = np.random.default_rng(20240814)
 
@@ -76,14 +76,22 @@ class TestGramianOperator:
         out = apply_hum_gramian(np.zeros(32), prob)
         assert np.all(out == 0.0)
 
-    def test_matrix_free_matches_dense_on_random_vectors(self):
-        prob = interior_problem(8)
+    @pytest.mark.parametrize("with_source", [False, True])
+    @pytest.mark.parametrize("make", [interior_problem, boundary_problem])
+    def test_matrix_free_matches_dense_on_random_vectors(self, make, with_source):
+        # Lambda sweeps, observes and marches from rest: it reads neither the data nor the source
+        rng = np.random.default_rng(47)
+        data = CascadeState.from_vector(rng.standard_normal(32), SpectralSpace(8))
+        g = rng.standard_normal(8)
+        prob = make(8, data=data, source=(lambda t: np.cos(2.0 * t) * g) if with_source else None)
+        bare = make(8, data=CascadeState.zero(SpectralSpace(8)))
         gram = dense_hum_matrix(prob)
         for _ in range(50):
-            u = RNG.standard_normal(32)
+            u = rng.standard_normal(32)
             dense = gram @ u
             free = apply_hum_gramian(u, prob)
             assert np.max(np.abs(free - dense)) <= 1e-8 * max(np.max(np.abs(dense)), 1e-300)
+            assert np.array_equal(free, apply_hum_gramian(u, bare))
 
     def test_self_adjointness(self):
         prob = interior_problem(8)
@@ -108,7 +116,7 @@ class TestGramianOperator:
         )
         wt = RNG.standard_normal(32)
         quad = float(wt @ apply_hum_gramian(wt, prob))
-        states = _backward_states(wt, prob)
+        states = adjoint_march(wt, prob)
         shifted_initial = invert_generator(CascadeState.from_vector(states[0], space), coupling)
         observed = gramian_form(shifted_initial, coupling, Observer("interior", weight=CONTROL_FN), grid)
         assert quad == pytest.approx(observed, rel=1e-8)
@@ -127,7 +135,7 @@ class TestAssembleRhs:
             grid = prob.grid
             for _ in range(10):
                 probe = RNG.standard_normal(32)
-                states = _backward_states(probe, prob)
+                states = adjoint_march(probe, prob)
                 direct = duality_pairing(prob.initial_data.as_vector(), states[0], 8)
                 direct += float(
                     grid.node_weights
@@ -175,7 +183,7 @@ class TestAssembleRhs:
         prob = interior_problem(8, data=data)
         ell = assemble_rhs(prob)
         probe = RNG.standard_normal(32)
-        states = _backward_states(probe, prob)
+        states = adjoint_march(probe, prob)
         w2_0 = states[0, 8:16]
         dw2_0 = states[0, 24:32]
         scalar_form = float(dy2.coeffs @ w2_0 - y2.coeffs @ dw2_0)
@@ -296,8 +304,7 @@ class TestSolveSweep:
     def test_control_matches_the_one_vector_sweep(self, make, with_source):
         prob = self._problem(make, with_source)
         sol = solve_hum(prob)
-        swept, _ = _sweep_from(sol.minimizer.as_vector(), prob)
-        expected = swept[::-1, :16] @ prob.obs_rows[:, 16:32].T
+        expected = _driven_sweep(sol.minimizer.as_vector(), prob)[:, 16:32] @ prob.obs_rows.T[16:32]
         assert np.max(np.abs(sol.control.values - expected)) <= 1e-13 * np.max(np.abs(expected))
         assert sol.control.values.flags.c_contiguous
 
@@ -372,7 +379,7 @@ def _probe_by_probe_residuals(problem, control, trajectory, n_probes, seed):
     residuals = []
     for _ in range(n_probes):
         probe = rng.standard_normal(4 * n)
-        states = _backward_states(probe, problem)
+        states = adjoint_march(probe, problem)
         obs = states @ problem.obs_rows.T
         quadrature = float(weights @ (obs * control.values).sum(axis=1))
         magnitude = float(weights @ (np.abs(obs) * np.abs(control.values)).sum(axis=1))
@@ -536,6 +543,18 @@ def _energy_relative_errors(states, reference, space):
     return np.linalg.norm((states - reference) * weights, axis=-1) / np.linalg.norm(reference * weights, axis=-1)
 
 
+def _driven_sweep(final, problem):
+    """Adjoint node states from final data (..., 4N) by the driven-block sweep ``hum._sweep_back``, in time order."""
+    free, driven = _component_indices(problem.space.n_modes)
+    swept = np.empty((problem.grid.n_steps + 1,) + final[..., driven].shape)
+    swept[0] = final[..., driven]
+    table = _sweep_back(problem, final[..., free], swept)
+    states = np.empty((len(swept),) + final.shape)
+    states[::-1, ..., free] = table
+    states[::-1, ..., driven] = swept
+    return states
+
+
 class TestAdjointSweep:
     @pytest.mark.parametrize("columns", [1, 5])
     @pytest.mark.parametrize("n_modes", [8, 32, 80])
@@ -548,22 +567,14 @@ class TestAdjointSweep:
             prob = interior_problem(n_modes, data=zero, coupling=case == "interior")
         n, m = n_modes, prob.grid.n_steps
         final = np.random.default_rng(41).standard_normal((columns, 4 * n))
-        reference = np.zeros((m + 1, 4 * n, columns))
-        reference[-1] = final.T
-        march(prob.step_back, reference[::-1])
-        reference = reference.transpose(0, 2, 1)  # (node, column, state)
         if columns == 1:
-            states = _backward_states(final[0], prob)[:, None, :]
-        else:
-            free, driven = _component_indices(n)
-            swept, table = _sweep_from(final, prob)
-            states = np.empty_like(reference)
-            states[::-1, :, free] = table
-            states[::-1, :, driven] = swept
+            final = final[0]  # one state per row, not a block of one
+        reference = adjoint_march(final, prob)
+        states = _driven_sweep(final, prob)
         assert np.array_equal(states[-1], final)
         # two recursions of j steps, each rounding once per step
         steps_back = np.arange(m, -1, -1)[:, None]
-        errors = _energy_relative_errors(states, reference, prob.space)
+        errors = _energy_relative_errors(states, reference, prob.space).reshape(m + 1, -1)
         assert np.all(errors <= 2 * (steps_back + 1) * np.finfo(float).eps)
 
     def test_blocks_are_read_once_from_the_backward_step(self):

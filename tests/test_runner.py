@@ -45,6 +45,19 @@ core = 0.6, 0.7
 """
 
 
+def _assert_the_shipped_run(tmp_path, capsys, config, override):
+    """The run of ``config`` with ``override`` set has the exit code, stdout and artifacts of the config as shipped."""
+    path = f"{CONFIG_DIR}/{config}.ini"
+    code = main([path, "-o", str(tmp_path / "plain")])
+    plain = capsys.readouterr().out.replace(str(tmp_path / "plain"), "OUT")
+    assert main([path, "-o", str(tmp_path / "set"), "--set", override]) == code
+    assert capsys.readouterr().out.replace(str(tmp_path / "set"), "OUT") == plain
+    files = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert files and files == sorted(p.name for p in (tmp_path / "set").iterdir())
+    for name in files:
+        assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 class TestParsing:
     def test_minimal_config(self, tmp_path):
         config = parse_config(write_config(tmp_path, MINIMAL_SIMULATE))
@@ -173,6 +186,14 @@ class TestParsing:
             # a [source] given to a kind that never reads it had gone unread, and the run had passed
             ("criterion06_audit", "source.amplitude=1e8"),
             ("criterion04_gramian_interior", "source.kind=separable"),
+            # configparser's default section had escaped as a ValueError traceback, exit 1
+            ("criterion01_solver", "DEFAULT.seed=3"),
+            # an empty section or key had set nothing, and the run had passed
+            ("criterion08_hum_interior", ".horizon=3"),
+            ("criterion08_hum_interior", "grid.=3"),
+            # a '%' had been read as configparser interpolation and escaped as a traceback, exit 1
+            ("criterion08_hum_interior", "grid.horizon=4%"),
+            ("criterion08_hum_interior", "grid.horizon=%(n_modes)s"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, config, override):
@@ -286,15 +307,12 @@ class TestParsing:
     def test_a_fixed_bound_ignores_its_old_key(self, tmp_path, capsys, config, override):
         # each key had set a check's bound, switched checks off or set a sampling setting; the run, its
         # verdict and its artifacts are now those of the config as shipped
-        path = f"{CONFIG_DIR}/{config}.ini"
-        code = main([path, "-o", str(tmp_path / "plain")])
-        plain = capsys.readouterr().out.replace(str(tmp_path / "plain"), "OUT")
-        assert main([path, "-o", str(tmp_path / "set"), "--set", override]) == code
-        assert capsys.readouterr().out.replace(str(tmp_path / "set"), "OUT") == plain
-        files = sorted(p.name for p in (tmp_path / "plain").iterdir())
-        assert files and files == sorted(p.name for p in (tmp_path / "set").iterdir())
-        for name in files:
-            assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        _assert_the_shipped_run(tmp_path, capsys, config, override)
+
+    def test_a_padded_override_is_read_stripped(self, tmp_path, capsys):
+        # the padded section had been looked up unstripped and escaped as a NoSectionError traceback, exit 1;
+        # a source of kind none is the shipped run
+        _assert_the_shipped_run(tmp_path, capsys, "criterion08_hum_interior", " source . kind = none ")
 
     @pytest.mark.parametrize("step_phase", ["0", "-1"])
     def test_non_positive_step_phase_exits_2_naming_it(self, tmp_path, capsys, step_phase):
