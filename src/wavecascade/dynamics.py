@@ -75,7 +75,7 @@ __all__ = [
     "duality_pairing",
 ]
 
-MAX_STEP_PHASE = 0.5  # dt * sqrt(lambda_N) bound for the default grid guard
+MAX_STEP_PHASE = 0.5  # dt * sqrt(lambda_N) bound of TimeGrid.validate_for
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +294,13 @@ class TimeGrid:
     """Uniform time grid on [0, T] with composite Simpson node weights.
 
     The node and half-step times and weights are built once per grid and
-    shared by every caller, so they are read-only.
+    shared by every caller, so they are read-only.  ``validate_for`` is the
+    package's one grid rule: every consumer of a grid and a space refuses a
+    step with dt * sqrt(lambda_N) > ``MAX_STEP_PHASE``.
     """
 
     horizon: float
     n_steps: int
-    allow_coarse: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.horizon) and self.horizon > 0):
@@ -332,10 +333,10 @@ class TimeGrid:
 
     def validate_for(self, space: SpectralSpace) -> None:
         phase = self.dt * space.frequencies[-1]
-        if phase > MAX_STEP_PHASE and not self.allow_coarse:
+        if phase > MAX_STEP_PHASE:
             raise ValidationError(
                 f"time step resolves the fastest mode poorly (dt*sqrt(lambda_N) = {phase:.3f} > "
-                f"{MAX_STEP_PHASE}); increase n_steps or set allow_coarse=True"
+                f"{MAX_STEP_PHASE}); raise n_steps or lower step_phase"
             )
 
     @staticmethod

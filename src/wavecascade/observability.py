@@ -519,29 +519,22 @@ def _energy_metrics(space: SpectralSpace) -> tuple[np.ndarray, np.ndarray]:
     return np.where(first, weights, 0.0), np.where(first, 0.0, weights)
 
 
-_PI = np.longdouble("3.14159265358979323846264338327950288")
-
-
-def _simpson_trig_sums(theta: np.ndarray, intervals: int, h) -> tuple[np.ndarray, np.ndarray]:
+def _simpson_trig_sums(theta: np.ndarray, intervals: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite Simpson sums of cos(k theta) and sin(k theta) over k = 0..intervals, node spacing h.
 
     The weights (h/3)(1, 4, 2, ..., 4, 1) pair the terms into M = intervals/2
     geometric series in e^{2i theta}, so sum_k w_k e^{ik theta} = (h/3)
     (4 + 2 cos theta) e^{iM theta} sin(M theta) / sin theta (Davis &
-    Rabinowitz, *Methods of Numerical Integration*, 1984).  With theta = k pi
-    + phi, phi in [-pi/2, pi/2], the sum is (h/3)(4 (-1)^k + 2 cos phi)
-    e^{iM phi} sin(M phi) / sin phi, whose ratio is M at phi = 0: the limit
-    at every multiple of pi, not only at theta = 0.  Evaluated in the
-    precision of ``theta``.
+    Rabinowitz, *Methods of Numerical Integration*, 1984), whose ratio is M
+    at theta = 0.  On a grid ``validate_for`` admits, every caller's theta
+    lies in (-pi/2, pi/2), where sin theta vanishes at 0 alone.  Evaluated
+    in the precision of ``theta``.
     """
-    pi = theta.dtype.type(_PI)
-    turns = np.rint(theta / pi)
-    phi = theta - turns * pi
     half = intervals // 2
-    sin = np.sin(phi)
-    ratio = np.divide(np.sin(half * phi), sin, out=np.full_like(phi, half), where=sin != 0)
-    amplitude = (h / 3) * (np.where(turns.astype(int) % 2, -4, 4) + 2 * np.cos(phi)) * ratio
-    return amplitude * np.cos(half * phi), amplitude * np.sin(half * phi)
+    sin = np.sin(theta)
+    ratio = np.divide(np.sin(half * theta), sin, out=np.full_like(theta, half), where=sin != 0)
+    amplitude = (h / 3) * (4 + 2 * np.cos(theta)) * ratio
+    return amplitude * np.cos(half * theta), amplitude * np.sin(half * theta)
 
 
 def _free_flow_gram(space: SpectralSpace, grid: TimeGrid, fine: bool = False, velocity: bool = False) -> np.ndarray:
@@ -556,17 +549,12 @@ def _free_flow_gram(space: SpectralSpace, grid: TimeGrid, fine: bool = False, ve
     cos cos = (C(-) + C(+))/2, sin sin = (C(-) - C(+))/2 and sin_i cos_j =
     (S(+) + S(-))/2.  Work and memory are O(N^2), with no time table and no
     reduction over time, so the result does not depend on the BLAS thread
-    count.  A grid that puts (w_N + w_N) h past pi/2 (dt w_N > pi/4 on the
-    nodes, which the runner refuses) can alias a mode onto the nodes'
-    zeros, where a sin sin entry is far smaller than the two cosine sums it
-    is the difference of; such grids are summed in np.longdouble and
-    rounded once.
+    count.  Its callers validate the grid, so every phase (w_i +- w_j) h is
+    at most 2 dt w_N <= 1 in magnitude, below pi/2.
     """
     intervals = 2 * grid.n_steps if fine else grid.n_steps
     om = space.frequencies
-    dtype = np.float64 if 2 * om[-1] * grid.horizon / intervals <= np.pi / 2 else np.longdouble
-    h = dtype(grid.horizon) / intervals
-    om = om.astype(dtype)
+    h = grid.horizon / intervals
     c_plus, s_plus = _simpson_trig_sums(np.add.outer(om, om) * h, intervals, h)
     c_minus, s_minus = _simpson_trig_sums(np.subtract.outer(om, om) * h, intervals, h)
     cos_cos, sin_sin, sin_cos = (c_minus + c_plus) / 2, (c_minus - c_plus) / 2, (s_plus + s_minus) / 2
@@ -574,7 +562,7 @@ def _free_flow_gram(space: SpectralSpace, grid: TimeGrid, fine: bool = False, ve
         gram = np.block([[np.outer(om, om) * sin_sin, -om[:, None] * sin_cos], [-sin_cos.T * om, cos_cos]])
     else:
         gram = np.block([[cos_cos, sin_cos.T / om], [sin_cos / om[:, None], sin_sin / np.outer(om, om)]])
-    return gram.astype(float)
+    return gram
 
 
 def _free_moment_form(quad: np.ndarray, position_gram: np.ndarray) -> np.ndarray:
@@ -613,6 +601,7 @@ def empirical_ratios(
     eigenvalue of S G S.  A contrast at most 1e-12 is refused before R is
     inverted.
     """
+    grid.validate_for(space)
     if report.contrast <= 1e-12:
         raise RefusalError(
             "Gramian is not coercive at this horizon; worst-case ratios are unbounded",
@@ -677,8 +666,8 @@ def _forced_wave_integrals(
     sub-node kernels of ``simpson_kick_weights``.  Summed as a geometric
     series, the kicks give Q+- e^{+-ift_k}, Q+- = K+- / (e^{+-if dt} -
     e^{-iw dt}), which never resonates (f in [0.5, 3] lies below w_1 = pi,
-    and (w + f) dt < 2 pi on any grid ``validate_for`` admits), so the
-    marched wave is exactly
+    and (w + f) dt < 2 pi on the grid ``estimate_uniform_constants``
+    validates), so the marched wave is exactly
 
         z_k = e^{-iw t_k} A + Q+ e^{ift_k} + Q- e^{-ift_k},  A = z0 - Q+ - Q-.
 
@@ -773,6 +762,7 @@ def estimate_uniform_constants(
     naming ``[observer]``.  An empty observation region, or a horizon at or
     below the billiard control time of either region, is refused.
     """
+    grid.validate_for(space)
     if not observer.region:
         raise RefusalError("empty observation region", {"region": observer.region})
     for name, region in (("coupling", coupling.core_region), ("observation", observer.region)):

@@ -278,11 +278,8 @@ def IndicatorFunction(lo: float, hi: float) -> CoefficientFunction:
     return CoefficientFunction((PlateauBump(lo, hi, 0.0, 1.0),), core_region=None)
 
 
-def project(f, space: SpectralSpace) -> ModalCoefficients:
-    """Project a function (callable or node samples) onto the basis.
-
-    Computes c_j = integral f phi_j by the space's composite Simpson rule.
-    """
+def _node_samples(f, space: SpectralSpace) -> np.ndarray:
+    """f on the quadrature nodes: a callable evaluated there, or given samples of the nodes' shape; finite."""
     if callable(f):
         samples = np.asarray(f(space.nodes), dtype=float)
     else:
@@ -293,7 +290,15 @@ def project(f, space: SpectralSpace) -> ModalCoefficients:
             )
     if not np.all(np.isfinite(samples)):
         raise ValidationError("sampled field contains non-finite values")
-    coeffs = space.basis_matrix().T @ (space.weights * samples)
+    return samples
+
+
+def project(f, space: SpectralSpace) -> ModalCoefficients:
+    """Project a function (callable or node samples) onto the basis.
+
+    Computes c_j = integral f phi_j by the space's composite Simpson rule.
+    """
+    coeffs = space.basis_matrix().T @ (space.weights * _node_samples(f, space))
     return ModalCoefficients(coeffs, space)
 
 
@@ -317,14 +322,6 @@ def assemble_multiplication_matrix(f, space: SpectralSpace) -> np.ndarray:
     quadrature weights are positive, so for f >= 0 the assembled matrix is
     positive semidefinite by construction (it is Phi^T diag(w f) Phi).
     """
-    if callable(f):
-        samples = np.asarray(f(space.nodes), dtype=float)
-    else:
-        samples = np.asarray(f, dtype=float)
-        if samples.shape != space.nodes.shape:
-            raise ValidationError("sampled field does not match the quadrature nodes")
-    if not np.all(np.isfinite(samples)):
-        raise ValidationError("sampled field contains non-finite values")
     phi = space.basis_matrix()
-    mat = phi.T @ (phi * (space.weights * samples)[:, None])
+    mat = phi.T @ (phi * (space.weights * _node_samples(f, space))[:, None])
     return 0.5 * (mat + mat.T)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import wavecascade
+from wavecascade.dynamics import TimeGrid
 from wavecascade.hum import HUMProblem, TimeSampledControl
 from wavecascade.insensitize import InsensitizeProblem
 
@@ -50,6 +51,7 @@ def test_control_problems_pin_their_fields():
         "perturbation_count", "seed",
     ]
     assert names(TimeSampledControl) == ["values", "grid"]
+    assert names(TimeGrid) == ["horizon", "n_steps"]
 
 
 def test_package_reexports_resolve():

@@ -71,20 +71,20 @@ class TestPhi:
     def test_zero_trajectory(self):
         space = SpectralSpace(4)
         weight = assemble_multiplication_matrix(OBSERVATION_FN, space)
-        grid = TimeGrid(2.0, 64, allow_coarse=True)
+        grid = TimeGrid(2.0, 64)
         positions = np.zeros((2 * grid.n_steps + 1, 4))
         assert phi_functional(positions, weight, grid.fine_weights) == 0.0
 
     def test_zero_weight(self):
         space = SpectralSpace(4)
-        grid = TimeGrid(2.0, 64, allow_coarse=True)
+        grid = TimeGrid(2.0, 64)
         positions = RNG.standard_normal((2 * grid.n_steps + 1, 4))
         assert phi_functional(positions, np.zeros((4, 4)), grid.fine_weights) == 0.0
 
     def test_separable_closed_form(self):
         # unit weight, y(t, x) = sin(pi t) phi_1(x) over two time units
         space = SpectralSpace(4)
-        grid = TimeGrid(2.0, 256, allow_coarse=True)
+        grid = TimeGrid(2.0, 256)
         unit = CoefficientFunction((PlateauBump(0.0, 1.0, 0.0, 1.0),))
         weight = assemble_multiplication_matrix(unit, space)
         positions = np.zeros((2 * grid.n_steps + 1, 4))

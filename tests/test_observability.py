@@ -21,7 +21,6 @@ from wavecascade.observability import (
     ObservabilityConstants,
     _audit_forms,
     _dense_generator,
-    _PI,
     _doubling,
     _energy_metrics,
     _forced_wave_integrals,
@@ -163,7 +162,7 @@ class TestBlockDoubling:
         # own roundoff reaches 1e-13 of the Gramian at M = 5866
         space = SpectralSpace(n_modes)
         coupling = CouplingOperator(COUPLING_FN, space)
-        grid = TimeGrid(4.0, n_steps, allow_coarse=True)
+        grid = TimeGrid(4.0, n_steps)
         rows = np.random.default_rng(n_modes + n_steps).standard_normal((3, 4 * n_modes))
         form = rows.T @ rows  # every block of the form is nonzero
         for name, step in cascade_steps(space, coupling, grid.dt).items():
@@ -463,29 +462,11 @@ class TestFreeFlowGram:
         assert closed <= table
         assert closed <= 4 * self.EPS
 
-    @pytest.mark.parametrize(
-        "horizon, n_steps",
-        [
-            (2.0, 2),  # h = 1 on the nodes: every (w_i +- w_j) h is a multiple of pi
-            (4.0, 4),
-            (2.0 * (1 + 1e-9 / np.pi), 2),  # within 1e-9 of a multiple of pi, above and below
-            (2.0 * (1 - 1e-9 / np.pi), 2),
-            (3.0, 2),  # a coarse step off the multiples
-        ],
-    )
-    @pytest.mark.parametrize("fine", [False, True])
-    @pytest.mark.parametrize("velocity", [False, True])
-    def test_takes_the_limit_at_multiples_of_pi_on_coarse_grids(self, horizon, n_steps, fine, velocity):
-        # only grids the runner refuses put a phase past pi/2; there sin(theta) vanishes again at k pi
-        space = SpectralSpace(16)
-        grid = TimeGrid(horizon, n_steps, allow_coarse=True)
-        reference = free_flow_gram_long_double(space, grid, fine, velocity)
-        assert _gram_error(_free_flow_gram(space, grid, fine, velocity), reference) <= 4 * self.EPS
-
     @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9])
-    def test_trig_sums_at_and_near_multiples_of_pi(self, offset):
+    def test_trig_sums_at_and_near_zero(self, offset):
+        # every phase of a grid validate_for admits lies in (-pi/2, pi/2), where sin(theta) vanishes at 0 alone
         intervals, h = 6, np.longdouble(0.25)
-        theta = np.arange(-3, 5, dtype=np.longdouble) * _PI + np.longdouble(offset)
+        theta = np.linspace(-1.5, 1.5, 7, dtype=np.longdouble) + np.longdouble(offset)
         c, s = _simpson_trig_sums(theta, intervals, h)
         weights = np.ones(intervals + 1, dtype=np.longdouble)
         weights[1:-1:2], weights[2:-1:2] = 4, 2
@@ -549,7 +530,7 @@ class TestEstimateUniformConstants:
             "interior",
             weight=CoefficientFunction((PlateauBump(0.0, 1.0, 0.0, 1.0),), core_region=(0.0, 1.0)),
         )
-        grid = TimeGrid(2.0, 512, allow_coarse=True)
+        grid = TimeGrid(2.0, 512)
         coupling = CouplingOperator(COUPLING_FN, space)
         _, eta0, _ = estimate_uniform_constants(coupling, obs, grid, space)
         assert eta0 == pytest.approx(1.0, rel=1e-10)
@@ -564,7 +545,7 @@ class TestEstimateUniformConstants:
         space = SpectralSpace(4)
         with pytest.raises(RefusalError):
             estimate_uniform_constants(
-                CouplingOperator(COUPLING_FN, space), interior_observer(), TimeGrid(0.5, 64, allow_coarse=True), space
+                CouplingOperator(COUPLING_FN, space), interior_observer(), TimeGrid(0.5, 64), space
             )
 
     def test_horizon_between_control_times_refused_naming_the_coupling(self):
@@ -572,9 +553,19 @@ class TestEstimateUniformConstants:
         space = SpectralSpace(4)
         coupling = CouplingOperator(COUPLING_FN, space)
         with pytest.raises(RefusalError, match="coupling region") as info:
-            estimate_uniform_constants(coupling, interior_observer(), TimeGrid(1.3, 64, allow_coarse=True), space)
+            estimate_uniform_constants(coupling, interior_observer(), TimeGrid(1.3, 64), space)
         assert info.value.diagnostic["region"] == coupling.core_region
         assert info.value.diagnostic["gcc_min_time"] == pytest.approx(1.4)
+
+    def test_a_grid_that_resolves_the_fastest_mode_poorly_is_refused(self):
+        # dt * w_N = 4/64 * 16 pi = 3.1 > 0.5: both had accepted the grid; the report comes from a valid one
+        space, coupling, grid = standard_setup(16, horizon=4.0)
+        coarse = TimeGrid(4.0, 64)
+        with pytest.raises(ValidationError, match="resolves the fastest mode poorly"):
+            estimate_uniform_constants(coupling, interior_observer(), coarse, space)
+        report = min_eigenvalue(coupling, interior_observer(), grid, space)
+        with pytest.raises(ValidationError, match="resolves the fastest mode poorly"):
+            empirical_ratios(report, coupling, coarse, space)
 
     def test_projection_pair_positive(self):
         space, coupling, grid = standard_setup(8, horizon=2.0, step_phase=0.2)

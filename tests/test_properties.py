@@ -133,7 +133,7 @@ def test_simpson_doubling_matches_per_node_loop(case, one_row, half_steps, seed)
     # M = 2k steps sweep the bit patterns of k, which the doubling walks
     space, coupling, _, grid, _, _ = case
     n = space.n_modes
-    grid = TimeGrid(grid.horizon, 2 * half_steps, allow_coarse=True)
+    grid = TimeGrid(grid.horizon, 2 * half_steps)
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((1 if one_row else n, 4 * n))
     step = cascade_step_matrix(space, coupling.matrix, grid.dt)

@@ -215,6 +215,14 @@ class TestParsing:
             ("criterion04_gramian_interior", "observer.core=0.9,0.95", "observer"),
             ("criterion04_gramian_interior", "spectral.n_modes=0", "spectral"),
             ("criterion05_short_horizon", "sweep.values=16,0", "sweep"),
+            ("criterion08_hum_interior", "grid.step_phase=inf", "grid"),
+            ("criterion08_hum_interior", "grid.horizon=-1", "grid"),
+            ("criterion02_conservation", "grid.n_steps=3", "grid"),
+            ("criterion04_gramian_interior", "observer.kind=Interior", "observer"),
+            ("criterion08_hum_interior", "source.kind=Separable", "source"),
+            # plateau and core ranges are PlateauBump's and CoefficientFunction's checks, not the runner's
+            ("criterion08_hum_interior", "coupling.pieces=0.2,1.5,0.05,1", "coupling"),
+            ("criterion04_gramian_interior", "observer.core=0.9,1.2", "observer"),
         ],
     )
     def test_coefficient_and_space_refusals_name_the_section(self, tmp_path, capsys, config, override, section):
@@ -320,7 +328,7 @@ class TestParsing:
         config = f"{CONFIG_DIR}/criterion04_gramian_boundary.ini"
         assert main([config, "-o", str(out), "--set", f"grid.step_phase={step_phase}"]) == 2
         (line,) = capsys.readouterr().out.splitlines()
-        assert line.startswith("configuration error: step_phase must be positive and finite")
+        assert line.startswith("configuration error: [grid] step_phase must be positive and finite")
         assert not list(out.glob("*"))
 
     @pytest.mark.parametrize(
