@@ -7,15 +7,20 @@ from scipy.linalg import expm
 from wavecascade.errors import RefusalError, ValidationError
 from wavecascade.spectral import CoefficientFunction, PlateauBump, SpectralSpace
 from wavecascade.dynamics import (
+    MAX_STEP_PHASE,
     CascadeState,
+    ComponentState,
     CouplingOperator,
     Observer,
     TimeGrid,
     cascade_step_matrix,
     evolve_cascade,
+    evolve_cascade_backward,
+    evolve_forced_scalar,
     free_flow,
     reversed_step,
 )
+from wavecascade.hum import HUMProblem
 from wavecascade.observability import (
     FORCED_WAVES,
     ObservabilityConstants,
@@ -449,6 +454,8 @@ class TestFreeFlowGram:
             (16, 16.0, 0.25, True),  # criterion07_trends' r2 at T = 16
             (32, 4.0, 0.5, True),  # the gramian configs' r2
             (64, 4.0, 0.5, True),
+            (16, 4.0, 0.5, False),  # the nodes at the largest admitted step: 2 w_N dt reaches 1.0
+            (32, 4.0, 0.5, False),
         ],
     )
     @pytest.mark.parametrize("velocity", [False, True])
@@ -489,6 +496,42 @@ class TestFreeFlowGram:
         finally:
             tracemalloc.stop()
         assert peak < (2 * grid.n_steps + 1) * space.n_modes * 8
+
+
+# every public consumer of a TimeGrid, called on (space, coupling, grid, report)
+GRID_CONSUMERS = {
+    "evolve_cascade": lambda space, coupling, grid, report: evolve_cascade(CascadeState.zero(space), coupling, grid),
+    "evolve_cascade_backward": lambda space, coupling, grid, report: evolve_cascade_backward(
+        CascadeState.zero(space), coupling, grid
+    ),
+    "evolve_forced_scalar": lambda space, coupling, grid, report: evolve_forced_scalar(
+        ComponentState(space.zero(), space.zero()), np.zeros_like, grid
+    ),
+    "gramian_matrix": lambda space, coupling, grid, report: gramian_matrix(coupling, interior_observer(), grid, space),
+    "min_eigenvalue": lambda space, coupling, grid, report: min_eigenvalue(coupling, interior_observer(), grid, space),
+    "empirical_ratios": lambda space, coupling, grid, report: empirical_ratios(report, coupling, grid, space),
+    "estimate_uniform_constants": lambda space, coupling, grid, report: estimate_uniform_constants(
+        coupling, interior_observer(), grid, space
+    ),
+    "_audit_forms": lambda space, coupling, grid, report: _audit_forms(coupling, interior_observer(), grid, space),
+    "HUMProblem": lambda space, coupling, grid, report: HUMProblem(
+        CascadeState.zero(space), coupling, interior_observer(), grid
+    ),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(GRID_CONSUMERS))
+def test_every_grid_consumer_admits_the_limit_step_and_refuses_the_next_coarser(consumer):
+    # TimeGrid.validate_for is the one statement of dt * w_N <= MAX_STEP_PHASE; for_space gives the
+    # coarsest even grid it admits, so two steps fewer put the phase just past the limit
+    space, coupling, grid = standard_setup(8, horizon=4.0, step_phase=MAX_STEP_PHASE)
+    coarse = TimeGrid(grid.horizon, grid.n_steps - 2)
+    assert grid.dt * space.frequencies[-1] <= MAX_STEP_PHASE < coarse.dt * space.frequencies[-1]
+    report = min_eigenvalue(coupling, interior_observer(), grid, space)
+    call = GRID_CONSUMERS[consumer]
+    call(space, coupling, grid, report)
+    with pytest.raises(ValidationError, match="resolves the fastest mode poorly"):
+        call(space, coupling, coarse, report)
 
 
 class TestEstimateUniformConstants:
