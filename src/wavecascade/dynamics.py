@@ -19,12 +19,13 @@ duality pairing used by the control modules.
 
 Coupled trajectories march their one-step matrix (``march``).  A sweep
 with no injection into the free component may march only the driven block
-(``march_driven``): the free states come in closed form and their kicks in
-one matrix product.  A single forced wave w'' + A w = f steps by the same
-rotation and Simpson kick, but there the step is the exact rotation alone,
-so ``forced_flow`` sums the whole recursion in the rotating frame with one
-prefix sum instead.  All take their Simpson kernel from
-``simpson_kick_weights``.
+(``march_driven``): the free component rotates in closed form, so no free
+table is formed, and each chunk's kicks are one product of its [cos | sin]
+table with a coefficient block built from the free rows.  A single forced
+wave w'' + A w = f steps by the same rotation and Simpson kick, but there
+the step is the exact rotation alone, so ``forced_flow`` sums the whole
+recursion in the rotating frame with one prefix sum instead.  All take
+their Simpson kernel from ``simpson_kick_weights``.
 
 The module holds what the runs use.  The reference computations the tests
 check it against (free evolution and energies of one component, pointwise
@@ -448,36 +449,54 @@ def march(step: np.ndarray, states: np.ndarray) -> np.ndarray:
     return states
 
 
-def march_driven(driven_t: np.ndarray, kick_t: np.ndarray, flow, free: np.ndarray, states: np.ndarray) -> np.ndarray:
+def march_driven(
+    driven_t: np.ndarray,
+    kick_t: np.ndarray,
+    frequencies: np.ndarray,
+    times: np.ndarray,
+    free: np.ndarray,
+    states: np.ndarray,
+) -> np.ndarray:
     """March only the driven block of a cascade step whose free component rotates exactly, in place.
 
     The step takes a free state f and a driven state x, as rows, to
     (f R^T, x driven_t + f kick_t), with R the exact per-mode rotation.
-    ``free`` (shape (..., 2N)) is f_0, and ``flow`` holds the blocks (c, s, m)
-    of R^r for every row r of ``states`` (shape (len(states), N) each:
-    ``free_flow`` at the elapsed times, its sine terms negated for a reflected
-    step).  So every free state f_r = (c_r p + s_r v, m_r p + c_r v) is closed
-    form, every kick f_r kick_t comes from one matrix product with that table,
-    and only x_{r+1} = x_r driven_t + f_r kick_t is marched, step by step as
-    in ``march``.  On entry row 0 of ``states`` (shape (rows, ..., 2N),
-    C-contiguous) holds x_0; on return row r holds x_r.  A row is one state
-    or a (k, 2N) block of k states, one per row of ``free``.  Returns the
-    free table f_r, shaped as ``states``.
+    ``free`` (shape (..., 2N)) holds f_0 = (p, v), and row r of ``states``
+    lies at the elapsed time ``times[r]`` (negative for a reflected step,
+    which rotates backward), so f_r = (c_r p + s_r v, m_r p + c_r v) with the
+    ``free_flow`` blocks (c, s, m) there.  Its kick is linear in the cosine
+    and sine of the phases w t_r,
+
+        f_r kick_t = cos_r (diag(p) K_p + diag(v) K_v) + sin_r (diag(v / w) K_p - diag(w p) K_v),
+
+    K_p and K_v the position and velocity rows of ``kick_t``.  So no free
+    state is formed: one (2N, k 2N) block holds these coefficients for the
+    k rows of ``free``, every kick comes from one product of the [cos | sin]
+    table with it, and only x_{r+1} = x_r driven_t + f_r kick_t is marched,
+    step by step as in ``march``.  On entry row 0 of ``states`` (shape
+    (rows, ..., 2N), C-contiguous) holds x_0; on return row r holds x_r.  A
+    row is one state or a (k, 2N) block of k states, one per row of
+    ``free``.  Returns the free state f_r of the last row, shaped as ``free``.
     """
     n = free.shape[-1] // 2
-    c, s, m = (block.reshape((len(block),) + (1,) * (free.ndim - 1) + (n,)) for block in flow)
-    table = np.empty(states.shape)
-    pos, vel = table[..., :n], table[..., n:]
-    np.multiply(c, free[..., :n], out=pos)
-    pos += s * free[..., n:]
-    np.multiply(m, free[..., :n], out=vel)
-    vel += c * free[..., n:]
+    rows = len(states)
+    trig = np.empty((rows, 2 * n))
+    cos, sin = trig[:, :n], trig[:, n:]
+    np.multiply.outer(times, frequencies, out=sin)
+    np.cos(sin, out=cos)
+    np.sin(sin, out=sin)
+    pos, vel = free[..., :n], free[..., n:]
+    p, v = pos.reshape(-1, n), vel.reshape(-1, n)
+    # row j's cos (t = 0) or sin (t = 1) coefficients at mode i: weights[t, j, :, i] @ (K_p[i]; K_v[i])
+    weights = np.stack([np.stack([p, v], axis=1), np.stack([v / frequencies, -frequencies * p], axis=1)])
+    coefficients = np.einsum("tjai,aib->tijb", weights, kick_t.reshape(2, n, 2 * n))
     # row r + 1 is injected with the kick of f_r: one product for every row at once
-    kicks = np.reshape(states[1:], (-1, 2 * n), copy=False)
-    np.dot(np.reshape(table[:-1], (-1, 2 * n), copy=False), kick_t, out=kicks)
+    kicks = np.reshape(states[1:], (rows - 1, states[0].size), copy=False)
+    np.dot(trig[:-1], coefficients.reshape(2 * n, -1), out=kicks)
     for current, following in zip(states[:-1], states[1:]):
         following += np.dot(current, driven_t)
-    return table
+    c, s, m = cos[-1], sin[-1] / frequencies, -frequencies * sin[-1]
+    return np.concatenate([c * pos + s * vel, m * pos + c * vel], axis=-1)
 
 
 def _aligned(array: np.ndarray) -> np.ndarray:

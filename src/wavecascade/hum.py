@@ -24,16 +24,18 @@ limited only by roundoff in the solve, not by the time step.
 
 Adjoint trajectories are swept, not marched whole.  The adjoint's first
 component is a free wave that only drives the second, so it rotates back in
-closed form, its kicks on the driven component are one matrix product, and
-only the driven block of the backward step is marched
-(``dynamics.march_driven``).  A solve sweeps back once: the minimizer rides
-as one more row in the block of the transposition probes, and its observed
-driven positions are the control samples, so the control extraction is no
-sweep of its own.  Forward solves march the full controlled step
-(``dynamics.march``), so the transposition check compares two different
-algorithms.  Lions' HUM operator (``apply_hum_gramian``), the matrix-free
-oracle of the assembled Gramian, is the same two halves: a sweep with no
-probe, whose observation is the control, then one forward march from rest.
+closed form and no free table is formed: each chunk's kicks on the driven
+component are one product of its [cos | sin] table with a coefficient block
+built from the free rows, and only the driven block of the backward step is
+marched (``dynamics.march_driven``).  A solve sweeps back once: the
+minimizer rides as one more row in the block of the transposition probes,
+and its observed driven positions are the control samples, so the control
+extraction is no sweep of its own.  Forward solves march the full controlled
+step (``dynamics.march``), so the transposition check compares two
+different algorithms.  Lions' HUM operator (``apply_hum_gramian``), the
+matrix-free oracle of the assembled Gramian, is the same two halves: a
+sweep with no probe, whose observation is the control, then one forward
+march from rest.
 
 The control Gramian and the M-step backward propagator P^-M come from one
 doubling on the blocks of the backward step (``observability._doubling``),
@@ -63,7 +65,6 @@ from .dynamics import (
     _sample_forcing,
     cascade_step_matrix,
     duality_pairing,
-    free_flow,
     march,
     march_driven,
     reversed_step,
@@ -296,14 +297,15 @@ def _sweep_back(problem: HUMProblem, free_final: np.ndarray, states: np.ndarray,
 
     ``march_driven`` with the blocks of P^{-1}: ``free_final`` holds the free
     component (w1, q1) at T, which rotates back in closed form, and row 0 of
-    ``states`` the driven component (w2, q2) ``start`` steps back.  Returns
-    the free table.
+    ``states`` the driven component (w2, q2) ``start`` steps back.  No free
+    table is formed: each chunk's kicks are one product of its trig table
+    with the free rows' coefficient block.  Returns the free component at
+    the last row.
     """
-    c, s, m = free_flow(problem.space, problem.grid.times[start : start + len(states)])
-    # the reflected step rotates backward: its sine terms change sign
-    s *= -1.0
-    m *= -1.0
-    return march_driven(problem.driven_back_t, problem.kick_back_t, (c, s, m), free_final, states)
+    # the reflected step rotates backward, by minus the elapsed time
+    elapsed = -problem.grid.times[start : start + len(states)]
+    frequencies = problem.space.frequencies
+    return march_driven(problem.driven_back_t, problem.kick_back_t, frequencies, elapsed, free_final, states)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +575,7 @@ def _swept_pairings(
     top, reduced = 0, 0  # steps back from T to the chunk's first row, and whether that row is reduced
     while True:
         chunk = block[: min(rows, n_steps + 1 - top)]  # row r lies top + r steps back from T
-        start_free = _sweep_back(problem, free_final, chunk, top)[-1].copy()  # drops the free table
+        start_free = _sweep_back(problem, free_final, chunk, top)
         fresh = chunk[reduced:]  # driven states of the nodes not yet reduced
         steps = slice(top + reduced, top + len(chunk))
         observed = None

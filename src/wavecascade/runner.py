@@ -382,6 +382,10 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
         raise ConfigError(f"[sweep] values needs at least two values, got {len(values)}")
     if axis == "n_modes" and min(values) < 1:  # not [spectral] n_modes, which the sweep overrides
         raise ConfigError(f"[sweep] values must be positive mode counts, got {min(values)}")
+    if axis == "horizon":  # not [grid] horizon, which the sweep overrides
+        bad = [v for v in values if not (np.isfinite(v) and v > 0)]
+        if bad:
+            raise ConfigError(f"[sweep] values must be positive finite horizons, got {bad[0]}")
     rows = []
     path = outdir / "sweep.csv"
     base_n = config.spectral_space().n_modes

@@ -18,6 +18,7 @@ from wavecascade.dynamics import (
     Observer,
     TimeGrid,
     duality_pairing,
+    free_flow,
 )
 from wavecascade.hum import (
     OBSERVABILITY_FLOOR,
@@ -314,26 +315,24 @@ class TestSolveSweep:
 
         prob = self._problem(make, with_source=True)
         sol = solve_hum(prob)  # builds the problem's cached operators
-        logs = {"march_driven": [], "free_flow": []}
-        for name, log in logs.items():
-            original = getattr(hum_module, name)
+        log = []
+        original = hum_module.march_driven
 
-            def counted(*args, _original=original, _log=log):
-                _log.append(args)
-                return _original(*args)
+        def counted(*args):
+            log.append(args)
+            return original(*args)
 
-            monkeypatch.setattr(hum_module, name, counted)
+        monkeypatch.setattr(hum_module, "march_driven", counted)
         solve_hum(prob)
-        solved = {name: list(log) for name, log in logs.items()}
-        for log in logs.values():
-            log.clear()
+        solved = list(log)
+        log.clear()
         verify_transposition(prob, sol.control, trajectory=sol.trajectory, n_probes=5, seed=1)
-        # a separate extraction sweep would add one march_driven call and n_steps + 1 free-flow times
-        assert len(solved["march_driven"]) == len(logs["march_driven"]) > 1
-        times = [len(args[1]) for args in solved["free_flow"]]
-        assert times == [len(args[1]) for args in logs["free_flow"]]
+        # a separate extraction sweep would add one march_driven call over n_steps + 1 elapsed times
+        assert len(solved) == len(log) > 1
+        times = [len(args[3]) for args in solved]
+        assert times == [len(args[3]) for args in log]
         assert sum(times) == prob.grid.n_steps + len(times)  # consecutive chunks share one node
-        assert all(args[-1].shape[1] == 6 for args in solved["march_driven"])  # the minimizer and 5 probes
+        assert all(args[-1].shape[1] == 6 for args in solved)  # the minimizer and 5 probes
 
     @pytest.mark.parametrize("case", ["boundary_n80", "interior_n32_source"])
     def test_peak_memory_after_the_linear_solve(self, case, monkeypatch):
@@ -357,9 +356,10 @@ class TestSolveSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 1.95 (boundary) and 2.39 (interior) trajectories; a separate
-        # extraction sweep, whose (n_steps + 1, 2N) buffer lived through the
-        # forward solve, read 3.6 and 4.0
+        # measured 1.52 (boundary) and 1.78 (interior) trajectories, 1.95 and
+        # 2.39 while each chunk built a free table; a separate extraction
+        # sweep, whose (n_steps + 1, 2N) buffer lived through the forward
+        # solve, read 3.6 and 4.0
         assert peak <= 2.75 * trajectory.nbytes
 
     def test_the_solution_carries_the_refusal_contrast(self):
@@ -544,11 +544,23 @@ def _energy_relative_errors(states, reference, space):
 
 
 def _driven_sweep(final, problem):
-    """Adjoint node states from final data (..., 4N) by the driven-block sweep ``hum._sweep_back``, in time order."""
-    free, driven = _component_indices(problem.space.n_modes)
+    """Adjoint node states from final data (..., 4N) by the driven-block sweep ``hum._sweep_back``, in time order.
+
+    The sweep returns the free component at time zero only; the free states
+    at every node come from ``free_flow`` here, and the returned one must match.
+    """
+    n = problem.space.n_modes
+    free, driven = _component_indices(n)
     swept = np.empty((problem.grid.n_steps + 1,) + final[..., driven].shape)
     swept[0] = final[..., driven]
-    table = _sweep_back(problem, final[..., free], swept)
+    start_free = _sweep_back(problem, final[..., free], swept)
+    # the reflected step rotates backward: its sine terms change sign
+    shape = (len(swept),) + (1,) * (final.ndim - 1) + (n,)
+    c, s, m = (block.reshape(shape) for block in free_flow(problem.space, problem.grid.times))
+    p, v = final[..., :n], final[..., 2 * n : 3 * n]
+    table = np.concatenate([c * p - s * v, c * v - m * p], axis=-1)
+    assert start_free.shape == table[-1].shape
+    assert np.max(np.abs(start_free - table[-1])) <= 4 * np.finfo(float).eps * np.max(np.abs(table[-1]))
     states = np.empty((len(swept),) + final.shape)
     states[::-1, ..., free] = table
     states[::-1, ..., driven] = swept
@@ -576,6 +588,24 @@ class TestAdjointSweep:
         steps_back = np.arange(m, -1, -1)[:, None]
         errors = _energy_relative_errors(states, reference, prob.space).reshape(m + 1, -1)
         assert np.all(errors <= 2 * (steps_back + 1) * np.finfo(float).eps)
+
+    def test_the_sweep_forms_no_free_table(self):
+        # the kicks had been read from a free table shaped as the states and two half-size temporaries: 1.55 blocks
+        n, k = 80, 6  # a solve's chunk: the minimizer and 5 probes
+        prob = boundary_problem(n, data=CascadeState.zero(SpectralSpace(n)))
+        free, driven = _component_indices(n)
+        finals = np.random.default_rng(47).standard_normal((k, 4 * n))
+        free_final = finals[:, free]
+        states = np.empty((-(-prob.grid.n_steps // (k - 1)) + 1, k, 2 * n))
+        states[0] = finals[:, driven]
+        prob.driven_back_t, prob.kick_back_t  # built before the peak is taken
+        tracemalloc.start()
+        try:
+            _sweep_back(prob, free_final, states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * states.nbytes
 
     def test_blocks_are_read_once_from_the_backward_step(self):
         prob = interior_problem(8, data=CascadeState.zero(SpectralSpace(8)))  # leaves the module RNG alone

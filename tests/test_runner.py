@@ -215,6 +215,11 @@ class TestParsing:
             ("criterion04_gramian_interior", "observer.core=0.9,0.95", "observer"),
             ("criterion04_gramian_interior", "spectral.n_modes=0", "spectral"),
             ("criterion05_short_horizon", "sweep.values=16,0", "sweep"),
+            # a horizon had been refused only by the grid of its row, naming [grid], after the earlier rows ran
+            ("criterion07_trends", "sweep.values=4,-1", "sweep"),
+            ("criterion07_trends", "sweep.values=4,0", "sweep"),
+            ("criterion07_trends", "sweep.values=4,nan", "sweep"),
+            ("criterion07_trends", "sweep.values=4,inf", "sweep"),
             ("criterion08_hum_interior", "grid.step_phase=inf", "grid"),
             ("criterion08_hum_interior", "grid.horizon=-1", "grid"),
             ("criterion02_conservation", "grid.n_steps=3", "grid"),
@@ -516,7 +521,18 @@ class TestRunKinds:
         assert lines[1].endswith("; exactly 0 at N = 32")
         assert lines[2:] == [f"  wrote {tmp_path / 'sweep' / 'sweep.csv'}"]
 
-    def test_sweep_values_are_parsed_before_the_first_row(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ("4,8,16,x", "bad value for [sweep] values: 'x'"),
+            ("4,-1", "[sweep] values must be positive finite horizons, got -1.0"),
+            ("4,0", "[sweep] values must be positive finite horizons, got 0.0"),
+            ("4,nan", "[sweep] values must be positive finite horizons, got nan"),
+            ("4,inf", "[sweep] values must be positive finite horizons, got inf"),
+        ],
+        ids=["malformed", "negative", "zero", "nan", "inf"],
+    )
+    def test_sweep_values_are_parsed_before_the_first_row(self, tmp_path, capsys, monkeypatch, values, message):
         # a bad value late in the list had been refused only after every earlier row was computed
         from wavecascade import runner
 
@@ -524,10 +540,10 @@ class TestRunKinds:
             raise AssertionError("a Gramian row was computed")
 
         monkeypatch.setattr(runner, "_gramian_row", never)
-        args = [f"{CONFIG_DIR}/criterion07_trends.ini", "-o", str(tmp_path / "s"), "--set", "sweep.values=4,8,16,x"]
+        args = [f"{CONFIG_DIR}/criterion07_trends.ini", "-o", str(tmp_path / "s"), "--set", f"sweep.values={values}"]
         assert main(args) == 2
         (line,) = capsys.readouterr().out.splitlines()
-        assert line == "configuration error: bad value for [sweep] values: 'x'"
+        assert line == f"configuration error: {message}"
 
     def test_large_source_hum_run_passes(self, tmp_path):
         # the terminal residual had been scaled by the known data alone: 4.8e-6 at this amplitude, a failure
