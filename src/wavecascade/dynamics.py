@@ -17,15 +17,17 @@ sub-nodes.  The step is therefore fourth-order accurate in dt, exactly
 time-reversible under velocity negation, and exactly symplectic for the
 duality pairing used by the control modules.
 
-Coupled trajectories march their one-step matrix (``march``).  A sweep
-with no injection into the free component may march only the driven block
-(``march_driven``): the free component rotates in closed form, so no free
-table is formed, and each chunk's kicks are one product of its [cos | sin]
-table with a coefficient block built from the free rows.  A single forced
-wave w'' + A w = f steps by the same rotation and Simpson kick, but there
-the step is the exact rotation alone, so ``forced_flow`` sums the whole
-recursion in the rotating frame with one prefix sum instead.  All take
-their Simpson kernel from ``simpson_kick_weights``.
+Every uncontrolled trajectory (``evolve_cascade``,
+``evolve_cascade_backward``, the adjoint sweep of ``hum``) marches only the
+driven block of its step (``march_driven``): the free component rotates in
+closed form, no free table is formed, and each chunk's kicks are one product
+of its [cos | sin] table with a coefficient block built from the free rows.
+``march`` serves only the controlled trajectories of ``hum``, where neither
+component is free.  A single forced wave w'' + A w = f steps by the same
+rotation and Simpson kick, but there the step is the exact rotation alone,
+so ``forced_flow`` sums the whole recursion in the rotating frame with one
+prefix sum instead.  All take their Simpson kernel from
+``simpson_kick_weights``.
 
 The module holds what the runs use.  The reference computations the tests
 check it against (free evolution and energies of one component, pointwise
@@ -522,18 +524,40 @@ def reversed_step(step: np.ndarray, n_modes: int) -> np.ndarray:
     return out
 
 
+def _driven_blocks(step: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The driven and kick blocks of a cascade step, 64-byte aligned and transposed to act on row states."""
+    free, driven = _component_indices(n_modes)
+    return _aligned(step[np.ix_(driven, driven)].T), _aligned(step[np.ix_(driven, free)].T)
+
+
+def _evolve(state: CascadeState, coupling: CouplingOperator | None, grid: TimeGrid, backward: bool) -> CascadeTrajectory:
+    """The trajectory from ``state`` at t = 0, or back from it at t = T by the reflected step (it rotates backward)."""
+    space = state.space
+    grid.validate_for(space)
+    n = space.n_modes
+    step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
+    times = -grid.times if backward else grid.times
+    free, driven = _component_indices(n)
+    x = state.as_vector()
+    swept = np.empty((grid.n_steps + 1, 2 * n))
+    swept[0] = x[driven]
+    blocks = _driven_blocks(reversed_step(step, n) if backward else step, n)
+    march_driven(*blocks, space.frequencies, times, x[free], swept)
+    (c, s, m), p, v = free_flow(space, times), x[:n], x[2 * n : 3 * n]
+    states = np.empty((grid.n_steps + 1, 4 * n))
+    rows = states[::-1] if backward else states  # marching order
+    rows[:, :n], rows[:, 2 * n : 3 * n] = c * p + s * v, m * p + c * v
+    rows[:, driven] = swept
+    return CascadeTrajectory(space, grid, states)
+
+
 def evolve_cascade(
     initial: CascadeState,
     coupling: CouplingOperator | None,
     grid: TimeGrid,
 ) -> CascadeTrajectory:
     """Evolve the cascade forward over the grid from data at t = 0."""
-    space = initial.space
-    grid.validate_for(space)
-    P = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
-    states = np.zeros((grid.n_steps + 1, 4 * space.n_modes))
-    states[0] = initial.as_vector()
-    return CascadeTrajectory(space, grid, march(P, states))
+    return _evolve(initial, coupling, grid, backward=False)
 
 
 def evolve_cascade_backward(
@@ -543,17 +567,12 @@ def evolve_cascade_backward(
 ) -> CascadeTrajectory:
     """Solve the cascade with data prescribed at t = T.
 
-    Marches the velocity-conjugated step back from the final node; the
-    stepper is exactly reversible under this conjugation, so
-    forward/backward round trips are exact.
+    Marches the velocity-reflected step back from the final node.  That
+    stepper is the exact inverse of the forward one, but the free component
+    rotates in closed form each way, so forward/backward round trips hold to
+    roundoff, not exactly.
     """
-    space = final.space
-    grid.validate_for(space)
-    P = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
-    states = np.zeros((grid.n_steps + 1, 4 * space.n_modes))
-    states[-1] = final.as_vector()
-    march(reversed_step(P, space.n_modes), states[::-1])
-    return CascadeTrajectory(space, grid, states)
+    return _evolve(final, coupling, grid, backward=True)
 
 
 def simpson_kick_weights(space: SpectralSpace, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -24,18 +24,18 @@ limited only by roundoff in the solve, not by the time step.
 
 Adjoint trajectories are swept, not marched whole.  The adjoint's first
 component is a free wave that only drives the second, so it rotates back in
-closed form and no free table is formed: each chunk's kicks on the driven
-component are one product of its [cos | sin] table with a coefficient block
-built from the free rows, and only the driven block of the backward step is
-marched (``dynamics.march_driven``).  A solve sweeps back once: the
+closed form and only the driven block of the backward step is marched
+(``dynamics.march_driven`` with ``HUMProblem.driven_blocks_back``, the path
+of every uncontrolled cascade): no free table is formed, and each chunk's
+kicks on the driven component are one product of its [cos | sin] table with
+a coefficient block built from the free rows.  A solve sweeps back once: the
 minimizer rides as one more row in the block of the transposition probes,
 and its observed driven positions are the control samples, so the control
 extraction is no sweep of its own.  Forward solves march the full controlled
-step (``dynamics.march``), so the transposition check compares two
-different algorithms.  Lions' HUM operator (``apply_hum_gramian``), the
-matrix-free oracle of the assembled Gramian, is the same two halves: a
-sweep with no probe, whose observation is the control, then one forward
-march from rest.
+step (``dynamics.march``), so the transposition check compares two different
+algorithms.  Lions' HUM operator (``apply_hum_gramian``), the matrix-free
+oracle of the assembled Gramian, is the same two halves: a sweep with no
+probe, whose observation is the control, then one forward march from rest.
 
 The control Gramian and the M-step backward propagator P^-M come from one
 doubling on the blocks of the backward step (``observability._doubling``),
@@ -61,6 +61,7 @@ from .dynamics import (
     TimeGrid,
     _aligned,
     _component_indices,
+    _driven_blocks,
     _read_only,
     _sample_forcing,
     cascade_step_matrix,
@@ -141,16 +142,9 @@ class HUMProblem:
         return _aligned(reversed_step(self.step, self.space.n_modes))
 
     @cached_property
-    def driven_back_t(self) -> np.ndarray:
-        """The driven block of P^{-1}, (w2, q2) to (w2, q2), transposed to act on row states."""
-        _, driven = _component_indices(self.space.n_modes)
-        return _aligned(self.step_back[np.ix_(driven, driven)].T)
-
-    @cached_property
-    def kick_back_t(self) -> np.ndarray:
-        """The kick block of P^{-1}, (w1, q1) to (w2, q2), transposed to act on row states."""
-        free, driven = _component_indices(self.space.n_modes)
-        return _aligned(self.step_back[np.ix_(driven, free)].T)
+    def driven_blocks_back(self) -> tuple[np.ndarray, np.ndarray]:
+        """The driven and kick blocks of P^{-1}, transposed to act on row states (``dynamics._driven_blocks``)."""
+        return _driven_blocks(self.step_back, self.space.n_modes)
 
     @cached_property
     def step_controlled(self) -> np.ndarray:
@@ -290,22 +284,6 @@ def _pairing_matrix_apply(vec: np.ndarray, n: int) -> np.ndarray:
     out[..., : 2 * n] = -vec[..., 2 * n :]
     out[..., 2 * n :] = vec[..., : 2 * n]
     return out
-
-
-def _sweep_back(problem: HUMProblem, free_final: np.ndarray, states: np.ndarray, start: int = 0) -> np.ndarray:
-    """Driven adjoint states ``start``, ``start + 1``, ... backward steps from T, in place.
-
-    ``march_driven`` with the blocks of P^{-1}: ``free_final`` holds the free
-    component (w1, q1) at T, which rotates back in closed form, and row 0 of
-    ``states`` the driven component (w2, q2) ``start`` steps back.  No free
-    table is formed: each chunk's kicks are one product of its trig table
-    with the free rows' coefficient block.  Returns the free component at
-    the last row.
-    """
-    # the reflected step rotates backward, by minus the elapsed time
-    elapsed = -problem.grid.times[start : start + len(states)]
-    frequencies = problem.space.frequencies
-    return march_driven(problem.driven_back_t, problem.kick_back_t, frequencies, elapsed, free_final, states)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +553,8 @@ def _swept_pairings(
     top, reduced = 0, 0  # steps back from T to the chunk's first row, and whether that row is reduced
     while True:
         chunk = block[: min(rows, n_steps + 1 - top)]  # row r lies top + r steps back from T
-        start_free = _sweep_back(problem, free_final, chunk, top)
+        elapsed = -grid.times[top : top + len(chunk)]  # the reflected step rotates backward
+        start_free = march_driven(*problem.driven_blocks_back, problem.space.frequencies, elapsed, free_final, chunk)
         fresh = chunk[reduced:]  # driven states of the nodes not yet reduced
         steps = slice(top + reduced, top + len(chunk))
         observed = None

@@ -172,6 +172,8 @@ class ExperimentConfig:
             core = tuple(_floats(self.sections[section]["core"], f"[{section}] core"))
             if len(core) != 2:
                 raise ConfigError(f"[{section}] core must be 'lo,hi', got {len(core)} numbers")
+        elif section != "source":  # a coupling and an interior observer act on their core; a source's is optional
+            raise ConfigError(f"[{section}] pieces need a core 'lo,hi'")
         if not plateaus and core is None:
             return CoefficientFunction(())
         try:  # a plateau or core outside (0, 1), a negative margin or height, or a core where the function vanishes
@@ -181,7 +183,7 @@ class ExperimentConfig:
 
     def coupling(self, space: SpectralSpace) -> CouplingOperator | None:
         fn = self.coefficient_function("coupling")
-        if fn is None or fn.core_region is None:
+        if fn is None:
             return None
         return CouplingOperator(fn, space)
 

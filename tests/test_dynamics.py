@@ -155,6 +155,23 @@ class TestBackwardEvolution:
         assert rel < 1e-6
 
 
+    @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "uncoupled"])
+    def test_uncontrolled_evolution_marches_no_full_step(self, monkeypatch, coupled):
+        # the free component rotates in closed form and only the driven block is marched, both ways
+        import wavecascade.dynamics as dynamics
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an uncontrolled trajectory marched the full step")
+
+        monkeypatch.setattr(dynamics, "march", refuse)
+        space = SpectralSpace(8)
+        grid = TimeGrid(1.0, 128)
+        state = random_state(space)
+        coupling = standard_coupling(space) if coupled else None
+        back = evolve_cascade_backward(evolve_cascade(state, coupling, grid).final_state, coupling, grid)
+        assert np.linalg.norm(back.states[0] - state.as_vector()) <= 1e-12 * np.linalg.norm(state.as_vector())
+
+
 class TestMarch:
     def test_marches_in_place_and_matches_reference_loop(self):
         step = RNG.standard_normal((6, 6)) / 3.0

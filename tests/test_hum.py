@@ -34,8 +34,7 @@ from wavecascade.hum import (
     solve_hum,
     verify_transposition,
 )
-from wavecascade.dynamics import _component_indices
-from wavecascade.hum import _sweep_back
+from wavecascade.dynamics import _component_indices, march_driven
 
 from oracles import adjoint_march, first_driven_step_matrix, gramian_form, invert_generator
 
@@ -518,7 +517,8 @@ class TestTransposition:
             step[np.ix_(first, second)] *= 1.0 + 1e-3
             wrong.__dict__["step_controlled"] = step
         else:
-            wrong.__dict__["kick_back_t"] = wrong.kick_back_t * (1.0 + 1e-3)
+            driven_back_t, kick_back_t = wrong.driven_blocks_back  # the sweep's pair of blocks of P^{-1}
+            wrong.__dict__["driven_blocks_back"] = (driven_back_t, kick_back_t * (1.0 + 1e-3))
         assert verify_transposition(wrong, control, n_probes=5, seed=2)["max_residual"] > 1e-6
 
     def test_non_finite_control_gives_non_finite_max_residual(self):
@@ -543,8 +543,14 @@ def _energy_relative_errors(states, reference, space):
     return np.linalg.norm((states - reference) * weights, axis=-1) / np.linalg.norm(reference * weights, axis=-1)
 
 
+def _march_driven_back(problem, free_final, states):
+    """``march_driven`` with the blocks of P^{-1}, as ``hum._swept_pairings`` calls it; row r lies r steps back."""
+    elapsed = -problem.grid.times[: len(states)]  # the reflected step rotates backward
+    return march_driven(*problem.driven_blocks_back, problem.space.frequencies, elapsed, free_final, states)
+
+
 def _driven_sweep(final, problem):
-    """Adjoint node states from final data (..., 4N) by the driven-block sweep ``hum._sweep_back``, in time order.
+    """Adjoint node states from final data (..., 4N) by the driven-block sweep of ``hum``, in time order.
 
     The sweep returns the free component at time zero only; the free states
     at every node come from ``free_flow`` here, and the returned one must match.
@@ -553,7 +559,7 @@ def _driven_sweep(final, problem):
     free, driven = _component_indices(n)
     swept = np.empty((problem.grid.n_steps + 1,) + final[..., driven].shape)
     swept[0] = final[..., driven]
-    start_free = _sweep_back(problem, final[..., free], swept)
+    start_free = _march_driven_back(problem, final[..., free], swept)
     # the reflected step rotates backward: its sine terms change sign
     shape = (len(swept),) + (1,) * (final.ndim - 1) + (n,)
     c, s, m = (block.reshape(shape) for block in free_flow(problem.space, problem.grid.times))
@@ -598,10 +604,10 @@ class TestAdjointSweep:
         free_final = finals[:, free]
         states = np.empty((-(-prob.grid.n_steps // (k - 1)) + 1, k, 2 * n))
         states[0] = finals[:, driven]
-        prob.driven_back_t, prob.kick_back_t  # built before the peak is taken
+        prob.driven_blocks_back  # built before the peak is taken
         tracemalloc.start()
         try:
-            _sweep_back(prob, free_final, states)
+            _march_driven_back(prob, free_final, states)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -610,11 +616,12 @@ class TestAdjointSweep:
     def test_blocks_are_read_once_from_the_backward_step(self):
         prob = interior_problem(8, data=CascadeState.zero(SpectralSpace(8)))  # leaves the module RNG alone
         free, driven = _component_indices(8)
-        assert prob.driven_back_t is prob.driven_back_t and prob.kick_back_t is prob.kick_back_t
-        assert np.array_equal(prob.driven_back_t, prob.step_back[np.ix_(driven, driven)].T)
-        assert np.array_equal(prob.kick_back_t, prob.step_back[np.ix_(driven, free)].T)
+        assert prob.driven_blocks_back is prob.driven_blocks_back
+        driven_t, kick_t = prob.driven_blocks_back
+        assert np.array_equal(driven_t, prob.step_back[np.ix_(driven, driven)].T)
+        assert np.array_equal(kick_t, prob.step_back[np.ix_(driven, free)].T)
         assert np.all(prob.step_back[np.ix_(free, driven)] == 0.0)  # the free component is never kicked
-        for block in (prob.driven_back_t, prob.kick_back_t):
+        for block in (driven_t, kick_t):
             assert block.ctypes.data % 64 == 0 and block.flags.c_contiguous
 
 

@@ -238,6 +238,33 @@ class TestParsing:
         assert line.startswith(f"configuration error: [{section}] ")
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "config, section",
+        [
+            # a coupling without a core had been read as no coupling: the simulation ran uncoupled and passed,
+            # the control and gramian runs failed their checks
+            ("criterion02_conservation", "coupling"),
+            ("criterion04_gramian_interior", "coupling"),
+            ("criterion08_hum_interior", "coupling"),
+            ("criterion09_insensitize_interior", "coupling"),
+            # an interior observer without a core had exited 2 with a line that named no section
+            ("criterion06_audit", "observer"),
+            ("criterion09_insensitize_interior", "observer"),
+        ],
+    )
+    def test_pieces_without_a_core_exit_2_naming_the_section(self, tmp_path, capsys, config, section):
+        # --set cannot delete a key, so the shipped config is written without the section's core line
+        lines, current = [], None
+        for line in Path(f"{CONFIG_DIR}/{config}.ini").read_text().splitlines():
+            current = line.strip() if line.startswith("[") else current
+            if not (current == f"[{section}]" and line.startswith("core")):
+                lines.append(line)
+        out = tmp_path / "out"
+        assert main([str(write_config(tmp_path, "\n".join(lines))), "-o", str(out)]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"configuration error: [{section}] ")
+        assert not list(out.glob("*"))
+
     @pytest.mark.parametrize("config, values", [("criterion05_short_horizon", "64"), ("criterion07_trends", "4")])
     def test_one_value_sweep_exits_2_naming_the_values(self, tmp_path, capsys, config, values):
         # one value had run its axis's check over nothing to compare, and passed
@@ -819,6 +846,41 @@ class TestAuditLedger:
             out = capsys.readouterr().out
             line = next(line for line in out.splitlines() if "] source_observability_driven:" in line)
             assert line.endswith(", alpha0 at its 1e-12 floor") == floored
+
+
+class TestStepPerturbation:
+    # when evolve_cascade marched the whole step, seed 8 took criterion 2's energy drift
+    # from 1.582e-13 to 1.817e-12, over its 1e-12 bound, and the run exited 1
+    SEEDS = (2, 7, 8)
+
+    @staticmethod
+    def _runs(tmp_path, capsys, label):
+        """Exit code and check lines of each simulate config."""
+        results = {}
+        for config in ("criterion01_solver", "criterion02_conservation", "criterion11_determinism"):
+            code = main([f"{CONFIG_DIR}/{config}.ini", "-o", str(tmp_path / label / config)])
+            lines = capsys.readouterr().out.splitlines()
+            results[config] = code, [line for line in lines if line.lstrip().startswith("[")]
+        return results
+
+    def test_simulate_verdicts_and_drifts_ignore_one_ulp_of_the_step(self, tmp_path, capsys, monkeypatch):
+        # the first component never reads the step, so its printed drifts are the shipped ones bit for bit
+        from wavecascade import dynamics
+
+        original = dynamics.cascade_step_matrix
+        shipped = self._runs(tmp_path, capsys, "shipped")
+        assert all(code == 0 for code, _ in shipped.values())
+        for seed in self.SEEDS:
+
+            def perturbed(*args, seed=seed, **kwargs):
+                step = original(*args, **kwargs)
+                nonzero = step != 0.0
+                z = np.random.default_rng(seed).standard_normal(np.count_nonzero(nonzero))
+                step[nonzero] *= 1.0 + np.finfo(float).eps * z
+                return step
+
+            monkeypatch.setattr(dynamics, "cascade_step_matrix", perturbed)
+            assert self._runs(tmp_path, capsys, f"seed{seed}") == shipped
 
 
 class TestDeterminism:
