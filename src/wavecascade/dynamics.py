@@ -22,8 +22,11 @@ Every uncontrolled trajectory (``evolve_cascade``,
 driven block of its step (``march_driven``): the free component rotates in
 closed form, no free table is formed, and each chunk's kicks are one product
 of its [cos | sin] table with a coefficient block built from the free rows.
-``march`` serves only the controlled trajectories of ``hum``, where neither
-component is free.  A single forced wave w'' + A w = f steps by the same
+The caller builds that table (``_trig_table``), so a simulation evaluates
+its phases once and reads its free columns from the same table.
+``march`` serves only the controlled stepper of ``hum`` (and its
+controlled-component block in ``insensitize``), where neither component is
+free.  A single forced wave w'' + A w = f steps by the same
 rotation and Simpson kick, but there the step is the exact rotation alone,
 so ``forced_flow`` sums the whole recursion in the rotating frame with one
 prefix sum instead.  All take their Simpson kernel from
@@ -455,7 +458,7 @@ def march_driven(
     driven_t: np.ndarray,
     kick_t: np.ndarray,
     frequencies: np.ndarray,
-    times: np.ndarray,
+    trig: np.ndarray,
     free: np.ndarray,
     states: np.ndarray,
 ) -> np.ndarray:
@@ -464,10 +467,11 @@ def march_driven(
     The step takes a free state f and a driven state x, as rows, to
     (f R^T, x driven_t + f kick_t), with R the exact per-mode rotation.
     ``free`` (shape (..., 2N)) holds f_0 = (p, v), and row r of ``states``
-    lies at the elapsed time ``times[r]`` (negative for a reflected step,
-    which rotates backward), so f_r = (c_r p + s_r v, m_r p + c_r v) with the
-    ``free_flow`` blocks (c, s, m) there.  Its kick is linear in the cosine
-    and sine of the phases w t_r,
+    lies at an elapsed time t_r (negative for a reflected step, which
+    rotates backward), so f_r = (c_r p + s_r v, m_r p + c_r v) with the
+    ``free_flow`` blocks (c, s, m) there.  Row r of ``trig`` (rows, 2N) holds
+    [cos | sin] of the phases w t_r (``_trig_table``), which the caller
+    builds and may read again.  The kick is linear in them,
 
         f_r kick_t = cos_r (diag(p) K_p + diag(v) K_v) + sin_r (diag(v / w) K_p - diag(w p) K_v),
 
@@ -482,11 +486,6 @@ def march_driven(
     """
     n = free.shape[-1] // 2
     rows = len(states)
-    trig = np.empty((rows, 2 * n))
-    cos, sin = trig[:, :n], trig[:, n:]
-    np.multiply.outer(times, frequencies, out=sin)
-    np.cos(sin, out=cos)
-    np.sin(sin, out=sin)
     pos, vel = free[..., :n], free[..., n:]
     p, v = pos.reshape(-1, n), vel.reshape(-1, n)
     # row j's cos (t = 0) or sin (t = 1) coefficients at mode i: weights[t, j, :, i] @ (K_p[i]; K_v[i])
@@ -497,8 +496,20 @@ def march_driven(
     np.dot(trig[:-1], coefficients.reshape(2 * n, -1), out=kicks)
     for current, following in zip(states[:-1], states[1:]):
         following += np.dot(current, driven_t)
-    c, s, m = cos[-1], sin[-1] / frequencies, -frequencies * sin[-1]
+    c, sin = trig[-1, :n], trig[-1, n:]
+    s, m = sin / frequencies, -frequencies * sin
     return np.concatenate([c * pos + s * vel, m * pos + c * vel], axis=-1)
+
+
+def _trig_table(frequencies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The (len(times), 2N) table [cos | sin] of the phases w t that ``march_driven`` reads."""
+    n = len(frequencies)
+    trig = np.empty((len(times), 2 * n))
+    cos, sin = trig[:, :n], trig[:, n:]
+    np.multiply.outer(times, frequencies, out=sin)
+    np.cos(sin, out=cos)
+    np.sin(sin, out=sin)
+    return trig
 
 
 def _aligned(array: np.ndarray) -> np.ndarray:
@@ -536,14 +547,17 @@ def _evolve(state: CascadeState, coupling: CouplingOperator | None, grid: TimeGr
     grid.validate_for(space)
     n = space.n_modes
     step = cascade_step_matrix(space, None if coupling is None else coupling.matrix, grid.dt)
-    times = -grid.times if backward else grid.times
+    om = space.frequencies
+    trig = _trig_table(om, -grid.times if backward else grid.times)
     free, driven = _component_indices(n)
     x = state.as_vector()
     swept = np.empty((grid.n_steps + 1, 2 * n))
     swept[0] = x[driven]
     blocks = _driven_blocks(reversed_step(step, n) if backward else step, n)
-    march_driven(*blocks, space.frequencies, times, x[free], swept)
-    (c, s, m), p, v = free_flow(space, times), x[:n], x[2 * n : 3 * n]
+    march_driven(*blocks, om, trig, x[free], swept)
+    # the free rows read the same table: the free_flow blocks (c, s, m) at the elapsed times
+    c, sin = trig[:, :n], trig[:, n:]
+    s, m, p, v = sin / om, -om * sin, x[:n], x[2 * n : 3 * n]
     states = np.empty((grid.n_steps + 1, 4 * n))
     rows = states[::-1] if backward else states  # marching order
     rows[:, :n], rows[:, 2 * n : 3 * n] = c * p + s * v, m * p + c * v

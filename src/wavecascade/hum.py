@@ -64,6 +64,7 @@ from .dynamics import (
     _driven_blocks,
     _read_only,
     _sample_forcing,
+    _trig_table,
     cascade_step_matrix,
     duality_pairing,
     march,
@@ -549,12 +550,13 @@ def _swept_pairings(
     block = np.empty((rows, rows_per_node, 2 * n))
     block[0] = finals[:, driven]
     free_final = finals[:, free]
+    om = problem.space.frequencies
     sums = np.zeros((2, len(probes)))
     top, reduced = 0, 0  # steps back from T to the chunk's first row, and whether that row is reduced
     while True:
         chunk = block[: min(rows, n_steps + 1 - top)]  # row r lies top + r steps back from T
         elapsed = -grid.times[top : top + len(chunk)]  # the reflected step rotates backward
-        start_free = march_driven(*problem.driven_blocks_back, problem.space.frequencies, elapsed, free_final, chunk)
+        start_free = march_driven(*problem.driven_blocks_back, om, _trig_table(om, elapsed), free_final, chunk)
         fresh = chunk[reduced:]  # driven states of the nodes not yet reduced
         steps = slice(top + reduced, top + len(chunk))
         observed = None

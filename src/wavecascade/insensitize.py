@@ -28,9 +28,13 @@ zero control, where the derivative is resolved.
 The trajectory at data + tau z under a fixed control is the base trajectory
 plus tau times the response to z alone, whose controlled component is the
 free wave cos(w t) z0 + sin(w t) / w z1 (the cascade's first component never
-feeds it), read off one half-step trig table per problem.  One response is
-still marched through the controlled stepper, and its gap to the closed
-form ties the two together.
+feeds it), read off one half-step trig table per problem.  Its Phi needs no
+table: it is 1/2 z^T F z with F the weight against the free flow's
+half-step position Gram, kept once per problem.  The robustness response
+and the zero-control reference have no control, so they are marched
+together, as two columns of one block through the controlled component's
+block of the controlled stepper alone; the response's gap to the closed
+form ties the stepper to it.
 """
 
 from __future__ import annotations
@@ -43,8 +47,18 @@ import numpy as np
 
 from .errors import RefusalError, ValidationError
 from .spectral import CoefficientFunction, ModalCoefficients, SpectralSpace, assemble_multiplication_matrix
-from .dynamics import CascadeState, CouplingOperator, Observer, TimeGrid, _read_only, free_flow, march
-from .observability import gcc_min_time
+from .dynamics import (
+    CascadeState,
+    CouplingOperator,
+    Observer,
+    TimeGrid,
+    _aligned,
+    _component_indices,
+    _read_only,
+    free_flow,
+    march,
+)
+from .observability import _free_flow_gram, gcc_min_time
 from .hum import (
     HUMProblem,
     TimeSampledControl,
@@ -117,6 +131,18 @@ class InsensitizeProblem:
         every perturbation response.
         """
         return tuple(_read_only(block) for block in free_flow(self.space, self.grid.fine_times)[:2])
+
+    @cached_property
+    def _response_form(self) -> np.ndarray:
+        """The 2N x 2N form F with Phi(cos(w t) z0 + sin(w t) / w z1) = 1/2 z^T F z, z = (z0, z1), built once.
+
+        F is tile(W) times the free flow's half-step position Gram
+        (``observability._free_flow_gram``): the Simpson quadrature of Phi,
+        summed in closed form.  Read-only.
+        """
+        self.grid.validate_for(self.space)
+        gram = _free_flow_gram(self.space, self.grid, fine=True)
+        return _read_only(np.tile(self.weight_matrix, (2, 2)) * gram)
 
     @property
     def observation_region(self):
@@ -242,10 +268,13 @@ def fine_second_positions(states: np.ndarray, space: SpectralSpace, grid: TimeGr
     exact half-step rotation of the node states.
     """
     n = space.n_modes
+    return _fine_positions(states[:, n : 2 * n], states[:, 3 * n : 4 * n], space, grid)
+
+
+def _fine_positions(pos: np.ndarray, vel: np.ndarray, space: SpectralSpace, grid: TimeGrid) -> np.ndarray:
+    """Half-step positions from the node positions and velocities of the controlled component, (n_steps + 1, N) each."""
     c, s = free_flow(space, 0.5 * grid.dt)[:2]
-    pos = states[:, n : 2 * n]
-    vel = states[:, 3 * n : 4 * n]
-    fine = np.empty((2 * grid.n_steps + 1, n))
+    fine = np.empty((2 * grid.n_steps + 1, space.n_modes))
     fine[0::2] = pos
     np.multiply(c, pos[:-1], out=fine[1::2])
     fine[1::2] += s * vel[:-1]
@@ -280,48 +309,71 @@ def _perturbations(problem: InsensitizeProblem, count: int, rng) -> list[np.ndar
     return [rng.standard_normal((2, problem.space.n_modes)) for _ in range(count)]
 
 
-def _response(hum: HUMProblem, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
-    """Controlled states from the perturbation (z0, z1) alone: no control, no source.
+def _uncontrolled_positions(
+    problem: InsensitizeProblem, z0: np.ndarray, z1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fine positions of the zero-control reference and of the response to (z0, z1) alone, from one march.
 
-    Its controlled component is the free wave of ``_free_response``; the
-    certificate marches only the robustness direction, to measure the
-    stepper against that closed form.
+    Neither has a control, and the cascade's first component never feeds
+    the controlled one: the y2 <- y1 block of ``hum.step_controlled`` is
+    exactly zero.  So both are marched on the controlled component alone,
+    as the two columns of one (n_steps + 1, 2N, 2) block through that
+    component's 2N x 2N block of the step: column 0 the reference (the
+    known data and the source's node kicks, injected as
+    ``hum.controlled_forward`` injects them), column 1 the response (the
+    data (z0, z1), no source).  The block is freed on return.
     """
-    n = hum.space.n_modes
-    states = np.zeros((hum.grid.n_steps + 1, 4 * n))
-    states[0, n : 2 * n] = z0
-    states[0, 3 * n :] = z1
-    return march(hum.step_controlled, states)
+    hum, space, grid = problem.hum, problem.space, problem.grid
+    n = space.n_modes
+    controlled = _component_indices(n)[1]
+    step = _aligned(hum.step_controlled[np.ix_(controlled, controlled)])
+    block = np.zeros((grid.n_steps + 1, 2 * n, 2))
+    if hum.source_nodes is not None:
+        np.multiply(hum.source_nodes, grid.node_weights[:, None], out=block[:, n:, 0])
+    block[0, :, 0] += hum.initial_data.as_vector()[controlled]
+    block[0, :n, 1], block[0, n:, 1] = z0, z1
+    march(step, block)
+    return tuple(_fine_positions(block[:, :n, k], block[:, n:, k], space, grid) for k in (0, 1))
 
 
 def _free_response(problem: InsensitizeProblem, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
     """Fine positions of the response to (z0, z1) in closed form: cos(w t) z0 + sin(w t) / w z1.
 
-    The controlled component of ``_response`` is a free wave, since the
-    first component never feeds it; this is its half-step position table.
+    The controlled component of a perturbation's response is a free wave,
+    since the first component never feeds it; this is its half-step
+    position table.
     """
     cos_f, sin_f = problem.fine_flow
     return cos_f * z0 + sin_f * z1
 
 
+def _free_phi(problem: InsensitizeProblem, z0: np.ndarray, z1: np.ndarray) -> float:
+    """Phi of ``_free_response(problem, z0, z1)`` in closed form, 1/2 z^T F z with z = (z0, z1)."""
+    z = np.concatenate([z0, z1])
+    return 0.5 * float(z @ problem._response_form @ z)
+
+
 def _stepper_gap(problem: InsensitizeProblem, z0: np.ndarray, z1: np.ndarray, marched: np.ndarray) -> float:
     """max|marched - closed| / max|closed| between the marched and the closed-form fine response to (z0, z1).
 
-    The closed form lives only here, so it is freed before the zero-control
-    reference is formed, where the certificate's memory peaks.
+    The closed form lives only here, so it is freed on return; the march
+    block of ``_uncontrolled_positions`` is freed before it is formed.
     """
     closed = _free_response(problem, z0, z1)
     return float(np.max(np.abs(marched - closed))) / max(float(np.max(np.abs(closed))), 1e-300)
 
 
-def _polarized(problem: InsensitizeProblem, base: np.ndarray, phi_base: float, response: np.ndarray):
+def _polarized(
+    problem: InsensitizeProblem, base: np.ndarray, phi_base: float, response: np.ndarray, phi_response: float
+):
     """Q(base, response) by one polarization, and its Cauchy-Schwarz scale 2 sqrt(Phi(base) Phi(response)).
 
-    ``base`` and ``response`` are fine positions, ``phi_base`` the Phi of
-    ``base``; h = sqrt(Phi(b) / Phi(a)) keeps the roundoff near eps times the
-    scale.  A scale of 0 bounds Q by 0.
+    ``base`` and ``response`` are fine positions, ``phi_base`` and
+    ``phi_response`` their Phi, which the caller holds (a free response's in
+    closed form, ``_free_phi``); the polarization itself evaluates Phi twice,
+    at base +- h response.  h = sqrt(Phi(b) / Phi(a)) keeps the roundoff near
+    eps times the scale.  A scale of 0 bounds Q by 0.
     """
-    phi_response = _fine_phi(problem, response)
     scale = 2.0 * math.sqrt(phi_base * phi_response)
     if scale == 0.0:
         return 0.0, 0.0
@@ -373,8 +425,7 @@ def insensitize(problem: InsensitizeProblem):
                 {"region": reg, "minimal_horizon": minimal, "horizon": problem.grid.horizon},
             )
 
-    hum = problem.hum
-    solution = solve_hum(hum)
+    solution = solve_hum(problem.hum)
     control = solution.control
     space, grid = problem.space, problem.grid
     fine = fine_second_positions(solution.trajectory, space, grid)
@@ -382,16 +433,17 @@ def insensitize(problem: InsensitizeProblem):
 
     rng = np.random.default_rng(problem.seed)
     zero = np.zeros(space.n_modes)
+    cos_f, sin_f = problem.fine_flow
 
     records = []
     per_position, per_velocity = _modal_derivatives(problem, fine)
     for i, (z0, z1) in enumerate(_perturbations(problem, problem.perturbation_count, rng)):
-        f0, s0 = _polarized(problem, fine, phi0, _free_response(problem, z0, zero))
-        f1, s1 = _polarized(problem, fine, phi0, _free_response(problem, zero, z1))
+        f0, s0 = _polarized(problem, fine, phi0, cos_f * z0, _free_phi(problem, z0, zero))
+        f1, s1 = _polarized(problem, fine, phi0, sin_f * z1, _free_phi(problem, zero, z1))
         records.append(PerturbationRecord(i, float(per_position @ z0), f0, float(per_velocity @ z1), f1, s0, s1))
 
     z0, z1 = _perturbations(problem, 1, rng)[0]
-    along = fine_second_positions(_response(hum, z0, z1), space, grid)
+    reference, along = _uncontrolled_positions(problem, z0, z1)
     stepper_gap = _stepper_gap(problem, z0, z1, along)
     phi_along = _fine_phi(problem, along)
     if phi_along == 0.0:
@@ -400,9 +452,8 @@ def insensitize(problem: InsensitizeProblem):
         scale = 2.0 * math.sqrt(phi0 * phi_along)
         q = float(per_position @ z0 + per_velocity @ z1) / scale if scale > 0 else 0.0
 
-    reference = fine_second_positions(controlled_forward(hum, None), space, grid)
     ref_pos, ref_vel = _modal_derivatives(problem, reference)
-    ref_polarized, ref_scale = _polarized(problem, reference, _fine_phi(problem, reference), along)
+    ref_polarized, ref_scale = _polarized(problem, reference, _fine_phi(problem, reference), along, phi_along)
 
     certificate = InsensitizeCertificate(
         phi_baseline=phi0,

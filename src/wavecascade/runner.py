@@ -432,12 +432,12 @@ def _run_hum(config: ExperimentConfig, outdir: Path) -> tuple[list, list]:
         fields = (basis @ node for node in solution.control.values)
         write_field_csv(control_path, ["t", "x", "v"], grid.times, x_points, fields)
     else:
-        # control columns are the active endpoints in left, right order
-        sides = np.zeros((grid.n_steps + 1, 2))
-        sides[:, [observer.b_left > 0, observer.b_right > 0]] = solution.control.values
-        rows = [[t, v_left, v_right] for t, (v_left, v_right) in zip(grid.times, sides)]
+        # rows [t | v_left | v_right]; control columns are the active endpoints in left, right order
+        table = np.zeros((grid.n_steps + 1, 3))
+        table[:, 0] = grid.times
+        table[:, [False, observer.b_left > 0, observer.b_right > 0]] = solution.control.values
         control_path = outdir / "control.csv"
-        write_csv(control_path, ["t", "v_left", "v_right"], rows)
+        write_csv(control_path, ["t", "v_left", "v_right"], table.tolist())
     artifacts.append(control_path)
 
     manifest = [

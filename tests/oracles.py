@@ -14,8 +14,8 @@ ratios by SciPy's generalized eigensolver, and the sharp gamma0 and eta0 by
 the same solver on free moments from a time table; the forced waves of the
 alpha0 ensemble marched one at a time in the lab frame; the ray tracing that
 cross-checks ``gcc_min_time``; and Phi, its sensitivity derivatives straight
-from a controlled trajectory, and its Richardson-extrapolated central
-difference.
+from a controlled trajectory, a perturbation's response marched through the
+full controlled step, and its Richardson-extrapolated central difference.
 """
 
 import numpy as np
@@ -403,6 +403,19 @@ def ray_hit_time(x0: float, direction: int, region) -> float:
 def trajectory_phi(problem: InsensitizeProblem, states: np.ndarray) -> float:
     """Phi of a controlled trajectory (fine half-step quadrature)."""
     return _fine_phi(problem, fine_second_positions(states, problem.space, problem.grid))
+
+
+def perturbation_response(hum: HUMProblem, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
+    """Controlled states from the perturbation (z0, z1) alone, no control and no source, by the full 4N step.
+
+    Its controlled component is the free wave cos(w t) z0 + sin(w t) / w z1;
+    the certificate marches it on that component alone.
+    """
+    n = hum.space.n_modes
+    states = np.zeros((hum.grid.n_steps + 1, 4 * n))
+    states[0, n : 2 * n] = z0
+    states[0, 3 * n :] = z1
+    return march(hum.step_controlled, states)
 
 
 def sensitivity_derivatives(

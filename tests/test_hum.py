@@ -34,7 +34,7 @@ from wavecascade.hum import (
     solve_hum,
     verify_transposition,
 )
-from wavecascade.dynamics import _component_indices, march_driven
+from wavecascade.dynamics import _component_indices, _trig_table, march_driven
 
 from oracles import adjoint_march, first_driven_step_matrix, gramian_form, invert_generator
 
@@ -545,8 +545,9 @@ def _energy_relative_errors(states, reference, space):
 
 def _march_driven_back(problem, free_final, states):
     """``march_driven`` with the blocks of P^{-1}, as ``hum._swept_pairings`` calls it; row r lies r steps back."""
-    elapsed = -problem.grid.times[: len(states)]  # the reflected step rotates backward
-    return march_driven(*problem.driven_blocks_back, problem.space.frequencies, elapsed, free_final, states)
+    om = problem.space.frequencies
+    trig = _trig_table(om, -problem.grid.times[: len(states)])  # the reflected step rotates backward
+    return march_driven(*problem.driven_blocks_back, om, trig, free_final, states)
 
 
 def _driven_sweep(final, problem):

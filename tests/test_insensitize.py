@@ -29,15 +29,16 @@ from wavecascade.insensitize import (
     _converse,
     _fine_phi,
     _first_component_norms,
+    _free_phi,
     _free_response,
     _modal_derivatives,
     _polarized,
-    _response,
     _robustness_exponent,
+    _uncontrolled_positions,
 )
 from wavecascade.runner import parse_config, run
 
-from oracles import richardson_derivative, sensitivity_derivatives, trajectory_phi
+from oracles import perturbation_response, richardson_derivative, sensitivity_derivatives, trajectory_phi
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # the package re-exports the function insensitize under the submodule's name
@@ -117,8 +118,8 @@ class TestSensitivityDerivatives:
         a0, a1 = sensitivity_derivatives(prob, control, z0, z1)
         fine = lambda states: fine_second_positions(states, space, prob.grid)
         base = fine(controlled_forward(hum, control))
-        f0 = richardson_derivative(prob, base, fine(_response(hum, z0, np.zeros(12))))
-        f1 = richardson_derivative(prob, base, fine(_response(hum, np.zeros(12), z1)))
+        f0 = richardson_derivative(prob, base, fine(perturbation_response(hum, z0, np.zeros(12))))
+        f1 = richardson_derivative(prob, base, fine(perturbation_response(hum, np.zeros(12), z1)))
         assert f0 == pytest.approx(a0, rel=1e-5)
         assert f1 == pytest.approx(a1, rel=1e-5)
 
@@ -311,14 +312,14 @@ class TestFinePositionRoute:
         z0 = rng.standard_normal(12) / np.sqrt(space.eigenvalues)
         z1 = rng.standard_normal(12)
         base = controlled_forward(hum, None)  # the zero control: the derivative is resolved
-        response = _response(hum, z0, z1)
+        response = perturbation_response(hum, z0, z1)
 
         phi_base, phi_response = trajectory_phi(prob, base), trajectory_phi(prob, response)
         h = np.sqrt(phi_base / phi_response)
         nodes = (trajectory_phi(prob, base + h * response) - trajectory_phi(prob, base - h * response)) / (2.0 * h)
 
         fine = lambda states: fine_second_positions(states, space, prob.grid)
-        fine_route, scale = _polarized(prob, fine(base), phi_base, fine(response))
+        fine_route, scale = _polarized(prob, fine(base), phi_base, fine(response), phi_response)
         assert scale == 2.0 * np.sqrt(phi_base * phi_response)
         assert abs(nodes) > 1e-3 * scale
         assert fine_route == pytest.approx(nodes, rel=1e-12)
@@ -332,9 +333,55 @@ class TestFinePositionRoute:
         prob = make_problem(12, kind=kind, data=(space.zero(), space.zero()))
         z0 = rng.standard_normal(12) / np.sqrt(space.eigenvalues)
         z1 = rng.standard_normal(12)
-        marched = fine_second_positions(_response(prob.hum, z0, z1), prob.space, prob.grid)
+        marched = fine_second_positions(perturbation_response(prob.hum, z0, z1), prob.space, prob.grid)
         closed = _free_response(prob, z0, z1)
         assert np.max(np.abs(marched - closed)) <= 1e-12 * np.max(np.abs(closed))
+
+    @pytest.mark.parametrize("kind", ["interior", "boundary"])
+    def test_block_march_is_the_controlled_component_of_the_full_march(self, kind):
+        # the reference and the response march on the controlled component alone, as two block columns
+        space = SpectralSpace(12)
+        rng = np.random.default_rng(44)
+        data = (
+            ModalCoefficients(rng.standard_normal(12) / np.sqrt(space.eigenvalues), space),
+            ModalCoefficients(rng.standard_normal(12), space),
+        )
+        g = rng.standard_normal(12)
+        prob = make_problem(12, kind=kind, data=data, source=lambda t: np.sin(np.pi * t) * g)
+        z0 = rng.standard_normal(12) / np.sqrt(space.eigenvalues)
+        z1 = rng.standard_normal(12)
+        reference, along = _uncontrolled_positions(prob, z0, z1)
+        fine = lambda states: fine_second_positions(states, prob.space, prob.grid)
+        for marched, full in (
+            (reference, controlled_forward(prob.hum, None)),
+            (along, perturbation_response(prob.hum, z0, z1)),
+        ):
+            expected = fine(full)
+            assert np.max(np.abs(marched - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_closed_form_phi_of_a_free_response(self):
+        space = SpectralSpace(16)
+        rng = np.random.default_rng(45)
+        # over a whole number of periods of every (w_i +- w_j) the node and half-step sums would agree
+        prob = make_problem(16, horizon=3.7, data=(space.zero(), space.zero()))
+        z0 = rng.standard_normal(16) / np.sqrt(space.eigenvalues)
+        z1 = rng.standard_normal(16)
+        zero = np.zeros(16)
+        for p, v in ((z0, z1), (z0, zero), (zero, z1)):
+            expected = phi_functional(_free_response(prob, p, v), prob.weight_matrix, prob.grid.fine_weights)
+            assert _free_phi(prob, p, v) == pytest.approx(expected, rel=1e-12)
+        assert prob._response_form is prob._response_form
+        assert not prob._response_form.flags.writeable
+
+    def test_a_zero_observation_weight_leaves_every_free_response_invisible(self):
+        space = SpectralSpace(8)
+        prob = make_problem(8, weight=CoefficientFunction(()), data=(space.zero(), space.zero()))
+        rng = np.random.default_rng(46)
+        z0, z1 = rng.standard_normal(8), rng.standard_normal(8)
+        phi = _free_phi(prob, z0, z1)
+        assert phi == 0.0
+        base = rng.standard_normal((2 * prob.grid.n_steps + 1, 8))
+        assert _polarized(prob, base, _fine_phi(prob, base), _free_response(prob, z0, z1), phi) == (0.0, 0.0)
 
     @pytest.mark.parametrize("kind", ["interior", "boundary"])
     def test_converse_norms_match_per_row_loop(self, kind):
@@ -440,7 +487,7 @@ class TestQuadraticAlgebra:
     def test_polarization_is_the_bilinear_form_at_every_step(self, kind):
         prob, base, response = _resolved_pair(kind, 61)
         bilinear = float(prob.grid.fine_weights @ np.einsum("ki,ki->k", base @ prob.weight_matrix, response))
-        polarized, scale = _polarized(prob, base, _fine_phi(prob, base), response)
+        polarized, scale = _polarized(prob, base, _fine_phi(prob, base), response, _fine_phi(prob, response))
         assert abs(bilinear) <= scale  # Cauchy-Schwarz
         assert abs(polarized - bilinear) <= 1e-14 * scale
         for h in (1e-2, 1.0, 1e2):
@@ -449,15 +496,16 @@ class TestQuadraticAlgebra:
 
     def test_a_perturbation_invisible_to_phi_has_zero_derivative_and_scale(self):
         prob, base, response = _resolved_pair("interior", 62)
-        assert _polarized(prob, base, _fine_phi(prob, base), np.zeros_like(response)) == (0.0, 0.0)
-        assert _polarized(prob, base, 0.0, response) == (0.0, 0.0)
+        invisible = np.zeros_like(response)
+        assert _polarized(prob, base, _fine_phi(prob, base), invisible, _fine_phi(prob, invisible)) == (0.0, 0.0)
+        assert _polarized(prob, base, 0.0, response, _fine_phi(prob, response)) == (0.0, 0.0)
 
     @pytest.mark.parametrize("kind", ["interior", "boundary"])
     def test_robustness_exponent_is_the_slope_of_phi_differences(self, kind):
         # at the zero control q is resolved, so the expansion is tied to Phi itself
         prob, base, response = _resolved_pair(kind, 63)
         phi_base, phi_response = _fine_phi(prob, base), _fine_phi(prob, response)
-        bilinear, scale = _polarized(prob, base, phi_base, response)
+        bilinear, scale = _polarized(prob, base, phi_base, response, phi_response)
         q = bilinear / scale
         assert abs(q) > 1e-2
         h = np.sqrt(phi_base / phi_response)

@@ -32,7 +32,6 @@ from wavecascade.hum import (
     controlled_forward,
     solve_hum,
 )
-from wavecascade.insensitize import _response
 from wavecascade.observability import (
     _audit_forms,
     gcc_min_time,
@@ -41,7 +40,7 @@ from wavecascade.observability import (
     weighted_gram,
 )
 
-from oracles import adjoint_march
+from oracles import adjoint_march, perturbation_response
 
 PROPERTY_SETTINGS = settings(max_examples=15, derandomize=True, deadline=None)
 
@@ -203,7 +202,7 @@ def test_controlled_solve_is_affine_in_the_known_data(case, tau, freq, seed):
 
     problem = HUMProblem(data(x), coupling, observer, grid, source=lambda t: np.cos(freq * t) * g)
     base = controlled_forward(problem, control)
-    response = _response(problem, w[:n], w[n : 2 * n])
+    response = perturbation_response(problem, w[:n], w[n : 2 * n])
     perturbed = controlled_forward(replace(problem, initial_data=data(x + tau * w)), control)
     scale = max(np.max(np.abs(base)), np.max(np.abs(tau * response)))
     assert np.max(np.abs(perturbed - (base + tau * response))) <= 1e-12 * scale

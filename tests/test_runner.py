@@ -503,14 +503,14 @@ class TestRunKinds:
     @pytest.mark.parametrize(
         "config, expected",
         [
-            ("criterion10_converse", ["controlled_forward", "_response", "controlled_forward"]),
-            ("criterion09_insensitize_interior",
-             ["source_terminal", "controlled_forward", "_response", "controlled_forward"]),
+            ("criterion10_converse", ["controlled_forward", "_uncontrolled_positions"]),
+            ("criterion09_insensitize_interior", ["source_terminal", "controlled_forward", "_uncontrolled_positions"]),
         ],
     )
     def test_insensitize_run_marches_each_trajectory_once(self, tmp_path, monkeypatch, config, expected):
-        # the HUM trajectory, the robustness response and the zero-control reference;
-        # the converse reads the HUM trajectory, and a source is marched from rest once
+        # the HUM trajectory, then the robustness response and the zero-control reference as one
+        # block on the controlled component; the converse reads the HUM trajectory, and a source
+        # is marched from rest once
         args = [f"{CONFIG_DIR}/{config}.ini", "-o", str(tmp_path / "i")]
         assert self._march_callers(monkeypatch, args) == expected
 
